@@ -1,7 +1,8 @@
-//! Multi-GPU Enterprise (§4.4).
+//! Multi-GPU Enterprise (§4.4): one fleet driver over a partition shape.
 //!
-//! 1-D vertex partitioning: each device owns an equal slice of the vertex
-//! range (and therefore a similar number of edges). Per level:
+//! **1-D slices** ([`Slices`], the paper's design): each device owns an
+//! equal slice of the vertex range (and therefore a similar number of
+//! edges). Per level:
 //!
 //! 1. each GPU expands its private frontier queue, marking discoveries in
 //!    its *private* status array (top-down discoveries may be remote
@@ -12,6 +13,22 @@
 //!    just-visited vertices;
 //! 3. each GPU scans the updated private status array *restricted to its
 //!    owned range* to generate its next private queue.
+//!
+//! **2-D grid** ([`Grid`]) — the paper's stated future work ("We leave the
+//! study of 2-D partition as future work", §4.4), implemented as an
+//! extension. Devices form an `r x c` grid; device `(i, j)` stores the
+//! adjacency-matrix block of edges `(u, v)` with `u` in column block `j`
+//! and `v` in row block `i`, so a column of devices cooperatively expands
+//! one frontier slice. Discoveries merge along rows and are shared along
+//! columns: `(c-1 + r-1) * n/r` bits per device instead of 1-D's
+//! `(P-1) * n`. γ-based switching works (hub counts duplicate uniformly in
+//! numerator and denominator), but the hub cache is off — a block's
+//! out-degree view covers only its column block, so hubs are not local.
+//!
+//! One [`Fleet`] runs both shapes: the seed, level loop, replay, verify,
+//! persistence, merge, collect and pipelined lanes are shared, and each
+//! shape-specific decision lives in one function that matches on the
+//! shape (layout and census, exchange, loss, rebalance, persistence).
 //!
 //! Parents are private to the discovering device; the final parent tree
 //! is gathered host-side (any device's recorded parent is valid because
@@ -25,37 +42,91 @@ use crate::error::{BfsError, RecoveryPolicy, RecoveryReport};
 use crate::frontier::{measure_total_hubs, try_generate_queues, GenWorkflow};
 use crate::kernels::{try_expand_level, Direction};
 use crate::persist::{
-    load_checkpoint_chain, truncate_queues, CheckpointSnapshot, CheckpointWriter,
-    DeviceCheckpoint, DriverKind, FleetRecord, GraphFingerprint, LayoutSnapshot, PersistError,
-    PersistPolicy, SnapshotStore, CHECKPOINT_FILE, DELTA_FILE,
+    load_checkpoint_chain, truncate_queues, CheckpointSnapshot, CheckpointWriter, DeviceCheckpoint,
+    DriverKind, FleetRecord, GraphFingerprint, LayoutSnapshot, PersistError, PersistPolicy,
+    SnapshotStore, CHECKPOINT_FILE, DELTA_FILE,
 };
 use crate::rebalance::{self, DeviceTiming, ImbalanceDetector, RebalancePolicy};
-use crate::repartition;
+use crate::repartition::{self, PartitionArrays};
 use crate::state::BfsState;
 use crate::status::{levels_from_raw, NO_PARENT, UNVISITED};
 use crate::validate::{audit, check_level, repair_vertices, ValidationError, VerifyPolicy};
 use crate::watchdog::{StallDetector, WatchdogPolicy};
 use enterprise_graph::{stats::hub_threshold_for_capacity, Csr, VertexId};
 use gpu_sim::{
-    ballot_compressed_bytes, payload_checksum, DeviceConfig, DeviceError, EccMode, ExchangeFault,
-    FaultSpec, FleetFaultBundle, InterconnectConfig, MultiDevice,
+    ballot_compressed_bytes, payload_checksum, Device, DeviceConfig, DeviceError, EccMode,
+    ExchangeFault, FaultSpec, FleetFaultBundle, InterconnectConfig, MultiDevice,
 };
 use std::collections::BTreeSet;
+use std::ops::Range;
 
-/// Configuration of a multi-GPU Enterprise system.
+/// 1-D vertex partitioning over this many devices.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Slices(pub usize);
+
+/// 2-D partitioning over a `rows x cols` device grid (row-major ids).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Grid {
+    /// Grid rows (target partitions).
+    pub rows: usize,
+    /// Grid columns (source partitions).
+    pub cols: usize,
+}
+
+/// The partition shape a [`Fleet`] runs, as the driver matches on it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Shape {
+    /// 1-D slices over this many devices.
+    Slices(usize),
+    /// A `(rows, cols)` block grid.
+    Grid(usize, usize),
+}
+
+impl From<Slices> for Shape {
+    fn from(s: Slices) -> Self {
+        Shape::Slices(s.0)
+    }
+}
+
+impl From<Grid> for Shape {
+    fn from(g: Grid) -> Self {
+        Shape::Grid(g.rows, g.cols)
+    }
+}
+
+impl Shape {
+    /// Number of devices the shape lays out.
+    fn devices(self) -> usize {
+        match self {
+            Shape::Slices(p) => p,
+            Shape::Grid(r, c) => r * c,
+        }
+    }
+
+    /// `Some((rows, cols))` for a block grid, `None` for 1-D slices.
+    fn grid(self) -> Option<(usize, usize)> {
+        match self {
+            Shape::Slices(_) => None,
+            Shape::Grid(r, c) => Some((r, c)),
+        }
+    }
+}
+
+/// Configuration of a multi-GPU fleet.
 #[derive(Clone, Debug)]
-pub struct MultiGpuConfig {
-    /// Number of simulated devices.
-    pub gpu_count: usize,
+pub struct FleetConfig<S> {
+    /// Partition shape (device count and layout).
+    pub shape: S,
     /// Per-device preset.
     pub device: DeviceConfig,
     /// Interconnect model.
     pub interconnect: InterconnectConfig,
     /// Classification thresholds (§4.2 defaults).
     pub thresholds: ClassifyThresholds,
-    /// Hub-cache slots per device.
+    /// Hub-cache slots per device (also sizes τ for the γ machinery).
     pub hub_cache_entries: usize,
     /// Whether bottom-up expansion uses the shared-memory hub cache.
+    /// Grids always run without it (block views cannot find hubs).
     pub hub_cache: bool,
     /// Direction policy; only `Gamma` and `TopDownOnly` are supported in
     /// the multi-GPU driver (as in the paper).
@@ -80,10 +151,11 @@ pub struct MultiGpuConfig {
     /// levels. `None` (the default) never scrubs.
     pub scrub_levels: Option<u32>,
     /// Adaptive straggler mitigation (DESIGN.md §5f): per-level timing
-    /// telemetry drives boundary-shifting repartitions toward faster
-    /// devices. The default disabled policy is a strict no-op.
+    /// telemetry drives repartitions toward faster devices — boundary
+    /// shifts on slices, a collapse to weighted 1-D slices on a grid.
+    /// The default disabled policy is a strict no-op.
     pub rebalance: RebalancePolicy,
-    /// Crash-consistent persistence: durable layout snapshots (rebalanced
+    /// Crash-consistent persistence: durable layout snapshots (learned
     /// boundaries + hub census) after each successful run, and optional
     /// mid-traversal checkpoints for warm restarts. `None` (the default)
     /// is a strict no-op on timing, counters and results.
@@ -95,11 +167,30 @@ pub struct MultiGpuConfig {
     pub route: crate::route::RoutePolicy,
 }
 
-impl MultiGpuConfig {
+/// Configuration of a 1-D multi-GPU fleet.
+pub type MultiGpuConfig = FleetConfig<Slices>;
+
+/// A 1-D partitioned multi-GPU Enterprise system.
+pub type MultiGpuEnterprise = Fleet;
+
+impl FleetConfig<Slices> {
     /// K40s on PCIe with the paper's defaults.
     pub fn k40s(gpu_count: usize) -> Self {
+        Self::k40s_over(Slices(gpu_count))
+    }
+}
+
+impl FleetConfig<Grid> {
+    /// An `rows x cols` grid of reproduction-scale K40s.
+    pub fn k40s(rows: usize, cols: usize) -> Self {
+        Self::k40s_over(Grid { rows, cols })
+    }
+}
+
+impl<S> FleetConfig<S> {
+    fn k40s_over(shape: S) -> Self {
         Self {
-            gpu_count,
+            shape,
             device: DeviceConfig::k40_repro(),
             interconnect: InterconnectConfig::default(),
             thresholds: ClassifyThresholds::default(),
@@ -116,6 +207,50 @@ impl MultiGpuConfig {
             rebalance: RebalancePolicy::disabled(),
             persist: None,
             route: crate::route::RoutePolicy::disabled(),
+        }
+    }
+}
+
+impl<S: Into<Shape>> FleetConfig<S> {
+    /// The same configuration with its shape as a runtime [`Shape`].
+    fn erase(self) -> FleetConfig<Shape> {
+        let FleetConfig {
+            shape,
+            device,
+            interconnect,
+            thresholds,
+            hub_cache_entries,
+            hub_cache,
+            policy,
+            faults,
+            recovery,
+            sanitize,
+            watchdog,
+            verify,
+            ecc,
+            scrub_levels,
+            rebalance,
+            persist,
+            route,
+        } = self;
+        FleetConfig {
+            shape: shape.into(),
+            device,
+            interconnect,
+            thresholds,
+            hub_cache_entries,
+            hub_cache,
+            policy,
+            faults,
+            recovery,
+            sanitize,
+            watchdog,
+            verify,
+            ecc,
+            scrub_levels,
+            rebalance,
+            persist,
+            route,
         }
     }
 }
@@ -150,17 +285,113 @@ pub struct MultiBfsResult {
     pub recovery: RecoveryReport,
 }
 
+/// How a device's CSR view was cut from the graph.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum View {
+    /// Full out/in adjacency of a contiguous slice (`build_1d`): 1-D
+    /// slices, and grid devices after a collapse.
+    Strip,
+    /// A 2-D adjacency block (`build_2d`): out-edges of the column block
+    /// restricted to row-block targets, plus the transposed in-view.
+    Block,
+}
+
+/// A device's partition: its view kind plus the top-down (sources) and
+/// bottom-up (targets) scan ranges.
+struct Extent {
+    view: View,
+    td: Range<usize>,
+    bu: Range<usize>,
+}
+
+impl Extent {
+    fn strip(range: Range<usize>) -> Self {
+        Extent { view: View::Strip, td: range.clone(), bu: range }
+    }
+
+    fn arrays(&self, csr: &Csr) -> PartitionArrays {
+        match self.view {
+            View::Strip => repartition::build_1d(csr, &self.td),
+            View::Block => repartition::build_2d(csr, &self.bu, &self.td),
+        }
+    }
+}
+
 struct PerDevice {
     graph: DeviceGraph,
     state: BfsState,
-    owned: std::ops::Range<usize>,
+    view: View,
+}
+
+impl PerDevice {
+    fn extent(&self) -> Extent {
+        Extent { view: self.view, td: self.state.td_range.clone(), bu: self.state.bu_range.clone() }
+    }
+}
+
+/// Uploads `ext`'s CSR view to `device` and allocates its traversal
+/// state. The same builder serves setup and every repartition, so a
+/// merged device's view degrees match what the separate devices saw.
+fn try_place(
+    device: &mut Device,
+    csr: &Csr,
+    ext: &Extent,
+    thresholds: ClassifyThresholds,
+    hub_cache_entries: usize,
+    tau: u32,
+) -> Result<(PerDevice, PartitionArrays), DeviceError> {
+    let arrays = ext.arrays(csr);
+    let graph = DeviceGraph::try_upload_parts(
+        device,
+        csr.vertex_count(),
+        csr.edge_count(),
+        csr.is_directed(),
+        &arrays.out_offsets,
+        &arrays.out_targets,
+        &arrays.in_offsets,
+        &arrays.in_sources,
+    )?;
+    let state = BfsState::try_new_partitioned2(
+        device,
+        &graph,
+        thresholds,
+        hub_cache_entries,
+        tau,
+        ext.td.clone(),
+        ext.bu.clone(),
+    )?;
+    Ok((PerDevice { graph, state, view: ext.view }, arrays))
+}
+
+/// Seeds `source` on one device's state: the device learns the source
+/// (initial broadcast); only the device whose top-down range holds it
+/// enqueues it, classified by its view's out-degree.
+fn seed(device: &mut Device, graph: &DeviceGraph, st: &mut BfsState, source: VertexId) {
+    let s = source as usize;
+    st.reset(device);
+    let mem = device.mem();
+    mem.set(st.status, s, 0);
+    st.queue_sizes = [0; 4];
+    if st.td_range.contains(&s) {
+        mem.set(st.parent, s, source);
+        // Resident graph arrays can carry silent bit rot from an earlier
+        // batch source; kernels clamp corrupt offsets, and the host must
+        // tolerate them too. A wrong class is caught by the verifier.
+        let deg = {
+            let offs = mem.view(graph.out_offsets);
+            offs[s + 1].saturating_sub(offs[s])
+        };
+        let k = st.thresholds.classify(deg).index();
+        mem.set(st.queues[k], 0, source);
+        st.queue_sizes[k] = 1;
+    }
 }
 
 /// Classifies a device error as a permanent device loss, given the
 /// substrate's view of the named device. A kernel-deadline overrun on a
 /// device the fault plane marked lost is a loss, not a hang: the host
 /// waited out the watchdog budget for a kernel that will never complete.
-pub(crate) fn loss_of(e: &DeviceError, multi: &MultiDevice) -> Option<usize> {
+fn loss_of(e: &DeviceError, multi: &MultiDevice) -> Option<usize> {
     match e {
         DeviceError::DeviceLost { device } => Some(*device),
         DeviceError::KernelDeadline { device, .. } if multi.device_ref(*device).is_lost() => {
@@ -176,11 +407,10 @@ pub(crate) fn loss_of(e: &DeviceError, multi: &MultiDevice) -> Option<usize> {
 /// `elapsed / budget` overrun factor — the mitigation's estimate of how
 /// far the device has fallen behind when no level telemetry is available
 /// (the level never completed).
-pub(crate) fn slow_of(e: &DeviceError, multi: &MultiDevice) -> Option<(usize, f64)> {
+fn slow_of(e: &DeviceError, multi: &MultiDevice) -> Option<(usize, f64)> {
     match e {
         DeviceError::KernelDeadline { device, elapsed_us, budget_us, .. }
-            if !multi.device_ref(*device).is_lost()
-                && multi.device_ref(*device).is_straggler() =>
+            if !multi.device_ref(*device).is_lost() && multi.device_ref(*device).is_straggler() =>
         {
             let overrun = *elapsed_us as f64 / (*budget_us).max(1) as f64;
             Some((*device, overrun.max(1.0)))
@@ -190,26 +420,59 @@ pub(crate) fn slow_of(e: &DeviceError, multi: &MultiDevice) -> Option<(usize, f6
 }
 
 /// Per-device state snapshot used for level replay.
-pub(crate) struct DeviceSnapshot {
-    pub(crate) status: Vec<u32>,
-    pub(crate) parent: Vec<u32>,
-    pub(crate) queues: [Vec<u32>; 4],
-    pub(crate) queue_sizes: [usize; 4],
+struct DeviceSnapshot {
+    status: Vec<u32>,
+    parent: Vec<u32>,
+    queues: [Vec<u32>; 4],
+    queue_sizes: [usize; 4],
 }
 
 /// Cross-device checkpoint taken at the top of each level.
-pub(crate) struct MultiCheckpoint {
-    pub(crate) devices: Vec<DeviceSnapshot>,
-    pub(crate) vars: MultiLoopVars,
-    pub(crate) trace_len: usize,
+struct MultiCheckpoint {
+    devices: Vec<DeviceSnapshot>,
+    vars: LoopVars,
+    trace_len: usize,
 }
 
-/// Host loop variables shared by the multi-GPU drivers.
+/// Host loop variables, checkpointed with the device state.
 #[derive(Clone)]
-pub(crate) struct MultiLoopVars {
-    pub(crate) dir: Direction,
-    pub(crate) switched_at: Option<u32>,
-    pub(crate) cache_filled: bool,
+struct LoopVars {
+    dir: Direction,
+    switched_at: Option<u32>,
+    cache_filled: bool,
+}
+
+impl Default for LoopVars {
+    fn default() -> Self {
+        LoopVars { dir: Direction::TopDown, switched_at: None, cache_filled: false }
+    }
+}
+
+/// One traversal in flight: the sequential `try_bfs` owns one, every
+/// pipelined lane owns another, and both advance it with
+/// [`Fleet::step`].
+struct Walk {
+    source: VertexId,
+    vars: LoopVars,
+    trace: Vec<LevelRecord>,
+    recovery: RecoveryReport,
+    level: u32,
+    level_cap: u32,
+    stall: Option<StallDetector>,
+    /// The fault plane's link slow-down total at the last rebalance
+    /// observation (sequential runs only).
+    link_mark: u64,
+}
+
+/// What the end-of-level verifier concluded.
+enum Verdict {
+    /// All invariants hold on the merged view.
+    Clean,
+    /// Corruption healed in place; `done` is the recomputed termination
+    /// decision.
+    Repaired { done: bool },
+    /// Localized repair could not restore consistency: replay the level.
+    Corrupt(ValidationError),
 }
 
 /// Runs one fault-aware exchange whose wire payload is `payload` plus a
@@ -257,146 +520,13 @@ where
     }
 }
 
-/// Per-device handles the shared end-of-level verifier needs: the
-/// device's buffers and the scan ranges its queues are built over.
-pub(crate) struct DeviceVerifyInfo {
-    pub(crate) device: usize,
-    pub(crate) status: gpu_sim::BufferId,
-    pub(crate) parent: gpu_sim::BufferId,
-    pub(crate) queues: [gpu_sim::BufferId; 4],
-    pub(crate) td_range: std::ops::Range<usize>,
-    pub(crate) bu_range: std::ops::Range<usize>,
-}
-
-/// What the shared multi-GPU end-of-level verifier concluded.
-pub(crate) enum MergedVerdict {
-    /// All invariants hold on the merged view.
-    Clean,
-    /// Corruption healed in place; `done` is the recomputed termination
-    /// decision and `sizes` the rebuilt queue sizes per device id.
-    Repaired { done: bool, sizes: Vec<(usize, [usize; 4])> },
-    /// Localized repair could not restore consistency: replay the level.
-    Corrupt(ValidationError),
-}
-
-/// End-of-level SDC verification shared by the 1-D and 2-D drivers: the
-/// merged global view (first alive device's post-merge status, first-wins
-/// parent gather) is checked against the level invariants; on a finding,
-/// localized repair restores from the merged checkpoint view and, if the
-/// re-check is clean, uploads the healed arrays to **every** alive device
-/// and rebuilds each device's queues host-side against its own partition
-/// view (`view_of` is a capture-free builder so the two drivers can
-/// supply 1-D and 2-D block views respectively).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn verify_merged_level(
-    multi: &mut MultiDevice,
-    csr: &Csr,
-    infos: &[DeviceVerifyInfo],
-    ckpt: &MultiCheckpoint,
-    source: VertexId,
-    level: u32,
-    dir: Direction,
-    repair: bool,
-    thresholds: &ClassifyThresholds,
-    view_of: fn(&Csr, &DeviceVerifyInfo) -> repartition::PartitionArrays,
-    recovery: &mut RecoveryReport,
-) -> MergedVerdict {
-    let n = csr.vertex_count();
-    let d0 = infos[0].device;
-    let mut status = multi.device_ref(d0).mem_ref().view(infos[0].status).to_vec();
-    let mut parent = vec![NO_PARENT; n];
-    for info in infos {
-        let p = multi.device_ref(info.device).mem_ref().view(info.parent);
-        for v in 0..n {
-            if parent[v] == NO_PARENT && p[v] != NO_PARENT {
-                parent[v] = p[v];
-            }
-        }
-    }
-    let flagged = check_level(csr, &status, &parent, source, level);
-    if flagged.is_empty() {
-        return MergedVerdict::Clean;
-    }
-    recovery.sdc_detected += flagged.len() as u64;
-    if repair {
-        // Merged checkpoint view, trusted because verification ran before
-        // the checkpoint was taken.
-        let ckpt_status = &ckpt.devices[d0].status;
-        let mut ckpt_parent = vec![NO_PARENT; n];
-        for info in infos {
-            let p = &ckpt.devices[info.device].parent;
-            for v in 0..n {
-                if ckpt_parent[v] == NO_PARENT && p[v] != NO_PARENT {
-                    ckpt_parent[v] = p[v];
-                }
-            }
-        }
-        repair_vertices(csr, &mut status, &mut parent, ckpt_status, &ckpt_parent, &flagged, level);
-        if check_level(csr, &status, &parent, source, level).is_empty() {
-            recovery.sdc_repaired += flagged.len() as u64;
-            // Uploading the healed parents everywhere is safe: unvisited
-            // vertices stay NO_PARENT on every device, and expansion only
-            // writes parents of *newly* discovered vertices.
-            let mut sizes = Vec::with_capacity(infos.len());
-            for info in infos {
-                let view = view_of(csr, info);
-                let rebuilt = repartition::rebuild_queues(
-                    &status,
-                    dir,
-                    level + 1,
-                    &info.td_range,
-                    &info.bu_range,
-                    &view.out_offsets,
-                    &view.in_offsets,
-                    thresholds,
-                );
-                let mem = multi.device(info.device).mem();
-                mem.upload(info.status, &status);
-                mem.upload(info.parent, &parent);
-                for (buf, q) in info.queues.iter().zip(&rebuilt.queues) {
-                    let mut padded = q.clone();
-                    padded.resize(n, 0);
-                    mem.upload(*buf, &padded);
-                }
-                sizes.push((info.device, rebuilt.sizes));
-            }
-            // Termination recomputed from the healed status alone (queue
-            // totals may count a vertex once per block row/column in 2-D,
-            // but they are zero exactly when these global counts say so).
-            let newly = status.iter().filter(|&&s| s == level + 1).count();
-            let unvisited = status.iter().filter(|&&s| s == UNVISITED).count();
-            let done = match dir {
-                Direction::TopDown => newly == 0,
-                Direction::BottomUp => newly == 0 || unvisited == 0,
-            };
-            return MergedVerdict::Repaired { done, sizes };
-        }
-    }
-    MergedVerdict::Corrupt(ValidationError::SilentCorruption {
-        vertex: flagged[0],
-        detail: format!(
-            "{} vertices failed end-of-level invariants at level {level}",
-            flagged.len()
-        ),
-    })
-}
-
-/// 1-D partition view for the shared verifier: the device scans its
-/// owned slice in both directions.
-pub(crate) fn view_1d(csr: &Csr, info: &DeviceVerifyInfo) -> repartition::PartitionArrays {
-    repartition::build_1d(csr, &info.td_range)
-}
-
 /// Checks that persisted 1-D slices are a non-empty tiling of `[0, n)`
 /// with identical top-down and bottom-up extents per device — the shape
-/// every 1-D layout (initial, rebalanced, collapsed 2-D) has. Device
-/// order need not follow slice order: a 2-D collapse hands out slices in
+/// every 1-D layout (initial, rebalanced, collapsed grid) has. Device
+/// order need not follow slice order: a grid collapse hands out slices in
 /// column-sorted device order, so the per-device ranges tile `[0, n)` as
 /// a *set* while the device indices permute it.
-pub(crate) fn slices_tile_1d(
-    slices: &[(std::ops::Range<usize>, std::ops::Range<usize>)],
-    n: usize,
-) -> bool {
+fn slices_tile_1d(slices: &[(Range<usize>, Range<usize>)], n: usize) -> bool {
     if slices.is_empty() {
         return false;
     }
@@ -415,15 +545,16 @@ pub(crate) fn slices_tile_1d(
     next == n
 }
 
-/// A multi-GPU Enterprise system bound to one graph.
-pub struct MultiGpuEnterprise {
-    config: MultiGpuConfig,
+/// A multi-GPU Enterprise system over a partition [`Shape`], bound to
+/// one graph.
+pub struct Fleet {
+    config: FleetConfig<Shape>,
     multi: MultiDevice,
+    /// Indexed by device id (row-major on a grid).
     parts: Vec<PerDevice>,
-    vertex_count: usize,
     out_degrees: Vec<u32>,
     /// Host copy of the graph, needed to rebuild a partition view when a
-    /// lost device's slice is spliced onto a survivor (and for the CPU
+    /// lost device's extent is spliced onto a survivor (and for the CPU
     /// fallback baseline).
     csr: Csr,
     /// Hub threshold τ, reused by repartition-time state allocation.
@@ -432,8 +563,8 @@ pub struct MultiGpuEnterprise {
     /// the next run so device loss stays per-run (bit-reproducibility).
     retired: Vec<(usize, PerDevice)>,
     /// Per-device busy time accumulated by the current level pass
-    /// (expansion + queue generation, barriers excluded) — the telemetry
-    /// the imbalance detector consumes.
+    /// (queue generation, barriers excluded) — the telemetry the
+    /// imbalance detector consumes.
     level_busy: Vec<f64>,
     /// Durable snapshot store, present when persistence is configured.
     store: Option<SnapshotStore>,
@@ -450,6 +581,10 @@ pub struct MultiGpuEnterprise {
     /// every run of this instance re-evicts them at start and resumes on
     /// the survivors (whose restored slices tile the vertex range alone).
     layout_evicted: Vec<usize>,
+    /// Whether the grid has collapsed to rebalanced 1-D slices (set by a
+    /// grid rebalance, which outlives the run, or restored from a
+    /// persisted collapsed layout). Always false on slices.
+    collapsed: bool,
     /// Brownout pin (batch serving plane, DESIGN.md §5i): while set, the
     /// per-run fleet restoration — revive, retired-partition restore,
     /// detector and link-verdict reset — is skipped, so evictions and
@@ -479,33 +614,27 @@ pub struct MultiGpuEnterprise {
     batch_isolated: BTreeSet<usize>,
 }
 
-/// Per-source lane state for pipelined (MS-BFS) batch execution on the
-/// 1-D fleet: one private [`BfsState`] per surviving device, the host
-/// loop variables, and the source's scoped fault universe, all swapped
-/// onto the shared fleet for the duration of one level slice.
-pub struct MultiLane {
-    source: VertexId,
+/// Per-source lane state for pipelined (MS-BFS) batch execution: one
+/// private [`BfsState`] per surviving device, the source's [`Walk`], and
+/// its scoped fault universe, all swapped onto the shared fleet for the
+/// duration of one level slice.
+pub struct FleetLane {
+    walk: Walk,
     slot: usize,
     /// Indexed by device id; `None` for devices that were already dead
     /// at admission (their partitions live on survivors).
     states: Vec<Option<BfsState>>,
-    vars: MultiLoopVars,
-    trace: Vec<LevelRecord>,
-    recovery: RecoveryReport,
-    level: u32,
-    level_cap: u32,
-    stall: Option<StallDetector>,
     /// The lane's parked fleet fault universe (installed scoped plan +
     /// per-device straggler/throttle state + link plan), swapped in for
     /// each slice so sibling lanes never draw from it.
     bundle: FleetFaultBundle,
 }
 
-impl crate::batch::BatchHost for MultiGpuEnterprise {
+impl crate::batch::BatchHost for Fleet {
     type Run = MultiBfsResult;
 
     fn kind(&self) -> DriverKind {
-        DriverKind::OneD
+        self.kind()
     }
 
     fn base_faults(&self) -> Option<FaultSpec> {
@@ -567,7 +696,7 @@ impl crate::batch::BatchHost for MultiGpuEnterprise {
         }
     }
 
-    type Lane = MultiLane;
+    type Lane = FleetLane;
 
     fn fleet_epoch(&self) -> u64 {
         self.fleet_epoch
@@ -597,7 +726,7 @@ impl crate::batch::BatchHost for MultiGpuEnterprise {
         source: VertexId,
         slot: usize,
         spec: Option<FaultSpec>,
-    ) -> Result<MultiLane, BfsError> {
+    ) -> Result<FleetLane, BfsError> {
         if let Some(spec) = spec {
             self.multi.install_faults(spec);
         }
@@ -612,33 +741,25 @@ impl crate::batch::BatchHost for MultiGpuEnterprise {
         })
     }
 
-    fn lane_step(&mut self, lane: &mut MultiLane) -> Result<bool, BfsError> {
+    fn lane_step(&mut self, lane: &mut FleetLane) -> Result<bool, BfsError> {
         self.multi.swap_fleet_fault_bundle(&mut lane.bundle);
-        self.swap_lane_states(lane);
-        let out = self.lane_level(lane);
-        self.swap_lane_states(lane);
+        self.swap_lane_states(&mut lane.states);
+        let out = self.step(&mut lane.walk, true);
+        self.swap_lane_states(&mut lane.states);
         self.multi.swap_fleet_fault_bundle(&mut lane.bundle);
         out
     }
 
-    fn lane_finish(
-        &mut self,
-        mut lane: MultiLane,
-        time_ms: f64,
-    ) -> Result<MultiBfsResult, BfsError> {
+    fn lane_finish(&mut self, lane: FleetLane, time_ms: f64) -> Result<MultiBfsResult, BfsError> {
+        let FleetLane { mut walk, slot, mut states, bundle } = lane;
         // The lane's fault counters live in its parked bundle; the
         // fleet's installed plans belong to whoever ran last.
-        lane.recovery.faults = lane.bundle.stats();
-        self.swap_lane_states(&mut lane);
-        self.persist_finish(&mut lane.recovery);
-        let mut result = self.collect(
-            lane.source,
-            lane.vars.switched_at,
-            std::mem::take(&mut lane.trace),
-            lane.recovery.clone(),
-        );
-        self.swap_lane_states(&mut lane);
-        self.park_lane_states(&mut lane);
+        walk.recovery.faults = bundle.stats();
+        self.swap_lane_states(&mut states);
+        self.persist_finish(&mut walk.recovery);
+        let mut result = self.collect(walk);
+        self.swap_lane_states(&mut states);
+        self.park_lane_states(slot, &mut states);
         // The run's time is its lane stream's serial charge, not the
         // fleet clock (which advanced by the overlapped sweep spans).
         result.time_ms = time_ms;
@@ -648,18 +769,21 @@ impl crate::batch::BatchHost for MultiGpuEnterprise {
             // A dirty audit demotes the source to the de-pipelined
             // ladder (the sequential engine's full replay) instead of
             // replaying inside the lane.
-            if let Err(e) = audit(&self.csr, lane.source, &result.levels, &result.parents) {
+            if let Err(e) = audit(&self.csr, result.source, &result.levels, &result.parents) {
                 return Err(BfsError::ValidationFailedAfterReplay(e));
             }
         }
         Ok(result)
     }
 
-    fn lane_abort(&mut self, mut lane: MultiLane) {
-        self.park_lane_states(&mut lane);
+    fn lane_abort(&mut self, mut lane: FleetLane) {
+        self.park_lane_states(lane.slot, &mut lane.states);
     }
 
     fn capture_fleet(&mut self) -> Option<FleetRecord> {
+        if !self.persists_degraded() {
+            return None;
+        }
         let p = self.parts.len();
         let dead: Vec<usize> = (0..p).filter(|&d| !self.multi.is_alive(d)).collect();
         let verdicts = self.link_verdicts.pairs();
@@ -670,17 +794,15 @@ impl crate::batch::BatchHost for MultiGpuEnterprise {
         }
         // Fault-plane losses first, link-isolated evictions last: the
         // counts split the id list exactly on restore.
-        let isolated: Vec<u32> = dead
+        let (isolated, fault): (Vec<u32>, Vec<u32>) = dead
             .iter()
-            .filter(|d| self.batch_isolated.contains(d))
             .map(|&d| d as u32)
-            .collect();
-        let fault: Vec<u32> = dead
+            .partition(|&d| self.batch_isolated.contains(&(d as usize)));
+        let boundaries = self
+            .parts
             .iter()
-            .filter(|d| !self.batch_isolated.contains(d))
-            .map(|&d| d as u32)
+            .map(|p| (p.state.td_range.clone(), p.state.td_range.clone()))
             .collect();
-        let boundaries = self.parts.iter().map(|p| (p.owned.clone(), p.owned.clone())).collect();
         Some(FleetRecord {
             fault_lost: fault.len() as u32,
             link_isolated: isolated.len() as u32,
@@ -691,115 +813,470 @@ impl crate::batch::BatchHost for MultiGpuEnterprise {
     }
 
     fn restore_fleet(&mut self, rec: &FleetRecord) -> bool {
-        let n = self.vertex_count;
+        let n = self.csr.vertex_count();
         let p = self.parts.len();
-        if rec.boundaries.len() != p
+        if !self.persists_degraded()
+            || rec.boundaries.len() != p
             || rec.evicted.len() != (rec.fault_lost + rec.link_isolated) as usize
             || rec.evicted.len() >= p
         {
             return false;
         }
-        let mut dead = vec![false; p];
-        for &d in &rec.evicted {
-            let d = d as usize;
-            if d >= p || dead[d] {
-                return false;
-            }
-            dead[d] = true;
-        }
+        let Some(dead) = dead_mask(&rec.evicted, p) else { return false };
         // The survivors' recorded slices must tile the vertex range by
         // themselves (evicted entries are stale).
-        let survivor_slices: Vec<_> = rec
+        let survivors: Vec<(usize, Range<usize>)> = rec
             .boundaries
             .iter()
             .enumerate()
             .filter(|(d, _)| !dead[*d])
-            .map(|(_, s)| s.clone())
+            .map(|(d, (td, _))| (d, td.clone()))
             .collect();
-        if !slices_tile_1d(&survivor_slices, n) {
+        let slices: Vec<_> = survivors.iter().map(|(_, s)| (s.clone(), s.clone())).collect();
+        if !slices_tile_1d(&slices, n) {
             return false;
         }
         // Rebuild (fallibly) every survivor whose extent moved, before
         // committing anything; a defect leaves the fleet untouched and
         // the batch cold-starts.
-        let mut rebuilt: Vec<(usize, PerDevice)> = Vec::new();
-        for (d, (td, _bu)) in rec.boundaries.iter().enumerate() {
-            if dead[d] || *td == self.parts[d].owned {
-                continue;
-            }
-            let view = repartition::build_1d(&self.csr, td);
-            let device = self.multi.device(d);
-            let graph = match DeviceGraph::try_upload_parts(
-                device,
-                self.csr.vertex_count(),
-                self.csr.edge_count(),
-                self.csr.is_directed(),
-                &view.out_offsets,
-                &view.out_targets,
-                &view.in_offsets,
-                &view.in_sources,
-            ) {
-                Ok(g) => g,
-                Err(_) => return false,
-            };
-            let mut state = match BfsState::try_new_partitioned2(
-                device,
-                &graph,
-                self.config.thresholds,
-                self.config.hub_cache_entries,
-                self.tau,
-                td.clone(),
-                td.clone(),
-            ) {
-                Ok(s) => s,
-                Err(_) => return false,
-            };
-            // T_h is a global graph property, unchanged by splicing.
-            state.total_hubs = self.parts[d].state.total_hubs;
-            rebuilt.push((d, PerDevice { graph, state, owned: td.clone() }));
-        }
+        let Ok(rebuilt) = self.rebuild_strips(&survivors) else { return false };
         // Commit. The displaced cold partitions are retired so the next
         // *unpinned* run of this instance restores the original layout.
         for &d in &rec.evicted {
-            let d = d as usize;
-            if self.multi.is_alive(d) {
-                self.multi.evict(d);
+            if self.multi.is_alive(d as usize) {
+                self.multi.evict(d as usize);
             }
         }
-        for (d, part) in rebuilt {
-            let old = std::mem::replace(&mut self.parts[d], part);
-            self.retired.push((d, old));
-        }
+        self.commit_rebuilt(rebuilt);
         self.link_verdicts.restore(&rec.verdicts);
         self.batch_isolated.clear();
         let iso_start = rec.evicted.len() - rec.link_isolated as usize;
         for &d in &rec.evicted[iso_start..] {
             self.batch_isolated.insert(d as usize);
         }
-        self.fleet_epoch += 1;
         true
     }
 }
 
-impl MultiGpuEnterprise {
-    /// Partitions and uploads `csr` to `config.gpu_count` devices.
-    pub fn new(config: MultiGpuConfig, csr: &Csr) -> Self {
-        assert!(config.gpu_count >= 1);
+/// Marks `evicted` in a `p`-device mask; `None` when an id is unknown or
+/// repeated.
+fn dead_mask(evicted: &[u32], p: usize) -> Option<Vec<bool>> {
+    let mut dead = vec![false; p];
+    for &d in evicted {
+        let d = d as usize;
+        if d >= p || dead[d] {
+            return None;
+        }
+        dead[d] = true;
+    }
+    Some(dead)
+}
+
+// Shape-specific decisions. Everything else in the driver is shared; each
+// function below is the one place its decision matches on the shape.
+impl Fleet {
+    /// Layout: device `d`'s cold extent — an equal 1-D slice, or on a
+    /// grid column block `j` by row block `i` for `d = i * cols + j`.
+    fn cold_extent(shape: Shape, n: usize, d: usize) -> Extent {
+        match shape.grid() {
+            None => {
+                let p = shape.devices();
+                Extent::strip((d * n / p)..((d + 1) * n / p))
+            }
+            Some((r, c)) => {
+                let (i, j) = (d / c, d % c);
+                Extent {
+                    view: View::Block,
+                    td: (j * n / c)..((j + 1) * n / c),
+                    bu: (i * n / r)..((i + 1) * n / r),
+                }
+            }
+        }
+    }
+
+    /// Layout: the hub census T_h — `restored` when a layout snapshot
+    /// carried it, else from per-device counts. A slice counts only its
+    /// own vertices, so the fleet sums every device; a grid column counts
+    /// the same hubs on every row, so the grid sums one row and then
+    /// synchronizes its clocks.
+    fn census(
+        shape: Shape,
+        multi: &mut MultiDevice,
+        parts: &[PerDevice],
+        restored: Option<u64>,
+    ) -> u64 {
+        let measured = |k: usize| parts[..k].iter().map(|p| p.state.total_hubs).sum();
+        match shape.grid() {
+            None => restored.unwrap_or_else(|| measured(parts.len())),
+            Some((_, c)) => {
+                let total = restored.unwrap_or_else(|| measured(c));
+                multi.barrier();
+                total
+            }
+        }
+    }
+
+    /// Exchange: the seed broadcast's synchronization. Slices barrier
+    /// after seeding; a grid starts its first level unsynchronized.
+    fn seed_sync(&mut self) {
+        if self.config.shape.grid().is_none() {
+            self.multi.barrier();
+        }
+    }
+
+    /// Exchange: charges the level's discovery broadcast on the wire
+    /// (nothing on a lone survivor). Slices all-to-all broadcast a
+    /// `ballot(n)` bitmap per device; a grid row-merges and column-shares
+    /// `(c-1 + r-1) * ballot(n/r)` bits per device, serialized — a charge
+    /// that keeps the configured grid shape even after an eviction shrinks
+    /// it (a conservative over-charge of the degraded pattern).
+    ///
+    /// Under fault injection the broadcast carries a checksum: a dropped
+    /// exchange (detected by timeout) or a corrupted one (detected by
+    /// checksum mismatch on the received copy) is retried with
+    /// exponential backoff, bounded by
+    /// [`RecoveryPolicy::max_exchange_retries`]. With the routing ladder
+    /// armed ([`FleetConfig::route`]), dead links additionally climb
+    /// probe → relay → host bounce (see [`crate::route`]).
+    fn exchange(&mut self, level: u32, recovery: &mut RecoveryReport) -> Result<(), BfsError> {
+        let n = self.csr.vertex_count();
+        let (bytes, serialized) = match self.config.shape.grid() {
+            _ if self.multi.alive_count() <= 1 => return Ok(()),
+            None => (ballot_compressed_bytes(n), false),
+            Some((r, c)) => ((c - 1 + r - 1) as u64 * ballot_compressed_bytes(n.div_ceil(r)), true),
+        };
+        if self.config.faults.is_none() {
+            // Fault-free substrate: the plain exchange, bit-identical in
+            // time and counters to the pre-fault-plane driver.
+            if serialized {
+                self.multi.exchange_serialized(bytes);
+            } else {
+                self.multi.exchange(bytes);
+            }
+            return Ok(());
+        }
+        // Model the wire payload: the union bitmap of newly visited
+        // vertices, with a Fletcher checksum appended.
+        let mut bitmap = vec![0u8; ballot_compressed_bytes(n) as usize];
+        for d in self.multi.alive_ids() {
+            let status = self.multi.device_ref(d).mem_ref().view(self.parts[d].state.status);
+            for (v, &s) in status.iter().enumerate() {
+                if s == level + 1 {
+                    bitmap[v / 8] |= 1 << (v % 8);
+                }
+            }
+        }
+        crate::route::exchange_routed(
+            &mut self.multi,
+            &bitmap,
+            &self.config.recovery,
+            &self.config.route,
+            level,
+            recovery,
+            &mut self.link_verdicts,
+            |m| {
+                if serialized {
+                    m.exchange_serialized_with_faults(bytes)
+                } else {
+                    m.exchange_with_faults(bytes)
+                }
+            },
+        )
+    }
+
+    /// Exchange: the level's newly visited count. Slices read it off the
+    /// queue totals (top-down: the new frontier; bottom-up: the drop in
+    /// unvisited queue entries); a grid's queues count a vertex once per
+    /// block row, so it uses the merge count.
+    fn newly_visited(
+        &self,
+        dir: Direction,
+        prev_total: usize,
+        total: usize,
+        merged: usize,
+    ) -> usize {
+        match (self.config.shape.grid(), dir) {
+            (None, Direction::TopDown) => total,
+            // Saturating: a bit-flip campaign can corrupt the device
+            // counts behind these totals; accounting must not panic.
+            (None, Direction::BottomUp) => prev_total.saturating_sub(total),
+            (Some(_), _) => merged,
+        }
+    }
+
+    /// Loss: splices the survivors that absorb `lost`'s extent (the
+    /// caller has evicted it and rolled back to `ckpt`). Slices hand the
+    /// lost slice to the survivor with the adjacent range. A grid, in
+    /// priority order:
+    ///
+    /// 1. a survivor covering the *same row block* with a
+    ///    *column-adjacent* block absorbs the lost columns (its expansion
+    ///    slice widens);
+    /// 2. a survivor covering the *same column block* with a
+    ///    *row-adjacent* block absorbs the lost rows (its inspection
+    ///    slice widens);
+    /// 3. otherwise the whole grid collapses to a 1-D layout over the
+    ///    survivors (each gets a contiguous vertex slice), and the whole
+    ///    graph moves once across the interconnect.
+    ///
+    /// The first spliced survivor also inherits the lost device's
+    /// checkpointed parents (collect() takes the first recorded parent).
+    fn absorb_loss(
+        &mut self,
+        lost: usize,
+        ckpt: &MultiCheckpoint,
+        walk: &mut Walk,
+    ) -> Result<(), BfsError> {
+        let n = self.csr.vertex_count();
+        let gone = self.parts[lost].extent();
+        let alive = self.multi.alive_ids();
+        let (plan, moved): (Vec<(usize, Extent)>, u64) = match self.config.shape.grid() {
+            None => {
+                let owned: Vec<(usize, Range<usize>)> =
+                    alive.iter().map(|&d| (d, self.parts[d].state.td_range.clone())).collect();
+                let rcv = repartition::choose_recipient_1d(&owned, &gone.td)
+                    .expect("1-D owned ranges tile the vertex range, so a neighbor survives");
+                let merged = repartition::union_range(&self.parts[rcv].state.td_range, &gone.td);
+                (vec![(rcv, Extent::strip(merged))], gone.arrays(&self.csr).moved_words())
+            }
+            Some(_) => {
+                let same_row = alive.iter().copied().find(|&d| {
+                    let e = self.parts[d].extent();
+                    e.bu == gone.bu && repartition::adjacent(&e.td, &gone.td)
+                });
+                let same_col = alive.iter().copied().find(|&d| {
+                    let e = self.parts[d].extent();
+                    e.td == gone.td && repartition::adjacent(&e.bu, &gone.bu)
+                });
+                let block_moved = gone.arrays(&self.csr).moved_words();
+                if let Some(rcv) = same_row {
+                    let td = repartition::union_range(&self.parts[rcv].state.td_range, &gone.td);
+                    (
+                        vec![(rcv, Extent { view: View::Block, td, bu: gone.bu.clone() })],
+                        block_moved,
+                    )
+                } else if let Some(rcv) = same_col {
+                    let bu = repartition::union_range(&self.parts[rcv].state.bu_range, &gone.bu);
+                    (
+                        vec![(rcv, Extent { view: View::Block, td: gone.td.clone(), bu })],
+                        block_moved,
+                    )
+                } else {
+                    let p = alive.len();
+                    let plan: Vec<(usize, Extent)> = alive
+                        .iter()
+                        .enumerate()
+                        .map(|(k, &d)| (d, Extent::strip((k * n / p)..((k + 1) * n / p))))
+                        .collect();
+                    let moved = plan.iter().map(|(_, e)| e.arrays(&self.csr).moved_words()).sum();
+                    (plan, moved)
+                }
+            }
+        };
+        // Charge the simulated cost of moving the CSR views (plus one
+        // status bitmap) to every survivor.
+        walk.recovery.repartition_ms += self.charge(moved);
+        for (k, (d, ext)) in plan.into_iter().enumerate() {
+            // Each recipient's checkpointed status already equals the
+            // merged global view.
+            let status = ckpt.devices[d].status.clone();
+            let mut parent = ckpt.devices[d].parent.clone();
+            if k == 0 {
+                repartition::merge_parents(&mut parent, &ckpt.devices[lost].parent);
+            }
+            self.splice_device(d, ext, &status, &parent, walk.vars.dir, walk.level)?;
+        }
+        Ok(())
+    }
+
+    /// Rebalance: re-lays the alive devices out as contiguous 1-D slices
+    /// with lengths proportional to `weights` (one entry per alive
+    /// device), splicing the current traversal state onto the new layout:
+    /// the merged status is re-uploaded as-is, each device keeps its
+    /// *own* parent array (it stays alive, so its discoveries remain
+    /// gatherable), and queues are rebuilt for `rebuild_level`.
+    ///
+    /// Slices shift boundaries: only devices whose slice moved are
+    /// re-spliced, and only the vertices that change owners are charged
+    /// (compacted CSR deltas). A grid collapses: every device becomes a
+    /// strip, the whole layout is charged as moved, and the grid stays
+    /// collapsed. Either way the new layout *persists* across runs of
+    /// this instance (unlike an eviction splice): a straggler is a
+    /// property of the device, so one move amortizes over every following
+    /// search of a multi-source workload. Charged to
+    /// [`RecoveryReport::rebalance_ms`].
+    fn rebalance(
+        &mut self,
+        weights: &[(usize, f64)],
+        rebuild_level: u32,
+        dir: Direction,
+        recovery: &mut RecoveryReport,
+    ) -> Result<(), BfsError> {
+        if weights.len() < 2 {
+            return Ok(());
+        }
+        let n = self.csr.vertex_count();
+        // Slices are assigned in current layout order (top-down start,
+        // then device id) so every device keeps a contiguous range.
+        let mut order: Vec<(usize, f64)> = weights.to_vec();
+        order.sort_by_key(|&(d, _)| (self.parts[d].state.td_range.start, d));
+        let w: Vec<f64> = order.iter().map(|&(_, w)| w).collect();
+        let slices = if self.config.rebalance.edge_balanced {
+            repartition::weighted_slices_by_degree(&self.out_degrees, &w)
+        } else {
+            rebalance::weighted_slices(n, &w)
+        };
+        let collapse = self.config.shape.grid().is_some();
+        let moved: u64 = if collapse {
+            slices.iter().map(|s| repartition::build_1d(&self.csr, s).moved_words()).sum()
+        } else {
+            let mut moved = 0u64;
+            for (&(d, _), new) in order.iter().zip(&slices) {
+                let old = &self.parts[d].state.td_range;
+                if new.start < old.start {
+                    moved +=
+                        repartition::delta_words(&self.csr, &(new.start..old.start.min(new.end)));
+                }
+                if new.end > old.end {
+                    moved +=
+                        repartition::delta_words(&self.csr, &(old.end.max(new.start)..new.end));
+                }
+            }
+            moved
+        };
+        if collapse {
+            recovery.rebalance_ms += self.charge(moved);
+        }
+
+        // Any alive device's status is the merged global view.
+        let d0 = self.multi.alive_ids()[0];
+        let status = self.multi.device_ref(d0).mem_ref().view(self.parts[d0].state.status).to_vec();
+        // splice_device retires the old parts so *eviction* splices can
+        // be undone at the next run start; rebalanced layouts outlive the
+        // run, so what this loop retired is dropped.
+        let mark = self.retired.len();
+        for (&(d, _), slice) in order.iter().zip(&slices) {
+            if !collapse && self.parts[d].state.td_range == *slice {
+                continue;
+            }
+            let parent =
+                self.multi.device_ref(d).mem_ref().view(self.parts[d].state.parent).to_vec();
+            self.splice_device(
+                d,
+                Extent::strip(slice.clone()),
+                &status,
+                &parent,
+                dir,
+                rebuild_level,
+            )?;
+        }
+        if self.retired.len() > mark {
+            self.fleet_epoch += 1;
+        }
+        self.retired.truncate(mark);
+        if collapse {
+            self.collapsed = true;
+        } else {
+            recovery.rebalance_ms += self.charge(moved);
+        }
+        Ok(())
+    }
+
+    /// Persistence: the driver kind persisted snapshots are bound to.
+    fn kind(&self) -> DriverKind {
+        match self.config.shape.grid() {
+            None => DriverKind::OneD,
+            Some(_) => DriverKind::TwoD,
+        }
+    }
+
+    /// Persistence: whether a degraded fleet persists as such (eviction
+    /// ledgers in checkpoints and layouts, fleet records). Slices do; a
+    /// degraded grid has merged *block* views the records' 1-D
+    /// boundaries cannot express, so it writes no checkpoint, publishes
+    /// its cold layout, and resumes batches on the cold grid.
+    fn persists_degraded(&self) -> bool {
+        self.config.shape.grid().is_none()
+    }
+
+    /// Persistence: whether a layout snapshot fits this shape — kind, τ,
+    /// grid dimensions and device count match, and the live extents
+    /// (devices for which `alive` holds) tile the vertex range: 1-D
+    /// slices, a grid's collapsed slices, or a grid's exact cold blocks.
+    /// Only slices may carry evictions.
+    fn layout_fits(
+        shape: Shape,
+        tau: u32,
+        n: usize,
+        snap: &LayoutSnapshot,
+        alive: impl Fn(usize) -> bool,
+    ) -> bool {
+        let p = shape.devices();
+        let (r, c) = shape.grid().unwrap_or((1, p));
+        if snap.hub_tau != tau
+            || snap.grid != (r as u32, c as u32)
+            || snap.slices.len() != p
+            || snap.evicted.len() >= p
+        {
+            return false;
+        }
+        match shape.grid() {
+            None => {
+                let live: Vec<_> = snap
+                    .slices
+                    .iter()
+                    .enumerate()
+                    .filter(|(d, _)| alive(*d))
+                    .map(|(_, s)| s.clone())
+                    .collect();
+                snap.kind == DriverKind::OneD && slices_tile_1d(&live, n)
+            }
+            Some(_) => {
+                snap.kind == DriverKind::TwoD
+                    && snap.evicted.is_empty()
+                    && if snap.collapsed {
+                        slices_tile_1d(&snap.slices, n)
+                    } else {
+                        snap.slices.iter().enumerate().all(|(d, (td, bu))| {
+                            let cold = Self::cold_extent(shape, n, d);
+                            *td == cold.td && *bu == cold.bu
+                        })
+                    }
+            }
+        }
+    }
+}
+
+impl Fleet {
+    /// Partitions and uploads `csr` onto the devices of `config.shape`.
+    pub fn new<S: Into<Shape>>(config: FleetConfig<S>, csr: &Csr) -> Self {
+        Self::build(config.erase(), csr)
+    }
+
+    fn build(mut config: FleetConfig<Shape>, csr: &Csr) -> Self {
+        let shape = config.shape;
+        let p = shape.devices();
+        assert!(p >= 1);
         assert!(
             matches!(config.policy, DirectionPolicy::Gamma { .. } | DirectionPolicy::TopDownOnly),
             "multi-GPU driver supports Gamma and TopDownOnly policies"
         );
         let n = csr.vertex_count();
-        let p = config.gpu_count;
         assert!(n >= p, "fewer vertices than devices");
+        // Block views cover one column block's out-degrees, so hubs are
+        // not identifiable locally: grids run without the hub cache.
+        if shape.grid().is_some() {
+            config.hub_cache = false;
+        }
         let mut multi = MultiDevice::new(p, config.device.clone(), config.interconnect);
         multi.set_ecc(config.ecc);
         let tau = hub_threshold_for_capacity(csr, config.hub_cache_entries);
 
         // Crash-consistent persistence: a valid layout snapshot for this
-        // exact graph/configuration restores the boundaries a previous
-        // process converged to (rebalanced slices) and the hub census,
-        // skipping hub measurement. Defects degrade to a cold start.
+        // exact graph/configuration restores the layout a previous
+        // process converged to (rebalanced slices, a collapsed grid, a
+        // degraded fleet) and the hub census, skipping hub measurement.
+        // Defects degrade to a cold start.
         let mut store = None;
         let mut persist_errors: Vec<PersistError> = Vec::new();
         let fingerprint = config.persist.as_ref().map(|_| GraphFingerprint::of(csr));
@@ -813,25 +1290,12 @@ impl MultiGpuEnterprise {
         if let (Some(st), Some(fp)) = (store.as_mut(), fingerprint.as_ref()) {
             match LayoutSnapshot::load(st) {
                 Ok(Some(snap)) => {
-                    // A degraded-fleet layout records evicted devices;
-                    // the *surviving* slices must tile the vertex range
-                    // by themselves (evicted entries are stale).
-                    let alive_slices: Vec<_> = snap
-                        .slices
-                        .iter()
-                        .enumerate()
-                        .filter(|(d, _)| !snap.evicted.contains(&(*d as u32)))
-                        .map(|(_, s)| s.clone())
-                        .collect();
+                    // Evicted entries are stale; only the survivors' slices
+                    // must tile the vertex range.
+                    let alive = |d: usize| !snap.evicted.contains(&(d as u32));
                     if snap.fingerprint != *fp {
                         persist_errors.push(PersistError::GraphMismatch);
-                    } else if snap.kind != DriverKind::OneD
-                        || snap.hub_tau != tau
-                        || snap.grid != (1, p as u32)
-                        || snap.slices.len() != p
-                        || snap.evicted.len() >= p
-                        || !slices_tile_1d(&alive_slices, n)
-                    {
+                    } else if !Self::layout_fits(shape, tau, n, &snap, alive) {
                         persist_errors.push(PersistError::LayoutMismatch);
                     } else {
                         restored = Some(snap);
@@ -842,6 +1306,7 @@ impl MultiGpuEnterprise {
             }
         }
         let warm_restart = restored.is_some();
+        let collapsed = restored.as_ref().is_some_and(|s| s.collapsed);
         let layout_evicted: Vec<usize> = restored
             .as_ref()
             .map(|snap| snap.evicted.iter().map(|&d| d as usize).collect())
@@ -849,9 +1314,12 @@ impl MultiGpuEnterprise {
 
         let mut parts = Vec::with_capacity(p);
         for d in 0..p {
-            let (lo, hi) = match &restored {
-                Some(snap) => (snap.slices[d].0.start, snap.slices[d].0.end),
-                None => (d * n / p, (d + 1) * n / p),
+            // A restored grid that did not collapse sits on its cold blocks.
+            let ext = match &restored {
+                Some(snap) if collapsed || shape.grid().is_none() => {
+                    Extent::strip(snap.slices[d].0.clone())
+                }
+                _ => Self::cold_extent(shape, n, d),
             };
             let device = multi.device(d);
             // Sanitize/deadline before any allocation so initialization
@@ -860,31 +1328,17 @@ impl MultiGpuEnterprise {
                 device.enable_sanitizer();
             }
             device.set_kernel_deadline_ms(config.watchdog.kernel_deadline_ms);
-            let graph = upload_partition(device, csr, lo..hi);
-            let state = BfsState::new_partitioned(
-                device,
-                &graph,
-                config.thresholds,
-                config.hub_cache_entries,
-                tau,
-                lo..hi,
-            );
-            parts.push(PerDevice { graph, state, owned: lo..hi });
-        }
-        // T_h is a graph property: measure per-device hub counts once at
-        // setup and share the global sum (a scalar all-reduce). A warm
-        // restart reuses the persisted census instead.
-        let total_hubs = match &restored {
-            Some(snap) => snap.total_hubs,
-            None => {
-                let mut total = 0u64;
-                for (d, part) in parts.iter_mut().enumerate() {
-                    measure_total_hubs(multi.device(d), &part.graph, &mut part.state);
-                    total += part.state.total_hubs;
-                }
-                total
+            let (mut part, _) =
+                try_place(device, csr, &ext, config.thresholds, config.hub_cache_entries, tau)
+                    .unwrap_or_else(|e| panic!("{e}"));
+            if restored.is_none() {
+                measure_total_hubs(device, &part.graph, &mut part.state);
             }
-        };
+            parts.push(part);
+        }
+        // T_h is a graph property: measured once at setup and shared (a
+        // scalar all-reduce). A warm restart reuses the persisted census.
+        let total_hubs = Self::census(shape, &mut multi, &parts, restored.map(|s| s.total_hubs));
         for part in &mut parts {
             part.state.total_hubs = total_hubs;
         }
@@ -894,7 +1348,6 @@ impl MultiGpuEnterprise {
             config,
             multi,
             parts,
-            vertex_count: n,
             out_degrees,
             csr: csr.clone(),
             tau,
@@ -906,6 +1359,7 @@ impl MultiGpuEnterprise {
             warm_restart,
             ckpt_writer: CheckpointWriter::new(),
             layout_evicted,
+            collapsed,
             pinned: false,
             detector,
             link_verdicts: crate::route::LinkVerdicts::default(),
@@ -913,11 +1367,6 @@ impl MultiGpuEnterprise {
             lane_pool: Vec::new(),
             batch_isolated: BTreeSet::new(),
         }
-    }
-
-    /// Number of devices.
-    pub fn gpu_count(&self) -> usize {
-        self.config.gpu_count
     }
 
     /// Devices still alive (not evicted by the current/last run).
@@ -938,7 +1387,7 @@ impl MultiGpuEnterprise {
     /// hedging, deadline shedding, graceful brownout on the shrinking
     /// fleet, and — with persistence armed — a durable outcome ledger.
     /// With `policy` disabled this is bit-identical to calling
-    /// [`MultiGpuEnterprise::try_bfs`] per source.
+    /// [`Fleet::try_bfs`] per source.
     pub fn batch(
         &mut self,
         sources: &[crate::batch::BatchSource],
@@ -970,8 +1419,8 @@ impl MultiGpuEnterprise {
     /// roll every device back to the level checkpoint), checksummed
     /// exchange retry (dropped or corrupted bitmap broadcasts are
     /// re-sent with exponential backoff), and elastic device eviction:
-    /// a permanently lost device's slice is spliced onto a surviving
-    /// neighbor and the level resumes on `N - 1` GPUs, down to
+    /// a permanently lost device's extent is absorbed by the survivors
+    /// and the level resumes on `N - 1` GPUs, down to
     /// [`RecoveryPolicy::min_surviving_devices`].
     pub fn try_bfs(&mut self, source: VertexId) -> Result<MultiBfsResult, BfsError> {
         // Reinstall the fault plan from its seed so repeated runs of this
@@ -999,18 +1448,17 @@ impl MultiGpuEnterprise {
     }
 
     /// One attempt of the traversal (no end-of-run audit): the body of
-    /// [`MultiGpuEnterprise::try_bfs`], which may invoke it twice when
-    /// the audit demands a full replay.
+    /// [`Fleet::try_bfs`], which may invoke it twice when the audit
+    /// demands a full replay.
     fn try_bfs_once(&mut self, source: VertexId) -> Result<MultiBfsResult, BfsError> {
-        let n = self.vertex_count;
-        assert!((source as usize) < n);
+        assert!((source as usize) < self.csr.vertex_count());
 
         // Device loss is per-run: revive the substrate and restore the
         // original partitions displaced by the previous run's evictions,
         // so repeated runs of one instance stay bit-reproducible. Under
         // a batch brownout pin the restoration is skipped — the shrunken
-        // fleet, learned boundaries, detector state, and link verdicts
-        // carry to the next source instead (DESIGN.md §5i).
+        // fleet, learned layout, detector state, and link verdicts carry
+        // to the next source instead (DESIGN.md §5i).
         if !self.pinned {
             self.multi.revive_all();
             for (d, part) in self.retired.drain(..).rev() {
@@ -1027,284 +1475,422 @@ impl MultiGpuEnterprise {
             self.multi.evict(d);
         }
         self.multi.reset_stats();
-
-        // Seed: every device learns the source (initial broadcast);
-        // only the owner enqueues it.
-        for (d, part) in self.parts.iter_mut().enumerate() {
-            if !self.multi.is_alive(d) {
-                continue;
-            }
-            part.state.reset(self.multi.device(d));
-            let mem = self.multi.device(d).mem();
-            mem.set(part.state.status, source as usize, 0);
-            part.state.queue_sizes = [0; 4];
-            if part.owned.contains(&(source as usize)) {
-                mem.set(part.state.parent, source as usize, source);
-                // Classify by this device's (partitioned) out-degree.
-                let deg = {
-                    // Resident graph arrays can carry silent bit rot from an
-                    // earlier batch source; kernels clamp corrupt offsets, and
-                    // the host must tolerate them too. A wrong class is caught
-                    // by the verifier, not here.
-                    let offs = mem.view(part.graph.out_offsets);
-                    offs[source as usize + 1].saturating_sub(offs[source as usize])
-                };
-                let k = part.state.thresholds.classify(deg).index();
-                mem.set(part.state.queues[k], 0, source);
-                part.state.queue_sizes[k] = 1;
-            }
+        for d in self.multi.alive_ids() {
+            let part = &mut self.parts[d];
+            seed(self.multi.device(d), &part.graph, &mut part.state, source);
         }
-        self.multi.barrier();
+        self.seed_sync();
 
-        let mut vars = MultiLoopVars {
-            dir: Direction::TopDown,
-            switched_at: None,
-            cache_filled: false,
-        };
-        let mut trace = Vec::new();
-        let mut recovery =
-            RecoveryReport { warm_restart: self.warm_restart, ..RecoveryReport::default() };
-        recovery.snapshot_errors.append(&mut self.persist_errors);
+        let mut walk = self.open_walk(source);
         // Warm restart from a durable mid-traversal checkpoint: overwrite
         // the freshly seeded state with the persisted level boundary and
         // continue from there. Defects degrade to the cold start above.
-        let mut level: u32 = self.try_resume(source, &mut vars, &mut recovery).unwrap_or(0);
-        let level_cap = self.config.watchdog.level_cap(n);
-        let mut stall = StallDetector::new(self.config.watchdog.stall_levels);
-        let mut link_mark: u64 = self.multi.fault_stats().link_slow_us;
+        walk.level = self.try_resume(&mut walk).unwrap_or(0);
+        walk.link_mark = self.multi.fault_stats().link_slow_us;
+        while !self.step(&mut walk, false)? {}
+        walk.recovery.faults = self.multi.fault_stats();
+        self.persist_finish(&mut walk.recovery);
+        Ok(self.collect(walk))
+    }
 
-        'levels: loop {
-            // Structural liveness bound (previously an assert).
-            if level > level_cap {
-                let frontier = self.alive_frontier();
-                return Err(BfsError::Hang { level, frontier, stalled_levels: 0 });
-            }
-            // Link-isolation poll (routing ladder rung 5, proactive
-            // form): a device whose every route is down cannot take part
-            // in the next exchange, so migrate its partition onto
-            // reachable survivors *now* — before the watchdog would have
-            // to declare the (perfectly healthy) device dead.
-            if self.config.route.enabled {
-                if let Some(isolated) = crate::route::find_isolated(&self.multi) {
-                    let ckpt = self.checkpoint(&vars, trace.len());
-                    self.handle_loss(isolated, level, &ckpt, &mut vars, &mut trace, &mut recovery)?;
-                    recovery.link_isolated.push(isolated);
-                    self.batch_isolated.insert(isolated);
-                    continue 'levels;
+    /// A fresh traversal of `source` at level 0, inheriting the setup's
+    /// persistence verdicts.
+    fn open_walk(&mut self, source: VertexId) -> Walk {
+        let mut recovery =
+            RecoveryReport { warm_restart: self.warm_restart, ..RecoveryReport::default() };
+        recovery.snapshot_errors.append(&mut self.persist_errors);
+        Walk {
+            source,
+            vars: LoopVars::default(),
+            trace: Vec::new(),
+            recovery,
+            level: 0,
+            level_cap: self.config.watchdog.level_cap(self.csr.vertex_count()),
+            stall: StallDetector::new(self.config.watchdog.stall_levels),
+            link_mark: 0,
+        }
+    }
+
+    /// Advances `walk` by one BFS level; `Ok(true)` when it is done. A
+    /// pipelined `lane` step returns the errors that reshape the fleet
+    /// (device loss, link isolation, straggler overruns) instead of
+    /// handling them — the source de-pipelines and the sequential ladder
+    /// performs the splice or rebalance, bumping the fleet epoch, which
+    /// re-admits sibling lanes — and skips adaptive rebalance and
+    /// mid-run checkpoints. A sequential step that reshapes the fleet
+    /// returns `Ok(false)` without advancing the level.
+    fn step(&mut self, walk: &mut Walk, lane: bool) -> Result<bool, BfsError> {
+        // Structural liveness bound.
+        if walk.level > walk.level_cap {
+            let frontier = self.alive_frontier();
+            return Err(BfsError::Hang { level: walk.level, frontier, stalled_levels: 0 });
+        }
+        // Link-isolation poll (routing ladder rung 5, proactive form): a
+        // device whose every route is down cannot take part in the next
+        // exchange, so migrate its partition onto reachable survivors
+        // *now* — before the watchdog would have to declare the
+        // (perfectly healthy) device dead.
+        if self.config.route.enabled {
+            if let Some(isolated) = crate::route::find_isolated(&self.multi) {
+                if lane {
+                    return Err(BfsError::LinkIsolated { level: walk.level, device: isolated });
                 }
+                let ckpt = self.checkpoint(walk);
+                self.evict_isolated(isolated, &ckpt, walk)?;
+                return Ok(false);
             }
-            let ckpt = self.checkpoint(&vars, trace.len());
-            self.maybe_persist_checkpoint(source, level, &ckpt, &mut recovery);
-            let mut attempts: u32 = 0;
-            let done = loop {
-                let t_level = self.multi.elapsed_ms();
-                match self.level_pass(level, &mut vars, &mut trace, &mut recovery) {
-                    Ok(done) => {
-                        // Level deadline: replay an overrun, then surface
-                        // a typed deadline error.
-                        if let Some(budget_ms) = self.config.watchdog.level_deadline_ms {
-                            let elapsed_ms = self.multi.elapsed_ms() - t_level;
-                            if elapsed_ms > budget_ms {
-                                attempts += 1;
-                                if attempts > self.config.recovery.max_level_retries {
-                                    return Err(BfsError::Deadline {
-                                        level,
-                                        attempts,
-                                        elapsed_ms,
-                                        budget_ms,
-                                    });
+        }
+        let ckpt = self.checkpoint(walk);
+        if !lane {
+            self.maybe_persist_checkpoint(&ckpt, walk);
+        }
+        let Some(done) = self.attempt_level(&ckpt, walk, lane)? else { return Ok(false) };
+        if done {
+            return Ok(true);
+        }
+        // Injected livelock (fault plane): device 0's plan is the
+        // coordinator draw (a lane's scoped plan is installed, so the draw
+        // is lane-local); the fleet rolls back while the level counter
+        // keeps advancing.
+        let livelocked = self.multi.device(0).should_inject_livelock();
+        if livelocked {
+            self.restore(&ckpt, walk);
+        }
+        if let Some(det) = walk.stall.as_mut() {
+            let frontier = self.alive_frontier();
+            let d0 = self.multi.alive_ids()[0];
+            let visited = self
+                .multi
+                .device_ref(d0)
+                .mem_ref()
+                .view(self.parts[d0].state.status)
+                .iter()
+                .filter(|&&s| s != UNVISITED)
+                .count();
+            if let Some(stalled) = det.observe(visited, frontier) {
+                return Err(BfsError::Hang {
+                    level: walk.level,
+                    frontier,
+                    stalled_levels: stalled,
+                });
+            }
+        }
+        // Background scrubbing across the fleet: clear latent single-bit
+        // ECC errors on cadence. No-op with ECC off.
+        if let Some(every) = self.config.scrub_levels {
+            if every > 0 && (walk.level + 1) % every == 0 {
+                self.multi.scrub_all();
+            }
+        }
+        // Throttle-onset clock: every surviving device has finished one
+        // more level (drives `FaultSpec::throttle_onset_levels`).
+        for d in self.multi.alive_ids() {
+            self.multi.device(d).note_level_end();
+        }
+        // Per-link flap windows advance on completed levels (no-op
+        // without an armed link topology).
+        self.multi.tick_link_level();
+        // Adaptive rebalance (§5f rung 2): feed the level's timing
+        // telemetry to the imbalance detector and repartition toward the
+        // faster devices when a straggler is confirmed. Skipped after a
+        // livelock rollback — the state was rewound to the level
+        // checkpoint, so this level's queues no longer exist to rebuild.
+        if !lane && self.config.rebalance.enabled && !livelocked {
+            self.adapt(walk)?;
+        }
+        walk.level += 1;
+        Ok(false)
+    }
+
+    /// Runs `walk`'s level until it passes. A level-deadline overrun, a
+    /// corrupt verifier verdict, or a transient kernel fault that escaped
+    /// the in-driver launch retries rolls back to `ckpt` and replays,
+    /// within [`RecoveryPolicy::max_level_retries`]. `Ok(None)` means a
+    /// sequential run reshaped the fleet (loss splice, link-isolation
+    /// migration, forced straggler rebalance) and the level must be
+    /// re-checkpointed; a `lane` returns those errors instead.
+    fn attempt_level(
+        &mut self,
+        ckpt: &MultiCheckpoint,
+        walk: &mut Walk,
+        lane: bool,
+    ) -> Result<Option<bool>, BfsError> {
+        let level = walk.level;
+        let mut attempts: u32 = 0;
+        loop {
+            let t_level = self.multi.elapsed_ms();
+            let err = match self.level_pass(walk) {
+                Ok(done) => {
+                    // Level deadline: replay an overrun, then surface a
+                    // typed deadline error.
+                    if let Some(budget_ms) = self.config.watchdog.level_deadline_ms {
+                        let elapsed_ms = self.multi.elapsed_ms() - t_level;
+                        if elapsed_ms > budget_ms {
+                            if !self.replay(&mut attempts, ckpt, walk) {
+                                return Err(BfsError::Deadline {
+                                    level,
+                                    attempts,
+                                    elapsed_ms,
+                                    budget_ms,
+                                });
+                            }
+                            continue;
+                        }
+                    }
+                    // End-of-level SDC gate on the merged global view:
+                    // heal from the checkpoint if possible, replay the
+                    // level if not.
+                    if self.config.verify.end_of_level {
+                        match self.verify_level(ckpt, walk) {
+                            Verdict::Clean => {}
+                            Verdict::Repaired { done } => return Ok(Some(done)),
+                            Verdict::Corrupt(err) => {
+                                if !self.replay(&mut attempts, ckpt, walk) {
+                                    return Err(BfsError::ValidationFailedAfterReplay(err));
                                 }
-                                recovery.levels_replayed += 1;
-                                self.restore(&ckpt, &mut vars, &mut trace);
                                 continue;
                             }
                         }
-                        // End-of-level SDC gate on the merged global
-                        // view: heal from the checkpoint if possible,
-                        // replay the level if not.
-                        if self.config.verify.end_of_level {
-                            let infos = self.verify_infos();
-                            match verify_merged_level(
-                                &mut self.multi,
-                                &self.csr,
-                                &infos,
-                                &ckpt,
-                                source,
-                                level,
-                                vars.dir,
-                                self.config.verify.repair,
-                                &self.config.thresholds,
-                                view_1d,
-                                &mut recovery,
-                            ) {
-                                MergedVerdict::Clean => {}
-                                MergedVerdict::Repaired { done, sizes } => {
-                                    for (d, s) in sizes {
-                                        self.parts[d].state.queue_sizes = s;
-                                    }
-                                    break done;
-                                }
-                                MergedVerdict::Corrupt(err) => {
-                                    attempts += 1;
-                                    if attempts > self.config.recovery.max_level_retries {
-                                        return Err(BfsError::ValidationFailedAfterReplay(err));
-                                    }
-                                    recovery.levels_replayed += 1;
-                                    self.restore(&ckpt, &mut vars, &mut trace);
-                                    continue;
-                                }
-                            }
-                        }
-                        break done;
                     }
-                    Err(BfsError::Device(e)) => {
-                        // Permanent device loss: evict, splice the lost
-                        // slice onto a survivor, and replay the level on
-                        // the shrunken system with a fresh checkpoint.
-                        if let Some(lost) = loss_of(&e, &self.multi) {
-                            self.handle_loss(lost, level, &ckpt, &mut vars, &mut trace, &mut recovery)?;
-                            continue 'levels;
-                        }
-                        // Slow-but-alive: a kernel-deadline overrun on a
-                        // straggler device. Replaying without rebalancing
-                        // would deterministically overrun again, so force
-                        // a boundary shift (weights estimated from the
-                        // observed overrun, since the level never
-                        // produced telemetry) and replay on the new
-                        // layout.
-                        if let Some((slow, overrun)) = slow_of(&e, &self.multi) {
-                            if self.detector.force() {
-                                recovery.stragglers_detected += 1;
-                                self.restore(&ckpt, &mut vars, &mut trace);
-                                let weights = self.overrun_weights(slow, overrun);
-                                self.rebalance_1d(&weights, level, vars.dir, &mut recovery)?;
-                                recovery.rebalances += 1;
-                                recovery.levels_replayed += 1;
-                                continue 'levels;
-                            }
-                        }
-                        // A transient kernel fault that escaped the
-                        // in-driver launch retries: roll every device
-                        // back and replay the level.
-                        attempts += 1;
-                        if attempts > self.config.recovery.max_level_retries {
-                            return Err(BfsError::LevelRetriesExhausted {
-                                level,
-                                attempts,
-                                last: e,
-                            });
-                        }
-                        recovery.levels_replayed += 1;
-                        self.restore(&ckpt, &mut vars, &mut trace);
-                    }
-                    // Routed-exchange verdict: one endpoint of a dead
-                    // link is unreachable by probe, relay *and* host
-                    // bounce. Same splice path as a watchdog loss, but
-                    // the trigger is routing — the device itself is fine.
-                    Err(BfsError::LinkIsolated { device, .. }) => {
-                        self.handle_loss(device, level, &ckpt, &mut vars, &mut trace, &mut recovery)?;
-                        recovery.link_isolated.push(device);
-                        self.batch_isolated.insert(device);
-                        continue 'levels;
-                    }
-                    // Exchange-budget exhaustion is terminal, not replayable.
-                    Err(other) => return Err(other),
+                    return Ok(Some(done));
                 }
+                Err(e) => e,
             };
-            if done {
-                break;
-            }
-            // Injected livelock (fault plane): device 0's plan is the
-            // coordinator draw; the whole grid rolls back while the level
-            // counter keeps advancing.
-            let livelocked = self.multi.device(0).should_inject_livelock();
-            if livelocked {
-                self.restore(&ckpt, &mut vars, &mut trace);
-            }
-            if let Some(det) = stall.as_mut() {
-                let frontier = self.alive_frontier();
-                let d0 = self.multi.alive_ids()[0];
-                let visited = self
-                    .multi
-                    .device_ref(d0)
-                    .mem_ref()
-                    .view(self.parts[d0].state.status)
-                    .iter()
-                    .filter(|&&s| s != UNVISITED)
-                    .count();
-                if let Some(stalled) = det.observe(visited, frontier) {
-                    return Err(BfsError::Hang { level, frontier, stalled_levels: stalled });
-                }
-            }
-            // Background scrubbing across the fleet: clear latent
-            // single-bit ECC errors on cadence. No-op with ECC off.
-            if let Some(every) = self.config.scrub_levels {
-                if every > 0 && (level + 1) % every == 0 {
-                    self.multi.scrub_all();
-                }
-            }
-            // Throttle-onset clock: every surviving device has finished
-            // one more level (drives `FaultSpec::throttle_onset_levels`).
-            for d in self.multi.alive_ids() {
-                self.multi.device(d).note_level_end();
-            }
-            // Per-link flap windows advance on completed levels (no-op
-            // without an armed link topology).
-            self.multi.tick_link_level();
-            // Adaptive rebalance (§5f rung 2): feed the level's timing
-            // telemetry to the imbalance detector and shift partition
-            // boundaries toward the faster devices when a straggler is
-            // confirmed. Skipped after a livelock rollback — the state
-            // was rewound to the level checkpoint, so this level's queues
-            // no longer exist to rebuild.
-            if self.config.rebalance.enabled && !livelocked {
-                let timings = self.level_timings();
-                if let Some(weights) = self.detector.observe(&timings) {
-                    recovery.stragglers_detected += 1;
-                    self.rebalance_1d(&weights, level + 1, vars.dir, &mut recovery)?;
-                    recovery.rebalances += 1;
-                } else {
-                    // Degraded-link fold (§5f): per-device busy time never
-                    // sees a slow wire (exec clocks exclude exchanges), so
-                    // the level's growth of the fault plane's accumulated
-                    // link slow-down feeds the same streak/cooldown ladder
-                    // and shifts work by measured device throughput.
-                    let slow_ms = (self.multi.fault_stats().link_slow_us - link_mark) as f64 / 1e3;
-                    if self.detector.observe_link(slow_ms) {
-                        recovery.link_slow_detections += 1;
-                        let usable = timings.len() >= 2
-                            && timings.iter().all(|t| t.busy_ms > 0.0 && t.work_items > 0);
-                        if usable {
-                            let weights: Vec<(usize, f64)> = timings
-                                .iter()
-                                .map(|t| (t.device, t.work_items as f64 / t.busy_ms))
-                                .collect();
-                            self.rebalance_1d(&weights, level + 1, vars.dir, &mut recovery)?;
-                            recovery.rebalances += 1;
+            match err {
+                BfsError::Device(e) => {
+                    // Permanent device loss: evict, splice the lost
+                    // extent onto survivors, and replay the level on the
+                    // shrunken fleet with a fresh checkpoint.
+                    if let Some(lost) = loss_of(&e, &self.multi) {
+                        if lane {
+                            return Err(BfsError::Device(e));
+                        }
+                        self.handle_loss(lost, ckpt, walk)?;
+                        return Ok(None);
+                    }
+                    // Slow-but-alive: a kernel-deadline overrun on a
+                    // straggler device. Replaying without rebalancing
+                    // would deterministically overrun again, so force a
+                    // rebalance (weights estimated from the observed
+                    // overrun, since the level never produced telemetry)
+                    // and replay on the new layout. Lanes leave this to
+                    // the sequential plane and its detector state.
+                    if let Some((slow, overrun)) = slow_of(&e, &self.multi) {
+                        if lane {
+                            return Err(BfsError::Device(e));
+                        }
+                        if self.detector.force() {
+                            walk.recovery.stragglers_detected += 1;
+                            self.restore(ckpt, walk);
+                            let weights = self.overrun_weights(slow, overrun);
+                            self.rebalance(&weights, level, walk.vars.dir, &mut walk.recovery)?;
+                            walk.recovery.rebalances += 1;
+                            walk.recovery.levels_replayed += 1;
+                            return Ok(None);
                         }
                     }
+                    if !self.replay(&mut attempts, ckpt, walk) {
+                        return Err(BfsError::LevelRetriesExhausted { level, attempts, last: e });
+                    }
                 }
-                link_mark = self.multi.fault_stats().link_slow_us;
+                // Routed-exchange verdict: one endpoint of a dead link is
+                // unreachable by probe, relay *and* host bounce. Same
+                // splice path as a watchdog loss, but the trigger is
+                // routing — the device itself is fine.
+                BfsError::LinkIsolated { device, .. } if !lane => {
+                    self.evict_isolated(device, ckpt, walk)?;
+                    return Ok(None);
+                }
+                // Exchange-budget exhaustion is terminal, not replayable.
+                other => return Err(other),
             }
-            level += 1;
         }
+    }
 
-        recovery.faults = self.multi.fault_stats();
-        self.persist_finish(&mut recovery);
-        Ok(self.collect(source, vars.switched_at, trace, recovery))
+    /// Spends one level replay: rolls back to `ckpt`, or returns `false`
+    /// when the replay budget is exhausted.
+    fn replay(&mut self, attempts: &mut u32, ckpt: &MultiCheckpoint, walk: &mut Walk) -> bool {
+        *attempts += 1;
+        if *attempts > self.config.recovery.max_level_retries {
+            return false;
+        }
+        walk.recovery.levels_replayed += 1;
+        self.restore(ckpt, walk);
+        true
+    }
+
+    /// Adaptive rebalance after a completed level: a confirmed straggler
+    /// (by busy-time telemetry) or a confirmed slow link repartitions
+    /// for the next level.
+    fn adapt(&mut self, walk: &mut Walk) -> Result<(), BfsError> {
+        let timings = self.level_timings();
+        let next = walk.level + 1;
+        if let Some(weights) = self.detector.observe(&timings) {
+            walk.recovery.stragglers_detected += 1;
+            self.rebalance(&weights, next, walk.vars.dir, &mut walk.recovery)?;
+            walk.recovery.rebalances += 1;
+        } else {
+            // Degraded-link fold (§5f): per-device busy time never sees a
+            // slow wire (exec clocks exclude exchanges), so the level's
+            // growth of the fault plane's accumulated link slow-down
+            // feeds the same streak/cooldown ladder and repartitions by
+            // measured device throughput.
+            let slow_ms = (self.multi.fault_stats().link_slow_us - walk.link_mark) as f64 / 1e3;
+            if self.detector.observe_link(slow_ms) {
+                walk.recovery.link_slow_detections += 1;
+                let usable = timings.len() >= 2
+                    && timings.iter().all(|t| t.busy_ms > 0.0 && t.work_items > 0);
+                if usable {
+                    let weights: Vec<(usize, f64)> = timings
+                        .iter()
+                        .map(|t| (t.device, t.work_items as f64 / t.busy_ms))
+                        .collect();
+                    self.rebalance(&weights, next, walk.vars.dir, &mut walk.recovery)?;
+                    walk.recovery.rebalances += 1;
+                }
+            }
+        }
+        walk.link_mark = self.multi.fault_stats().link_slow_us;
+        Ok(())
+    }
+
+    /// Evicts `lost`, rolls the survivors back to `ckpt`, and lets the
+    /// shape's loss rule splice the survivors that absorb its extent; the
+    /// caller replays the level on `N - 1` GPUs. Fails with
+    /// [`BfsError::AllDevicesLost`] when the eviction budget
+    /// ([`RecoveryPolicy::min_surviving_devices`]) is exhausted.
+    fn handle_loss(
+        &mut self,
+        lost: usize,
+        ckpt: &MultiCheckpoint,
+        walk: &mut Walk,
+    ) -> Result<(), BfsError> {
+        let min_survivors = self.config.recovery.min_surviving_devices.max(1);
+        if self.multi.alive_count() <= min_survivors {
+            return Err(BfsError::AllDevicesLost {
+                level: walk.level,
+                lost: walk.recovery.devices_lost.len() as u32 + 1,
+            });
+        }
+        self.multi.evict(lost);
+        self.restore(ckpt, walk);
+        self.absorb_loss(lost, ckpt, walk)?;
+        walk.recovery.devices_lost.push(lost);
+        walk.recovery.levels_replayed += 1;
+        self.fleet_epoch += 1;
+        Ok(())
+    }
+
+    /// Migrates a link-isolated (healthy but unreachable) device's
+    /// partition like a loss, recording why it was evicted.
+    fn evict_isolated(
+        &mut self,
+        device: usize,
+        ckpt: &MultiCheckpoint,
+        walk: &mut Walk,
+    ) -> Result<(), BfsError> {
+        self.handle_loss(device, ckpt, walk)?;
+        walk.recovery.link_isolated.push(device);
+        self.batch_isolated.insert(device);
+        Ok(())
+    }
+
+    /// Charges moving `moved_words` across the interconnect to every
+    /// surviving timeline; returns the span.
+    fn charge(&mut self, moved_words: u64) -> f64 {
+        let span_ms = repartition::repartition_cost_ms(
+            &self.config.interconnect,
+            moved_words,
+            self.csr.vertex_count(),
+        );
+        self.multi.advance_all(span_ms);
+        span_ms
+    }
+
+    /// Re-uploads device `d`'s partition as `ext` and splices traversal
+    /// state onto it: status and parents as given, frontier queues
+    /// rebuilt host-side from the status array for `level`. The displaced
+    /// partition goes on the retired stack for restoration at the next
+    /// run's start.
+    fn splice_device(
+        &mut self,
+        d: usize,
+        ext: Extent,
+        status: &[u32],
+        parent: &[u32],
+        dir: Direction,
+        level: u32,
+    ) -> Result<(), BfsError> {
+        let (thresholds, entries) = (self.config.thresholds, self.config.hub_cache_entries);
+        let (mut part, view) =
+            try_place(self.multi.device(d), &self.csr, &ext, thresholds, entries, self.tau)?;
+        // T_h is a global graph property, unchanged by repartitioning.
+        part.state.total_hubs = self.parts[d].state.total_hubs;
+        let rebuilt = repartition::rebuild_queues(
+            status,
+            dir,
+            level,
+            &ext.td,
+            &ext.bu,
+            &view.out_offsets,
+            &view.in_offsets,
+            &thresholds,
+        );
+        let n = self.csr.vertex_count();
+        let mem = self.multi.device(d).mem();
+        mem.upload(part.state.status, status);
+        mem.upload(part.state.parent, parent);
+        for (buf, q) in part.state.queues.iter().zip(&rebuilt.queues) {
+            let mut padded = q.clone();
+            padded.resize(n, 0);
+            mem.upload(*buf, &padded);
+        }
+        part.state.queue_sizes = rebuilt.sizes;
+        let old = std::mem::replace(&mut self.parts[d], part);
+        self.retired.push((d, old));
+        Ok(())
+    }
+
+    /// Builds strip partitions for every `(device, slice)` whose slice
+    /// differs from the device's current one, committing nothing.
+    fn rebuild_strips(
+        &mut self,
+        slices: &[(usize, Range<usize>)],
+    ) -> Result<Vec<(usize, PerDevice)>, DeviceError> {
+        let (thresholds, entries) = (self.config.thresholds, self.config.hub_cache_entries);
+        let mut rebuilt = Vec::new();
+        for (d, td) in slices {
+            if *td == self.parts[*d].state.td_range {
+                continue;
+            }
+            let ext = Extent::strip(td.clone());
+            let (mut part, _) =
+                try_place(self.multi.device(*d), &self.csr, &ext, thresholds, entries, self.tau)?;
+            // T_h is a global graph property, unchanged by repartitioning.
+            part.state.total_hubs = self.parts[*d].state.total_hubs;
+            rebuilt.push((*d, part));
+        }
+        Ok(rebuilt)
+    }
+
+    /// Installs partitions from [`Fleet::rebuild_strips`], retiring the
+    /// displaced ones so the next *unpinned* run restores the original
+    /// layout.
+    fn commit_rebuilt(&mut self, rebuilt: Vec<(usize, PerDevice)>) {
+        for (d, part) in rebuilt {
+            let old = std::mem::replace(&mut self.parts[d], part);
+            self.retired.push((d, old));
+        }
+        self.fleet_epoch += 1;
     }
 
     /// Attempts to resume from a durable mid-traversal checkpoint. Returns
     /// the level to continue at, or `None` for a cold start (no snapshot,
-    /// persistence disabled, or a typed defect recorded in `recovery`).
-    fn try_resume(
-        &mut self,
-        source: VertexId,
-        vars: &mut MultiLoopVars,
-        recovery: &mut RecoveryReport,
-    ) -> Option<u32> {
+    /// persistence disabled, or a typed defect recorded in `walk`).
+    fn try_resume(&mut self, walk: &mut Walk) -> Option<u32> {
         let fp = *self.fingerprint.as_ref()?;
         let store = self.store.as_mut()?;
+        let recovery = &mut walk.recovery;
         let snap = match load_checkpoint_chain(store, &mut recovery.snapshot_errors) {
             Ok(Some(s)) => s,
             Ok(None) => return None,
@@ -1317,16 +1903,17 @@ impl MultiGpuEnterprise {
             recovery.snapshot_errors.push(PersistError::GraphMismatch);
             return None;
         }
-        if snap.source != source {
+        if snap.source != walk.source {
             recovery.snapshot_errors.push(PersistError::SourceMismatch);
             return None;
         }
-        let n = self.vertex_count;
-        if snap.kind != DriverKind::OneD
+        let n = self.csr.vertex_count();
+        if snap.kind != self.kind()
             || snap.devices.len() != self.parts.len()
             // Lane-bound checkpoints (written inside a pipelined window)
             // must not be adopted by a sequential resume.
             || !snap.lanes.is_empty()
+            || (!snap.evicted.is_empty() && !self.persists_degraded())
         {
             recovery.snapshot_errors.push(PersistError::LayoutMismatch);
             return None;
@@ -1346,7 +1933,7 @@ impl MultiGpuEnterprise {
                 recovery.snapshot_errors.push(PersistError::LayoutMismatch);
                 return None;
             }
-        } else if !self.degraded_resume(&snap, recovery) {
+        } else if !self.degraded_resume(&snap, &mut walk.recovery) {
             // The interrupted run had already evicted devices; the
             // survivors were rebuilt to the checkpoint's spliced extents
             // (or, on a typed defect, nothing was committed and the
@@ -1368,12 +1955,12 @@ impl MultiGpuEnterprise {
             }
             mem.upload(part.state.hub_src, &dev.hub_src);
         }
-        *vars = MultiLoopVars {
+        walk.vars = LoopVars {
             dir: if snap.dir_bottom_up { Direction::BottomUp } else { Direction::TopDown },
             switched_at: snap.switched_at,
             cache_filled: snap.cache_filled,
         };
-        recovery.resumed_at_level = Some(snap.level);
+        walk.recovery.resumed_at_level = Some(snap.level);
         Some(snap.level)
     }
 
@@ -1392,23 +1979,17 @@ impl MultiGpuEnterprise {
         snap: &CheckpointSnapshot,
         recovery: &mut RecoveryReport,
     ) -> bool {
-        let n = self.vertex_count;
+        let n = self.csr.vertex_count();
         let p = self.parts.len();
         // Eviction records must name distinct, known devices and leave at
         // least one survivor.
-        let mut dead = vec![false; p];
-        for &d in &snap.evicted {
-            let d = d as usize;
-            if d >= p || dead[d] {
+        let dead = match dead_mask(&snap.evicted, p) {
+            Some(dead) if snap.evicted.len() < p => dead,
+            _ => {
                 recovery.snapshot_errors.push(PersistError::LayoutMismatch);
                 return false;
             }
-            dead[d] = true;
-        }
-        if snap.evicted.len() >= p {
-            recovery.snapshot_errors.push(PersistError::LayoutMismatch);
-            return false;
-        }
+        };
         // Survivor images must be full-size and their extents must tile
         // the vertex range by themselves (evicted entries are stale).
         let survivors: Vec<(usize, &DeviceCheckpoint)> =
@@ -1426,50 +2007,15 @@ impl MultiGpuEnterprise {
             recovery.snapshot_errors.push(PersistError::LayoutMismatch);
             return false;
         }
-        // Rebuild (fallibly) every survivor whose extent moved.
-        let mut rebuilt: Vec<(usize, PerDevice)> = Vec::new();
-        for &(d, dev) in &survivors {
-            if dev.td == self.parts[d].owned {
-                continue;
+        let extents: Vec<(usize, Range<usize>)> =
+            survivors.iter().map(|(d, dev)| (*d, dev.td.clone())).collect();
+        let rebuilt = match self.rebuild_strips(&extents) {
+            Ok(r) => r,
+            Err(e) => {
+                recovery.snapshot_errors.push(PersistError::Io(e.to_string()));
+                return false;
             }
-            let merged = dev.td.clone();
-            let view = repartition::build_1d(&self.csr, &merged);
-            let device = self.multi.device(d);
-            let graph = match DeviceGraph::try_upload_parts(
-                device,
-                self.csr.vertex_count(),
-                self.csr.edge_count(),
-                self.csr.is_directed(),
-                &view.out_offsets,
-                &view.out_targets,
-                &view.in_offsets,
-                &view.in_sources,
-            ) {
-                Ok(g) => g,
-                Err(e) => {
-                    recovery.snapshot_errors.push(PersistError::Io(e.to_string()));
-                    return false;
-                }
-            };
-            let mut state = match BfsState::try_new_partitioned2(
-                device,
-                &graph,
-                self.config.thresholds,
-                self.config.hub_cache_entries,
-                self.tau,
-                merged.clone(),
-                merged.clone(),
-            ) {
-                Ok(s) => s,
-                Err(e) => {
-                    recovery.snapshot_errors.push(PersistError::Io(e.to_string()));
-                    return false;
-                }
-            };
-            // T_h is a global graph property, unchanged by repartitioning.
-            state.total_hubs = self.parts[d].state.total_hubs;
-            rebuilt.push((d, PerDevice { graph, state, owned: merged }));
-        }
+        };
         // Commit.
         for &d in &snap.evicted {
             let d = d as usize;
@@ -1478,33 +2024,26 @@ impl MultiGpuEnterprise {
                 recovery.devices_lost.push(d);
             }
         }
-        for (d, part) in rebuilt {
-            let old = std::mem::replace(&mut self.parts[d], part);
-            self.retired.push((d, old));
-        }
-        self.fleet_epoch += 1;
+        self.commit_rebuilt(rebuilt);
         true
     }
 
     /// Publishes a durable mid-traversal checkpoint at the configured
-    /// level cadence. A degraded fleet checkpoints too: evicted devices
-    /// are listed in the snapshot's eviction ledger with empty images, so
-    /// a fresh process can rebuild the survivor splices and resume on the
-    /// shrunken fleet. Failures are absorbed. Steady-state checkpoints go
-    /// out as sparse deltas against the last keyframe (see
-    /// [`CheckpointWriter`]).
-    fn maybe_persist_checkpoint(
-        &mut self,
-        source: VertexId,
-        level: u32,
-        ckpt: &MultiCheckpoint,
-        recovery: &mut RecoveryReport,
-    ) {
-        let every = match self.config.persist.as_ref().and_then(|p| p.checkpoint_levels) {
-            Some(e) => e,
-            None => return,
+    /// level cadence, as a sparse delta against the last keyframe (see
+    /// [`CheckpointWriter`]) in steady state. A degraded fleet checkpoints
+    /// too when its shape persists degraded layouts: evicted devices are
+    /// listed in the eviction ledger with empty images, so a fresh
+    /// process can rebuild the survivor splices and resume on the
+    /// shrunken fleet. Failures are absorbed.
+    fn maybe_persist_checkpoint(&mut self, ckpt: &MultiCheckpoint, walk: &mut Walk) {
+        let Some(every) = self.config.persist.as_ref().and_then(|p| p.checkpoint_levels) else {
+            return;
         };
+        let level = walk.level;
         if level == 0 || level % every != 0 {
+            return;
+        }
+        if !self.persists_degraded() && self.multi.alive_count() != self.parts.len() {
             return;
         }
         let (Some(fp), Some(_)) = (self.fingerprint.as_ref(), self.store.as_ref()) else {
@@ -1515,12 +2054,13 @@ impl MultiGpuEnterprise {
             .iter()
             .enumerate()
             .map(|(d, part)| {
+                let (td, bu) = (part.state.td_range.clone(), part.state.bu_range.clone());
                 if !self.multi.is_alive(d) {
-                    // Evicted: its slice lives on a survivor; persist an
+                    // Evicted: its extent lives on a survivor; persist an
                     // empty image so resume never trusts stale state.
                     return DeviceCheckpoint {
-                        td: part.state.td_range.clone(),
-                        bu: part.state.bu_range.clone(),
+                        td,
+                        bu,
                         status: Vec::new(),
                         parent: Vec::new(),
                         queues: [Vec::new(), Vec::new(), Vec::new(), Vec::new()],
@@ -1528,8 +2068,8 @@ impl MultiGpuEnterprise {
                     };
                 }
                 DeviceCheckpoint {
-                    td: part.state.td_range.clone(),
-                    bu: part.state.bu_range.clone(),
+                    td,
+                    bu,
                     status: ckpt.devices[d].status.clone(),
                     parent: ckpt.devices[d].parent.clone(),
                     queues: truncate_queues(&ckpt.devices[d].queues, &ckpt.devices[d].queue_sizes),
@@ -1540,13 +2080,13 @@ impl MultiGpuEnterprise {
         let evicted: Vec<u32> = self
             .layout_evicted
             .iter()
-            .chain(recovery.devices_lost.iter())
+            .chain(walk.recovery.devices_lost.iter())
             .map(|&d| d as u32)
             .collect();
         let snap = CheckpointSnapshot {
-            kind: DriverKind::OneD,
+            kind: self.kind(),
             fingerprint: *fp,
-            source,
+            source: walk.source,
             level,
             dir_bottom_up: matches!(ckpt.vars.dir, Direction::BottomUp),
             switched_at: ckpt.vars.switched_at,
@@ -1560,25 +2100,30 @@ impl MultiGpuEnterprise {
         };
         let store = self.store.as_mut().expect("checked above");
         match self.ckpt_writer.persist(store, &snap) {
-            Ok(()) => recovery.snapshots_persisted += 1,
-            Err(e) => recovery.snapshot_errors.push(e),
+            Ok(()) => walk.recovery.snapshots_persisted += 1,
+            Err(e) => walk.recovery.snapshot_errors.push(e),
         }
     }
 
     /// End-of-run persistence: durably publish the learned layout
-    /// (rebalanced boundaries + hub census) and retire the mid-traversal
-    /// checkpoint chain. An intact fleet substitutes each retired
-    /// partition's original range back in (eviction splices are per-run);
-    /// a *degraded* fleet instead publishes the spliced survivor
+    /// (rebalanced boundaries or a collapsed grid, plus the hub census)
+    /// and retire the mid-traversal checkpoint chain. Eviction splices
+    /// are per-run, so the published extents substitute each retired
+    /// partition's range back in — except on a degraded fleet whose shape
+    /// persists degraded layouts: that publishes the spliced survivor
     /// boundaries plus the eviction ledger, so the next process resumes
     /// on the survivors directly.
     fn persist_finish(&mut self, recovery: &mut RecoveryReport) {
         let (Some(fp), Some(_)) = (self.fingerprint.as_ref(), self.store.as_ref()) else {
             return;
         };
-        let degraded = self.multi.alive_count() != self.parts.len();
-        let mut slices: Vec<(std::ops::Range<usize>, std::ops::Range<usize>)> =
-            self.parts.iter().map(|p| (p.owned.clone(), p.owned.clone())).collect();
+        let p = self.parts.len();
+        let degraded = self.persists_degraded() && self.multi.alive_count() != p;
+        let mut slices: Vec<(Range<usize>, Range<usize>)> = self
+            .parts
+            .iter()
+            .map(|p| (p.state.td_range.clone(), p.state.bu_range.clone()))
+            .collect();
         let evicted: Vec<u32> = if degraded {
             self.layout_evicted
                 .iter()
@@ -1587,30 +2132,26 @@ impl MultiGpuEnterprise {
                 .collect()
         } else {
             for (d, part) in self.retired.iter().rev() {
-                slices[*d] = (part.owned.clone(), part.owned.clone());
+                slices[*d] = (part.state.td_range.clone(), part.state.bu_range.clone());
             }
             Vec::new()
         };
+        let (r, c) = self.config.shape.grid().unwrap_or((1, p));
         let layout = LayoutSnapshot {
-            kind: DriverKind::OneD,
+            kind: self.kind(),
             fingerprint: *fp,
             hub_tau: self.tau,
             total_hubs: self.parts[0].state.total_hubs,
-            grid: (1, self.parts.len() as u32),
-            collapsed: false,
+            grid: (r as u32, c as u32),
+            collapsed: self.collapsed,
             slices,
             evicted,
         };
-        // Evicted entries are stale; only the live boundaries must tile.
-        let alive_slices: Vec<_> = layout
-            .slices
-            .iter()
-            .enumerate()
-            .filter(|(d, _)| self.multi.is_alive(*d))
-            .map(|(_, s)| s.clone())
-            .collect();
+        let n = self.csr.vertex_count();
+        let fits =
+            Self::layout_fits(self.config.shape, self.tau, n, &layout, |d| self.multi.is_alive(d));
         let store = self.store.as_mut().expect("checked above");
-        if slices_tile_1d(&alive_slices, self.vertex_count) {
+        if fits {
             match layout.save(store) {
                 Ok(()) => recovery.snapshots_persisted += 1,
                 Err(e) => recovery.snapshot_errors.push(e),
@@ -1628,7 +2169,7 @@ impl MultiGpuEnterprise {
     }
 
     /// This level's telemetry for the imbalance detector: each alive
-    /// device's accumulated busy time against its slice length.
+    /// device's accumulated busy time against its top-down range length.
     fn level_timings(&self) -> Vec<DeviceTiming> {
         self.multi
             .alive_ids()
@@ -1636,7 +2177,7 @@ impl MultiGpuEnterprise {
             .map(|d| DeviceTiming {
                 device: d,
                 busy_ms: self.level_busy[d],
-                work_items: self.parts[d].owned.len() as u64,
+                work_items: self.parts[d].state.td_range.len() as u64,
             })
             .collect()
     }
@@ -1660,163 +2201,109 @@ impl MultiGpuEnterprise {
     }
 
     /// Accumulates each device's execution-clock advance since `mark`
-    /// into the level telemetry.
+    /// into the level telemetry. Must be called *before* the next barrier
+    /// so wait time is not attributed to fast devices.
     fn add_level_busy(&mut self, mark: &[f64]) {
         for (d, m) in mark.iter().enumerate().take(self.parts.len()) {
             self.level_busy[d] += self.multi.device_ref(d).exec_elapsed_ms() - m;
         }
     }
 
-    /// Shifts the 1-D partition boundaries so slice lengths are
-    /// proportional to `weights` (one entry per alive device), splicing
-    /// the current traversal state onto the new layout with the same
-    /// machinery that absorbs a device loss:
-    ///
-    /// - the merged status array (identical on every alive device after
-    ///   the level merge, or after a checkpoint restore) is re-uploaded
-    ///   as-is;
-    /// - each device keeps its *own* parent array — it stays alive, so
-    ///   its discoveries remain gatherable;
-    /// - frontier queues are rebuilt host-side for `rebuild_level` over
-    ///   each device's new slice.
-    ///
-    /// Only the vertices that change owners are charged to the
-    /// interconnect ([`RecoveryReport::rebalance_ms`]). Unlike an
-    /// eviction splice (undone at the next run's start, because device
-    /// loss is per-run), the shifted boundaries *persist* across runs of
-    /// this instance: a straggler is a property of the device, so one
-    /// boundary move amortizes over every following search of a
-    /// multi-source workload — which is where the TEPS recovery comes
-    /// from, since moving CSR over the interconnect costs more than
-    /// traversing it once on-device.
-    fn rebalance_1d(
-        &mut self,
-        weights: &[(usize, f64)],
-        rebuild_level: u32,
-        dir: Direction,
-        recovery: &mut RecoveryReport,
-    ) -> Result<(), BfsError> {
-        if weights.len() < 2 {
-            return Ok(());
+    /// End-of-level SDC verification on the merged global view (first
+    /// alive device's post-merge status, first-wins parent gather). On a
+    /// finding, localized repair restores from the merged checkpoint view
+    /// and, if the re-check is clean, uploads the healed arrays to
+    /// **every** alive device and rebuilds each device's queues host-side
+    /// against its own partition view.
+    fn verify_level(&mut self, ckpt: &MultiCheckpoint, walk: &mut Walk) -> Verdict {
+        let (level, dir) = (walk.level, walk.vars.dir);
+        let n = self.csr.vertex_count();
+        let alive = self.multi.alive_ids();
+        let d0 = alive[0];
+        let mut status =
+            self.multi.device_ref(d0).mem_ref().view(self.parts[d0].state.status).to_vec();
+        let mut parent = vec![NO_PARENT; n];
+        for &d in &alive {
+            let p = self.multi.device_ref(d).mem_ref().view(self.parts[d].state.parent);
+            repartition::merge_parents(&mut parent, p);
         }
-        let n = self.vertex_count;
-        // Slices are assigned in current boundary order so every device
-        // keeps a contiguous range and the ranges keep tiling [0, n).
-        let mut order: Vec<(usize, f64)> = weights.to_vec();
-        order.sort_by_key(|&(d, _)| self.parts[d].owned.start);
-        let w: Vec<f64> = order.iter().map(|&(_, w)| w).collect();
-        let slices = if self.config.rebalance.edge_balanced {
-            repartition::weighted_slices_by_degree(&self.out_degrees, &w)
-        } else {
-            rebalance::weighted_slices(n, &w)
-        };
-
-        // Any alive device's status is the merged global view.
-        let d0 = self.multi.alive_ids()[0];
-        let status = self.multi.device_ref(d0).mem_ref().view(self.parts[d0].state.status).to_vec();
-
-        // Interconnect charge: only the vertices that change owners move,
-        // priced as compacted CSR deltas (adjacency plus narrow offsets).
-        let mut moved = 0u64;
-        for (&(d, _), new_range) in order.iter().zip(&slices) {
-            let old = &self.parts[d].owned;
-            if new_range.start < old.start {
-                let gained = new_range.start..old.start.min(new_range.end);
-                moved += repartition::delta_words(&self.csr, &gained);
-            }
-            if new_range.end > old.end {
-                let gained = old.end.max(new_range.start)..new_range.end;
-                moved += repartition::delta_words(&self.csr, &gained);
-            }
+        let flagged = check_level(&self.csr, &status, &parent, walk.source, level);
+        if flagged.is_empty() {
+            return Verdict::Clean;
         }
-
-        let mut moved_any = false;
-        for (&(d, _), new_range) in order.iter().zip(&slices) {
-            if self.parts[d].owned == *new_range {
-                continue;
+        walk.recovery.sdc_detected += flagged.len() as u64;
+        if self.config.verify.repair {
+            // Merged checkpoint view, trusted because verification ran
+            // before the checkpoint was taken.
+            let ckpt_status = &ckpt.devices[d0].status;
+            let mut ckpt_parent = vec![NO_PARENT; n];
+            for &d in &alive {
+                repartition::merge_parents(&mut ckpt_parent, &ckpt.devices[d].parent);
             }
-            moved_any = true;
-            let view = repartition::build_1d(&self.csr, new_range);
-            let device = self.multi.device(d);
-            let graph = DeviceGraph::try_upload_parts(
-                device,
-                self.csr.vertex_count(),
-                self.csr.edge_count(),
-                self.csr.is_directed(),
-                &view.out_offsets,
-                &view.out_targets,
-                &view.in_offsets,
-                &view.in_sources,
-            )?;
-            let mut state = BfsState::try_new_partitioned2(
-                device,
-                &graph,
-                self.config.thresholds,
-                self.config.hub_cache_entries,
-                self.tau,
-                new_range.clone(),
-                new_range.clone(),
-            )?;
-            // T_h is a global graph property, unchanged by rebalancing.
-            state.total_hubs = self.parts[d].state.total_hubs;
-            let parent = self.multi.device_ref(d).mem_ref().view(self.parts[d].state.parent).to_vec();
-            let rebuilt = repartition::rebuild_queues(
-                &status,
-                dir,
-                rebuild_level,
-                new_range,
-                new_range,
-                &view.out_offsets,
-                &view.in_offsets,
-                &self.config.thresholds,
+            repair_vertices(
+                &self.csr,
+                &mut status,
+                &mut parent,
+                ckpt_status,
+                &ckpt_parent,
+                &flagged,
+                level,
             );
-            let mem = self.multi.device(d).mem();
-            mem.upload(state.status, &status);
-            mem.upload(state.parent, &parent);
-            for (buf, q) in state.queues.iter().zip(&rebuilt.queues) {
-                let mut padded = q.clone();
-                padded.resize(n, 0);
-                mem.upload(*buf, &padded);
-            }
-            state.queue_sizes = rebuilt.sizes;
-            // Dropped, not retired: the new boundaries outlive this run.
-            let _old = std::mem::replace(
-                &mut self.parts[d],
-                PerDevice { graph, state, owned: new_range.clone() },
-            );
-        }
-        if moved_any {
-            self.fleet_epoch += 1;
-        }
-        let span_ms = repartition::repartition_cost_ms(&self.config.interconnect, moved, n);
-        self.multi.advance_all(span_ms);
-        recovery.rebalance_ms += span_ms;
-        Ok(())
-    }
-
-    /// Verifier handles for every alive device (1-D: both scan ranges
-    /// are the owned slice).
-    fn verify_infos(&self) -> Vec<DeviceVerifyInfo> {
-        self.multi
-            .alive_ids()
-            .into_iter()
-            .map(|d| {
-                let part = &self.parts[d];
-                DeviceVerifyInfo {
-                    device: d,
-                    status: part.state.status,
-                    parent: part.state.parent,
-                    queues: part.state.queues,
-                    td_range: part.state.td_range.clone(),
-                    bu_range: part.state.bu_range.clone(),
+            if check_level(&self.csr, &status, &parent, walk.source, level).is_empty() {
+                walk.recovery.sdc_repaired += flagged.len() as u64;
+                // Uploading the healed parents everywhere is safe:
+                // unvisited vertices stay NO_PARENT on every device, and
+                // expansion only writes parents of *newly* discovered
+                // vertices.
+                for &d in &alive {
+                    let ext = self.parts[d].extent();
+                    let view = ext.arrays(&self.csr);
+                    let rebuilt = repartition::rebuild_queues(
+                        &status,
+                        dir,
+                        level + 1,
+                        &ext.td,
+                        &ext.bu,
+                        &view.out_offsets,
+                        &view.in_offsets,
+                        &self.config.thresholds,
+                    );
+                    let state = &mut self.parts[d].state;
+                    let mem = self.multi.device(d).mem();
+                    mem.upload(state.status, &status);
+                    mem.upload(state.parent, &parent);
+                    for (buf, q) in state.queues.iter().zip(&rebuilt.queues) {
+                        let mut padded = q.clone();
+                        padded.resize(n, 0);
+                        mem.upload(*buf, &padded);
+                    }
+                    state.queue_sizes = rebuilt.sizes;
                 }
-            })
-            .collect()
+                // Termination recomputed from the healed status alone
+                // (grid queue totals may count a vertex once per block
+                // row, but they are zero exactly when these global counts
+                // say so).
+                let newly = status.iter().filter(|&&s| s == level + 1).count();
+                let unvisited = status.iter().filter(|&&s| s == UNVISITED).count();
+                let done = match dir {
+                    Direction::TopDown => newly == 0,
+                    Direction::BottomUp => newly == 0 || unvisited == 0,
+                };
+                return Verdict::Repaired { done };
+            }
+        }
+        Verdict::Corrupt(ValidationError::SilentCorruption {
+            vertex: flagged[0],
+            detail: format!(
+                "{} vertices failed end-of-level invariants at level {level}",
+                flagged.len()
+            ),
+        })
     }
 
-    /// Snapshots every device's traversal state plus the host loop
+    /// Snapshots every device's traversal state plus `walk`'s loop
     /// variables.
-    fn checkpoint(&self, vars: &MultiLoopVars, trace_len: usize) -> MultiCheckpoint {
+    fn checkpoint(&self, walk: &Walk) -> MultiCheckpoint {
         let devices = self
             .parts
             .iter()
@@ -1826,29 +2313,19 @@ impl MultiGpuEnterprise {
                 DeviceSnapshot {
                     status: mem.view(part.state.status).to_vec(),
                     parent: mem.view(part.state.parent).to_vec(),
-                    queues: [
-                        mem.view(part.state.queues[0]).to_vec(),
-                        mem.view(part.state.queues[1]).to_vec(),
-                        mem.view(part.state.queues[2]).to_vec(),
-                        mem.view(part.state.queues[3]).to_vec(),
-                    ],
+                    queues: part.state.queues.map(|q| mem.view(q).to_vec()),
                     queue_sizes: part.state.queue_sizes,
                 }
             })
             .collect();
-        MultiCheckpoint { devices, vars: vars.clone(), trace_len }
+        MultiCheckpoint { devices, vars: walk.vars.clone(), trace_len: walk.trace.len() }
     }
 
     /// Rolls every surviving device back to `ckpt` (a lost device's
     /// buffers are never read again, so it is skipped). Simulated time is
     /// not rolled back: faulted work costs wall-clock, as a real relaunch
     /// would.
-    fn restore(
-        &mut self,
-        ckpt: &MultiCheckpoint,
-        vars: &mut MultiLoopVars,
-        trace: &mut Vec<LevelRecord>,
-    ) {
+    fn restore(&mut self, ckpt: &MultiCheckpoint, walk: &mut Walk) {
         for ((d, part), snap) in self.parts.iter_mut().enumerate().zip(&ckpt.devices) {
             if !self.multi.is_alive(d) {
                 continue;
@@ -1861,169 +2338,66 @@ impl MultiGpuEnterprise {
             }
             part.state.queue_sizes = snap.queue_sizes;
         }
-        *vars = ckpt.vars.clone();
-        trace.truncate(ckpt.trace_len);
+        walk.vars = ckpt.vars.clone();
+        walk.trace.truncate(ckpt.trace_len);
     }
 
     /// Frontier total over surviving devices.
     fn alive_frontier(&self) -> usize {
-        self.parts
-            .iter()
-            .enumerate()
-            .filter(|(d, _)| self.multi.is_alive(*d))
-            .map(|(_, p)| p.state.total_frontier())
-            .sum()
-    }
-
-    /// Evicts `lost` and splices its 1-D slice onto the surviving device
-    /// with the adjacent owned range: the survivors roll back to the
-    /// level checkpoint, the recipient re-uploads the merged CSR view and
-    /// receives the lost device's checkpointed parents plus host-rebuilt
-    /// frontier queues, and the caller replays the level on `N - 1` GPUs.
-    /// Fails with [`BfsError::AllDevicesLost`] when the eviction budget
-    /// ([`RecoveryPolicy::min_surviving_devices`]) is exhausted.
-    fn handle_loss(
-        &mut self,
-        lost: usize,
-        level: u32,
-        ckpt: &MultiCheckpoint,
-        vars: &mut MultiLoopVars,
-        trace: &mut Vec<LevelRecord>,
-        recovery: &mut RecoveryReport,
-    ) -> Result<(), BfsError> {
-        let min_survivors = self.config.recovery.min_surviving_devices.max(1);
-        if self.multi.alive_count() <= min_survivors {
-            return Err(BfsError::AllDevicesLost {
-                level,
-                lost: recovery.devices_lost.len() as u32 + 1,
-            });
-        }
-        self.multi.evict(lost);
-        self.restore(ckpt, vars, trace);
-
-        let lost_range = self.parts[lost].owned.clone();
-        let alive: Vec<(usize, std::ops::Range<usize>)> = self
-            .multi
-            .alive_ids()
-            .into_iter()
-            .map(|d| (d, self.parts[d].owned.clone()))
-            .collect();
-        let recipient = repartition::choose_recipient_1d(&alive, &lost_range)
-            .expect("1-D owned ranges tile the vertex range, so a neighbor survives");
-        let merged = repartition::union_range(&self.parts[recipient].owned, &lost_range);
-
-        // Charge the simulated cost of moving the lost slice's CSR view
-        // to the recipient (plus one status bitmap) to every survivor.
-        let lost_view = repartition::build_1d(&self.csr, &lost_range);
-        let span_ms = repartition::repartition_cost_ms(
-            &self.config.interconnect,
-            lost_view.moved_words(),
-            self.vertex_count,
-        );
-        self.multi.advance_all(span_ms);
-        recovery.repartition_ms += span_ms;
-
-        let view = repartition::build_1d(&self.csr, &merged);
-        let device = self.multi.device(recipient);
-        let graph = DeviceGraph::try_upload_parts(
-            device,
-            self.csr.vertex_count(),
-            self.csr.edge_count(),
-            self.csr.is_directed(),
-            &view.out_offsets,
-            &view.out_targets,
-            &view.in_offsets,
-            &view.in_sources,
-        )?;
-        let mut state = BfsState::try_new_partitioned2(
-            device,
-            &graph,
-            self.config.thresholds,
-            self.config.hub_cache_entries,
-            self.tau,
-            merged.clone(),
-            merged.clone(),
-        )?;
-        // T_h is a global graph property, unchanged by repartitioning.
-        state.total_hubs = self.parts[recipient].state.total_hubs;
-
-        // Splice: the recipient's checkpointed status already equals the
-        // merged global view; parents it never discovered come from the
-        // lost device's checkpoint snapshot.
-        let status = ckpt.devices[recipient].status.clone();
-        let mut parent = ckpt.devices[recipient].parent.clone();
-        repartition::merge_parents(&mut parent, &ckpt.devices[lost].parent);
-        let rebuilt = repartition::rebuild_queues(
-            &status,
-            vars.dir,
-            level,
-            &merged,
-            &merged,
-            &view.out_offsets,
-            &view.in_offsets,
-            &self.config.thresholds,
-        );
-        let n = self.vertex_count;
-        let mem = self.multi.device(recipient).mem();
-        mem.upload(state.status, &status);
-        mem.upload(state.parent, &parent);
-        for (buf, q) in state.queues.iter().zip(&rebuilt.queues) {
-            let mut padded = q.clone();
-            padded.resize(n, 0);
-            mem.upload(*buf, &padded);
-        }
-        state.queue_sizes = rebuilt.sizes;
-
-        let old = std::mem::replace(
-            &mut self.parts[recipient],
-            PerDevice { graph, state, owned: merged },
-        );
-        self.retired.push((recipient, old));
-        recovery.devices_lost.push(lost);
-        recovery.levels_replayed += 1;
-        self.fleet_epoch += 1;
-        Ok(())
+        self.multi.alive_ids().into_iter().map(|d| self.parts[d].state.total_frontier()).sum()
     }
 
     /// Host CPU baseline, the recovery ladder's last rung: a correct
-    /// traversal carrying the simulated time and faults already spent,
-    /// recorded via [`RecoveryReport::cpu_fallback`].
-    fn cpu_fallback(&mut self, source: VertexId) -> MultiBfsResult {
-        cpu_fallback_result(
-            &self.csr,
-            &self.out_degrees,
-            source,
-            self.multi.elapsed_ms(),
-            self.multi.transferred_bytes(),
-            self.multi.fault_stats(),
-        )
+    /// traversal carrying the simulated time, interconnect bytes and
+    /// faults already spent, recorded via
+    /// [`RecoveryReport::cpu_fallback`].
+    fn cpu_fallback(&self, source: VertexId) -> MultiBfsResult {
+        let csr = &self.csr;
+        let n = csr.vertex_count();
+        let mut levels: Vec<Option<u32>> = vec![None; n];
+        let mut parents: Vec<Option<VertexId>> = vec![None; n];
+        levels[source as usize] = Some(0);
+        parents[source as usize] = Some(source);
+        let mut queue = std::collections::VecDeque::new();
+        queue.push_back(source);
+        while let Some(v) = queue.pop_front() {
+            let next = levels[v as usize].expect("queued vertex has a level") + 1;
+            for &w in csr.out_neighbors(v) {
+                if levels[w as usize].is_none() {
+                    levels[w as usize] = Some(next);
+                    parents[w as usize] = Some(v);
+                    queue.push_back(w);
+                }
+            }
+        }
+        let recovery = RecoveryReport {
+            cpu_fallback: true,
+            faults: self.multi.fault_stats(),
+            ..RecoveryReport::default()
+        };
+        MultiBfsResult {
+            teps: 0.0,
+            ..self.summarize(source, levels, parents, Vec::new(), recovery)
+        }
     }
 
-    /// One global level: private expansion, bitmap exchange + merge,
+    /// One global level: private expansion, discovery exchange + merge,
     /// private queue generation, direction decision, trace record.
     /// Returns `Ok(true)` when the search has terminated.
-    fn level_pass(
-        &mut self,
-        level: u32,
-        vars: &mut MultiLoopVars,
-        trace: &mut Vec<LevelRecord>,
-        recovery: &mut RecoveryReport,
-    ) -> Result<bool, BfsError> {
-        let n = self.vertex_count;
+    fn level_pass(&mut self, walk: &mut Walk) -> Result<bool, BfsError> {
+        let n = self.csr.vertex_count();
         let hc = self.config.hub_cache;
         let policy = self.config.policy;
         let total_hubs = self.parts[0].state.total_hubs;
-        let dir = vars.dir;
+        let (level, dir) = (walk.level, walk.vars.dir);
 
         // (1) Private expansion (survivors only). Expansion time follows
-        // the frontier, which wanders between slices level to level, so
-        // it is deliberately *not* part of the straggler telemetry — the
-        // slice-proportional queue-generation phase below is.
+        // the frontier, which wanders between partitions level to level,
+        // so it is deliberately *not* part of the straggler telemetry —
+        // the range-proportional queue-generation phase below is.
         let t0 = self.multi.elapsed_ms();
-        for (d, part) in self.parts.iter().enumerate() {
-            if !self.multi.is_alive(d) {
-                continue;
-            }
+        for d in self.multi.alive_ids() {
+            let part = &self.parts[d];
             try_expand_level(
                 self.multi.device(d),
                 &part.graph,
@@ -2031,99 +2405,54 @@ impl MultiGpuEnterprise {
                 level,
                 dir,
                 true,
-                hc && vars.cache_filled,
+                hc && walk.vars.cache_filled,
             )?;
         }
-        // (2) Bitmap exchange + host-side union merge of the newly
+        // (2) Discovery exchange + host-side union merge of the newly
         // visited level.
-        self.merge_level(level, level + 1, recovery)?;
+        self.exchange(level, &mut walk.recovery)?;
+        let merged = self.merge_level(level + 1);
         let expand_ms = self.multi.elapsed_ms() - t0;
 
-        // (3) Private queue generation over owned ranges. The
-        // execution-clock delta around this phase is the straggler
-        // telemetry: the scan is O(owned slice) with identical per-vertex
-        // cost on every healthy device, so the per-item busy ratio is a
-        // direct read of relative device speed.
+        // (3) Private queue generation over each device's scan ranges.
+        // The execution-clock delta around this phase is the straggler
+        // telemetry: the scan is O(range) with identical per-vertex cost
+        // on every healthy device, so the per-item busy ratio is a direct
+        // read of relative device speed.
         let t1 = self.multi.elapsed_ms();
         self.level_busy.iter_mut().for_each(|b| *b = 0.0);
-        let gen_mark = self.device_clocks();
-        let prev_total: usize = self.alive_frontier();
-        let mut hub_frontiers = 0u64;
-        let mut sizes = [0usize; 4];
-        let mut fills = 0usize;
-        for (d, part) in self.parts.iter_mut().enumerate() {
-            if !self.multi.is_alive(d) {
-                continue;
-            }
-            let wf = match dir {
-                Direction::TopDown => GenWorkflow::TopDown { frontier_level: level + 1 },
-                Direction::BottomUp => GenWorkflow::Filter { newly_level: level + 1 },
-            };
-            let r = try_generate_queues(
-                self.multi.device(d),
-                &part.graph,
-                &mut part.state,
-                wf,
-                hc && dir == Direction::BottomUp,
-            )?;
-            hub_frontiers += r.hub_frontiers;
-            fills += r.hub_fills;
-            for (size, part_size) in sizes.iter_mut().zip(r.sizes) {
-                *size += part_size;
-            }
-        }
-        self.add_level_busy(&gen_mark);
-        self.multi.barrier();
-
-        let total: usize = sizes.iter().sum();
-        let newly = match dir {
-            Direction::TopDown => total,
-            // Saturating: a bit-flip campaign can corrupt the device
-            // counts behind these totals; accounting must not panic.
-            Direction::BottomUp => prev_total.saturating_sub(total),
+        let prev_total = self.alive_frontier();
+        let wf = match dir {
+            Direction::TopDown => GenWorkflow::TopDown { frontier_level: level + 1 },
+            Direction::BottomUp => GenWorkflow::Filter { newly_level: level + 1 },
         };
+        let (mut sizes, hub_frontiers, mut fills) =
+            self.generate(wf, hc && dir == Direction::BottomUp)?;
+        let total: usize = sizes.iter().sum();
+        let newly = self.newly_visited(dir, prev_total, total, merged);
         let gamma_pct = crate::direction::gamma_pct(hub_frontiers, total_hubs);
 
         let mut next_dir = dir;
         if dir == Direction::TopDown {
             let signals = SwitchSignals {
                 gamma_pct,
-                frontier_vertices: total,
+                frontier_vertices: newly,
                 total_vertices: n,
                 ..Default::default()
             };
-            if policy.evaluate_topdown(&signals, vars.switched_at.is_some())
+            if policy.evaluate_topdown(&signals, walk.vars.switched_at.is_some())
                 == SwitchDecision::ToBottomUp
             {
-                vars.switched_at = Some(level + 1);
+                walk.vars.switched_at = Some(level + 1);
                 next_dir = Direction::BottomUp;
-                sizes = [0; 4];
-                fills = 0;
-                let switch_mark = self.device_clocks();
-                for (d, part) in self.parts.iter_mut().enumerate() {
-                    if !self.multi.is_alive(d) {
-                        continue;
-                    }
-                    let r = try_generate_queues(
-                        self.multi.device(d),
-                        &part.graph,
-                        &mut part.state,
-                        GenWorkflow::Switch { newly_level: level + 1 },
-                        hc,
-                    )?;
-                    fills += r.hub_fills;
-                    for (size, part_size) in sizes.iter_mut().zip(r.sizes) {
-                        *size += part_size;
-                    }
-                }
-                self.add_level_busy(&switch_mark);
-                self.multi.barrier();
+                (sizes, _, fills) =
+                    self.generate(GenWorkflow::Switch { newly_level: level + 1 }, hc)?;
             }
         }
         let queue_gen_ms = self.multi.elapsed_ms() - t1;
-        vars.cache_filled = fills > 0;
+        walk.vars.cache_filled = fills > 0;
 
-        trace.push(LevelRecord {
+        walk.trace.push(LevelRecord {
             level,
             direction: next_dir.label(),
             sizes,
@@ -2139,117 +2468,102 @@ impl MultiGpuEnterprise {
             Direction::TopDown => total_next == 0,
             Direction::BottomUp => newly == 0 || total_next == 0,
         };
-        vars.dir = next_dir;
+        walk.vars.dir = next_dir;
         Ok(done)
     }
 
-    /// Step (2): every device broadcasts its just-visited bitmap; the
-    /// union is merged into every private status array. The transfer cost
-    /// is `ballot_compressed_bytes(n)` per device (§4.4's 90% reduction).
-    ///
-    /// Under fault injection the broadcast carries a checksum: a dropped
-    /// exchange (detected by timeout) or a corrupted one (detected by
-    /// checksum mismatch on the received copy) is retried with
-    /// exponential backoff, bounded by
-    /// [`RecoveryPolicy::max_exchange_retries`]. With the routing ladder
-    /// armed ([`MultiGpuConfig::route`]), dead links additionally climb
-    /// probe → relay → host bounce (see [`crate::route`]).
-    fn merge_level(
+    /// Runs one queue-generation workflow on every survivor, adding the
+    /// phase to the straggler telemetry, then barriers. Returns the
+    /// summed class sizes, hub frontiers and hub-cache fills.
+    fn generate(
         &mut self,
-        level: u32,
-        newly_level: u32,
-        recovery: &mut RecoveryReport,
-    ) -> Result<(), BfsError> {
-        let n = self.vertex_count;
-        if self.multi.alive_count() > 1 {
-            if self.config.faults.is_none() {
-                // Fault-free substrate: the plain exchange, bit-identical
-                // in time and counters to the pre-fault-plane driver.
-                self.multi.exchange(ballot_compressed_bytes(n));
-            } else {
-                // Model the wire payload: the union bitmap of newly
-                // visited vertices, with a Fletcher checksum appended.
-                let mut bitmap = vec![0u8; ballot_compressed_bytes(n) as usize];
-                for (d, part) in self.parts.iter().enumerate() {
-                    if !self.multi.is_alive(d) {
-                        continue;
-                    }
-                    let status = self.multi.device_ref(d).mem_ref().view(part.state.status);
-                    for (v, &s) in status.iter().enumerate() {
-                        if s == newly_level {
-                            bitmap[v / 8] |= 1 << (v % 8);
-                        }
-                    }
-                }
-                crate::route::exchange_routed(
-                    &mut self.multi,
-                    &bitmap,
-                    &self.config.recovery,
-                    &self.config.route,
-                    level,
-                    recovery,
-                    &mut self.link_verdicts,
-                    |m| m.exchange_with_faults(ballot_compressed_bytes(n)),
-                )?;
+        wf: GenWorkflow,
+        hub_cache: bool,
+    ) -> Result<([usize; 4], u64, usize), BfsError> {
+        let mark = self.device_clocks();
+        let mut sizes = [0usize; 4];
+        let (mut hub_frontiers, mut fills) = (0u64, 0usize);
+        for d in self.multi.alive_ids() {
+            let part = &mut self.parts[d];
+            let r = try_generate_queues(
+                self.multi.device(d),
+                &part.graph,
+                &mut part.state,
+                wf,
+                hub_cache,
+            )?;
+            hub_frontiers += r.hub_frontiers;
+            fills += r.hub_fills;
+            for (size, part_size) in sizes.iter_mut().zip(r.sizes) {
+                *size += part_size;
             }
         }
-        // Host-side union of the newly-visited bits (models each device
-        // OR-ing the received bitmaps into its status array).
+        self.add_level_busy(&mark);
+        self.multi.barrier();
+        Ok((sizes, hub_frontiers, fills))
+    }
+
+    /// Host-side union of the level's discoveries (models each device
+    /// OR-ing the exchanged bitmaps into its status array); returns how
+    /// many vertices were newly visited.
+    fn merge_level(&mut self, newly_level: u32) -> usize {
+        let n = self.csr.vertex_count();
+        let alive = self.multi.alive_ids();
         let mut newly = vec![false; n];
-        for (d, part) in self.parts.iter().enumerate() {
-            if !self.multi.is_alive(d) {
-                continue;
-            }
-            let status = self.multi.device_ref(d).mem_ref().view(part.state.status);
+        for &d in &alive {
+            let status = self.multi.device_ref(d).mem_ref().view(self.parts[d].state.status);
             for (v, &s) in status.iter().enumerate() {
                 if s == newly_level {
                     newly[v] = true;
                 }
             }
         }
-        for (d, part) in self.parts.iter().enumerate() {
-            if !self.multi.is_alive(d) {
-                continue;
-            }
-            let state_status = part.state.status;
+        for &d in &alive {
+            let buf = self.parts[d].state.status;
             let device = self.multi.device(d);
             for (v, &is_new) in newly.iter().enumerate() {
-                if is_new && device.mem_ref().get(state_status, v) == UNVISITED {
-                    device.mem().set(state_status, v, newly_level);
+                if is_new && device.mem_ref().get(buf, v) == UNVISITED {
+                    device.mem().set(buf, v, newly_level);
                 }
             }
         }
-        Ok(())
+        newly.iter().filter(|&&b| b).count()
     }
 
-    fn collect(
-        &mut self,
-        source: VertexId,
-        switched_at: Option<u32>,
-        trace: Vec<LevelRecord>,
-        recovery: RecoveryReport,
-    ) -> MultiBfsResult {
-        let n = self.vertex_count;
-        // Any surviving device's status works post-merge; a lost device's
-        // buffers are stale (they missed the post-loss rollback).
-        let d0 = self.multi.alive_ids()[0];
-        let status = self.multi.device_ref(d0).mem_ref().view(self.parts[d0].state.status).to_vec();
-        let levels = levels_from_raw(&status);
-        // Gather parents: prefer the first surviving device with a
-        // recorded parent (a lost device's discoveries were spliced into
-        // its recipient at eviction time).
+    /// Gathers the finished traversal: levels from any survivor's merged
+    /// status (a lost device's buffers are stale — they missed the
+    /// post-loss rollback), parents from the first survivor that recorded
+    /// one (a lost device's discoveries were spliced into a recipient).
+    fn collect(&self, walk: Walk) -> MultiBfsResult {
+        let n = self.csr.vertex_count();
+        let alive = self.multi.alive_ids();
+        let status =
+            self.multi.device_ref(alive[0]).mem_ref().view(self.parts[alive[0]].state.status);
+        let levels = levels_from_raw(status);
         let mut parents: Vec<Option<VertexId>> = vec![None; n];
-        for (d, part) in self.parts.iter().enumerate() {
-            if !self.multi.is_alive(d) {
-                continue;
-            }
-            let p = self.multi.device_ref(d).mem_ref().view(part.state.parent);
+        for &d in &alive {
+            let p = self.multi.device_ref(d).mem_ref().view(self.parts[d].state.parent);
             for v in 0..n {
                 if parents[v].is_none() && p[v] != NO_PARENT {
                     parents[v] = Some(p[v]);
                 }
             }
         }
+        let mut result = self.summarize(walk.source, levels, parents, walk.trace, walk.recovery);
+        result.switched_at = walk.vars.switched_at;
+        result
+    }
+
+    /// Packages levels and parents with the fleet clock, wire bytes and
+    /// derived counts.
+    fn summarize(
+        &self,
+        source: VertexId,
+        levels: Vec<Option<u32>>,
+        parents: Vec<Option<VertexId>>,
+        level_trace: Vec<LevelRecord>,
+        recovery: RecoveryReport,
+    ) -> MultiBfsResult {
         let visited = levels.iter().filter(|l| l.is_some()).count();
         let traversed_edges: u64 = levels
             .iter()
@@ -2269,9 +2583,9 @@ impl MultiGpuEnterprise {
             time_ms,
             teps,
             depth,
-            switched_at,
+            switched_at: None,
             communication_bytes: self.multi.transferred_bytes(),
-            level_trace: trace,
+            level_trace,
             recovery,
         }
     }
@@ -2279,8 +2593,8 @@ impl MultiGpuEnterprise {
     /// Swaps a lane's per-device states onto the fleet (and back — the
     /// operation is its own inverse). Devices dead at the lane's
     /// admission hold `None` and keep the fleet's resident state.
-    fn swap_lane_states(&mut self, lane: &mut MultiLane) {
-        for (part, st) in self.parts.iter_mut().zip(&mut lane.states) {
+    fn swap_lane_states(&mut self, states: &mut [Option<BfsState>]) {
+        for (part, st) in self.parts.iter_mut().zip(states) {
             if let Some(st) = st.as_mut() {
                 std::mem::swap(&mut part.state, st);
             }
@@ -2291,15 +2605,15 @@ impl MultiGpuEnterprise {
     /// frees device memory, so pooling is how lane buffers get reused;
     /// a pooled state whose scan ranges no longer match the device's
     /// partition is simply never picked up again.
-    fn park_lane_states(&mut self, lane: &mut MultiLane) {
-        if self.lane_pool.len() <= lane.slot {
-            self.lane_pool.resize_with(lane.slot + 1, Vec::new);
+    fn park_lane_states(&mut self, slot: usize, states: &mut [Option<BfsState>]) {
+        if self.lane_pool.len() <= slot {
+            self.lane_pool.resize_with(slot + 1, Vec::new);
         }
-        let pool = &mut self.lane_pool[lane.slot];
-        if pool.len() < lane.states.len() {
-            pool.resize_with(lane.states.len(), || None);
+        let pool = &mut self.lane_pool[slot];
+        if pool.len() < states.len() {
+            pool.resize_with(states.len(), || None);
         }
-        for (d, st) in lane.states.iter_mut().enumerate() {
+        for (d, st) in states.iter_mut().enumerate() {
             if let Some(st) = st.take() {
                 pool[d] = Some(st);
             }
@@ -2307,13 +2621,11 @@ impl MultiGpuEnterprise {
     }
 
     /// Allocates (or reuses pooled) per-device lane state and seeds
-    /// `source` on it: every survivor learns the source, only the owner
-    /// enqueues it — the same initial broadcast as the sequential seed.
-    /// Runs inside the fused window with the lane's slot switched in,
-    /// so allocation and seeding cost lands on the lane's stream.
-    fn lane_open_inner(&mut self, source: VertexId, slot: usize) -> Result<MultiLane, BfsError> {
-        let n = self.vertex_count;
-        assert!((source as usize) < n);
+    /// `source` on it, exactly like the sequential seed. Runs inside the
+    /// fused window with the lane's slot switched in, so allocation and
+    /// seeding cost lands on the lane's stream.
+    fn lane_open_inner(&mut self, source: VertexId, slot: usize) -> Result<FleetLane, BfsError> {
+        assert!((source as usize) < self.csr.vertex_count());
         let p = self.parts.len();
         if self.lane_pool.len() <= slot {
             self.lane_pool.resize_with(slot + 1, Vec::new);
@@ -2329,9 +2641,8 @@ impl MultiGpuEnterprise {
             }
             let td = self.parts[d].state.td_range.clone();
             let bu = self.parts[d].state.bu_range.clone();
-            let pooled = self.lane_pool[slot][d]
-                .take()
-                .filter(|st| st.td_range == td && st.bu_range == bu);
+            let pooled =
+                self.lane_pool[slot][d].take().filter(|st| st.td_range == td && st.bu_range == bu);
             let mut st = match pooled {
                 Some(st) => st,
                 None => BfsState::try_new_labeled(
@@ -2347,282 +2658,25 @@ impl MultiGpuEnterprise {
                 .map_err(BfsError::Device)?,
             };
             st.total_hubs = self.parts[d].state.total_hubs;
-            st.reset(self.multi.device(d));
-            let mem = self.multi.device(d).mem();
-            mem.set(st.status, source as usize, 0);
-            st.queue_sizes = [0; 4];
-            if self.parts[d].owned.contains(&(source as usize)) {
-                mem.set(st.parent, source as usize, source);
-                // Classify by this device's (partitioned) out-degree;
-                // corrupt resident offsets are tolerated here and caught
-                // by the verifier, exactly like the sequential seed.
-                let deg = {
-                    let offs = mem.view(self.parts[d].graph.out_offsets);
-                    offs[source as usize + 1].saturating_sub(offs[source as usize])
-                };
-                let k = st.thresholds.classify(deg).index();
-                mem.set(st.queues[k], 0, source);
-                st.queue_sizes[k] = 1;
-            }
+            seed(self.multi.device(d), &self.parts[d].graph, &mut st, source);
             states.push(Some(st));
         }
-        self.multi.barrier();
-        let mut recovery =
-            RecoveryReport { warm_restart: self.warm_restart, ..RecoveryReport::default() };
-        recovery.snapshot_errors.append(&mut self.persist_errors);
-        Ok(MultiLane {
-            source,
+        self.seed_sync();
+        Ok(FleetLane {
+            walk: self.open_walk(source),
             slot,
             states,
-            vars: MultiLoopVars {
-                dir: Direction::TopDown,
-                switched_at: None,
-                cache_filled: false,
-            },
-            trace: Vec::new(),
-            recovery,
-            level: 0,
-            level_cap: self.config.watchdog.level_cap(n),
-            stall: StallDetector::new(self.config.watchdog.stall_levels),
             bundle: FleetFaultBundle::healthy(p),
         })
     }
-
-    /// One lane BFS level: the body of the sequential `try_bfs_once`
-    /// level loop, minus everything that reshapes the fleet. Device loss,
-    /// link isolation, and straggler overruns are *lane-fatal* — the
-    /// source de-pipelines and the sequential ladder performs the splice
-    /// or rebalance (bumping the fleet epoch, which re-admits sibling
-    /// lanes). Adaptive rebalance and mid-run checkpoint persistence are
-    /// likewise sequential-only. Runs with the lane's states and fault
-    /// bundle swapped onto the fleet.
-    fn lane_level(&mut self, lane: &mut MultiLane) -> Result<bool, BfsError> {
-        if lane.level > lane.level_cap {
-            let frontier = self.alive_frontier();
-            return Err(BfsError::Hang { level: lane.level, frontier, stalled_levels: 0 });
-        }
-        // Link-isolation poll: migration reshapes the fleet under every
-        // sibling lane, so isolation de-pipelines instead of splicing.
-        if self.config.route.enabled {
-            if let Some(isolated) = crate::route::find_isolated(&self.multi) {
-                return Err(BfsError::LinkIsolated { level: lane.level, device: isolated });
-            }
-        }
-        let ckpt = self.checkpoint(&lane.vars, lane.trace.len());
-        let mut attempts: u32 = 0;
-        let done = loop {
-            let t_level = self.multi.elapsed_ms();
-            match self.level_pass(lane.level, &mut lane.vars, &mut lane.trace, &mut lane.recovery)
-            {
-                Ok(done) => {
-                    // Level deadline: replay an overrun, then surface a
-                    // typed deadline error (→ de-pipeline, where the
-                    // hedge policy sees the overrun factor).
-                    if let Some(budget_ms) = self.config.watchdog.level_deadline_ms {
-                        let elapsed_ms = self.multi.elapsed_ms() - t_level;
-                        if elapsed_ms > budget_ms {
-                            attempts += 1;
-                            if attempts > self.config.recovery.max_level_retries {
-                                return Err(BfsError::Deadline {
-                                    level: lane.level,
-                                    attempts,
-                                    elapsed_ms,
-                                    budget_ms,
-                                });
-                            }
-                            lane.recovery.levels_replayed += 1;
-                            self.restore(&ckpt, &mut lane.vars, &mut lane.trace);
-                            continue;
-                        }
-                    }
-                    // End-of-level SDC gate on the merged global view.
-                    if self.config.verify.end_of_level {
-                        let infos = self.verify_infos();
-                        match verify_merged_level(
-                            &mut self.multi,
-                            &self.csr,
-                            &infos,
-                            &ckpt,
-                            lane.source,
-                            lane.level,
-                            lane.vars.dir,
-                            self.config.verify.repair,
-                            &self.config.thresholds,
-                            view_1d,
-                            &mut lane.recovery,
-                        ) {
-                            MergedVerdict::Clean => {}
-                            MergedVerdict::Repaired { done, sizes } => {
-                                // Lane states are swapped in, so the
-                                // repaired sizes land on the lane.
-                                for (d, s) in sizes {
-                                    self.parts[d].state.queue_sizes = s;
-                                }
-                                break done;
-                            }
-                            MergedVerdict::Corrupt(err) => {
-                                attempts += 1;
-                                if attempts > self.config.recovery.max_level_retries {
-                                    return Err(BfsError::ValidationFailedAfterReplay(err));
-                                }
-                                lane.recovery.levels_replayed += 1;
-                                self.restore(&ckpt, &mut lane.vars, &mut lane.trace);
-                                continue;
-                            }
-                        }
-                    }
-                    break done;
-                }
-                Err(BfsError::Device(e)) => {
-                    // Fleet reshapes — loss splice, forced straggler
-                    // rebalance — are lane-fatal; the de-pipelined
-                    // ladder owns them. Note the straggler path does
-                    // *not* consult the imbalance detector here: its
-                    // streak state belongs to the sequential plane.
-                    if loss_of(&e, &self.multi).is_some() || slow_of(&e, &self.multi).is_some() {
-                        return Err(BfsError::Device(e));
-                    }
-                    // A transient kernel fault that escaped the launch
-                    // retries: roll back and replay the level in-lane.
-                    attempts += 1;
-                    if attempts > self.config.recovery.max_level_retries {
-                        return Err(BfsError::LevelRetriesExhausted {
-                            level: lane.level,
-                            attempts,
-                            last: e,
-                        });
-                    }
-                    lane.recovery.levels_replayed += 1;
-                    self.restore(&ckpt, &mut lane.vars, &mut lane.trace);
-                }
-                // Routed-exchange verdict or exchange-budget exhaustion:
-                // both de-pipeline (the former splices there).
-                Err(other) => return Err(other),
-            }
-        };
-        if done {
-            return Ok(true);
-        }
-        // Injected livelock: device 0's plan is the coordinator draw
-        // (the lane's scoped plan is installed, so the draw is lane-
-        // local); the lane rolls back while its level counter advances.
-        if self.multi.device(0).should_inject_livelock() {
-            self.restore(&ckpt, &mut lane.vars, &mut lane.trace);
-        }
-        if let Some(det) = lane.stall.as_mut() {
-            let frontier = self.alive_frontier();
-            let d0 = self.multi.alive_ids()[0];
-            let visited = self
-                .multi
-                .device_ref(d0)
-                .mem_ref()
-                .view(self.parts[d0].state.status)
-                .iter()
-                .filter(|&&s| s != UNVISITED)
-                .count();
-            if let Some(stalled) = det.observe(visited, frontier) {
-                return Err(BfsError::Hang {
-                    level: lane.level,
-                    frontier,
-                    stalled_levels: stalled,
-                });
-            }
-        }
-        if let Some(every) = self.config.scrub_levels {
-            if every > 0 && (lane.level + 1) % every == 0 {
-                self.multi.scrub_all();
-            }
-        }
-        for d in self.multi.alive_ids() {
-            self.multi.device(d).note_level_end();
-        }
-        self.multi.tick_link_level();
-        lane.level += 1;
-        Ok(false)
-    }
-}
-
-/// Host CPU BFS shared by both multi-GPU drivers as the recovery ladder's
-/// last rung. Carries the simulated time, interconnect bytes, and fault
-/// counters already spent before the fallback was taken.
-pub(crate) fn cpu_fallback_result(
-    csr: &Csr,
-    out_degrees: &[u32],
-    source: VertexId,
-    time_ms: f64,
-    communication_bytes: u64,
-    faults: gpu_sim::FaultStats,
-) -> MultiBfsResult {
-    let n = csr.vertex_count();
-    let mut levels: Vec<Option<u32>> = vec![None; n];
-    let mut parents: Vec<Option<VertexId>> = vec![None; n];
-    levels[source as usize] = Some(0);
-    parents[source as usize] = Some(source);
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(source);
-    let mut depth = 0u32;
-    while let Some(v) = queue.pop_front() {
-        let next = levels[v as usize].expect("queued vertex has a level") + 1;
-        for &w in csr.out_neighbors(v) {
-            if levels[w as usize].is_none() {
-                levels[w as usize] = Some(next);
-                parents[w as usize] = Some(v);
-                depth = depth.max(next);
-                queue.push_back(w);
-            }
-        }
-    }
-    let visited = levels.iter().filter(|l| l.is_some()).count();
-    let traversed_edges: u64 = levels
-        .iter()
-        .zip(out_degrees)
-        .filter(|(l, _)| l.is_some())
-        .map(|(_, &d)| d as u64)
-        .sum();
-    MultiBfsResult {
-        source,
-        levels,
-        parents,
-        visited,
-        traversed_edges,
-        time_ms,
-        teps: 0.0,
-        depth,
-        switched_at: None,
-        communication_bytes,
-        level_trace: Vec::new(),
-        recovery: RecoveryReport { cpu_fallback: true, faults, ..RecoveryReport::default() },
-    }
-}
-
-/// Uploads the 1-D partition of `csr` owned by `owned`: out-adjacency for
-/// owned sources, in-adjacency for owned targets (what bottom-up needs).
-/// The same view builder serves setup and post-eviction repartitioning,
-/// so a merged device's partition-view degrees match what two separate
-/// devices would have seen.
-fn upload_partition(
-    device: &mut gpu_sim::Device,
-    csr: &Csr,
-    owned: std::ops::Range<usize>,
-) -> DeviceGraph {
-    let view = repartition::build_1d(csr, &owned);
-    DeviceGraph::upload_parts(
-        device,
-        csr.vertex_count(),
-        csr.edge_count(),
-        csr.is_directed(),
-        &view.out_offsets,
-        &view.out_targets,
-        &view.in_offsets,
-        &view.in_sources,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multi_gpu_2d::{Grid2DConfig, MultiGpu2DEnterprise};
     use crate::validate::cpu_levels;
-    use enterprise_graph::gen::kronecker;
+    use enterprise_graph::gen::{kronecker, rmat};
 
     #[test]
     fn multi_gpu_matches_oracle_levels() {
@@ -2647,15 +2701,65 @@ mod tests {
         assert_eq!(r.communication_bytes % per_level, 0);
     }
 
+    /// The degenerate shapes — a 1-slice fleet and a 1x1 grid — are the
+    /// single-GPU driver: equal depths and reach on two graph families.
     #[test]
     fn single_gpu_multi_driver_agrees_with_plain_driver() {
-        let g = kronecker(9, 8, 7);
-        let mut multi = MultiGpuEnterprise::new(MultiGpuConfig::k40s(1), &g);
-        let rm = multi.bfs(1);
-        let mut single =
-            crate::Enterprise::new(crate::EnterpriseConfig::default(), &g);
-        let rs = single.bfs(1);
-        assert_eq!(rm.levels, rs.levels);
-        assert_eq!(rm.visited, rs.visited);
+        for g in [kronecker(9, 8, 7), rmat(9, 8, 3)] {
+            let rs = crate::Enterprise::new(crate::EnterpriseConfig::default(), &g).bfs(1);
+            let slice = MultiGpuEnterprise::new(MultiGpuConfig::k40s(1), &g).bfs(1);
+            let grid = MultiGpu2DEnterprise::new(Grid2DConfig::k40s(1, 1), &g).bfs(1);
+            for rm in [slice, grid] {
+                assert_eq!(rm.levels, rs.levels);
+                assert_eq!(rm.visited, rs.visited);
+            }
+        }
+    }
+
+    #[test]
+    fn grid_shapes_match_oracle() {
+        let g = kronecker(9, 8, 5);
+        let oracle = cpu_levels(&g, 3);
+        for (r, c) in [(1, 1), (1, 2), (2, 1), (2, 2), (2, 4), (4, 2)] {
+            let mut sys = MultiGpu2DEnterprise::new(Grid2DConfig::k40s(r, c), &g);
+            let res = sys.bfs(3);
+            assert_eq!(res.levels, oracle, "{r}x{c} grid");
+        }
+    }
+
+    #[test]
+    fn directed_graph_on_grid() {
+        let g = rmat(9, 8, 7);
+        let oracle = cpu_levels(&g, 11);
+        let mut sys = MultiGpu2DEnterprise::new(Grid2DConfig::k40s(2, 2), &g);
+        let res = sys.bfs(11);
+        assert_eq!(res.levels, oracle);
+    }
+
+    #[test]
+    fn two_d_communicates_less_than_one_d() {
+        use crate::multi_gpu::{MultiGpuConfig, MultiGpuEnterprise};
+        let g = kronecker(11, 8, 9);
+        let mut one_d = MultiGpuEnterprise::new(MultiGpuConfig::k40s(8), &g);
+        let r1 = one_d.bfs(0);
+        let mut two_d = MultiGpu2DEnterprise::new(Grid2DConfig::k40s(4, 2), &g);
+        let r2 = two_d.bfs(0);
+        assert_eq!(r1.levels, r2.levels);
+        assert!(
+            r2.communication_bytes * 2 < r1.communication_bytes,
+            "2-D must cut traffic: {} vs {}",
+            r2.communication_bytes,
+            r1.communication_bytes
+        );
+    }
+
+    #[test]
+    fn gamma_switch_still_fires_on_grid() {
+        let g = kronecker(11, 16, 13);
+        let mut sys = MultiGpu2DEnterprise::new(Grid2DConfig::k40s(2, 2), &g);
+        let src = (0..g.vertex_count() as u32).max_by_key(|&v| g.out_degree(v)).unwrap();
+        let res = sys.bfs(src);
+        assert!(res.switched_at.is_some(), "trace: {:?}", res.level_trace);
+        assert_eq!(res.levels, cpu_levels(&g, src));
     }
 }

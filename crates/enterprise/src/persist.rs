@@ -1018,6 +1018,9 @@ impl CheckpointSnapshot {
         })
     }
 
+    /// Write a full keyframe, bypassing the delta writer. Production
+    /// checkpoints go through [`CheckpointWriter`].
+    #[cfg(test)]
     pub(crate) fn save(&self, store: &mut SnapshotStore) -> Result<(), PersistError> {
         store.save(CHECKPOINT_FILE, &self.encode())
     }

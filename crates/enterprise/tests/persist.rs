@@ -13,7 +13,7 @@
 //! - storage-fault rates with persistence disabled, and persistence
 //!   with a cold cache, are both strict no-ops on results and timing.
 
-use enterprise::multi_gpu::{MultiGpuConfig, MultiGpuEnterprise};
+use enterprise::multi_gpu::{Fleet, FleetConfig, MultiGpuConfig, MultiGpuEnterprise, Shape};
 use enterprise::multi_gpu_2d::{Grid2DConfig, MultiGpu2DEnterprise};
 use enterprise::validate::cpu_levels;
 use enterprise::{
@@ -129,55 +129,35 @@ fn kill_and_restart_resumes_bit_identically_single() {
     assert!(!dir.join("checkpoint.snap").exists(), "a finished run retires its checkpoint");
 }
 
-#[test]
-fn kill_and_restart_resumes_bit_identically_one_d() {
+/// Kills a traversal of `base`'s fleet after two levels and restarts it
+/// from the durable checkpoint: the resume lands on level 2 and matches an
+/// uninterrupted run bit for bit.
+fn kill_and_restart<S: Into<Shape> + Clone>(base: FleetConfig<S>, tag: &str) {
     let g = road_grid(16, 16, 0.05, 7);
     let source = 1u32;
-    let reference = MultiGpuEnterprise::new(MultiGpuConfig::k40s(4), &g).bfs(source);
+    let reference = Fleet::new(base.clone(), &g).bfs(source);
 
-    let dir = state_dir("kill-1d");
-    let doomed = MultiGpuConfig {
-        persist: Some(PersistPolicy::with_checkpoints(dir.clone(), 1)),
-        watchdog: doom_after(2),
-        ..MultiGpuConfig::k40s(4)
-    };
-    assert!(MultiGpuEnterprise::new(doomed, &g).try_bfs(source).is_err());
-    assert!(dir.join("checkpoint.snap").exists());
+    let dir = state_dir(&format!("kill-{tag}"));
+    let persist = Some(PersistPolicy::with_checkpoints(dir.clone(), 1));
+    let doomed = FleetConfig { persist: persist.clone(), watchdog: doom_after(2), ..base.clone() };
+    assert!(Fleet::new(doomed, &g).try_bfs(source).is_err(), "{tag}");
+    assert!(dir.join("checkpoint.snap").exists(), "{tag}");
 
-    let cfg = MultiGpuConfig {
-        persist: Some(PersistPolicy::with_checkpoints(dir.clone(), 1)),
-        ..MultiGpuConfig::k40s(4)
-    };
-    let resumed = MultiGpuEnterprise::new(cfg, &g).try_bfs(source).expect("restart must recover");
-    assert_eq!(resumed.recovery.resumed_at_level, Some(2));
-    assert_eq!(resumed.levels, reference.levels);
-    assert_eq!(resumed.parents, reference.parents);
+    let cfg = FleetConfig { persist, ..base };
+    let resumed = Fleet::new(cfg, &g).try_bfs(source).expect("restart must recover");
+    assert_eq!(resumed.recovery.resumed_at_level, Some(2), "{tag}");
+    assert_eq!(resumed.levels, reference.levels, "{tag}");
+    assert_eq!(resumed.parents, reference.parents, "{tag}");
+}
+
+#[test]
+fn kill_and_restart_resumes_bit_identically_one_d() {
+    kill_and_restart(MultiGpuConfig::k40s(4), "1d");
 }
 
 #[test]
 fn kill_and_restart_resumes_bit_identically_two_d() {
-    let g = road_grid(16, 16, 0.05, 7);
-    let source = 1u32;
-    let reference = MultiGpu2DEnterprise::new(Grid2DConfig::k40s(2, 2), &g).bfs(source);
-
-    let dir = state_dir("kill-2d");
-    let doomed = Grid2DConfig {
-        persist: Some(PersistPolicy::with_checkpoints(dir.clone(), 1)),
-        watchdog: doom_after(2),
-        ..Grid2DConfig::k40s(2, 2)
-    };
-    assert!(MultiGpu2DEnterprise::new(doomed, &g).try_bfs(source).is_err());
-    assert!(dir.join("checkpoint.snap").exists());
-
-    let cfg = Grid2DConfig {
-        persist: Some(PersistPolicy::with_checkpoints(dir.clone(), 1)),
-        ..Grid2DConfig::k40s(2, 2)
-    };
-    let resumed =
-        MultiGpu2DEnterprise::new(cfg, &g).try_bfs(source).expect("restart must recover");
-    assert_eq!(resumed.recovery.resumed_at_level, Some(2));
-    assert_eq!(resumed.levels, reference.levels);
-    assert_eq!(resumed.parents, reference.parents);
+    kill_and_restart(Grid2DConfig::k40s(2, 2), "2d");
 }
 
 #[test]
@@ -493,44 +473,45 @@ fn kill_after_eviction_restarts_on_survivors_bit_identically() {
 /// Satellite contract (§5g): steady-state checkpoints go out as sparse
 /// deltas against the last keyframe — materially smaller than a full
 /// snapshot on disk — and a restart replays keyframe + delta to the
-/// exact interrupted level, bit-identical to an uninterrupted run.
+/// exact interrupted level, bit-identical to an uninterrupted run. Both
+/// partition shapes publish through the same writer.
 #[test]
 fn delta_checkpoints_shrink_on_disk_and_resume_bit_identically() {
+    delta_checkpoints(MultiGpuConfig::k40s(4), "1d");
+    delta_checkpoints(Grid2DConfig::k40s(2, 2), "2d");
+}
+
+fn delta_checkpoints<S: Into<Shape> + Clone>(base: FleetConfig<S>, tag: &str) {
     let g = road_grid(16, 16, 0.05, 7);
     let source = 1u32;
-    let reference = MultiGpuEnterprise::new(MultiGpuConfig::k40s(4), &g).bfs(source);
+    let reference = Fleet::new(base.clone(), &g).bfs(source);
 
-    let dir = state_dir("delta-1d");
-    let doomed = MultiGpuConfig {
-        persist: Some(PersistPolicy::with_checkpoints(dir.clone(), 1)),
-        watchdog: doom_after(4),
-        ..MultiGpuConfig::k40s(4)
-    };
-    assert!(MultiGpuEnterprise::new(doomed, &g).try_bfs(source).is_err());
+    let dir = state_dir(&format!("delta-{tag}"));
+    let persist = Some(PersistPolicy::with_checkpoints(dir.clone(), 1));
+    let doomed = FleetConfig { persist: persist.clone(), watchdog: doom_after(4), ..base.clone() };
+    assert!(Fleet::new(doomed, &g).try_bfs(source).is_err(), "{tag}");
     let key = dir.join("checkpoint.snap");
     let delta = dir.join("checkpoint.delta.snap");
-    assert!(key.exists(), "keyframe must survive the crash");
-    assert!(delta.exists(), "steady-state cadence must publish a delta");
+    assert!(key.exists(), "{tag}: keyframe must survive the crash");
+    assert!(delta.exists(), "{tag}: steady-state cadence must publish a delta");
     let key_len = std::fs::metadata(&key).unwrap().len();
     let delta_len = std::fs::metadata(&delta).unwrap().len();
     assert!(
         delta_len * 2 < key_len,
-        "delta regressed: {delta_len} bytes vs {key_len}-byte keyframe"
+        "{tag}: delta regressed: {delta_len} bytes vs {key_len}-byte keyframe"
     );
 
-    let cfg = MultiGpuConfig {
-        persist: Some(PersistPolicy::with_checkpoints(dir.clone(), 1)),
-        ..MultiGpuConfig::k40s(4)
-    };
-    let resumed = MultiGpuEnterprise::new(cfg, &g).try_bfs(source).expect("restart must recover");
+    let cfg = FleetConfig { persist, ..base };
+    let resumed = Fleet::new(cfg, &g).try_bfs(source).expect("restart must recover");
     assert_eq!(
         resumed.recovery.resumed_at_level,
         Some(4),
-        "resume must land on the delta's level, not the keyframe's"
+        "{tag}: resume must land on the delta's level, not the keyframe's"
     );
-    assert!(resumed.recovery.snapshot_errors.is_empty(), "{:?}", resumed.recovery.snapshot_errors);
-    assert_eq!(resumed.levels, reference.levels);
-    assert_eq!(resumed.parents, reference.parents);
-    assert!(!key.exists(), "a finished run retires the keyframe");
-    assert!(!delta.exists(), "a finished run retires the delta");
+    let errors = &resumed.recovery.snapshot_errors;
+    assert!(errors.is_empty(), "{tag}: {errors:?}");
+    assert_eq!(resumed.levels, reference.levels, "{tag}");
+    assert_eq!(resumed.parents, reference.parents, "{tag}");
+    assert!(!key.exists(), "{tag}: a finished run retires the keyframe");
+    assert!(!delta.exists(), "{tag}: a finished run retires the delta");
 }
