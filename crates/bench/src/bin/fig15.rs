@@ -8,6 +8,9 @@
 //! * Weak scaling, vertex scale: vertex count grows with the GPU count
 //!   at a fixed edgefactor (paper: sublinear).
 //!
+//! The 1-GPU baseline is the one-slice fleet, which is the single-GPU
+//! `Enterprise` itself, so every speedup is over the single-GPU system.
+//!
 //! `cargo run -p bench --bin fig15 --release`
 
 use bench::{aggregate_teps, fmt_teps, pick_sources, run_seed, Table};

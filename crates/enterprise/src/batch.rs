@@ -56,9 +56,9 @@
 //! `try_bfs` itself — no scoping, no pinning, no ledger, no shedding.
 
 use crate::error::BfsError;
+use crate::multi_gpu::{Fleet, FleetLane, MultiBfsResult};
 use crate::persist::{
-    load_batch_log, BatchLedgerEntry, BatchRecord, DriverKind, FleetRecord, GraphFingerprint,
-    PersistError, SnapshotStore, BATCH_FILE,
+    load_batch_log, BatchLedgerEntry, BatchRecord, FleetRecord, PersistError, BATCH_FILE,
 };
 use enterprise_graph::VertexId;
 use gpu_sim::{DeviceError, FaultSpec};
@@ -355,6 +355,38 @@ impl<R> BatchReport<R> {
         }
     }
 
+    /// The same report with every run's result mapped through `f`.
+    pub(crate) fn map<T>(self, mut f: impl FnMut(R) -> T) -> BatchReport<T> {
+        let runs = self
+            .runs
+            .into_iter()
+            .map(|r| SourceRun {
+                source: r.source,
+                priority: r.priority,
+                outcome: r.outcome,
+                attempts: r.attempts,
+                time_ms: r.time_ms,
+                digest: r.digest,
+                resumed: r.resumed,
+                result: r.result.map(&mut f),
+            })
+            .collect();
+        BatchReport {
+            sources: self.sources,
+            completed: self.completed,
+            hedge_wins: self.hedge_wins,
+            poisoned: self.poisoned,
+            shed: self.shed,
+            retries: self.retries,
+            hedges: self.hedges,
+            resumed: self.resumed,
+            batch_ms: self.batch_ms,
+            backoff_ms: self.backoff_ms,
+            runs,
+            manifest_errors: self.manifest_errors,
+        }
+    }
+
     fn tally(&mut self, outcome: &SourceOutcome) {
         match outcome {
             SourceOutcome::Completed => self.completed += 1,
@@ -385,94 +417,6 @@ pub(crate) fn result_digest(levels: &[Option<u32>], parents: &[Option<VertexId>]
     h
 }
 
-/// What the generic batch engine needs from a driver. Implemented by
-/// all three drivers; the engine itself is driver-agnostic.
-pub(crate) trait BatchHost {
-    /// The driver's per-run result type.
-    type Run;
-    /// Per-source lane state for pipelined (MS-BFS) execution: the
-    /// source's own status/parent/queue arrays plus its host loop
-    /// variables, direction state, and scoped fault universe.
-    type Lane;
-
-    /// Which driver kind this is (ledger compatibility key).
-    fn kind(&self) -> DriverKind;
-    /// The configured base fault spec, if any.
-    fn base_faults(&self) -> Option<FaultSpec>;
-    /// Installs (or clears) the fault spec used by subsequent runs.
-    fn set_faults(&mut self, spec: Option<FaultSpec>);
-    /// Pins (or releases) brownout mode: while pinned, the per-run
-    /// fleet restoration — revive, retired-partition restore, detector
-    /// and link-verdict reset — is skipped, so degradation carries
-    /// across the batch's sources.
-    fn set_pinned(&mut self, pinned: bool);
-    /// One traversal with the driver's full recovery ladder; typed
-    /// errors surface instead of falling back to the CPU.
-    fn run_source(&mut self, source: VertexId) -> Result<Self::Run, BfsError>;
-    /// Simulated time of a successful run.
-    fn run_time_ms(run: &Self::Run) -> f64;
-    /// Result digest of a successful run.
-    fn run_digest(run: &Self::Run) -> u64;
-    /// Simulated time on the driver's clock since the last run started;
-    /// after a failed run this is the failed attempt's cost.
-    fn elapsed_ms(&self) -> f64;
-    /// Lifts kernel and level deadlines for the hedged re-execution,
-    /// returning the saved `(kernel_deadline_ms, level_deadline_ms)`.
-    fn relax_deadlines(&mut self) -> (Option<f64>, Option<f64>);
-    /// Restores deadlines saved by
-    /// [`relax_deadlines`](BatchHost::relax_deadlines).
-    fn restore_deadlines(&mut self, saved: (Option<f64>, Option<f64>));
-    /// The snapshot store and graph fingerprint, when persistence is
-    /// armed — the durable home of the batch ledger.
-    fn manifest_store(&mut self) -> Option<(&mut SnapshotStore, GraphFingerprint)>;
-
-    /// Monotonic fleet-shape epoch, bumped whenever the layout a lane
-    /// was opened against changes under it (device eviction, boundary
-    /// splice, rebalance). The engine aborts and re-admits lanes whose
-    /// epoch went stale.
-    fn fleet_epoch(&self) -> u64;
-    /// Opens a fused window of `width` per-lane timelines on the fleet
-    /// clock. Simulated time inside the window is attributed to the
-    /// lane selected by [`sweep_switch`](BatchHost::sweep_switch) and
-    /// overlapped at close.
-    fn sweep_begin(&mut self, width: usize);
-    /// Directs subsequent simulated time at lane stream `slot`.
-    fn sweep_switch(&mut self, slot: usize);
-    /// Closes the window: the fleet clock advances by the overlapped
-    /// span, and the return value carries each slot's serial charge.
-    fn sweep_end(&mut self, width: usize) -> Vec<f64>;
-    /// Allocates (or reuses slot `slot`'s pooled state), seeds `source`,
-    /// and arms the lane's scoped fault universe `spec`. Must only be
-    /// called inside a fused window with `slot` switched in.
-    fn lane_open(
-        &mut self,
-        source: VertexId,
-        slot: usize,
-        spec: Option<FaultSpec>,
-    ) -> Result<Self::Lane, BfsError>;
-    /// Advances the lane one BFS level (with the driver's in-lane
-    /// level-replay budget). `Ok(true)` = frontier drained. Must only
-    /// be called inside a fused window with the lane's slot switched
-    /// in; an error demotes the source to the de-pipelined ladder.
-    fn lane_step(&mut self, lane: &mut Self::Lane) -> Result<bool, BfsError>;
-    /// Completes a drained lane into a driver result — end-of-run audit
-    /// included — charging `time_ms` as the run's simulated time. Must
-    /// be called outside any fused window.
-    fn lane_finish(&mut self, lane: Self::Lane, time_ms: f64) -> Result<Self::Run, BfsError>;
-    /// Discards a lane, returning its pooled state for reuse.
-    fn lane_abort(&mut self, lane: Self::Lane);
-    /// The fleet's serializable degradation — evicted device ids,
-    /// spliced partition boundaries, learned link verdicts — or `None`
-    /// while the fleet is healthy (or the driver doesn't support
-    /// degraded resume).
-    fn capture_fleet(&mut self) -> Option<FleetRecord>;
-    /// Re-applies a captured fleet shape on a fresh instance before a
-    /// resumed batch runs: re-evicts the dead devices and rebuilds the
-    /// survivors on the spliced boundaries. `false` = unsupported or
-    /// mismatched; the batch proceeds on the cold (healthy) fleet.
-    fn restore_fleet(&mut self, fleet: &FleetRecord) -> bool;
-}
-
 /// Classifies an escaped error as slow-but-alive, returning the
 /// deadline-overrun factor (elapsed / budget). Level-deadline overruns
 /// and kernel-deadline overruns (direct, or as the last straw of a
@@ -497,7 +441,7 @@ fn slow_overrun(e: &BfsError) -> Option<f64> {
 
 /// Appends one record to the durable batch log (when armed). Append
 /// failures degrade to a recorded error, never an aborted batch.
-fn ledger_append<H: BatchHost>(host: &mut H, rec: &BatchRecord, errors: &mut Vec<PersistError>) {
+fn ledger_append(host: &mut Fleet, rec: &BatchRecord, errors: &mut Vec<PersistError>) {
     if let Some((store, _)) = host.manifest_store() {
         if let Err(e) = store.append(BATCH_FILE, &rec.encode()) {
             errors.push(e);
@@ -508,8 +452,8 @@ fn ledger_append<H: BatchHost>(host: &mut H, rec: &BatchRecord, errors: &mut Vec
 /// Records a terminal outcome, then — if the fleet's degradation shape
 /// changed since the last recorded one — the new fleet shape, so a
 /// resumed batch re-evicts and continues on the survivors.
-fn ledger_outcome<H: BatchHost>(
-    host: &mut H,
+fn ledger_outcome(
+    host: &mut Fleet,
     entry: BatchLedgerEntry,
     last_fleet: &mut Option<FleetRecord>,
     errors: &mut Vec<PersistError>,
@@ -527,9 +471,9 @@ fn ledger_outcome<H: BatchHost>(
 /// by queue index, last record wins), restores a recorded degraded
 /// fleet shape, and — for a cold batch — truncates any stale log and
 /// appends the header binding the log to this driver kind and graph.
-fn ledger_open<H: BatchHost>(
-    host: &mut H,
-    report: &mut BatchReport<H::Run>,
+fn ledger_open(
+    host: &mut Fleet,
+    report: &mut BatchReport<MultiBfsResult>,
 ) -> (BTreeMap<u32, BatchLedgerEntry>, Option<FleetRecord>) {
     let kind = host.kind();
     let mut prior = BTreeMap::new();
@@ -595,16 +539,16 @@ struct LadderOutcome<R> {
 /// classified (hedge vs retry) exactly as a sequential first-attempt
 /// failure would be.
 #[allow(clippy::too_many_arguments)]
-fn run_ladder<H: BatchHost>(
-    host: &mut H,
-    report: &mut BatchReport<H::Run>,
+fn run_ladder(
+    host: &mut Fleet,
+    report: &mut BatchReport<MultiBfsResult>,
     policy: &BatchPolicy,
     base: Option<FaultSpec>,
     bs: &BatchSource,
     prior_attempts: u32,
     prior_spent_ms: f64,
     first_error: Option<BfsError>,
-) -> LadderOutcome<H::Run> {
+) -> LadderOutcome<MultiBfsResult> {
     let src_scope = bs.source as u64;
     let mut attempts = prior_attempts;
     let mut retries_left = policy.max_retries;
@@ -630,7 +574,7 @@ fn run_ladder<H: BatchHost>(
                     host.set_faults(Some(scoped));
                 }
                 let saved = next_is_hedge.then(|| host.relax_deadlines());
-                let run = host.run_source(bs.source);
+                let run = host.try_bfs(bs.source);
                 if let Some(saved) = saved {
                     host.restore_deadlines(saved);
                 }
@@ -642,7 +586,7 @@ fn run_ladder<H: BatchHost>(
         };
         match run {
             Ok(r) => {
-                spent_ms += H::run_time_ms(&r);
+                spent_ms += r.time_ms;
                 break if was_hedge {
                     (SourceOutcome::HedgeWin, Some(r))
                 } else {
@@ -651,7 +595,7 @@ fn run_ladder<H: BatchHost>(
             }
             Err(e) => {
                 if executed {
-                    spent_ms += host.elapsed_ms();
+                    spent_ms += host.sim_elapsed_ms();
                 }
                 if !hedged && !was_hedge && policy.hedge_threshold > 0.0 {
                     if let Some(overrun) = slow_overrun(&e) {
@@ -681,21 +625,21 @@ fn run_ladder<H: BatchHost>(
 /// Records `i`'s terminal outcome: tallies it, appends it (and any
 /// fleet-shape change) to the durable log, and fills its report slot.
 #[allow(clippy::too_many_arguments)]
-fn finish_source<H: BatchHost>(
-    host: &mut H,
-    report: &mut BatchReport<H::Run>,
+fn finish_source(
+    host: &mut Fleet,
+    report: &mut BatchReport<MultiBfsResult>,
     sources: &[BatchSource],
     i: usize,
     outcome: SourceOutcome,
     attempts: u32,
     time_ms: f64,
-    result: Option<H::Run>,
+    result: Option<MultiBfsResult>,
     last_fleet: &mut Option<FleetRecord>,
-    slots: &mut [Option<SourceRun<H::Run>>],
+    slots: &mut [Option<SourceRun<MultiBfsResult>>],
 ) {
     let bs = &sources[i];
     report.tally(&outcome);
-    let digest = result.as_ref().map_or(0, |r| H::run_digest(r));
+    let digest = result.as_ref().map_or(0, |r| result_digest(&r.levels, &r.parents));
     ledger_outcome(
         host,
         BatchLedgerEntry {
@@ -728,18 +672,18 @@ fn finish_source<H: BatchHost>(
 /// Runs `sources` through the serving plane on `host`. See the module
 /// docs for the semantics; with `policy.enabled == false` this is a
 /// strict sequential passthrough.
-pub(crate) fn run_batch<H: BatchHost>(
-    host: &mut H,
+pub(crate) fn run_batch(
+    host: &mut Fleet,
     sources: &[BatchSource],
     policy: &BatchPolicy,
-) -> BatchReport<H::Run> {
+) -> BatchReport<MultiBfsResult> {
     let mut report = BatchReport::empty(sources.len());
     if !policy.enabled {
         // Strict no-op: exactly the caller's sequential try_bfs loop.
         for bs in sources {
-            let run = match host.run_source(bs.source) {
+            let run = match host.try_bfs(bs.source) {
                 Ok(run) => {
-                    let time_ms = H::run_time_ms(&run);
+                    let time_ms = run.time_ms;
                     report.batch_ms += time_ms;
                     SourceRun {
                         source: bs.source,
@@ -747,13 +691,13 @@ pub(crate) fn run_batch<H: BatchHost>(
                         outcome: SourceOutcome::Completed,
                         attempts: 1,
                         time_ms,
-                        digest: H::run_digest(&run),
+                        digest: result_digest(&run.levels, &run.parents),
                         resumed: false,
                         result: Some(run),
                     }
                 }
                 Err(e) => {
-                    let time_ms = host.elapsed_ms();
+                    let time_ms = host.sim_elapsed_ms();
                     report.batch_ms += time_ms;
                     SourceRun {
                         source: bs.source,
@@ -787,7 +731,7 @@ pub(crate) fn run_batch<H: BatchHost>(
 
     host.set_pinned(true);
     let base = host.base_faults();
-    let mut slots: Vec<Option<SourceRun<H::Run>>> = Vec::new();
+    let mut slots: Vec<Option<SourceRun<MultiBfsResult>>> = Vec::new();
     slots.resize_with(sources.len(), || None);
 
     for &i in &order {
@@ -858,9 +802,9 @@ pub(crate) fn run_batch<H: BatchHost>(
 /// An occupied pipeline slot: which queue index it serves, its lane
 /// state, the simulated time charged to its stream so far, and the
 /// fleet epoch it was opened against.
-struct LaneSlot<L> {
+struct LaneSlot {
     idx: usize,
-    lane: L,
+    lane: FleetLane,
     spent: f64,
     epoch: u64,
 }
@@ -881,13 +825,13 @@ enum LaneEvent {
 /// sources, one fused kernel sweep per level over the union of the
 /// active frontiers. Admission happens inside the sweep window, so a
 /// fresh source's seed and hub census overlap siblings' tail levels.
-fn run_batch_pipelined<H: BatchHost>(
-    host: &mut H,
+fn run_batch_pipelined(
+    host: &mut Fleet,
     sources: &[BatchSource],
     policy: &BatchPolicy,
     width: usize,
-    mut report: BatchReport<H::Run>,
-) -> BatchReport<H::Run> {
+    mut report: BatchReport<MultiBfsResult>,
+) -> BatchReport<MultiBfsResult> {
     let (prior, mut last_fleet) = ledger_open(host, &mut report);
 
     let mut order: Vec<usize> = (0..sources.len()).collect();
@@ -897,7 +841,7 @@ fn run_batch_pipelined<H: BatchHost>(
 
     host.set_pinned(true);
     let base = host.base_faults();
-    let mut slots: Vec<Option<SourceRun<H::Run>>> = Vec::new();
+    let mut slots: Vec<Option<SourceRun<MultiBfsResult>>> = Vec::new();
     slots.resize_with(sources.len(), || None);
 
     // Replay resumed outcomes; everything else queues for admission in
@@ -926,7 +870,7 @@ fn run_batch_pipelined<H: BatchHost>(
         pending.push_back(i);
     }
 
-    let mut lanes: Vec<Option<LaneSlot<H::Lane>>> = Vec::new();
+    let mut lanes: Vec<Option<LaneSlot>> = Vec::new();
     lanes.resize_with(width, || None);
     // Lane time a source sank into a slice that was later aborted
     // (stale fleet epoch); carried into its re-opened lane's account.
@@ -968,7 +912,7 @@ fn run_batch_pipelined<H: BatchHost>(
         // every free slot admits the next pending source inside the
         // same window.
         let epoch = host.fleet_epoch();
-        let t0 = host.elapsed_ms();
+        let t0 = host.sim_elapsed_ms();
         host.sweep_begin(width);
         let mut events: Vec<(usize, LaneEvent)> = Vec::new();
         for (s, occupant) in lanes.iter_mut().enumerate().take(width) {
@@ -1008,7 +952,7 @@ fn run_batch_pipelined<H: BatchHost>(
         }
         // The batch clock advances by the overlapped sweep span (the
         // whole point of pipelining), not the sum of lane charges.
-        report.batch_ms += host.elapsed_ms() - t0;
+        report.batch_ms += host.sim_elapsed_ms() - t0;
 
         // Terminal events resolve outside the fused window, in slot
         // order: drained lanes finish (audit + persistence), failed
@@ -1111,9 +1055,9 @@ fn run_batch_pipelined<H: BatchHost>(
 /// already on its account; only the ladder's *additional* time joins
 /// the batch clock (the lane time was already inside a sweep span).
 #[allow(clippy::too_many_arguments)]
-fn depipeline<H: BatchHost>(
-    host: &mut H,
-    report: &mut BatchReport<H::Run>,
+fn depipeline(
+    host: &mut Fleet,
+    report: &mut BatchReport<MultiBfsResult>,
     policy: &BatchPolicy,
     base: Option<FaultSpec>,
     sources: &[BatchSource],
@@ -1121,7 +1065,7 @@ fn depipeline<H: BatchHost>(
     seed_spent_ms: f64,
     seed_error: BfsError,
     last_fleet: &mut Option<FleetRecord>,
-    slots: &mut [Option<SourceRun<H::Run>>],
+    slots: &mut [Option<SourceRun<MultiBfsResult>>],
 ) {
     let out =
         run_ladder(host, report, policy, base, &sources[i], 1, seed_spent_ms, Some(seed_error));

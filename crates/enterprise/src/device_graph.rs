@@ -83,36 +83,11 @@ impl DeviceGraph {
 }
 
 impl DeviceGraph {
-    /// Uploads pre-built CSR arrays (used by the multi-GPU partitioner,
-    /// whose per-device out- and in-views cover different edge subsets).
-    #[allow(clippy::too_many_arguments)]
-    pub fn upload_parts(
-        device: &mut Device,
-        vertex_count: usize,
-        edge_count: u64,
-        directed: bool,
-        out_offsets: &[u32],
-        out_targets: &[u32],
-        in_offsets: &[u32],
-        in_sources: &[u32],
-    ) -> Self {
-        Self::try_upload_parts(
-            device,
-            vertex_count,
-            edge_count,
-            directed,
-            out_offsets,
-            out_targets,
-            in_offsets,
-            in_sources,
-        )
-        .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`DeviceGraph::upload_parts`]: OOM and injected
-    /// allocation faults surface as [`DeviceError`]. Used by the
-    /// repartitioner, which re-uploads a lost device's CSR slice onto a
-    /// survivor mid-run and must respect fault injection.
+    /// Uploads pre-built CSR arrays (used by the fleet partitioner, whose
+    /// per-device out- and in-views cover different edge subsets). OOM
+    /// and injected allocation faults surface as [`DeviceError`]: the
+    /// repartitioner re-uploads a lost device's CSR slice onto a survivor
+    /// mid-run and must respect fault injection.
     #[allow(clippy::too_many_arguments)]
     pub fn try_upload_parts(
         device: &mut Device,

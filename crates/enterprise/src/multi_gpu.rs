@@ -1,4 +1,9 @@
-//! Multi-GPU Enterprise (§4.4): one fleet driver over a partition shape.
+//! Enterprise (§4.4): one fleet driver over a partition shape, the single
+//! GPU included.
+//!
+//! **One device** ([`One`], the paper's Enterprise): the whole graph on a
+//! single GPU — the one-slice case of 1-D partitioning, with nothing to
+//! exchange.
 //!
 //! **1-D slices** ([`Slices`], the paper's design): each device owns an
 //! equal slice of the vertex range (and therefore a similar number of
@@ -25,21 +30,26 @@
 //! numerator and denominator), but the hub cache is off — a block's
 //! out-degree view covers only its column block, so hubs are not local.
 //!
-//! One [`Fleet`] runs both shapes: the seed, level loop, replay, verify,
+//! One [`Fleet`] runs every shape: the seed, level loop, replay, verify,
 //! persistence, merge, collect and pipelined lanes are shared, and each
 //! shape-specific decision lives in one function that matches on the
 //! shape (layout and census, exchange, loss, rebalance, persistence).
+//! The rules that only a single device needs — a terminal loss, no
+//! brownout pin, the device's own fault stream armed from construction,
+//! host-degree seeding, the whole CSR uploaded as is — are likewise each
+//! one function keyed on the device count (DESIGN.md §5).
 //!
 //! Parents are private to the discovering device; the final parent tree
 //! is gathered host-side (any device's recorded parent is valid because
 //! every discovery wrote a parent at the correct preceding level).
 
+use crate::batch::{BatchPolicy, BatchReport, BatchSource};
 use crate::bfs::LevelRecord;
 use crate::classify::ClassifyThresholds;
 use crate::device_graph::DeviceGraph;
 use crate::direction::{DirectionPolicy, SwitchDecision, SwitchSignals};
 use crate::error::{BfsError, RecoveryPolicy, RecoveryReport};
-use crate::frontier::{measure_total_hubs, try_generate_queues, GenWorkflow};
+use crate::frontier::{enqueue_seed, try_generate_queues, try_measure_total_hubs, GenWorkflow};
 use crate::kernels::{try_expand_level, Direction};
 use crate::persist::{
     load_checkpoint_chain, truncate_queues, CheckpointSnapshot, CheckpointWriter, DeviceCheckpoint,
@@ -55,10 +65,15 @@ use crate::watchdog::{StallDetector, WatchdogPolicy};
 use enterprise_graph::{stats::hub_threshold_for_capacity, Csr, VertexId};
 use gpu_sim::{
     ballot_compressed_bytes, payload_checksum, Device, DeviceConfig, DeviceError, EccMode,
-    ExchangeFault, FaultSpec, FleetFaultBundle, InterconnectConfig, MultiDevice,
+    ExchangeFault, FaultPlan, FaultSpec, FleetFaultBundle, InterconnectConfig, MultiDevice,
 };
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 use std::ops::Range;
+
+/// The whole graph on a single device: the one-slice case of 1-D
+/// partitioning.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct One;
 
 /// 1-D vertex partitioning over this many devices.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,6 +95,12 @@ pub enum Shape {
     Slices(usize),
     /// A `(rows, cols)` block grid.
     Grid(usize, usize),
+}
+
+impl From<One> for Shape {
+    fn from(_: One) -> Self {
+        Shape::Slices(1)
+    }
 }
 
 impl From<Slices> for Shape {
@@ -112,7 +133,8 @@ impl Shape {
     }
 }
 
-/// Configuration of a multi-GPU fleet.
+/// Configuration of a fleet. The shape marker ([`One`], [`Slices`],
+/// [`Grid`]) only picks the constructors.
 #[derive(Clone, Debug)]
 pub struct FleetConfig<S> {
     /// Partition shape (device count and layout).
@@ -123,13 +145,16 @@ pub struct FleetConfig<S> {
     pub interconnect: InterconnectConfig,
     /// Classification thresholds (§4.2 defaults).
     pub thresholds: ClassifyThresholds,
+    /// WB: classify into four queues serviced at matching granularity.
+    /// Off = the TS-only ablation (single queue, warp granularity).
+    pub workload_balancing: bool,
     /// Hub-cache slots per device (also sizes τ for the γ machinery).
     pub hub_cache_entries: usize,
     /// Whether bottom-up expansion uses the shared-memory hub cache.
     /// Grids always run without it (block views cannot find hubs).
     pub hub_cache: bool,
-    /// Direction policy; only `Gamma` and `TopDownOnly` are supported in
-    /// the multi-GPU driver (as in the paper).
+    /// Direction policy. Beamer's `Alpha` needs a single device; fleets
+    /// run `Gamma` and `TopDownOnly` (as in the paper).
     pub policy: DirectionPolicy,
     /// Deterministic fault injection across devices and the interconnect;
     /// `None` (the default) is a strict no-op on timing and results.
@@ -188,12 +213,13 @@ impl FleetConfig<Grid> {
 }
 
 impl<S> FleetConfig<S> {
-    fn k40s_over(shape: S) -> Self {
+    pub(crate) fn k40s_over(shape: S) -> Self {
         Self {
             shape,
             device: DeviceConfig::k40_repro(),
             interconnect: InterconnectConfig::default(),
             thresholds: ClassifyThresholds::default(),
+            workload_balancing: true,
             hub_cache_entries: 1024,
             hub_cache: true,
             policy: DirectionPolicy::gamma_default(),
@@ -219,6 +245,7 @@ impl<S: Into<Shape>> FleetConfig<S> {
             device,
             interconnect,
             thresholds,
+            workload_balancing,
             hub_cache_entries,
             hub_cache,
             policy,
@@ -238,6 +265,7 @@ impl<S: Into<Shape>> FleetConfig<S> {
             device,
             interconnect,
             thresholds,
+            workload_balancing,
             hub_cache_entries,
             hub_cache,
             policy,
@@ -255,7 +283,7 @@ impl<S: Into<Shape>> FleetConfig<S> {
     }
 }
 
-/// Result of one multi-GPU BFS.
+/// Result of one fleet BFS.
 #[derive(Clone, Debug)]
 pub struct MultiBfsResult {
     /// BFS root.
@@ -283,6 +311,70 @@ pub struct MultiBfsResult {
     /// What fault recovery happened during the run (all zero on a
     /// fault-free substrate).
     pub recovery: RecoveryReport,
+}
+
+impl MultiBfsResult {
+    /// Packages levels and parents with the counts derived from them, at
+    /// `time_ms` of simulated time.
+    fn package(
+        source: VertexId,
+        levels: Vec<Option<u32>>,
+        parents: Vec<Option<VertexId>>,
+        out_degrees: &[u32],
+        time_ms: f64,
+    ) -> Self {
+        let visited = levels.iter().filter(|l| l.is_some()).count();
+        let traversed_edges: u64 = levels
+            .iter()
+            .zip(out_degrees)
+            .filter(|(l, _)| l.is_some())
+            .map(|(_, &d)| d as u64)
+            .sum();
+        let depth = levels.iter().flatten().max().copied().unwrap_or(0);
+        let teps = if time_ms > 0.0 { traversed_edges as f64 / (time_ms / 1e3) } else { 0.0 };
+        MultiBfsResult {
+            source,
+            levels,
+            parents,
+            visited,
+            traversed_edges,
+            time_ms,
+            teps,
+            depth,
+            switched_at: None,
+            communication_bytes: 0,
+            level_trace: Vec::new(),
+            recovery: RecoveryReport::default(),
+        }
+    }
+}
+
+/// The host CPU baseline, the recovery ladder's last rung: a correct
+/// traversal with no simulated time, recorded via
+/// [`RecoveryReport::cpu_fallback`].
+pub(crate) fn cpu_fallback(csr: &Csr, source: VertexId) -> MultiBfsResult {
+    let n = csr.vertex_count();
+    assert!((source as usize) < n, "source {source} out of range ({n} vertices)");
+    let mut levels: Vec<Option<u32>> = vec![None; n];
+    let mut parents: Vec<Option<VertexId>> = vec![None; n];
+    levels[source as usize] = Some(0);
+    parents[source as usize] = Some(source);
+    let mut queue = VecDeque::from([source]);
+    while let Some(v) = queue.pop_front() {
+        let next = levels[v as usize].expect("queued vertex has a level") + 1;
+        for &w in csr.out_neighbors(v) {
+            if levels[w as usize].is_none() {
+                levels[w as usize] = Some(next);
+                parents[w as usize] = Some(v);
+                queue.push_back(w);
+            }
+        }
+    }
+    let degrees: Vec<u32> = csr.vertices().map(|v| csr.out_degree(v)).collect();
+    MultiBfsResult {
+        recovery: RecoveryReport { cpu_fallback: true, ..RecoveryReport::default() },
+        ..MultiBfsResult::package(source, levels, parents, &degrees, 0.0)
+    }
 }
 
 /// How a device's CSR view was cut from the graph.
@@ -329,28 +421,40 @@ impl PerDevice {
     }
 }
 
-/// Uploads `ext`'s CSR view to `device` and allocates its traversal
-/// state. The same builder serves setup and every repartition, so a
-/// merged device's view degrees match what the separate devices saw.
+impl Extent {
+    /// Uploads this extent's CSR view to `device`, returning the host
+    /// arrays it was cut from. The same builder serves setup and every
+    /// repartition, so a merged device's view degrees match what the
+    /// separate devices saw.
+    fn try_upload(
+        &self,
+        device: &mut Device,
+        csr: &Csr,
+    ) -> Result<(DeviceGraph, PartitionArrays), DeviceError> {
+        let arrays = self.arrays(csr);
+        let graph = DeviceGraph::try_upload_parts(
+            device,
+            csr.vertex_count(),
+            csr.edge_count(),
+            csr.is_directed(),
+            &arrays.out_offsets,
+            &arrays.out_targets,
+            &arrays.in_offsets,
+            &arrays.in_sources,
+        )?;
+        Ok((graph, arrays))
+    }
+}
+
+/// Allocates the traversal state of a device holding `graph` as `ext`.
 fn try_place(
     device: &mut Device,
-    csr: &Csr,
+    graph: DeviceGraph,
     ext: &Extent,
     thresholds: ClassifyThresholds,
     hub_cache_entries: usize,
     tau: u32,
-) -> Result<(PerDevice, PartitionArrays), DeviceError> {
-    let arrays = ext.arrays(csr);
-    let graph = DeviceGraph::try_upload_parts(
-        device,
-        csr.vertex_count(),
-        csr.edge_count(),
-        csr.is_directed(),
-        &arrays.out_offsets,
-        &arrays.out_targets,
-        &arrays.in_offsets,
-        &arrays.in_sources,
-    )?;
+) -> Result<PerDevice, DeviceError> {
     let state = BfsState::try_new_partitioned2(
         device,
         &graph,
@@ -360,31 +464,34 @@ fn try_place(
         ext.td.clone(),
         ext.bu.clone(),
     )?;
-    Ok((PerDevice { graph, state, view: ext.view }, arrays))
+    Ok(PerDevice { graph, state, view: ext.view })
 }
 
 /// Seeds `source` on one device's state: the device learns the source
 /// (initial broadcast); only the device whose top-down range holds it
-/// enqueues it, classified by its view's out-degree.
-fn seed(device: &mut Device, graph: &DeviceGraph, st: &mut BfsState, source: VertexId) {
+/// enqueues it, classified by `host_degree` when given (see
+/// [`Fleet::seed_degree`]), else by its view's out-degree.
+fn seed(
+    device: &mut Device,
+    graph: &DeviceGraph,
+    st: &mut BfsState,
+    source: VertexId,
+    host_degree: Option<u32>,
+) {
     let s = source as usize;
     st.reset(device);
-    let mem = device.mem();
-    mem.set(st.status, s, 0);
-    st.queue_sizes = [0; 4];
-    if st.td_range.contains(&s) {
-        mem.set(st.parent, s, source);
-        // Resident graph arrays can carry silent bit rot from an earlier
-        // batch source; kernels clamp corrupt offsets, and the host must
-        // tolerate them too. A wrong class is caught by the verifier.
-        let deg = {
-            let offs = mem.view(graph.out_offsets);
-            offs[s + 1].saturating_sub(offs[s])
-        };
-        let k = st.thresholds.classify(deg).index();
-        mem.set(st.queues[k], 0, source);
-        st.queue_sizes[k] = 1;
+    if !st.td_range.contains(&s) {
+        device.mem().set(st.status, s, 0);
+        return;
     }
+    // Resident graph arrays can carry silent bit rot from an earlier
+    // batch source; kernels clamp corrupt offsets, and the host must
+    // tolerate them too. A wrong class is caught by the verifier.
+    let degree = host_degree.unwrap_or_else(|| {
+        let offs = device.mem_ref().view(graph.out_offsets);
+        offs[s + 1].saturating_sub(offs[s])
+    });
+    enqueue_seed(device, st, source, degree);
 }
 
 /// Classifies a device error as a permanent device loss, given the
@@ -439,13 +546,15 @@ struct MultiCheckpoint {
 struct LoopVars {
     dir: Direction,
     switched_at: Option<u32>,
+    /// Whether the last generation staged a hub: probing an empty cache
+    /// is pure overhead.
     cache_filled: bool,
-}
-
-impl Default for LoopVars {
-    fn default() -> Self {
-        LoopVars { dir: Direction::TopDown, switched_at: None, cache_filled: false }
-    }
+    /// Running out-degree sum of visited vertices (α instrumentation).
+    visited_edge_sum: u64,
+    /// Out-degree sum of the current bottom-up queue.
+    bu_queue_edge_sum: u64,
+    /// Out-degree sum of the previous top-down frontier.
+    prev_frontier_edges: u64,
 }
 
 /// One traversal in flight: the sequential `try_bfs` owns one, every
@@ -545,8 +654,7 @@ fn slices_tile_1d(slices: &[(Range<usize>, Range<usize>)], n: usize) -> bool {
     next == n
 }
 
-/// A multi-GPU Enterprise system over a partition [`Shape`], bound to
-/// one graph.
+/// An Enterprise system over a partition [`Shape`], bound to one graph.
 pub struct Fleet {
     config: FleetConfig<Shape>,
     multi: MultiDevice,
@@ -554,8 +662,8 @@ pub struct Fleet {
     parts: Vec<PerDevice>,
     out_degrees: Vec<u32>,
     /// Host copy of the graph, needed to rebuild a partition view when a
-    /// lost device's extent is spliced onto a survivor (and for the CPU
-    /// fallback baseline).
+    /// lost device's extent is spliced onto a survivor, by the verifier,
+    /// and by the CPU fallback baseline.
     csr: Csr,
     /// Hub threshold τ, reused by repartition-time state allocation.
     tau: u32,
@@ -630,23 +738,28 @@ pub struct FleetLane {
     bundle: FleetFaultBundle,
 }
 
-impl crate::batch::BatchHost for Fleet {
-    type Run = MultiBfsResult;
-
-    fn kind(&self) -> DriverKind {
-        self.kind()
-    }
-
-    fn base_faults(&self) -> Option<FaultSpec> {
+// The batch serving plane's hooks (`crate::batch`): fault scoping, the
+// brownout pin, hedge deadlines, the ledger's store, and the pipelined
+// lane protocol.
+impl Fleet {
+    /// The configured base fault spec, if any.
+    pub(crate) fn base_faults(&self) -> Option<FaultSpec> {
         self.config.faults
     }
 
-    fn set_faults(&mut self, spec: Option<FaultSpec>) {
+    /// Installs (or clears) the fault spec used by subsequent runs.
+    pub(crate) fn set_faults(&mut self, spec: Option<FaultSpec>) {
         self.config.faults = spec;
     }
 
-    fn set_pinned(&mut self, pinned: bool) {
-        self.pinned = pinned;
+    /// Pins (or releases) brownout mode: while pinned, the per-run fleet
+    /// restoration — revive, retired-partition restore, detector and
+    /// link-verdict reset — is skipped, so degradation carries across the
+    /// batch's sources. A single device has no shrunken fleet to brown
+    /// out to: its pin is a no-op, so a lost device poisons only its own
+    /// source and is revived for the next one.
+    pub(crate) fn set_pinned(&mut self, pinned: bool) {
+        self.pinned = pinned && self.parts.len() > 1;
         if !pinned {
             // The fault/isolation eviction split is batch bookkeeping;
             // it must not leak into the next batch's fleet records.
@@ -654,23 +767,9 @@ impl crate::batch::BatchHost for Fleet {
         }
     }
 
-    fn run_source(&mut self, source: VertexId) -> Result<MultiBfsResult, BfsError> {
-        self.try_bfs(source)
-    }
-
-    fn run_time_ms(run: &MultiBfsResult) -> f64 {
-        run.time_ms
-    }
-
-    fn run_digest(run: &MultiBfsResult) -> u64 {
-        crate::batch::result_digest(&run.levels, &run.parents)
-    }
-
-    fn elapsed_ms(&self) -> f64 {
-        self.multi.elapsed_ms()
-    }
-
-    fn relax_deadlines(&mut self) -> (Option<f64>, Option<f64>) {
+    /// Lifts kernel and level deadlines for a hedged re-execution,
+    /// returning the saved `(kernel_deadline_ms, level_deadline_ms)`.
+    pub(crate) fn relax_deadlines(&mut self) -> (Option<f64>, Option<f64>) {
         let saved =
             (self.config.watchdog.kernel_deadline_ms, self.config.watchdog.level_deadline_ms);
         self.config.watchdog.kernel_deadline_ms = None;
@@ -681,7 +780,8 @@ impl crate::batch::BatchHost for Fleet {
         saved
     }
 
-    fn restore_deadlines(&mut self, (kernel, level): (Option<f64>, Option<f64>)) {
+    /// Restores deadlines saved by [`Fleet::relax_deadlines`].
+    pub(crate) fn restore_deadlines(&mut self, (kernel, level): (Option<f64>, Option<f64>)) {
         self.config.watchdog.kernel_deadline_ms = kernel;
         self.config.watchdog.level_deadline_ms = level;
         for d in self.multi.devices_mut() {
@@ -689,20 +789,26 @@ impl crate::batch::BatchHost for Fleet {
         }
     }
 
-    fn manifest_store(&mut self) -> Option<(&mut SnapshotStore, GraphFingerprint)> {
+    /// The snapshot store and graph fingerprint, when persistence is
+    /// armed — the durable home of the batch ledger.
+    pub(crate) fn manifest_store(&mut self) -> Option<(&mut SnapshotStore, GraphFingerprint)> {
         match (self.store.as_mut(), self.fingerprint) {
             (Some(store), Some(fp)) => Some((store, fp)),
             _ => None,
         }
     }
 
-    type Lane = FleetLane;
-
-    fn fleet_epoch(&self) -> u64 {
+    /// Monotonic fleet-shape epoch, bumped whenever the layout a lane was
+    /// opened against changes under it (device eviction, boundary splice,
+    /// rebalance). The batch engine re-admits lanes whose epoch went stale.
+    pub(crate) fn fleet_epoch(&self) -> u64 {
         self.fleet_epoch
     }
 
-    fn sweep_begin(&mut self, width: usize) {
+    /// Opens a fused window of `width` per-lane timelines on the fleet
+    /// clock; simulated time inside it is attributed to the lane selected
+    /// by [`Fleet::sweep_switch`] and overlapped at close.
+    pub(crate) fn sweep_begin(&mut self, width: usize) {
         // Restored-layout evictions must land *before* the fused window
         // opens: evicting a device with its window open would leave the
         // window dangling (a dead device never reaches `end_fused`) and
@@ -713,22 +819,28 @@ impl crate::batch::BatchHost for Fleet {
         self.multi.begin_fused(width);
     }
 
-    fn sweep_switch(&mut self, slot: usize) {
+    /// Directs subsequent simulated time at lane stream `slot`.
+    pub(crate) fn sweep_switch(&mut self, slot: usize) {
         self.multi.fused_switch(slot);
     }
 
-    fn sweep_end(&mut self, width: usize) -> Vec<f64> {
+    /// Closes the window: the fleet clock advances by the overlapped span,
+    /// and the return value carries each slot's serial charge.
+    pub(crate) fn sweep_end(&mut self, width: usize) -> Vec<f64> {
         self.multi.end_fused(width)
     }
 
-    fn lane_open(
+    /// Allocates (or reuses slot `slot`'s pooled) lane state, seeds
+    /// `source`, and arms the lane's scoped fault universe `spec`. Must
+    /// only be called inside a fused window with `slot` switched in.
+    pub(crate) fn lane_open(
         &mut self,
         source: VertexId,
         slot: usize,
         spec: Option<FaultSpec>,
     ) -> Result<FleetLane, BfsError> {
         if let Some(spec) = spec {
-            self.multi.install_faults(spec);
+            Self::arm_faults(&mut self.multi, spec);
         }
         let result = self.lane_open_inner(source, slot);
         // Park the lane's universe (even a refused open's) in a bundle,
@@ -741,7 +853,10 @@ impl crate::batch::BatchHost for Fleet {
         })
     }
 
-    fn lane_step(&mut self, lane: &mut FleetLane) -> Result<bool, BfsError> {
+    /// Advances the lane one BFS level; `Ok(true)` = frontier drained. Must
+    /// only be called inside a fused window with the lane's slot switched
+    /// in; an error demotes the source to the de-pipelined ladder.
+    pub(crate) fn lane_step(&mut self, lane: &mut FleetLane) -> Result<bool, BfsError> {
         self.multi.swap_fleet_fault_bundle(&mut lane.bundle);
         self.swap_lane_states(&mut lane.states);
         let out = self.step(&mut lane.walk, true);
@@ -750,7 +865,14 @@ impl crate::batch::BatchHost for Fleet {
         out
     }
 
-    fn lane_finish(&mut self, lane: FleetLane, time_ms: f64) -> Result<MultiBfsResult, BfsError> {
+    /// Completes a drained lane into a result — end-of-run audit included
+    /// — charging `time_ms` as the run's simulated time. Must be called
+    /// outside any fused window.
+    pub(crate) fn lane_finish(
+        &mut self,
+        lane: FleetLane,
+        time_ms: f64,
+    ) -> Result<MultiBfsResult, BfsError> {
         let FleetLane { mut walk, slot, mut states, bundle } = lane;
         // The lane's fault counters live in its parked bundle; the
         // fleet's installed plans belong to whoever ran last.
@@ -776,11 +898,15 @@ impl crate::batch::BatchHost for Fleet {
         Ok(result)
     }
 
-    fn lane_abort(&mut self, mut lane: FleetLane) {
+    /// Discards a lane, returning its pooled state for reuse.
+    pub(crate) fn lane_abort(&mut self, mut lane: FleetLane) {
         self.park_lane_states(lane.slot, &mut lane.states);
     }
 
-    fn capture_fleet(&mut self) -> Option<FleetRecord> {
+    /// The fleet's serializable degradation — evicted device ids, spliced
+    /// partition boundaries, learned link verdicts — or `None` while the
+    /// fleet is healthy (or its shape persists no degraded layout).
+    pub(crate) fn capture_fleet(&mut self) -> Option<FleetRecord> {
         if !self.persists_degraded() {
             return None;
         }
@@ -812,7 +938,11 @@ impl crate::batch::BatchHost for Fleet {
         })
     }
 
-    fn restore_fleet(&mut self, rec: &FleetRecord) -> bool {
+    /// Re-applies a captured fleet shape before a resumed batch runs:
+    /// re-evicts the dead devices and rebuilds the survivors on the
+    /// spliced boundaries. `false` = unsupported or mismatched; the batch
+    /// proceeds on the cold fleet.
+    pub(crate) fn restore_fleet(&mut self, rec: &FleetRecord) -> bool {
         let n = self.csr.vertex_count();
         let p = self.parts.len();
         if !self.persists_degraded()
@@ -873,8 +1003,37 @@ fn dead_mask(evicted: &[u32], p: usize) -> Option<Vec<bool>> {
 }
 
 // Shape-specific decisions. Everything else in the driver is shared; each
-// function below is the one place its decision matches on the shape.
+// function below is the one place its decision matches on the shape or,
+// for the rules only a single device needs, on the device count.
 impl Fleet {
+    /// Faults: arms `spec` on `multi`. A single device draws `spec`'s own
+    /// stream and has no interconnect; a fleet gives every device an
+    /// independent substream plus one for the interconnect.
+    fn arm_faults(multi: &mut MultiDevice, spec: FaultSpec) {
+        if multi.count() == 1 {
+            multi.device(0).set_fault_plan(Some(FaultPlan::new(spec)));
+        } else {
+            multi.install_faults(spec);
+        }
+    }
+
+    /// Layout: uploads a device's cold `ext` in a `p`-device fleet. A
+    /// single device uploads the CSR itself, so an undirected graph's
+    /// in-view aliases its out-view (one adjacency in the L2, as on the
+    /// paper's GPU); a fleet's devices upload their partition views.
+    fn upload_cold(
+        p: usize,
+        device: &mut Device,
+        csr: &Csr,
+        ext: &Extent,
+    ) -> Result<DeviceGraph, DeviceError> {
+        if p == 1 {
+            DeviceGraph::try_upload(device, csr)
+        } else {
+            Ok(ext.try_upload(device, csr)?.0)
+        }
+    }
+
     /// Layout: device `d`'s cold extent — an equal 1-D slice, or on a
     /// grid column block `j` by row block `i` for `d = i * cols + j`.
     fn cold_extent(shape: Shape, n: usize, d: usize) -> Extent {
@@ -914,6 +1073,13 @@ impl Fleet {
                 total
             }
         }
+    }
+
+    /// Layout: the out-degree the source is classified by at seeding — the
+    /// host table on a single device, the owning device's resident view
+    /// offsets on a fleet (see [`seed`]).
+    fn seed_degree(&self, source: VertexId) -> Option<u32> {
+        (self.parts.len() == 1).then(|| self.out_degrees[source as usize])
     }
 
     /// Exchange: the seed broadcast's synchronization. Slices barrier
@@ -1001,6 +1167,16 @@ impl Fleet {
             // counts behind these totals; accounting must not panic.
             (None, Direction::BottomUp) => prev_total.saturating_sub(total),
             (Some(_), _) => merged,
+        }
+    }
+
+    /// Exchange: Beamer's α as the level trace records it. Slices hold
+    /// disjoint queues, so their degree sums are exact; a grid's queues
+    /// repeat a vertex once per block row, so it records 0.
+    fn level_alpha(&self, signals: &SwitchSignals) -> f64 {
+        match self.config.shape.grid() {
+            None => signals.alpha(),
+            Some(_) => 0.0,
         }
     }
 
@@ -1182,9 +1358,15 @@ impl Fleet {
         Ok(())
     }
 
-    /// Persistence: the driver kind persisted snapshots are bound to.
-    fn kind(&self) -> DriverKind {
-        match self.config.shape.grid() {
+    /// Persistence: the driver kind persisted snapshots and batch ledgers
+    /// are bound to — `Single` for one device, whatever its shape.
+    pub(crate) fn kind(&self) -> DriverKind {
+        Self::kind_of(self.config.shape)
+    }
+
+    fn kind_of(shape: Shape) -> DriverKind {
+        match shape.grid() {
+            _ if shape.devices() == 1 => DriverKind::Single,
             None => DriverKind::OneD,
             Some(_) => DriverKind::TwoD,
         }
@@ -1213,7 +1395,8 @@ impl Fleet {
     ) -> bool {
         let p = shape.devices();
         let (r, c) = shape.grid().unwrap_or((1, p));
-        if snap.hub_tau != tau
+        if snap.kind != Self::kind_of(shape)
+            || snap.hub_tau != tau
             || snap.grid != (r as u32, c as u32)
             || snap.slices.len() != p
             || snap.evicted.len() >= p
@@ -1229,11 +1412,10 @@ impl Fleet {
                     .filter(|(d, _)| alive(*d))
                     .map(|(_, s)| s.clone())
                     .collect();
-                snap.kind == DriverKind::OneD && slices_tile_1d(&live, n)
+                slices_tile_1d(&live, n)
             }
             Some(_) => {
-                snap.kind == DriverKind::TwoD
-                    && snap.evicted.is_empty()
+                snap.evicted.is_empty()
                     && if snap.collapsed {
                         slices_tile_1d(&snap.slices, n)
                     } else {
@@ -1249,17 +1431,26 @@ impl Fleet {
 
 impl Fleet {
     /// Partitions and uploads `csr` onto the devices of `config.shape`.
+    ///
+    /// # Panics
+    /// Panics on device OOM or an injected allocation fault; see
+    /// [`Fleet::try_new`].
     pub fn new<S: Into<Shape>>(config: FleetConfig<S>, csr: &Csr) -> Self {
-        Self::build(config.erase(), csr)
+        Self::try_new(config, csr).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    fn build(mut config: FleetConfig<Shape>, csr: &Csr) -> Self {
+    /// Fallible constructor: device OOM (a partition not fitting), an
+    /// injected allocation fault and a census that exhausts its retries
+    /// surface as a typed [`BfsError`] on every shape, so the caller can
+    /// degrade to the CPU baseline.
+    pub fn try_new<S: Into<Shape>>(config: FleetConfig<S>, csr: &Csr) -> Result<Self, BfsError> {
+        let mut config = config.erase();
         let shape = config.shape;
         let p = shape.devices();
         assert!(p >= 1);
         assert!(
-            matches!(config.policy, DirectionPolicy::Gamma { .. } | DirectionPolicy::TopDownOnly),
-            "multi-GPU driver supports Gamma and TopDownOnly policies"
+            p == 1 || !matches!(config.policy, DirectionPolicy::Alpha { .. }),
+            "a multi-device fleet supports the Gamma and TopDownOnly policies"
         );
         let n = csr.vertex_count();
         assert!(n >= p, "fewer vertices than devices");
@@ -1268,8 +1459,21 @@ impl Fleet {
         if shape.grid().is_some() {
             config.hub_cache = false;
         }
+        if !config.workload_balancing {
+            // Single-queue mode: every frontier classifies as Small.
+            config.thresholds = ClassifyThresholds {
+                small_below: u32::MAX - 2,
+                middle_below: u32::MAX - 1,
+                large_below: u32::MAX,
+            };
+        }
         let mut multi = MultiDevice::new(p, config.device.clone(), config.interconnect);
         multi.set_ecc(config.ecc);
+        // A single device arms its plan from birth, so allocation faults
+        // and census retries fire at setup; a fleet arms per run.
+        if let (1, Some(spec)) = (p, config.faults) {
+            Self::arm_faults(&mut multi, spec);
+        }
         let tau = hub_threshold_for_capacity(csr, config.hub_cache_entries);
 
         // Crash-consistent persistence: a valid layout snapshot for this
@@ -1328,11 +1532,18 @@ impl Fleet {
                 device.enable_sanitizer();
             }
             device.set_kernel_deadline_ms(config.watchdog.kernel_deadline_ms);
-            let (mut part, _) =
-                try_place(device, csr, &ext, config.thresholds, config.hub_cache_entries, tau)
-                    .unwrap_or_else(|e| panic!("{e}"));
-            if restored.is_none() {
-                measure_total_hubs(device, &part.graph, &mut part.state);
+            let graph = Self::upload_cold(p, device, csr, &ext)?;
+            let mut part =
+                try_place(device, graph, &ext, config.thresholds, config.hub_cache_entries, tau)?;
+            // The census is idempotent, so transient launch faults are
+            // absorbed by simple re-runs.
+            let mut attempts = 0u32;
+            while restored.is_none() {
+                match try_measure_total_hubs(device, &part.graph, &mut part.state) {
+                    Ok(()) => break,
+                    Err(_) if attempts < config.recovery.max_level_retries => attempts += 1,
+                    Err(e) => return Err(e.into()),
+                }
             }
             parts.push(part);
         }
@@ -1344,7 +1555,7 @@ impl Fleet {
         }
         let out_degrees = csr.vertices().map(|v| csr.out_degree(v)).collect();
         let detector = ImbalanceDetector::new(config.rebalance);
-        Self {
+        Ok(Self {
             config,
             multi,
             parts,
@@ -1366,12 +1577,27 @@ impl Fleet {
             fleet_epoch: 0,
             lane_pool: Vec::new(),
             batch_isolated: BTreeSet::new(),
-        }
+        })
     }
 
     /// Devices still alive (not evicted by the current/last run).
     pub fn alive_devices(&self) -> usize {
         self.multi.alive_count()
+    }
+
+    /// Simulated device `d` (for counter inspection).
+    pub fn device(&self, d: usize) -> &Device {
+        self.multi.device_ref(d)
+    }
+
+    /// Hub threshold τ chosen for this graph.
+    pub fn hub_tau(&self) -> u32 {
+        self.tau
+    }
+
+    /// Total hub count `T_h` (γ's denominator) measured at setup.
+    pub fn total_hubs(&self) -> u64 {
+        self.parts[0].state.total_hubs
     }
 
     /// Caps every device's in-driver relaunch budget for faulted kernels
@@ -1390,9 +1616,9 @@ impl Fleet {
     /// [`Fleet::try_bfs`] per source.
     pub fn batch(
         &mut self,
-        sources: &[crate::batch::BatchSource],
-        policy: &crate::batch::BatchPolicy,
-    ) -> crate::batch::BatchReport<MultiBfsResult> {
+        sources: &[BatchSource],
+        policy: &BatchPolicy,
+    ) -> BatchReport<MultiBfsResult> {
         crate::batch::run_batch(self, sources, policy)
     }
 
@@ -1415,18 +1641,19 @@ impl Fleet {
         }
     }
 
-    /// Fallible multi-GPU BFS with level-replay recovery (kernel faults
-    /// roll every device back to the level checkpoint), checksummed
-    /// exchange retry (dropped or corrupted bitmap broadcasts are
-    /// re-sent with exponential backoff), and elastic device eviction:
-    /// a permanently lost device's extent is absorbed by the survivors
-    /// and the level resumes on `N - 1` GPUs, down to
-    /// [`RecoveryPolicy::min_surviving_devices`].
+    /// Fallible BFS with level-replay recovery (kernel faults roll every
+    /// device back to the level checkpoint), checksummed exchange retry
+    /// (dropped or corrupted bitmap broadcasts are re-sent with
+    /// exponential backoff), and elastic device eviction: a permanently
+    /// lost device's extent is absorbed by the survivors and the level
+    /// resumes on `N - 1` GPUs, down to
+    /// [`RecoveryPolicy::min_surviving_devices`]. A single device's loss
+    /// is terminal ([`BfsError::Device`]).
     pub fn try_bfs(&mut self, source: VertexId) -> Result<MultiBfsResult, BfsError> {
         // Reinstall the fault plan from its seed so repeated runs of this
         // instance draw the same fault sequence (bit-reproducibility).
         if let Some(spec) = self.config.faults {
-            self.multi.install_faults(spec);
+            Self::arm_faults(&mut self.multi, spec);
         }
         let result = self.try_bfs_once(source)?;
         if !self.config.verify.end_of_run {
@@ -1475,9 +1702,10 @@ impl Fleet {
             self.multi.evict(d);
         }
         self.multi.reset_stats();
+        let degree = self.seed_degree(source);
         for d in self.multi.alive_ids() {
             let part = &mut self.parts[d];
-            seed(self.multi.device(d), &part.graph, &mut part.state, source);
+            seed(self.multi.device(d), &part.graph, &mut part.state, source, degree);
         }
         self.seed_sync();
 
@@ -1501,7 +1729,14 @@ impl Fleet {
         recovery.snapshot_errors.append(&mut self.persist_errors);
         Walk {
             source,
-            vars: LoopVars::default(),
+            vars: LoopVars {
+                dir: Direction::TopDown,
+                switched_at: None,
+                cache_filled: false,
+                visited_edge_sum: self.out_degrees[source as usize] as u64,
+                bu_queue_edge_sum: 0,
+                prev_frontier_edges: 0,
+            },
             trace: Vec::new(),
             recovery,
             level: 0,
@@ -1660,9 +1895,12 @@ impl Fleet {
                 BfsError::Device(e) => {
                     // Permanent device loss: evict, splice the lost
                     // extent onto survivors, and replay the level on the
-                    // shrunken fleet with a fresh checkpoint.
+                    // shrunken fleet with a fresh checkpoint. A lane
+                    // leaves that to the sequential ladder; a single
+                    // device has nothing to splice onto, so its loss is
+                    // terminal.
                     if let Some(lost) = loss_of(&e, &self.multi) {
-                        if lane {
+                        if lane || self.parts.len() == 1 {
                             return Err(BfsError::Device(e));
                         }
                         self.handle_loss(lost, ckpt, walk)?;
@@ -1822,8 +2060,9 @@ impl Fleet {
         level: u32,
     ) -> Result<(), BfsError> {
         let (thresholds, entries) = (self.config.thresholds, self.config.hub_cache_entries);
-        let (mut part, view) =
-            try_place(self.multi.device(d), &self.csr, &ext, thresholds, entries, self.tau)?;
+        let device = self.multi.device(d);
+        let (graph, view) = ext.try_upload(device, &self.csr)?;
+        let mut part = try_place(device, graph, &ext, thresholds, entries, self.tau)?;
         // T_h is a global graph property, unchanged by repartitioning.
         part.state.total_hubs = self.parts[d].state.total_hubs;
         let rebuilt = repartition::rebuild_queues(
@@ -1864,8 +2103,9 @@ impl Fleet {
                 continue;
             }
             let ext = Extent::strip(td.clone());
-            let (mut part, _) =
-                try_place(self.multi.device(*d), &self.csr, &ext, thresholds, entries, self.tau)?;
+            let device = self.multi.device(*d);
+            let (graph, _) = ext.try_upload(device, &self.csr)?;
+            let mut part = try_place(device, graph, &ext, thresholds, entries, self.tau)?;
             // T_h is a global graph property, unchanged by repartitioning.
             part.state.total_hubs = self.parts[*d].state.total_hubs;
             rebuilt.push((*d, part));
@@ -1959,6 +2199,9 @@ impl Fleet {
             dir: if snap.dir_bottom_up { Direction::BottomUp } else { Direction::TopDown },
             switched_at: snap.switched_at,
             cache_filled: snap.cache_filled,
+            visited_edge_sum: snap.visited_edge_sum,
+            bu_queue_edge_sum: snap.bu_queue_edge_sum,
+            prev_frontier_edges: snap.prev_frontier_edges,
         };
         walk.recovery.resumed_at_level = Some(snap.level);
         Some(snap.level)
@@ -2091,9 +2334,9 @@ impl Fleet {
             dir_bottom_up: matches!(ckpt.vars.dir, Direction::BottomUp),
             switched_at: ckpt.vars.switched_at,
             cache_filled: ckpt.vars.cache_filled,
-            visited_edge_sum: 0,
-            bu_queue_edge_sum: 0,
-            prev_frontier_edges: 0,
+            visited_edge_sum: ckpt.vars.visited_edge_sum,
+            bu_queue_edge_sum: ckpt.vars.bu_queue_edge_sum,
+            prev_frontier_edges: ckpt.vars.prev_frontier_edges,
             devices,
             evicted,
             lanes: Vec::new(),
@@ -2347,37 +2590,16 @@ impl Fleet {
         self.multi.alive_ids().into_iter().map(|d| self.parts[d].state.total_frontier()).sum()
     }
 
-    /// Host CPU baseline, the recovery ladder's last rung: a correct
-    /// traversal carrying the simulated time, interconnect bytes and
-    /// faults already spent, recorded via
-    /// [`RecoveryReport::cpu_fallback`].
+    /// The CPU baseline run on this fleet's graph, carrying the simulated
+    /// time, interconnect bytes and faults the device attempts already
+    /// spent.
     fn cpu_fallback(&self, source: VertexId) -> MultiBfsResult {
-        let csr = &self.csr;
-        let n = csr.vertex_count();
-        let mut levels: Vec<Option<u32>> = vec![None; n];
-        let mut parents: Vec<Option<VertexId>> = vec![None; n];
-        levels[source as usize] = Some(0);
-        parents[source as usize] = Some(source);
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(source);
-        while let Some(v) = queue.pop_front() {
-            let next = levels[v as usize].expect("queued vertex has a level") + 1;
-            for &w in csr.out_neighbors(v) {
-                if levels[w as usize].is_none() {
-                    levels[w as usize] = Some(next);
-                    parents[w as usize] = Some(v);
-                    queue.push_back(w);
-                }
-            }
-        }
-        let recovery = RecoveryReport {
-            cpu_fallback: true,
-            faults: self.multi.fault_stats(),
-            ..RecoveryReport::default()
-        };
+        let r = cpu_fallback(&self.csr, source);
         MultiBfsResult {
-            teps: 0.0,
-            ..self.summarize(source, levels, parents, Vec::new(), recovery)
+            time_ms: self.multi.elapsed_ms(),
+            communication_bytes: self.multi.transferred_bytes(),
+            recovery: RecoveryReport { faults: self.multi.fault_stats(), ..r.recovery },
+            ..r
         }
     }
 
@@ -2404,7 +2626,7 @@ impl Fleet {
                 &part.state,
                 level,
                 dir,
-                true,
+                self.config.workload_balancing,
                 hc && walk.vars.cache_filled,
             )?;
         }
@@ -2432,32 +2654,69 @@ impl Fleet {
         let newly = self.newly_visited(dir, prev_total, total, merged);
         let gamma_pct = crate::direction::gamma_pct(hub_frontiers, total_hubs);
 
+        // Beamer's α inputs: out-degree sums over the generated queues.
+        let edges = self.queue_edge_sum();
+        let vars = &mut walk.vars;
+        let signals = match dir {
+            Direction::TopDown => {
+                vars.visited_edge_sum += edges;
+                let signals = SwitchSignals {
+                    gamma_pct,
+                    frontier_edges: edges,
+                    unexplored_edges: self.csr.edge_count().saturating_sub(vars.visited_edge_sum),
+                    frontier_vertices: newly,
+                    total_vertices: n,
+                    frontier_growing: edges > vars.prev_frontier_edges,
+                };
+                vars.prev_frontier_edges = edges;
+                signals
+            }
+            Direction::BottomUp => {
+                // Saturating: corrupted device counters (bit-flip
+                // campaign) must not panic the instrumentation math.
+                vars.visited_edge_sum += vars.bu_queue_edge_sum.saturating_sub(edges);
+                vars.bu_queue_edge_sum = edges;
+                SwitchSignals {
+                    gamma_pct,
+                    unexplored_edges: edges,
+                    frontier_vertices: total,
+                    total_vertices: n,
+                    ..Default::default()
+                }
+            }
+        };
         let mut next_dir = dir;
-        if dir == Direction::TopDown {
-            let signals = SwitchSignals {
-                gamma_pct,
-                frontier_vertices: newly,
-                total_vertices: n,
-                ..Default::default()
-            };
-            if policy.evaluate_topdown(&signals, walk.vars.switched_at.is_some())
-                == SwitchDecision::ToBottomUp
-            {
-                walk.vars.switched_at = Some(level + 1);
-                next_dir = Direction::BottomUp;
-                (sizes, _, fills) =
-                    self.generate(GenWorkflow::Switch { newly_level: level + 1 }, hc)?;
+        match dir {
+            Direction::TopDown => {
+                if policy.evaluate_topdown(&signals, vars.switched_at.is_some())
+                    == SwitchDecision::ToBottomUp
+                {
+                    vars.switched_at = Some(level + 1);
+                    next_dir = Direction::BottomUp;
+                    (sizes, _, fills) =
+                        self.generate(GenWorkflow::Switch { newly_level: level + 1 }, hc)?;
+                    vars.bu_queue_edge_sum = self.queue_edge_sum();
+                }
+            }
+            Direction::BottomUp => {
+                if newly > 0
+                    && policy.evaluate_bottomup(&signals, newly) == SwitchDecision::ToTopDown
+                {
+                    next_dir = Direction::TopDown;
+                    (sizes, _, fills) =
+                        self.generate(GenWorkflow::TopDown { frontier_level: level + 1 }, false)?;
+                }
             }
         }
         let queue_gen_ms = self.multi.elapsed_ms() - t1;
-        walk.vars.cache_filled = fills > 0;
+        vars.cache_filled = fills > 0;
 
         walk.trace.push(LevelRecord {
             level,
             direction: next_dir.label(),
             sizes,
             gamma_pct,
-            alpha: 0.0,
+            alpha: self.level_alpha(&signals),
             newly_visited: newly,
             expand_ms,
             queue_gen_ms,
@@ -2470,6 +2729,25 @@ impl Fleet {
         };
         walk.vars.dir = next_dir;
         Ok(done)
+    }
+
+    /// Host-side out-degree sum over every surviving queue entry (a free
+    /// instrumentation read of device memory).
+    fn queue_edge_sum(&self) -> u64 {
+        let mut sum = 0u64;
+        for d in self.multi.alive_ids() {
+            let st = &self.parts[d].state;
+            for (&buf, &size) in st.queues.iter().zip(&st.queue_sizes) {
+                let q = self.multi.device_ref(d).mem_ref().view(buf);
+                // A flipped queue entry may name a non-vertex; count it as
+                // degree 0 rather than indexing out of the host table.
+                sum += q[..size.min(q.len())]
+                    .iter()
+                    .map(|&v| self.out_degrees.get(v as usize).copied().unwrap_or(0) as u64)
+                    .sum::<u64>();
+            }
+        }
+        sum
     }
 
     /// Runs one queue-generation workflow on every survivor, adding the
@@ -2509,6 +2787,11 @@ impl Fleet {
     fn merge_level(&mut self, newly_level: u32) -> usize {
         let n = self.csr.vertex_count();
         let alive = self.multi.alive_ids();
+        if let [d] = alive[..] {
+            // A lone survivor has nothing to merge.
+            let status = self.multi.device_ref(d).mem_ref().view(self.parts[d].state.status);
+            return status.iter().filter(|&&s| s == newly_level).count();
+        }
         let mut newly = vec![false; n];
         for &d in &alive {
             let status = self.multi.device_ref(d).mem_ref().view(self.parts[d].state.status);
@@ -2549,44 +2832,13 @@ impl Fleet {
                 }
             }
         }
-        let mut result = self.summarize(walk.source, levels, parents, walk.trace, walk.recovery);
-        result.switched_at = walk.vars.switched_at;
-        result
-    }
-
-    /// Packages levels and parents with the fleet clock, wire bytes and
-    /// derived counts.
-    fn summarize(
-        &self,
-        source: VertexId,
-        levels: Vec<Option<u32>>,
-        parents: Vec<Option<VertexId>>,
-        level_trace: Vec<LevelRecord>,
-        recovery: RecoveryReport,
-    ) -> MultiBfsResult {
-        let visited = levels.iter().filter(|l| l.is_some()).count();
-        let traversed_edges: u64 = levels
-            .iter()
-            .zip(&self.out_degrees)
-            .filter(|(l, _)| l.is_some())
-            .map(|(_, &d)| d as u64)
-            .sum();
-        let depth = levels.iter().flatten().max().copied().unwrap_or(0);
         let time_ms = self.multi.elapsed_ms();
-        let teps = if time_ms > 0.0 { traversed_edges as f64 / (time_ms / 1e3) } else { 0.0 };
         MultiBfsResult {
-            source,
-            levels,
-            parents,
-            visited,
-            traversed_edges,
-            time_ms,
-            teps,
-            depth,
-            switched_at: None,
+            switched_at: walk.vars.switched_at,
             communication_bytes: self.multi.transferred_bytes(),
-            level_trace,
-            recovery,
+            level_trace: walk.trace,
+            recovery: walk.recovery,
+            ..MultiBfsResult::package(walk.source, levels, parents, &self.out_degrees, time_ms)
         }
     }
 
@@ -2626,6 +2878,11 @@ impl Fleet {
     /// seeding cost lands on the lane's stream.
     fn lane_open_inner(&mut self, source: VertexId, slot: usize) -> Result<FleetLane, BfsError> {
         assert!((source as usize) < self.csr.vertex_count());
+        // Unpinned (a single device), a fresh lane gets revived hardware,
+        // like a sequential run.
+        if !self.pinned {
+            self.multi.revive_all();
+        }
         let p = self.parts.len();
         if self.lane_pool.len() <= slot {
             self.lane_pool.resize_with(slot + 1, Vec::new);
@@ -2633,6 +2890,7 @@ impl Fleet {
         if self.lane_pool[slot].len() < p {
             self.lane_pool[slot].resize_with(p, || None);
         }
+        let degree = self.seed_degree(source);
         let mut states: Vec<Option<BfsState>> = Vec::with_capacity(p);
         for d in 0..p {
             if !self.multi.is_alive(d) {
@@ -2658,7 +2916,7 @@ impl Fleet {
                 .map_err(BfsError::Device)?,
             };
             st.total_hubs = self.parts[d].state.total_hubs;
-            seed(self.multi.device(d), &self.parts[d].graph, &mut st, source);
+            seed(self.multi.device(d), &self.parts[d].graph, &mut st, source, degree);
             states.push(Some(st));
         }
         self.seed_sync();
@@ -2676,7 +2934,7 @@ mod tests {
     use super::*;
     use crate::multi_gpu_2d::{Grid2DConfig, MultiGpu2DEnterprise};
     use crate::validate::cpu_levels;
-    use enterprise_graph::gen::{kronecker, rmat};
+    use enterprise_graph::gen::{kronecker, rmat, road_grid};
 
     #[test]
     fn multi_gpu_matches_oracle_levels() {
@@ -2701,17 +2959,30 @@ mod tests {
         assert_eq!(r.communication_bytes % per_level, 0);
     }
 
-    /// The degenerate shapes — a 1-slice fleet and a 1x1 grid — are the
-    /// single-GPU driver: equal depths and reach on two graph families.
+    /// The degenerate shapes are the single-GPU driver: a 1-slice fleet
+    /// matches `Enterprise` bit for bit (result digest and simulated time),
+    /// and a 1x1 grid matches its depths and reach, on three graph
+    /// families.
     #[test]
     fn single_gpu_multi_driver_agrees_with_plain_driver() {
-        for g in [kronecker(9, 8, 7), rmat(9, 8, 3)] {
+        use crate::batch::result_digest;
+        for (name, g) in [
+            ("kron", kronecker(12, 16, 7)),
+            ("rmat", rmat(9, 8, 3)),
+            ("road", road_grid(48, 48, 0.05, 7)),
+        ] {
             let rs = crate::Enterprise::new(crate::EnterpriseConfig::default(), &g).bfs(1);
             let slice = MultiGpuEnterprise::new(MultiGpuConfig::k40s(1), &g).bfs(1);
             let grid = MultiGpu2DEnterprise::new(Grid2DConfig::k40s(1, 1), &g).bfs(1);
+            assert_eq!(
+                result_digest(&slice.levels, &slice.parents),
+                result_digest(&rs.levels, &rs.parents),
+                "{name}: digest"
+            );
+            assert_eq!(slice.time_ms.to_bits(), rs.time_ms.to_bits(), "{name}: time bits");
             for rm in [slice, grid] {
-                assert_eq!(rm.levels, rs.levels);
-                assert_eq!(rm.visited, rs.visited);
+                assert_eq!(rm.levels, rs.levels, "{name}: depths");
+                assert_eq!(rm.visited, rs.visited, "{name}: reach");
             }
         }
     }

@@ -207,14 +207,15 @@ impl GraphFingerprint {
     }
 }
 
-/// Which driver wrote a snapshot. Restores are only valid into the same kind.
+/// Which fleet shape wrote a snapshot. Restores are only valid into the
+/// same kind.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DriverKind {
-    /// Single-GPU `Enterprise` driver.
+    /// One device: the single-GPU `Enterprise`.
     Single,
-    /// 1-D partitioned `MultiGpuEnterprise` driver.
+    /// 1-D slices over several devices (`MultiGpuEnterprise`).
     OneD,
-    /// 2-D grid `Grid2DEnterprise` driver.
+    /// A 2-D grid of several devices (`MultiGpu2DEnterprise`).
     TwoD,
 }
 

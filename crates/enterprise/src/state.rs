@@ -83,69 +83,14 @@ impl BfsState {
         hub_tau: u32,
     ) -> Self {
         let n = g.vertex_count;
-        Self::new_partitioned2(device, g, thresholds, hub_cache_entries, hub_tau, 0..n, 0..n)
-    }
-
-    /// Fallible variant of [`BfsState::new`]: surfaces OOM and injected
-    /// allocation faults as [`DeviceError`] so the driver can degrade to
-    /// the CPU baseline instead of panicking.
-    pub fn try_new(
-        device: &mut Device,
-        g: &DeviceGraph,
-        thresholds: ClassifyThresholds,
-        hub_cache_entries: usize,
-        hub_tau: u32,
-    ) -> Result<Self, DeviceError> {
-        let n = g.vertex_count;
         Self::try_new_partitioned2(device, g, thresholds, hub_cache_entries, hub_tau, 0..n, 0..n)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Like [`BfsState::new`] but restricting the scan domain to the
-    /// vertex range this device owns (1-D multi-GPU partitioning, §4.4).
-    pub fn new_partitioned(
-        device: &mut Device,
-        g: &DeviceGraph,
-        thresholds: ClassifyThresholds,
-        hub_cache_entries: usize,
-        hub_tau: u32,
-        owned: std::ops::Range<usize>,
-    ) -> Self {
-        Self::new_partitioned2(
-            device,
-            g,
-            thresholds,
-            hub_cache_entries,
-            hub_tau,
-            owned.clone(),
-            owned,
-        )
-    }
-
-    /// Fully general constructor: separate top-down (sources) and
-    /// bottom-up (targets) scan ranges, as needed by 2-D partitioning.
-    pub fn new_partitioned2(
-        device: &mut Device,
-        g: &DeviceGraph,
-        thresholds: ClassifyThresholds,
-        hub_cache_entries: usize,
-        hub_tau: u32,
-        td_range: std::ops::Range<usize>,
-        bu_range: std::ops::Range<usize>,
-    ) -> Self {
-        Self::try_new_partitioned2(
-            device,
-            g,
-            thresholds,
-            hub_cache_entries,
-            hub_tau,
-            td_range,
-            bu_range,
-        )
-        .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`BfsState::new_partitioned2`]; allocation
-    /// failures (real OOM or injected) surface as [`DeviceError`].
+    /// Allocates working state whose scans cover separate top-down
+    /// (sources) and bottom-up (targets) ranges, as 1-D and 2-D
+    /// partitioning need (§4.4). Allocation failures (real OOM or
+    /// injected) surface as [`DeviceError`].
     pub fn try_new_partitioned2(
         device: &mut Device,
         g: &DeviceGraph,

@@ -1,12 +1,13 @@
 //! Fault-injection recovery properties: random power-law graphs crossed
 //! with random fault seeds (rates up to 20%) must traverse correctly,
 //! report recovery activity, and be bit-reproducible; a zero-rate plan
-//! must be a strict no-op; device OOM must degrade to the CPU baseline.
+//! must be a strict no-op; device OOM must degrade to the CPU baseline
+//! (or, at fleet construction, surface as a typed error).
 
-use enterprise::multi_gpu::{MultiGpuConfig, MultiGpuEnterprise};
+use enterprise::multi_gpu::{Fleet, MultiGpuConfig, MultiGpuEnterprise};
 use enterprise::multi_gpu_2d::{Grid2DConfig, MultiGpu2DEnterprise};
 use enterprise::validate::cpu_levels;
-use enterprise::{Enterprise, EnterpriseConfig, FaultSpec, RecoveryPolicy};
+use enterprise::{BfsError, Enterprise, EnterpriseConfig, FaultSpec, RecoveryPolicy};
 use enterprise_graph::gen::{kronecker, social, SocialParams};
 use enterprise_graph::Csr;
 use gpu_sim::DeviceConfig;
@@ -163,6 +164,18 @@ fn device_oom_on_upload_degrades_to_cpu_baseline() {
     assert!(r.recovery.cpu_fallback, "fallback not recorded");
     assert_eq!(r.levels, cpu_levels(&g, 17), "CPU fallback diverged from oracle");
     assert_eq!(r.parents[17], Some(17));
+}
+
+/// Devices too small for their partitions fail fleet construction with a
+/// typed error on every multi-device shape, never a panic.
+#[test]
+fn fleet_oom_at_setup_is_a_typed_error() {
+    let g = kronecker(10, 16, 11);
+    let tiny = DeviceConfig { global_mem_bytes: 64 * 1024, ..DeviceConfig::k40_repro() };
+    let one_d = MultiGpuConfig { device: tiny.clone(), ..MultiGpuConfig::k40s(4) };
+    assert!(matches!(Fleet::try_new(one_d, &g), Err(BfsError::Device(_))), "1-D x4");
+    let grid = Grid2DConfig { device: tiny, ..Grid2DConfig::k40s(2, 2) };
+    assert!(matches!(Fleet::try_new(grid, &g), Err(BfsError::Device(_))), "2x2 grid");
 }
 
 #[test]

@@ -27,6 +27,7 @@ fn main() {
         let mut system = MultiGpuEnterprise::new(MultiGpuConfig::k40s(gpus), &graph);
         let result = system.bfs(source);
         assert_eq!(result.levels, oracle, "partitioned traversal must match the oracle");
+        // The one-slice fleet is the single-GPU Enterprise: the baseline.
         if gpus == 1 {
             base_time = result.time_ms;
         }
