@@ -1,4 +1,4 @@
-//! Atomic-operation-based frontier queue BFS (Figure 1(b), [30]).
+//! Atomic-operation-based frontier queue BFS (Figure 1(b), \[30\]).
 //!
 //! Top-down only: one thread per frontier, `atomicCAS` to claim each
 //! neighbour (guaranteeing a duplicate-free queue) and `atomicAdd` on a

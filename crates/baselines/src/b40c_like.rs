@@ -1,4 +1,4 @@
-//! B40C analogue (Merrill et al. [33]).
+//! B40C analogue (Merrill et al. \[33\]).
 //!
 //! B40C was the strongest queue-based *top-down* GPU BFS of its era:
 //! atomic-free scan-based queue generation and multi-granularity

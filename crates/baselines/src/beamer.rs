@@ -1,4 +1,4 @@
-//! CPU direction-optimizing BFS (Beamer, Asanović & Patterson [10]).
+//! CPU direction-optimizing BFS (Beamer, Asanović & Patterson \[10\]).
 //!
 //! The hybrid algorithm Enterprise builds on: top-down until
 //! `m_u / m_f > α`, bottom-up until the frontier shrinks below `n / β`,

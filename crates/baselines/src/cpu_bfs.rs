@@ -4,7 +4,7 @@
 //! The sequential version is the correctness oracle for everything in the
 //! workspace; the parallel version exists both as a sanity benchmark and
 //! as the kind of multicore baseline the direction-optimizing literature
-//! [10] starts from.
+//! \[10\] starts from.
 
 use enterprise_graph::{Csr, VertexId};
 use std::collections::VecDeque;

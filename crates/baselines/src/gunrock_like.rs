@@ -1,4 +1,4 @@
-//! Gunrock analogue (Wang et al. [44]).
+//! Gunrock analogue (Wang et al. \[44\]).
 //!
 //! Gunrock's BFS (as published at the paper's time) is a top-down
 //! advance/filter pipeline: a load-balanced *advance* over the frontier's

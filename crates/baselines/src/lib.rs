@@ -1,7 +1,7 @@
 //! Baseline and comparator BFS implementations.
 //!
 //! * [`cpu_bfs`] — sequential oracle + multicore CPU BFS.
-//! * [`beamer`] — CPU direction-optimizing BFS [10] with the α/β
+//! * [`beamer`] — CPU direction-optimizing BFS \[10\] with the α/β
 //!   thresholds Enterprise's γ replaces.
 //! * [`bl`] — the paper's baseline: direction-optimizing status-array
 //!   BFS on the simulated GPU, CTA per vertex (§5.1).

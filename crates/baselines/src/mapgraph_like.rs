@@ -1,4 +1,4 @@
-//! MapGraph analogue (Fu et al. [18]).
+//! MapGraph analogue (Fu et al. \[18\]).
 //!
 //! MapGraph is a GAS (gather-apply-scatter) framework: BFS runs as a
 //! generic vertex program, paying a framework tax the specialized systems

@@ -84,9 +84,10 @@ fn summary<R>(r: &BatchReport<R>) -> String {
 /// Host-link staging cost of shipping the CSR to a fresh fleet, in
 /// simulated milliseconds. The simulator charges kernel time but treats
 /// host→device copies as free, so the cold column models them over the
-/// interconnect's host lane: one latency hit plus the four CSR arrays
-/// (out/in offsets and adjacency) at host-link bandwidth.
-fn staging_ms(g: &Csr, ic: &gpu_sim::InterconnectConfig) -> f64 {
+/// fleet interconnect's host lane: one latency hit plus the four CSR
+/// arrays (out/in offsets and adjacency) at host-link bandwidth.
+fn staging_ms(g: &Csr) -> f64 {
+    let ic = gpu_sim::InterconnectConfig::default();
     let words = 2 * (g.vertex_count() as u64 + 1) + 2 * g.edge_count();
     let bytes = words * 4;
     ic.host_latency_us / 1e3 + bytes as f64 / (ic.host_bandwidth_gbs * 1e9) * 1e3
@@ -98,7 +99,7 @@ fn warm_vs_cold(g: &Csr, gpus: usize, sources: &[BatchSource]) -> (f64, f64, f64
     // Warm: one fleet, one batch. Setup (hub census) is on the device
     // clock right after construction and is paid exactly once.
     let mut warm_sys = MultiGpuEnterprise::new(MultiGpuConfig::k40s(gpus), g);
-    let warm_setup = warm_sys.sim_elapsed_ms() + staging_ms(g, &MultiGpuConfig::k40s(gpus).interconnect);
+    let warm_setup = warm_sys.sim_elapsed_ms() + staging_ms(g);
     let report = warm_sys.batch(sources, &BatchPolicy::on());
     assert!(report.accounted(), "warm batch accounting broken: {}", summary(&report));
     assert_eq!(report.completed, sources.len(), "fault-free warm batch must complete all");
@@ -109,8 +110,7 @@ fn warm_vs_cold(g: &Csr, gpus: usize, sources: &[BatchSource]) -> (f64, f64, f64
     // Pipelined: the same warm fleet plan, but four lanes share each
     // kernel sweep, so the tail levels of one source overlap the next.
     let mut piped_sys = MultiGpuEnterprise::new(MultiGpuConfig::k40s(gpus), g);
-    let piped_setup =
-        piped_sys.sim_elapsed_ms() + staging_ms(g, &MultiGpuConfig::k40s(gpus).interconnect);
+    let piped_setup = piped_sys.sim_elapsed_ms() + staging_ms(g);
     let piped = piped_sys.batch(sources, &BatchPolicy::pipelined(4));
     assert!(piped.accounted(), "pipelined batch accounting broken: {}", summary(&piped));
     assert_eq!(piped.completed, sources.len(), "fault-free pipelined batch must complete all");
@@ -123,9 +123,8 @@ fn warm_vs_cold(g: &Csr, gpus: usize, sources: &[BatchSource]) -> (f64, f64, f64
     // clock, CSR re-staged over the host link, nothing reused.
     let mut cold_ms = 0.0f64;
     for (i, bs) in sources.iter().enumerate() {
-        let cfg = MultiGpuConfig::k40s(gpus);
-        let stage = staging_ms(g, &cfg.interconnect);
-        let mut sys = MultiGpuEnterprise::new(cfg, g);
+        let stage = staging_ms(g);
+        let mut sys = MultiGpuEnterprise::new(MultiGpuConfig::k40s(gpus), g);
         let setup = sys.sim_elapsed_ms();
         let r = sys.try_bfs(bs.source).expect("fault-free cold run failed");
         cold_ms += stage + setup + r.time_ms;

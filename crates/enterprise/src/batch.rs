@@ -55,7 +55,7 @@
 //! batch call is bit-identical to the caller looping over
 //! `try_bfs` itself — no scoping, no pinning, no ledger, no shedding.
 
-use crate::error::BfsError;
+use crate::error::{Backoff, BfsError};
 use crate::multi_gpu::{Fleet, FleetLane, MultiBfsResult};
 use crate::persist::{
     load_batch_log, BatchLedgerEntry, BatchRecord, FleetRecord, PersistError, BATCH_FILE,
@@ -106,13 +106,9 @@ pub struct BatchPolicy {
     /// retry backoff), in milliseconds. Once crossed, every pending
     /// source is shed. `None` = no deadline.
     pub deadline_ms: Option<f64>,
-    /// Full re-runs allowed per source after its first failed attempt.
+    /// Full re-runs allowed per source after its first failed attempt,
+    /// each charged the shared retry backoff on the batch clock.
     pub max_retries: u32,
-    /// Simulated backoff charged to the batch clock before the first
-    /// retry of a source, in milliseconds.
-    pub retry_backoff_ms: f64,
-    /// Multiplier applied to the backoff after each retry.
-    pub backoff_multiplier: f64,
     /// Largest deadline-overrun factor (elapsed / budget) still
     /// classified slow-but-alive and worth one hedged re-execution with
     /// deadlines lifted. `0.0` disables hedging.
@@ -130,8 +126,6 @@ impl BatchPolicy {
             enabled: false,
             deadline_ms: None,
             max_retries: 2,
-            retry_backoff_ms: 0.05,
-            backoff_multiplier: 2.0,
             hedge_threshold: 16.0,
             shed_order: ShedOrder::LowestPriorityFirst,
             pipeline: PipelineMode::Off,
@@ -521,152 +515,241 @@ fn ledger_open(
     (prior, last_fleet)
 }
 
-/// What one pass through the attempt ladder produced.
-struct LadderOutcome<R> {
+/// A source's terminal outcome, as the attempt ladder (or a pipelined
+/// lane, or the deadline) produced it.
+struct Terminal {
     outcome: SourceOutcome,
-    result: Option<R>,
+    result: Option<MultiBfsResult>,
     attempts: u32,
     spent_ms: f64,
 }
 
-/// The de-pipelined attempt ladder for one source: first attempt, then
-/// either one hedged re-execution (slow-but-alive) or backoff retries,
-/// each in a fresh fault universe scoped to `(source, attempt)`.
-///
-/// `prior_attempts`/`prior_spent_ms`/`first_error` let a failed
-/// pipelined lane enter the ladder mid-flight: its lane run counts as
-/// attempt #1, its sunk lane time is carried, and its error is
-/// classified (hedge vs retry) exactly as a sequential first-attempt
-/// failure would be.
-#[allow(clippy::too_many_arguments)]
-fn run_ladder(
-    host: &mut Fleet,
-    report: &mut BatchReport<MultiBfsResult>,
-    policy: &BatchPolicy,
-    base: Option<FaultSpec>,
-    bs: &BatchSource,
-    prior_attempts: u32,
-    prior_spent_ms: f64,
-    first_error: Option<BfsError>,
-) -> LadderOutcome<MultiBfsResult> {
-    let src_scope = bs.source as u64;
-    let mut attempts = prior_attempts;
-    let mut retries_left = policy.max_retries;
-    let mut backoff = policy.retry_backoff_ms;
-    let mut spent_ms = prior_spent_ms;
-    let mut hedged = false;
-    let mut next_is_hedge = false;
-    let mut pending_error = first_error;
-    let (outcome, result) = loop {
-        let (run, was_hedge, executed) = match pending_error.take() {
-            // A lane failure enters here: already executed (and charged)
-            // by the pipelined sweep, never a hedge.
-            Some(e) => (Err(e), false, false),
-            None => {
-                if let Some(spec) = base {
-                    let scoped = if next_is_hedge {
-                        spec.scoped(src_scope).scoped(HEDGE_SCOPE)
-                    } else if attempts == 0 {
-                        spec.scoped(src_scope)
-                    } else {
-                        spec.scoped(src_scope).scoped(attempts as u64)
-                    };
-                    host.set_faults(Some(scoped));
-                }
-                let saved = next_is_hedge.then(|| host.relax_deadlines());
-                let run = host.try_bfs(bs.source);
-                if let Some(saved) = saved {
-                    host.restore_deadlines(saved);
-                }
-                let was_hedge = next_is_hedge;
-                next_is_hedge = false;
-                attempts += 1;
-                (run, was_hedge, true)
-            }
-        };
-        match run {
-            Ok(r) => {
-                spent_ms += r.time_ms;
-                break if was_hedge {
-                    (SourceOutcome::HedgeWin, Some(r))
-                } else {
-                    (SourceOutcome::Completed, Some(r))
-                };
-            }
-            Err(e) => {
-                if executed {
-                    spent_ms += host.sim_elapsed_ms();
-                }
-                if !hedged && !was_hedge && policy.hedge_threshold > 0.0 {
-                    if let Some(overrun) = slow_overrun(&e) {
-                        if overrun <= policy.hedge_threshold {
-                            hedged = true;
-                            next_is_hedge = true;
-                            report.hedges += 1;
-                            continue;
-                        }
-                    }
-                }
-                if retries_left > 0 {
-                    retries_left -= 1;
-                    report.retries += 1;
-                    spent_ms += backoff;
-                    report.backoff_ms += backoff;
-                    backoff *= policy.backoff_multiplier;
-                    continue;
-                }
-                break (SourceOutcome::Poisoned(PoisonReason::Error(e)), None);
-            }
-        }
-    };
-    LadderOutcome { outcome, result, attempts, spent_ms }
+impl Terminal {
+    /// Shed by the batch deadline before it ever ran.
+    fn shed() -> Self {
+        Terminal { outcome: SourceOutcome::Shed, result: None, attempts: 0, spent_ms: 0.0 }
+    }
 }
 
-/// Records `i`'s terminal outcome: tallies it, appends it (and any
-/// fleet-shape change) to the durable log, and fills its report slot.
-#[allow(clippy::too_many_arguments)]
-fn finish_source(
-    host: &mut Fleet,
-    report: &mut BatchReport<MultiBfsResult>,
-    sources: &[BatchSource],
-    i: usize,
-    outcome: SourceOutcome,
-    attempts: u32,
-    time_ms: f64,
-    result: Option<MultiBfsResult>,
-    last_fleet: &mut Option<FleetRecord>,
-    slots: &mut [Option<SourceRun<MultiBfsResult>>],
-) {
-    let bs = &sources[i];
-    report.tally(&outcome);
-    let digest = result.as_ref().map_or(0, |r| result_digest(&r.levels, &r.parents));
-    ledger_outcome(
-        host,
-        BatchLedgerEntry {
-            index: i as u32,
+/// One serving-plane batch in flight on a pinned fleet: the queue, the
+/// policy, the fleet's base fault spec, and everything recorded so far.
+struct BatchRun<'a> {
+    sources: &'a [BatchSource],
+    policy: &'a BatchPolicy,
+    base: Option<FaultSpec>,
+    report: BatchReport<MultiBfsResult>,
+    /// Per-source records by queue index, filled as outcomes land.
+    slots: Vec<Option<SourceRun<MultiBfsResult>>>,
+    /// The last fleet shape appended to the durable log.
+    last_fleet: Option<FleetRecord>,
+}
+
+impl<'a> BatchRun<'a> {
+    /// The prologue both planes share: opens the durable log, replays
+    /// the outcomes an earlier process recorded for these exact queue
+    /// slots (not re-run, not re-appended), and pins the fleet. Returns
+    /// the batch and the queue indices still to run, in execution order:
+    /// highest priority first (stable in submission order) under
+    /// [`ShedOrder::LowestPriorityFirst`], so a deadline sheds the
+    /// lowest-priority pending tail.
+    fn open(
+        host: &mut Fleet,
+        sources: &'a [BatchSource],
+        policy: &'a BatchPolicy,
+    ) -> (Self, Vec<usize>) {
+        let mut report = BatchReport::empty(sources.len());
+        let (prior, last_fleet) = ledger_open(host, &mut report);
+        let mut order: Vec<usize> = (0..sources.len()).collect();
+        if policy.shed_order == ShedOrder::LowestPriorityFirst {
+            order.sort_by_key(|&i| (std::cmp::Reverse(sources[i].priority), i));
+        }
+        host.set_pinned(true);
+        let mut slots = Vec::new();
+        slots.resize_with(sources.len(), || None);
+        let mut pending = Vec::new();
+        for i in order {
+            let bs = &sources[i];
+            match prior.get(&(i as u32)) {
+                Some(entry) if entry.source == bs.source && entry.priority == bs.priority => {
+                    let outcome = SourceOutcome::from_tag(entry.outcome, &entry.error);
+                    report.tally(&outcome);
+                    report.resumed += 1;
+                    slots[i] = Some(SourceRun {
+                        source: bs.source,
+                        priority: bs.priority,
+                        outcome,
+                        attempts: 0,
+                        time_ms: 0.0,
+                        digest: entry.digest,
+                        resumed: true,
+                        result: None,
+                    });
+                }
+                _ => pending.push(i),
+            }
+        }
+        let base = host.base_faults();
+        (BatchRun { sources, policy, base, report, slots, last_fleet }, pending)
+    }
+
+    /// Whether the batch clock has crossed the policy's deadline.
+    fn past_deadline(&self) -> bool {
+        self.policy.deadline_ms.is_some_and(|d| self.report.batch_ms >= d)
+    }
+
+    /// The de-pipelined attempt ladder for source `i`: first attempt,
+    /// then either one hedged re-execution (slow-but-alive) or backoff
+    /// retries, each in a fresh fault universe scoped to
+    /// `(source, attempt)`.
+    ///
+    /// `prior_attempts`/`prior_spent_ms`/`first_error` let a failed
+    /// pipelined lane enter the ladder mid-flight: its lane run counts as
+    /// attempt #1, its sunk lane time is carried, and its error is
+    /// classified (hedge vs retry) exactly as a sequential first-attempt
+    /// failure would be.
+    fn ladder(
+        &mut self,
+        host: &mut Fleet,
+        i: usize,
+        prior_attempts: u32,
+        prior_spent_ms: f64,
+        first_error: Option<BfsError>,
+    ) -> Terminal {
+        let source = self.sources[i].source;
+        let src_scope = source as u64;
+        let mut attempts = prior_attempts;
+        let mut retries_left = self.policy.max_retries;
+        let mut backoff = Backoff::new();
+        let mut spent_ms = prior_spent_ms;
+        let mut hedged = false;
+        let mut next_is_hedge = false;
+        let mut pending_error = first_error;
+        let (outcome, result) = loop {
+            let (run, was_hedge, executed) = match pending_error.take() {
+                // A lane failure enters here: already executed (and
+                // charged) by the pipelined sweep, never a hedge.
+                Some(e) => (Err(e), false, false),
+                None => {
+                    if let Some(spec) = self.base {
+                        let scoped = if next_is_hedge {
+                            spec.scoped(src_scope).scoped(HEDGE_SCOPE)
+                        } else if attempts == 0 {
+                            spec.scoped(src_scope)
+                        } else {
+                            spec.scoped(src_scope).scoped(attempts as u64)
+                        };
+                        host.set_faults(Some(scoped));
+                    }
+                    let saved = next_is_hedge.then(|| host.relax_deadlines());
+                    let run = host.try_bfs(source);
+                    if let Some(saved) = saved {
+                        host.restore_deadlines(saved);
+                    }
+                    let was_hedge = next_is_hedge;
+                    next_is_hedge = false;
+                    attempts += 1;
+                    (run, was_hedge, true)
+                }
+            };
+            match run {
+                Ok(r) => {
+                    spent_ms += r.time_ms;
+                    break if was_hedge {
+                        (SourceOutcome::HedgeWin, Some(r))
+                    } else {
+                        (SourceOutcome::Completed, Some(r))
+                    };
+                }
+                // A rejected source never started a run: nothing to
+                // charge, hedge or retry.
+                Err(e @ BfsError::SourceOutOfRange { .. }) => {
+                    break (SourceOutcome::Poisoned(PoisonReason::Error(e)), None);
+                }
+                Err(e) => {
+                    if executed {
+                        spent_ms += host.sim_elapsed_ms();
+                    }
+                    let threshold = self.policy.hedge_threshold;
+                    if !hedged && !was_hedge && threshold > 0.0 {
+                        if let Some(overrun) = slow_overrun(&e) {
+                            if overrun <= threshold {
+                                hedged = true;
+                                next_is_hedge = true;
+                                self.report.hedges += 1;
+                                continue;
+                            }
+                        }
+                    }
+                    if retries_left > 0 {
+                        retries_left -= 1;
+                        self.report.retries += 1;
+                        let wait = backoff.take();
+                        spent_ms += wait;
+                        self.report.backoff_ms += wait;
+                        continue;
+                    }
+                    break (SourceOutcome::Poisoned(PoisonReason::Error(e)), None);
+                }
+            }
+        };
+        Terminal { outcome, result, attempts, spent_ms }
+    }
+
+    /// Records source `i`'s terminal outcome: tallies it, appends it (and
+    /// any fleet-shape change) to the durable log, and fills its slot.
+    fn finish(&mut self, host: &mut Fleet, i: usize, t: Terminal) {
+        let bs = &self.sources[i];
+        self.report.tally(&t.outcome);
+        let digest = t.result.as_ref().map_or(0, |r| result_digest(&r.levels, &r.parents));
+        ledger_outcome(
+            host,
+            BatchLedgerEntry {
+                index: i as u32,
+                source: bs.source,
+                priority: bs.priority,
+                outcome: t.outcome.tag(),
+                attempts: t.attempts,
+                digest,
+                error: match &t.outcome {
+                    SourceOutcome::Poisoned(reason) => reason.to_string(),
+                    _ => String::new(),
+                },
+            },
+            &mut self.last_fleet,
+            &mut self.report.manifest_errors,
+        );
+        self.slots[i] = Some(SourceRun {
             source: bs.source,
             priority: bs.priority,
-            outcome: outcome.tag(),
-            attempts,
+            outcome: t.outcome,
+            attempts: t.attempts,
+            time_ms: t.spent_ms,
             digest,
-            error: match &outcome {
-                SourceOutcome::Poisoned(reason) => reason.to_string(),
-                _ => String::new(),
-            },
-        },
-        last_fleet,
-        &mut report.manifest_errors,
-    );
-    slots[i] = Some(SourceRun {
-        source: bs.source,
-        priority: bs.priority,
-        outcome,
-        attempts,
-        time_ms,
-        digest,
-        resumed: false,
-        result,
-    });
+            resumed: false,
+            result: t.result,
+        });
+    }
+
+    /// Demotes failed pipelined source `i` to the attempt ladder. The
+    /// lane run counts as attempt #1 with `lane_ms` already on its
+    /// account; only the ladder's *additional* time joins the batch
+    /// clock (the lane time was already inside a sweep span).
+    fn depipeline(&mut self, host: &mut Fleet, i: usize, lane_ms: f64, error: BfsError) {
+        let t = self.ladder(host, i, 1, lane_ms, Some(error));
+        self.report.batch_ms += t.spent_ms - lane_ms;
+        self.finish(host, i, t);
+    }
+
+    /// Releases the pin, restores the base fault spec, and hands back the
+    /// report with every slot in submission order.
+    fn close(self, host: &mut Fleet) -> BatchReport<MultiBfsResult> {
+        host.set_pinned(false);
+        host.set_faults(self.base);
+        let mut report = self.report;
+        report.runs = self.slots.into_iter().map(|s| s.expect("every slot filled")).collect();
+        debug_assert!(report.accounted(), "batch accounting invariant violated");
+        report
+    }
 }
 
 /// Runs `sources` through the serving plane on `host`. See the module
@@ -677,9 +760,9 @@ pub(crate) fn run_batch(
     sources: &[BatchSource],
     policy: &BatchPolicy,
 ) -> BatchReport<MultiBfsResult> {
-    let mut report = BatchReport::empty(sources.len());
     if !policy.enabled {
         // Strict no-op: exactly the caller's sequential try_bfs loop.
+        let mut report = BatchReport::empty(sources.len());
         for bs in sources {
             let run = match host.try_bfs(bs.source) {
                 Ok(run) => {
@@ -697,7 +780,11 @@ pub(crate) fn run_batch(
                     }
                 }
                 Err(e) => {
-                    let time_ms = host.sim_elapsed_ms();
+                    // A rejected source never started a run.
+                    let time_ms = match e {
+                        BfsError::SourceOutOfRange { .. } => 0.0,
+                        _ => host.sim_elapsed_ms(),
+                    };
                     report.batch_ms += time_ms;
                     SourceRun {
                         source: bs.source,
@@ -716,87 +803,23 @@ pub(crate) fn run_batch(
         }
         return report;
     }
+    let (mut run, pending) = BatchRun::open(host, sources, policy);
     if let PipelineMode::Overlap(width) = policy.pipeline {
-        return run_batch_pipelined(host, sources, policy, width.max(1), report);
+        run_pipelined(host, &mut run, pending.into(), width.max(1));
+        return run.close(host);
     }
-
-    let (prior, mut last_fleet) = ledger_open(host, &mut report);
-
-    // Execution order: highest priority first (stable in submission
-    // order), so a deadline sheds the lowest-priority pending tail.
-    let mut order: Vec<usize> = (0..sources.len()).collect();
-    if policy.shed_order == ShedOrder::LowestPriorityFirst {
-        order.sort_by_key(|&i| (std::cmp::Reverse(sources[i].priority), i));
-    }
-
-    host.set_pinned(true);
-    let base = host.base_faults();
-    let mut slots: Vec<Option<SourceRun<MultiBfsResult>>> = Vec::new();
-    slots.resize_with(sources.len(), || None);
-
-    for &i in &order {
-        let bs = &sources[i];
-        // Resume: a terminal outcome recorded by an earlier process for
-        // this exact queue slot is replayed, not re-run (and not
-        // re-appended — the log already carries it).
-        if let Some(entry) = prior.get(&(i as u32)) {
-            if entry.source == bs.source && entry.priority == bs.priority {
-                let outcome = SourceOutcome::from_tag(entry.outcome, &entry.error);
-                report.tally(&outcome);
-                report.resumed += 1;
-                slots[i] = Some(SourceRun {
-                    source: bs.source,
-                    priority: bs.priority,
-                    outcome,
-                    attempts: 0,
-                    time_ms: 0.0,
-                    digest: entry.digest,
-                    resumed: true,
-                    result: None,
-                });
-                continue;
-            }
-        }
-
+    for i in pending {
         // Deadline shedding: pending sources past the batch budget are
         // reported, never silently dropped.
-        if policy.deadline_ms.is_some_and(|d| report.batch_ms >= d) {
-            finish_source(
-                host,
-                &mut report,
-                sources,
-                i,
-                SourceOutcome::Shed,
-                0,
-                0.0,
-                None,
-                &mut last_fleet,
-                &mut slots,
-            );
+        if run.past_deadline() {
+            run.finish(host, i, Terminal::shed());
             continue;
         }
-
-        let out = run_ladder(host, &mut report, policy, base, bs, 0, 0.0, None);
-        report.batch_ms += out.spent_ms;
-        finish_source(
-            host,
-            &mut report,
-            sources,
-            i,
-            out.outcome,
-            out.attempts,
-            out.spent_ms,
-            out.result,
-            &mut last_fleet,
-            &mut slots,
-        );
+        let t = run.ladder(host, i, 0, 0.0, None);
+        run.report.batch_ms += t.spent_ms;
+        run.finish(host, i, t);
     }
-
-    host.set_pinned(false);
-    host.set_faults(base);
-    report.runs = slots.into_iter().map(|s| s.expect("every slot filled")).collect();
-    debug_assert!(report.accounted(), "batch accounting invariant violated");
-    report
+    run.close(host)
 }
 
 /// An occupied pipeline slot: which queue index it serves, its lane
@@ -825,51 +848,13 @@ enum LaneEvent {
 /// sources, one fused kernel sweep per level over the union of the
 /// active frontiers. Admission happens inside the sweep window, so a
 /// fresh source's seed and hub census overlap siblings' tail levels.
-fn run_batch_pipelined(
+fn run_pipelined(
     host: &mut Fleet,
-    sources: &[BatchSource],
-    policy: &BatchPolicy,
+    run: &mut BatchRun<'_>,
+    mut pending: VecDeque<usize>,
     width: usize,
-    mut report: BatchReport<MultiBfsResult>,
-) -> BatchReport<MultiBfsResult> {
-    let (prior, mut last_fleet) = ledger_open(host, &mut report);
-
-    let mut order: Vec<usize> = (0..sources.len()).collect();
-    if policy.shed_order == ShedOrder::LowestPriorityFirst {
-        order.sort_by_key(|&i| (std::cmp::Reverse(sources[i].priority), i));
-    }
-
-    host.set_pinned(true);
-    let base = host.base_faults();
-    let mut slots: Vec<Option<SourceRun<MultiBfsResult>>> = Vec::new();
-    slots.resize_with(sources.len(), || None);
-
-    // Replay resumed outcomes; everything else queues for admission in
-    // execution order.
-    let mut pending: VecDeque<usize> = VecDeque::new();
-    for &i in &order {
-        let bs = &sources[i];
-        if let Some(entry) = prior.get(&(i as u32)) {
-            if entry.source == bs.source && entry.priority == bs.priority {
-                let outcome = SourceOutcome::from_tag(entry.outcome, &entry.error);
-                report.tally(&outcome);
-                report.resumed += 1;
-                slots[i] = Some(SourceRun {
-                    source: bs.source,
-                    priority: bs.priority,
-                    outcome,
-                    attempts: 0,
-                    time_ms: 0.0,
-                    digest: entry.digest,
-                    resumed: true,
-                    result: None,
-                });
-                continue;
-            }
-        }
-        pending.push_back(i);
-    }
-
+) {
+    let sources = run.sources;
     let mut lanes: Vec<Option<LaneSlot>> = Vec::new();
     lanes.resize_with(width, || None);
     // Lane time a source sank into a slice that was later aborted
@@ -884,24 +869,13 @@ fn run_batch_pipelined(
         // lane: in-flight lanes run to completion, exactly as the
         // sequential plane finishes its in-flight source, and that
         // includes stale-epoch re-admissions waiting at the queue front.
-        let deadline_hit = policy.deadline_ms.is_some_and(|d| report.batch_ms >= d);
+        let deadline_hit = run.past_deadline();
         if deadline_hit && !pending.is_empty() {
             let (keep, shed): (VecDeque<usize>, VecDeque<usize>) =
                 pending.iter().copied().partition(|&i| admitted[i]);
             pending = keep;
             for i in shed {
-                finish_source(
-                    host,
-                    &mut report,
-                    sources,
-                    i,
-                    SourceOutcome::Shed,
-                    0,
-                    0.0,
-                    None,
-                    &mut last_fleet,
-                    &mut slots,
-                );
+                run.finish(host, i, Terminal::shed());
             }
         }
         if pending.is_empty() && lanes.iter().all(Option::is_none) {
@@ -932,7 +906,7 @@ fn run_batch_pipelined(
                     if eligible {
                         let i = pending.pop_front().expect("front just checked");
                         admitted[i] = true;
-                        let spec = base.map(|sp| sp.scoped(sources[i].source as u64));
+                        let spec = run.base.map(|sp| sp.scoped(sources[i].source as u64));
                         match host.lane_open(sources[i].source, s, spec) {
                             Ok(lane) => {
                                 *occupant =
@@ -952,7 +926,7 @@ fn run_batch_pipelined(
         }
         // The batch clock advances by the overlapped sweep span (the
         // whole point of pipelining), not the sum of lane charges.
-        report.batch_ms += host.sim_elapsed_ms() - t0;
+        run.report.batch_ms += host.sim_elapsed_ms() - t0;
 
         // Terminal events resolve outside the fused window, in slot
         // order: drained lanes finish (audit + persistence), failed
@@ -962,64 +936,25 @@ fn run_batch_pipelined(
             match event {
                 LaneEvent::Drained => {
                     let slot = lanes[s].take().expect("drained lane present");
-                    let i = slot.idx;
                     match host.lane_finish(slot.lane, slot.spent) {
-                        Ok(run) => finish_source(
-                            host,
-                            &mut report,
-                            sources,
-                            i,
-                            SourceOutcome::Completed,
-                            1,
-                            slot.spent,
-                            Some(run),
-                            &mut last_fleet,
-                            &mut slots,
-                        ),
-                        Err(e) => depipeline(
-                            host,
-                            &mut report,
-                            policy,
-                            base,
-                            sources,
-                            i,
-                            slot.spent,
-                            e,
-                            &mut last_fleet,
-                            &mut slots,
-                        ),
+                        Ok(result) => {
+                            let t = Terminal {
+                                outcome: SourceOutcome::Completed,
+                                result: Some(result),
+                                attempts: 1,
+                                spent_ms: slot.spent,
+                            };
+                            run.finish(host, slot.idx, t);
+                        }
+                        Err(e) => run.depipeline(host, slot.idx, slot.spent, e),
                     }
                 }
                 LaneEvent::Failed(e) => {
                     let slot = lanes[s].take().expect("failed lane present");
-                    let idx = slot.idx;
-                    let spent = slot.spent;
                     host.lane_abort(slot.lane);
-                    depipeline(
-                        host,
-                        &mut report,
-                        policy,
-                        base,
-                        sources,
-                        idx,
-                        spent,
-                        e,
-                        &mut last_fleet,
-                        &mut slots,
-                    );
+                    run.depipeline(host, slot.idx, slot.spent, e);
                 }
-                LaneEvent::Refused(i, e) => depipeline(
-                    host,
-                    &mut report,
-                    policy,
-                    base,
-                    sources,
-                    i,
-                    0.0,
-                    e,
-                    &mut last_fleet,
-                    &mut slots,
-                ),
+                LaneEvent::Refused(i, e) => run.depipeline(host, i, 0.0, e),
             }
         }
 
@@ -1042,46 +977,6 @@ fn run_batch_pipelined(
             pending.push_front(i);
         }
     }
-
-    host.set_pinned(false);
-    host.set_faults(base);
-    report.runs = slots.into_iter().map(|s| s.expect("every slot filled")).collect();
-    debug_assert!(report.accounted(), "batch accounting invariant violated");
-    report
-}
-
-/// Demotes a failed pipelined source to the de-pipelined attempt
-/// ladder. The lane run counts as attempt #1 with `seed_spent_ms`
-/// already on its account; only the ladder's *additional* time joins
-/// the batch clock (the lane time was already inside a sweep span).
-#[allow(clippy::too_many_arguments)]
-fn depipeline(
-    host: &mut Fleet,
-    report: &mut BatchReport<MultiBfsResult>,
-    policy: &BatchPolicy,
-    base: Option<FaultSpec>,
-    sources: &[BatchSource],
-    i: usize,
-    seed_spent_ms: f64,
-    seed_error: BfsError,
-    last_fleet: &mut Option<FleetRecord>,
-    slots: &mut [Option<SourceRun<MultiBfsResult>>],
-) {
-    let out =
-        run_ladder(host, report, policy, base, &sources[i], 1, seed_spent_ms, Some(seed_error));
-    report.batch_ms += out.spent_ms - seed_spent_ms;
-    finish_source(
-        host,
-        report,
-        sources,
-        i,
-        out.outcome,
-        out.attempts,
-        out.spent_ms,
-        out.result,
-        last_fleet,
-        slots,
-    );
 }
 
 #[cfg(test)]
@@ -1092,7 +987,7 @@ mod tests {
     fn default_policy_is_disabled_and_bounded() {
         let p = BatchPolicy::default();
         assert!(!p.enabled);
-        assert!(p.max_retries > 0 && p.retry_backoff_ms > 0.0 && p.backoff_multiplier >= 1.0);
+        assert!(p.max_retries > 0);
         assert!(p.hedge_threshold > 0.0);
         assert!(p.deadline_ms.is_none());
         assert_eq!(p.pipeline, PipelineMode::Off);

@@ -13,7 +13,6 @@
 use crate::batch::{BatchPolicy, BatchReport, BatchSource};
 use crate::error::BfsError;
 use crate::multi_gpu::{cpu_fallback, Fleet, FleetConfig, MultiBfsResult, One};
-use crate::validate::validate;
 use enterprise_graph::{Csr, VertexId};
 use gpu_sim::{Device, DeviceReport, KernelRecord};
 
@@ -244,23 +243,6 @@ impl Enterprise {
     /// instance amortizes across a batch (hub census measurement).
     pub fn sim_elapsed_ms(&self) -> f64 {
         self.fleet.sim_elapsed_ms()
-    }
-
-    /// Runs [`Enterprise::try_bfs`] and gates the result on the CPU
-    /// validation oracle. A validation failure triggers one full replay
-    /// (recorded in [`crate::RecoveryReport::validation_replays`]); if
-    /// the replay also fails validation the error is surfaced.
-    pub fn bfs_validated(&mut self, csr: &Csr, source: VertexId) -> Result<BfsResult, BfsError> {
-        let result = self.try_bfs(source)?;
-        if validate(csr, &result).is_ok() {
-            return Ok(result);
-        }
-        let mut replay = self.try_bfs(source)?;
-        replay.recovery.validation_replays = 1;
-        match validate(csr, &replay) {
-            Ok(()) => Ok(replay),
-            Err(e) => Err(BfsError::ValidationFailedAfterReplay(e)),
-        }
     }
 
     /// A fleet result with the device's kernel timeline and counters.

@@ -20,7 +20,7 @@ pub enum DirectionPolicy {
         /// Switch when γ exceeds this percentage.
         threshold_pct: f64,
     },
-    /// Beamer's heuristics [10]: top-down → bottom-up when
+    /// Beamer's heuristics \[10\]: top-down → bottom-up when
     /// `m_u / m_f > alpha`; bottom-up → top-down when the frontier
     /// shrinks below `n / beta`.
     Alpha {

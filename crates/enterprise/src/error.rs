@@ -10,11 +10,20 @@
 
 use crate::persist::PersistError;
 use crate::validate::ValidationError;
+use enterprise_graph::VertexId;
 use gpu_sim::{DeviceError, FaultStats};
 
 /// An unrecovered failure of a BFS run.
 #[derive(Debug, Clone)]
 pub enum BfsError {
+    /// The requested source is not a vertex of the bound graph. Checked
+    /// before anything runs, so the driver's state is untouched.
+    SourceOutOfRange {
+        /// The rejected source.
+        source: VertexId,
+        /// Vertices in the bound graph.
+        vertices: usize,
+    },
     /// A device operation failed outside any replayable region (setup
     /// allocation, graph upload).
     Device(DeviceError),
@@ -28,7 +37,8 @@ pub enum BfsError {
         /// The device error that ended the final attempt.
         last: DeviceError,
     },
-    /// A bitmap exchange kept dropping/corrupting past the retry budget.
+    /// A bitmap exchange kept dropping/corrupting past the retry budget
+    /// ([`crate::route`]'s `MAX_EXCHANGE_RETRIES`).
     ExchangeRetriesExhausted {
         /// Level whose merge exchange failed.
         level: u32,
@@ -97,6 +107,9 @@ pub enum BfsError {
 impl std::fmt::Display for BfsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            BfsError::SourceOutOfRange { source, vertices } => {
+                write!(f, "source {source} is out of range ({vertices} vertices)")
+            }
             BfsError::Device(e) => write!(f, "device error: {e}"),
             BfsError::LevelRetriesExhausted { level, attempts, last } => {
                 write!(f, "level {level} failed after {attempts} attempts: {last}")
@@ -152,7 +165,8 @@ impl std::error::Error for BfsError {
         match self {
             BfsError::Device(e) | BfsError::LevelRetriesExhausted { last: e, .. } => Some(e),
             BfsError::ValidationFailedAfterReplay(e) => Some(e),
-            BfsError::ExchangeRetriesExhausted { .. }
+            BfsError::SourceOutOfRange { .. }
+            | BfsError::ExchangeRetriesExhausted { .. }
             | BfsError::Hang { .. }
             | BfsError::Deadline { .. }
             | BfsError::LinkIsolated { .. }
@@ -170,19 +184,14 @@ impl From<DeviceError> for BfsError {
 /// Bounds on the recovery machinery. Defaults are generous enough that a
 /// 20% per-launch fault rate with in-driver relaunch disabled still
 /// converges on reproduction-scale graphs, yet small enough that a
-/// permanently failing substrate errors out quickly.
+/// permanently failing substrate errors out quickly. The exchange retry
+/// budget and the retry backoff schedule are constants
+/// (`route::MAX_EXCHANGE_RETRIES` and `Backoff`).
 #[derive(Clone, Copy, Debug)]
 pub struct RecoveryPolicy {
     /// Replays allowed per level after a device error (on top of the
     /// first attempt).
     pub max_level_retries: u32,
-    /// Re-sends allowed per bitmap exchange after a drop/corruption.
-    pub max_exchange_retries: u32,
-    /// Simulated backoff before the first exchange re-send, in
-    /// milliseconds (added to the device timelines).
-    pub backoff_ms: f64,
-    /// Multiplier applied to the backoff after each failed re-send.
-    pub backoff_multiplier: f64,
     /// Eviction budget for permanent device loss: a loss is absorbed by
     /// repartitioning only while at least this many devices would
     /// survive. The default of 1 lets a multi-GPU traversal degrade all
@@ -193,13 +202,38 @@ pub struct RecoveryPolicy {
 
 impl Default for RecoveryPolicy {
     fn default() -> Self {
-        Self {
-            max_level_retries: 12,
-            max_exchange_retries: 16,
-            backoff_ms: 0.05,
-            backoff_multiplier: 2.0,
-            min_surviving_devices: 1,
-        }
+        Self { max_level_retries: 12, min_surviving_devices: 1 }
+    }
+}
+
+/// The one retry backoff schedule. Every retry ladder — an exchange
+/// re-send, a link probe, a batch source re-run — waits
+/// [`Backoff::FIRST_MS`] of simulated time before its first retry and
+/// doubles the wait for each retry after that.
+#[derive(Debug)]
+pub(crate) struct Backoff {
+    next_ms: f64,
+}
+
+impl Backoff {
+    /// Simulated wait before the first retry, in milliseconds.
+    pub(crate) const FIRST_MS: f64 = 0.05;
+
+    /// A fresh schedule, at its first wait.
+    pub(crate) fn new() -> Self {
+        Self { next_ms: Self::FIRST_MS }
+    }
+
+    /// The next wait, without taking it.
+    pub(crate) fn peek(&self) -> f64 {
+        self.next_ms
+    }
+
+    /// Takes the next wait and doubles the one after.
+    pub(crate) fn take(&mut self) -> f64 {
+        let ms = self.next_ms;
+        self.next_ms *= 2.0;
+        ms
     }
 }
 
@@ -320,6 +354,8 @@ mod tests {
         assert!(s.contains("level 6") && s.contains("3 devices"), "{s}");
         let s = BfsError::LinkIsolated { level: 5, device: 2 }.to_string();
         assert!(s.contains("device 2") && s.contains("link-isolated"), "{s}");
+        let s = BfsError::SourceOutOfRange { source: 9, vertices: 9 }.to_string();
+        assert!(s.contains("source 9") && s.contains("out of range"), "{s}");
     }
 
     #[test]
@@ -338,8 +374,10 @@ mod tests {
     #[test]
     fn default_policy_is_bounded() {
         let p = RecoveryPolicy::default();
-        assert!(p.max_level_retries > 0 && p.max_exchange_retries > 0);
-        assert!(p.backoff_ms > 0.0 && p.backoff_multiplier >= 1.0);
+        assert!(p.max_level_retries > 0);
         assert!(p.min_surviving_devices >= 1);
+        let mut backoff = Backoff::new();
+        assert_eq!(backoff.peek(), Backoff::FIRST_MS);
+        assert_eq!([backoff.take(), backoff.take(), backoff.take()], [0.05, 0.1, 0.2]);
     }
 }

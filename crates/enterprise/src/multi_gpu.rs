@@ -64,8 +64,8 @@ use crate::validate::{audit, check_level, repair_vertices, ValidationError, Veri
 use crate::watchdog::{StallDetector, WatchdogPolicy};
 use enterprise_graph::{stats::hub_threshold_for_capacity, Csr, VertexId};
 use gpu_sim::{
-    ballot_compressed_bytes, payload_checksum, Device, DeviceConfig, DeviceError, EccMode,
-    ExchangeFault, FaultPlan, FaultSpec, FleetFaultBundle, InterconnectConfig, MultiDevice,
+    ballot_compressed_bytes, Device, DeviceConfig, DeviceError, EccMode, FaultPlan, FaultSpec,
+    FleetFaultBundle, InterconnectConfig, MultiDevice,
 };
 use std::collections::{BTreeSet, VecDeque};
 use std::ops::Range;
@@ -141,8 +141,6 @@ pub struct FleetConfig<S> {
     pub shape: S,
     /// Per-device preset.
     pub device: DeviceConfig,
-    /// Interconnect model.
-    pub interconnect: InterconnectConfig,
     /// Classification thresholds (§4.2 defaults).
     pub thresholds: ClassifyThresholds,
     /// WB: classify into four queues serviced at matching granularity.
@@ -217,7 +215,6 @@ impl<S> FleetConfig<S> {
         Self {
             shape,
             device: DeviceConfig::k40_repro(),
-            interconnect: InterconnectConfig::default(),
             thresholds: ClassifyThresholds::default(),
             workload_balancing: true,
             hub_cache_entries: 1024,
@@ -243,7 +240,6 @@ impl<S: Into<Shape>> FleetConfig<S> {
         let FleetConfig {
             shape,
             device,
-            interconnect,
             thresholds,
             workload_balancing,
             hub_cache_entries,
@@ -263,7 +259,6 @@ impl<S: Into<Shape>> FleetConfig<S> {
         FleetConfig {
             shape: shape.into(),
             device,
-            interconnect,
             thresholds,
             workload_balancing,
             hub_cache_entries,
@@ -584,51 +579,6 @@ enum Verdict {
     Corrupt(ValidationError),
 }
 
-/// Runs one fault-aware exchange whose wire payload is `payload` plus a
-/// Fletcher checksum, retrying dropped attempts (detected by timeout) and
-/// corrupted ones (detected by checksum mismatch on the received copy)
-/// with exponential backoff. `do_exchange` performs one attempt; the
-/// retry budget is [`RecoveryPolicy::max_exchange_retries`].
-pub(crate) fn exchange_resilient<F>(
-    multi: &mut MultiDevice,
-    payload: &[u8],
-    policy: &RecoveryPolicy,
-    level: u32,
-    recovery: &mut RecoveryReport,
-    mut do_exchange: F,
-) -> Result<(), BfsError>
-where
-    F: FnMut(&mut MultiDevice) -> gpu_sim::ExchangeOutcome,
-{
-    let expected = payload_checksum(payload);
-    let mut attempts: u32 = 0;
-    let mut backoff = policy.backoff_ms;
-    loop {
-        let outcome = do_exchange(multi);
-        let Some(fault) = outcome.fault else { return Ok(()) };
-        if let ExchangeFault::Corrupted { bit, .. } = fault {
-            // Receiver-side detection: flip the faulted bit in a copy of
-            // the payload and confirm the checksum catches it.
-            let mut received = payload.to_vec();
-            let bit = bit as usize % (received.len() * 8);
-            received[bit / 8] ^= 1 << (bit % 8);
-            assert_ne!(
-                payload_checksum(&received),
-                expected,
-                "checksum failed to detect a single-bit corruption"
-            );
-        }
-        attempts += 1;
-        if attempts > policy.max_exchange_retries {
-            return Err(BfsError::ExchangeRetriesExhausted { level, attempts });
-        }
-        recovery.exchange_retries += 1;
-        multi.advance_all(backoff);
-        recovery.backoff_ms += backoff;
-        backoff *= policy.backoff_multiplier;
-    }
-}
-
 /// Checks that persisted 1-D slices are a non-empty tiling of `[0, n)`
 /// with identical top-down and bottom-up extents per device — the shape
 /// every 1-D layout (initial, rebalanced, collapsed grid) has. Device
@@ -723,7 +673,7 @@ pub struct Fleet {
 }
 
 /// Per-source lane state for pipelined (MS-BFS) batch execution: one
-/// private [`BfsState`] per surviving device, the source's [`Walk`], and
+/// private [`BfsState`] per surviving device, the source's walk, and
 /// its scoped fault universe, all swapped onto the shared fleet for the
 /// duration of one level slice.
 pub struct FleetLane {
@@ -839,6 +789,7 @@ impl Fleet {
         slot: usize,
         spec: Option<FaultSpec>,
     ) -> Result<FleetLane, BfsError> {
+        self.check_source(source)?;
         if let Some(spec) = spec {
             Self::arm_faults(&mut self.multi, spec);
         }
@@ -1100,10 +1051,9 @@ impl Fleet {
     /// Under fault injection the broadcast carries a checksum: a dropped
     /// exchange (detected by timeout) or a corrupted one (detected by
     /// checksum mismatch on the received copy) is retried with
-    /// exponential backoff, bounded by
-    /// [`RecoveryPolicy::max_exchange_retries`]. With the routing ladder
-    /// armed ([`FleetConfig::route`]), dead links additionally climb
-    /// probe → relay → host bounce (see [`crate::route`]).
+    /// exponential backoff, a bounded number of times. With the routing
+    /// ladder armed ([`FleetConfig::route`]), dead links additionally
+    /// climb probe → relay → host bounce (see [`crate::route`]).
     fn exchange(&mut self, level: u32, recovery: &mut RecoveryReport) -> Result<(), BfsError> {
         let n = self.csr.vertex_count();
         let (bytes, serialized) = match self.config.shape.grid() {
@@ -1135,7 +1085,6 @@ impl Fleet {
         crate::route::exchange_routed(
             &mut self.multi,
             &bitmap,
-            &self.config.recovery,
             &self.config.route,
             level,
             recovery,
@@ -1297,11 +1246,7 @@ impl Fleet {
         let mut order: Vec<(usize, f64)> = weights.to_vec();
         order.sort_by_key(|&(d, _)| (self.parts[d].state.td_range.start, d));
         let w: Vec<f64> = order.iter().map(|&(_, w)| w).collect();
-        let slices = if self.config.rebalance.edge_balanced {
-            repartition::weighted_slices_by_degree(&self.out_degrees, &w)
-        } else {
-            rebalance::weighted_slices(n, &w)
-        };
+        let slices = rebalance::weighted_slices(n, &w);
         let collapse = self.config.shape.grid().is_some();
         let moved: u64 = if collapse {
             slices.iter().map(|s| repartition::build_1d(&self.csr, s).moved_words()).sum()
@@ -1467,7 +1412,7 @@ impl Fleet {
                 large_below: u32::MAX,
             };
         }
-        let mut multi = MultiDevice::new(p, config.device.clone(), config.interconnect);
+        let mut multi = MultiDevice::new(p, config.device.clone(), InterconnectConfig::default());
         multi.set_ecc(config.ecc);
         // A single device arms its plan from birth, so allocation faults
         // and census retries fire at setup; a fleet arms per run.
@@ -1634,6 +1579,10 @@ impl Fleet {
     /// exchange retry, device eviction + repartitioning, and finally the
     /// host CPU baseline when the typed-error budget is exhausted (the
     /// fallback is recorded in [`RecoveryReport::cpu_fallback`]).
+    ///
+    /// # Panics
+    /// Panics if `source` is not a vertex of the graph; see
+    /// [`Fleet::try_bfs`].
     pub fn bfs(&mut self, source: VertexId) -> MultiBfsResult {
         match self.try_bfs(source) {
             Ok(r) => r,
@@ -1648,8 +1597,10 @@ impl Fleet {
     /// lost device's extent is absorbed by the survivors and the level
     /// resumes on `N - 1` GPUs, down to
     /// [`RecoveryPolicy::min_surviving_devices`]. A single device's loss
-    /// is terminal ([`BfsError::Device`]).
+    /// is terminal ([`BfsError::Device`]). A source outside the graph is
+    /// [`BfsError::SourceOutOfRange`], before any state changes.
     pub fn try_bfs(&mut self, source: VertexId) -> Result<MultiBfsResult, BfsError> {
+        self.check_source(source)?;
         // Reinstall the fault plan from its seed so repeated runs of this
         // instance draw the same fault sequence (bit-reproducibility).
         if let Some(spec) = self.config.faults {
@@ -1678,8 +1629,6 @@ impl Fleet {
     /// [`Fleet::try_bfs`], which may invoke it twice when the audit
     /// demands a full replay.
     fn try_bfs_once(&mut self, source: VertexId) -> Result<MultiBfsResult, BfsError> {
-        assert!((source as usize) < self.csr.vertex_count());
-
         // Device loss is per-run: revive the substrate and restore the
         // original partitions displaced by the previous run's evictions,
         // so repeated runs of one instance stay bit-reproducible. Under
@@ -1719,6 +1668,17 @@ impl Fleet {
         walk.recovery.faults = self.multi.fault_stats();
         self.persist_finish(&mut walk.recovery);
         Ok(self.collect(walk))
+    }
+
+    /// Rejects a source outside the bound graph, before any fault arming
+    /// or state change.
+    fn check_source(&self, source: VertexId) -> Result<(), BfsError> {
+        let vertices = self.csr.vertex_count();
+        if (source as usize) < vertices {
+            Ok(())
+        } else {
+            Err(BfsError::SourceOutOfRange { source, vertices })
+        }
     }
 
     /// A fresh traversal of `source` at level 0, inheriting the setup's
@@ -2037,7 +1997,7 @@ impl Fleet {
     /// surviving timeline; returns the span.
     fn charge(&mut self, moved_words: u64) -> f64 {
         let span_ms = repartition::repartition_cost_ms(
-            &self.config.interconnect,
+            &InterconnectConfig::default(),
             moved_words,
             self.csr.vertex_count(),
         );
@@ -2877,7 +2837,6 @@ impl Fleet {
     /// fused window with the lane's slot switched in, so allocation and
     /// seeding cost lands on the lane's stream.
     fn lane_open_inner(&mut self, source: VertexId, slot: usize) -> Result<FleetLane, BfsError> {
-        assert!((source as usize) < self.csr.vertex_count());
         // Unpinned (a single device), a fresh lane gets revived hardware,
         // like a sequential run.
         if !self.pinned {

@@ -28,29 +28,31 @@
 //! changes traversal *results* — levels and depths match the clean run —
 //! only the simulated timeline.
 
-/// Knobs for straggler detection and adaptive rebalancing.
+/// A device is suspect when its per-level busy time exceeds the fleet
+/// median by this factor (the slowest/median ratio of §5f).
+pub(crate) const IMBALANCE_THRESHOLD: f64 = 1.5;
+
+/// Consecutive suspect levels required before acting (hysteresis): one
+/// slow level — a frontier burst, a cache refill — must not move
+/// partition boundaries.
+pub(crate) const HYSTERESIS_LEVELS: u32 = 2;
+
+/// Levels to wait after a rebalance before the detector may fire again,
+/// letting the new boundaries produce fresh telemetry.
+pub(crate) const COOLDOWN_LEVELS: u32 = 2;
+
+/// Knobs for straggler detection and adaptive rebalancing. The detector
+/// itself is fixed: it fires once the slowest device's busy time has
+/// exceeded 1.5x the fleet median for 2 consecutive levels, then sits
+/// out 2 levels (`IMBALANCE_THRESHOLD`, `HYSTERESIS_LEVELS`,
+/// `COOLDOWN_LEVELS`).
 #[derive(Clone, Copy, Debug)]
 pub struct RebalancePolicy {
     /// Master switch. `false` (the default) is a strict no-op.
     pub enabled: bool,
-    /// A device is suspect when its per-level busy time exceeds the
-    /// fleet median by this factor (the slowest/median ratio of §5f).
-    pub imbalance_threshold: f64,
-    /// Consecutive suspect levels required before acting (hysteresis):
-    /// one slow level — a frontier burst, a cache refill — must not move
-    /// partition boundaries.
-    pub hysteresis_levels: u32,
-    /// Levels to wait after a rebalance before the detector may fire
-    /// again, letting the new boundaries produce fresh telemetry.
-    pub cooldown_levels: u32,
     /// Hard cap on boundary moves per run; combined with the cooldown
     /// this bounds rebalance work even under adversarial timing.
     pub max_rebalances: u32,
-    /// Cut rebalanced slices at out-degree (edge) boundaries instead of
-    /// vertex counts, so a slice's share of *edges* — the quantity the
-    /// expansion kernels actually chew through — matches its device's
-    /// measured throughput. `false` keeps the vertex-balanced split.
-    pub edge_balanced: bool,
     /// Per-level budget of interconnect slow-down time (milliseconds of
     /// [`FaultStats::link_slow_us`](gpu_sim::FaultStats::link_slow_us)
     /// growth per level) above which a level counts toward the
@@ -61,15 +63,7 @@ pub struct RebalancePolicy {
 impl RebalancePolicy {
     /// The strict no-op policy (also [`Default`]).
     pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            imbalance_threshold: 1.5,
-            hysteresis_levels: 2,
-            cooldown_levels: 2,
-            max_rebalances: 4,
-            edge_balanced: false,
-            link_slow_budget_ms: None,
-        }
+        Self { enabled: false, max_rebalances: 4, link_slow_budget_ms: None }
     }
 
     /// Adaptive rebalancing with the §5f defaults.
@@ -167,12 +161,12 @@ impl ImbalanceDetector {
         } else {
             costs[mid]
         };
-        if median <= 0.0 || slowest < self.policy.imbalance_threshold * median {
+        if median <= 0.0 || slowest < IMBALANCE_THRESHOLD * median {
             self.streak = 0;
             return None;
         }
         self.streak += 1;
-        if self.streak < self.policy.hysteresis_levels || self.fired >= self.policy.max_rebalances {
+        if self.streak < HYSTERESIS_LEVELS || self.fired >= self.policy.max_rebalances {
             return None;
         }
         self.arm_cooldown();
@@ -206,9 +200,7 @@ impl ImbalanceDetector {
             return false;
         }
         self.link_streak += 1;
-        if self.link_streak < self.policy.hysteresis_levels
-            || self.fired >= self.policy.max_rebalances
-        {
+        if self.link_streak < HYSTERESIS_LEVELS || self.fired >= self.policy.max_rebalances {
             return false;
         }
         self.link_streak = 0;
@@ -231,7 +223,7 @@ impl ImbalanceDetector {
 
     fn arm_cooldown(&mut self) {
         self.streak = 0;
-        self.cooldown = self.policy.cooldown_levels;
+        self.cooldown = COOLDOWN_LEVELS;
         self.fired += 1;
     }
 }

@@ -195,46 +195,6 @@ pub(crate) fn repartition_cost_ms(
     interconnect.latency_us / 1e3 + bytes as f64 / bw_bytes_per_ms
 }
 
-/// Degree-aware variant of [`crate::rebalance::weighted_slices`]: splits
-/// the vertex range into contiguous slices whose *edge mass* (out-degree
-/// plus one, so isolated vertices still carry weight) is proportional to
-/// `weights`, instead of their vertex count. On skewed graphs a
-/// vertex-balanced slice can hold most of the edges — the quantity the
-/// expansion kernels actually chew through — so an edge-balanced cut is
-/// what actually equalizes device busy time. Every slice keeps at least
-/// one vertex; the last slice absorbs the tail.
-pub(crate) fn weighted_slices_by_degree(
-    out_degrees: &[u32],
-    weights: &[f64],
-) -> Vec<Range<usize>> {
-    let n = out_degrees.len();
-    let p = weights.len();
-    assert!(p > 0 && n >= p);
-    let total_w: f64 = weights.iter().map(|w| w.max(f64::MIN_POSITIVE)).sum();
-    let total_mass: f64 = out_degrees.iter().map(|&d| d as f64 + 1.0).sum();
-    let mut out = Vec::with_capacity(p);
-    let mut lo = 0usize;
-    let mut cum = 0.0f64;
-    let mut target = 0.0f64;
-    for (k, w) in weights.iter().enumerate() {
-        target += w.max(f64::MIN_POSITIVE) / total_w * total_mass;
-        // Reserve one vertex for each remaining slice so none is empty.
-        let remaining = p - k - 1;
-        let mut hi = lo;
-        while hi < n - remaining && (hi == lo || cum < target) {
-            cum += out_degrees[hi] as f64 + 1.0;
-            hi += 1;
-        }
-        if k == p - 1 {
-            hi = n;
-        }
-        out.push(lo..hi);
-        lo = hi;
-    }
-    debug_assert_eq!(out.last().expect("non-empty").end, n);
-    out
-}
-
 /// Whether two ranges touch end-to-start (their union is contiguous).
 pub(crate) fn adjacent(a: &Range<usize>, b: &Range<usize>) -> bool {
     a.end == b.start || b.end == a.start
@@ -372,39 +332,6 @@ mod tests {
         let small = repartition_cost_ms(&ic, 1_000, 1 << 10);
         let large = repartition_cost_ms(&ic, 1_000_000, 1 << 10);
         assert!(small > 0.0 && large > small);
-    }
-
-    #[test]
-    fn degree_aware_slices_balance_edges_not_vertices() {
-        // Skewed degrees: the first 16 vertices carry nearly all edges.
-        let n = 256;
-        let degrees: Vec<u32> = (0..n).map(|v| if v < 16 { 200 } else { 1 }).collect();
-        let weights = [1.0, 1.0, 1.0, 1.0];
-        let edge_count = |r: &Range<usize>| -> u64 {
-            degrees[r.clone()].iter().map(|&d| d as u64).sum()
-        };
-        let by_degree = weighted_slices_by_degree(&degrees, &weights);
-        let by_vertex = crate::rebalance::weighted_slices(n, &weights);
-        // Both tile 0..n contiguously.
-        for slices in [&by_degree, &by_vertex] {
-            assert_eq!(slices[0].start, 0);
-            assert_eq!(slices.last().unwrap().end, n);
-            for w in slices.windows(2) {
-                assert_eq!(w[0].end, w[1].start);
-            }
-            assert!(slices.iter().all(|r| !r.is_empty()));
-        }
-        // The vertex-balanced cut dumps all hubs on slice 0; the
-        // degree-aware cut spreads the edge mass far more evenly.
-        let max_by_degree = by_degree.iter().map(&edge_count).max().unwrap();
-        let max_by_vertex = by_vertex.iter().map(&edge_count).max().unwrap();
-        assert!(
-            max_by_degree * 2 < max_by_vertex,
-            "degree-aware max {max_by_degree} vs vertex-balanced max {max_by_vertex}"
-        );
-        // Unequal weights shift edge mass accordingly.
-        let skewed = weighted_slices_by_degree(&degrees, &[3.0, 1.0]);
-        assert!(edge_count(&skewed[0]) > edge_count(&skewed[1]));
     }
 
     #[test]

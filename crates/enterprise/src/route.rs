@@ -12,15 +12,16 @@
 //! The ladder, cheapest rung first (DESIGN.md §5h):
 //!
 //! 1. **Direct.** The plain exchange. Transient faults (drop /
-//!    corruption) are retried with exponential backoff exactly like the
-//!    policy-off path, but bounded by a per-exchange timeout on the
-//!    simulated clock as well as the retry budget.
+//!    corruption) are retried on the shared backoff schedule exactly
+//!    like the router-off path, up to `MAX_EXCHANGE_RETRIES` re-sends,
+//!    but also bounded by `EXCHANGE_TIMEOUT_MS` of backoff per exchange
+//!    on the simulated clock.
 //! 2. **Probe.** A [`LinkDown`](gpu_sim::ExchangeFault::LinkDown) fault
-//!    names the dead pair. Up to [`RoutePolicy::max_link_retries`]
-//!    probes re-test that link with exponential backoff; each probe
-//!    walks a flapping link's phase one tick forward, so bounded retry
-//!    genuinely converges within one flap window. A hard-down link never
-//!    heals and falls through.
+//!    names the dead pair. Up to `MAX_LINK_PROBES` probes re-test that
+//!    link on the same backoff schedule; each probe walks a flapping
+//!    link's phase one tick forward, so bounded retry genuinely
+//!    converges within one flap window. A hard-down link never heals
+//!    and falls through.
 //! 3. **Relay.** The payload crosses via a two-hop detour through a
 //!    healthy peer (`from → relay → to`), charged two peer-link legs of
 //!    honest wire time and traffic.
@@ -36,15 +37,30 @@
 //!
 //! Every rung is recorded in
 //! [`RecoveryReport`]`::{link_retries, link_reroutes, host_bounces}`.
-//! With the policy disabled (the default) the router delegates verbatim
-//! to the policy-off retry loop, so zero-rate and router-off runs are
-//! bit-identical to the seed.
+//! With the policy disabled (the default) only the direct rung runs,
+//! with no timeout, and a down link is one more transient fault, so
+//! zero-rate and router-off runs are bit-identical to the seed.
 
-use crate::error::{BfsError, RecoveryPolicy, RecoveryReport};
-use crate::multi_gpu::exchange_resilient;
+use crate::error::{Backoff, BfsError, RecoveryReport};
 use gpu_sim::{payload_checksum, ExchangeFault, ExchangeOutcome, MultiDevice};
 
-/// Knobs for the exchange routing ladder. The default is
+/// Re-sends allowed per exchange after a transient fault: a drop, a
+/// corruption, or with the router off a down link.
+pub(crate) const MAX_EXCHANGE_RETRIES: u32 = 16;
+
+/// Probes allowed per dead link before abandoning it for a relay.
+pub(crate) const MAX_LINK_PROBES: u32 = 4;
+
+// Bounded probing converges on a flapping link only if the budget
+// covers a whole flap period.
+const _: () = assert!(MAX_LINK_PROBES >= gpu_sim::CHAOS_LINK_FLAP_PERIOD_LEVELS);
+
+/// Per-exchange budget on the simulated clock with the router armed, in
+/// milliseconds: once the backoff spent inside one exchange would cross
+/// this, the router stops waiting and climbs to the next rung.
+pub(crate) const EXCHANGE_TIMEOUT_MS: f64 = 4.0;
+
+/// Whether the exchange routing ladder is armed. The default is
 /// [`RoutePolicy::disabled`] — a strict no-op that preserves
 /// bit-identity with the pre-router drivers.
 #[derive(Clone, Copy, Debug)]
@@ -54,39 +70,21 @@ pub struct RoutePolicy {
     /// are treated as generic exchange failures (retry → level replay →
     /// CPU fallback).
     pub enabled: bool,
-    /// Probes allowed per dead link before abandoning it for a relay.
-    /// Must be ≥ the largest expected flap period for bounded retry to
-    /// converge on a flapping link.
-    pub max_link_retries: u32,
-    /// Simulated backoff before the first probe, in milliseconds.
-    pub probe_backoff_ms: f64,
-    /// Multiplier applied to the backoff after each failed probe.
-    pub backoff_multiplier: f64,
-    /// Per-exchange budget on the simulated clock, in milliseconds: once
-    /// the backoff spent inside one exchange crosses this, the router
-    /// stops waiting and climbs to the next rung immediately.
-    pub exchange_timeout_ms: f64,
 }
 
 impl RoutePolicy {
     /// The strict no-op policy: routing off, every exchange handled by
     /// the plain retry loop.
     pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            max_link_retries: 4,
-            probe_backoff_ms: 0.05,
-            backoff_multiplier: 2.0,
-            exchange_timeout_ms: 4.0,
-        }
+        Self { enabled: false }
     }
 
-    /// The routing ladder armed with its defaults: 4 probes per dead
-    /// link (covers the chaos flap period of
-    /// [`gpu_sim::CHAOS_LINK_FLAP_PERIOD_LEVELS`]), 0.05 ms initial
-    /// backoff doubling per probe, 4 ms per-exchange timeout.
+    /// The routing ladder armed: 4 probes per dead link (covering the
+    /// chaos flap period of [`gpu_sim::CHAOS_LINK_FLAP_PERIOD_LEVELS`]),
+    /// on the shared 0.05 ms doubling backoff, within a 4 ms
+    /// per-exchange timeout.
     pub fn on() -> Self {
-        Self { enabled: true, ..Self::disabled() }
+        Self { enabled: true }
     }
 }
 
@@ -102,7 +100,7 @@ impl Default for RoutePolicy {
 /// exchange that hits it — and every *source* of a batch — re-pays the
 /// full probe ladder before relaying. Drivers carry one `LinkVerdicts`
 /// across a batch (cleared per run outside batch brownout): once a link
-/// has survived `max_link_retries` probes without healing, later
+/// has survived `MAX_LINK_PROBES` probes without healing, later
 /// exchanges skip straight to the relay rung and count a
 /// [`RecoveryReport::link_verdict_hits`].
 ///
@@ -162,13 +160,12 @@ pub(crate) fn find_isolated(multi: &MultiDevice) -> Option<usize> {
 /// Runs one fault-aware exchange through the routing ladder. `payload`
 /// is the host-serialized wire image (checksummed for corruption
 /// detection); `do_exchange` performs one direct attempt and reports the
-/// injected fault, if any. With `route.enabled == false` this delegates
-/// to [`exchange_resilient`] — bit-identical to the policy-off drivers.
-#[allow(clippy::too_many_arguments)]
+/// injected fault, if any. With the router off (`route.enabled ==
+/// false`) only the direct rung runs: every fault, a down link included,
+/// is retried on the backoff schedule with no timeout.
 pub(crate) fn exchange_routed<F>(
     multi: &mut MultiDevice,
     payload: &[u8],
-    policy: &RecoveryPolicy,
     route: &RoutePolicy,
     level: u32,
     recovery: &mut RecoveryReport,
@@ -178,13 +175,11 @@ pub(crate) fn exchange_routed<F>(
 where
     F: FnMut(&mut MultiDevice) -> ExchangeOutcome,
 {
-    if !route.enabled {
-        return exchange_resilient(multi, payload, policy, level, recovery, do_exchange);
-    }
     let bytes = payload.len() as u64;
     let expected = payload_checksum(payload);
+    let timeout_ms = if route.enabled { EXCHANGE_TIMEOUT_MS } else { f64::INFINITY };
     let mut transient_attempts: u32 = 0;
-    let mut backoff = policy.backoff_ms;
+    let mut backoff = Backoff::new();
     let mut spent_ms = 0.0f64;
     loop {
         let outcome = do_exchange(multi);
@@ -193,7 +188,7 @@ where
             Some(f) => f,
         };
         match fault {
-            ExchangeFault::LinkDown { from, to } => {
+            ExchangeFault::LinkDown { from, to } if route.enabled => {
                 // Rung 2: probe the named link. Each probe walks a
                 // flapping link's phase forward, so a flap heals within
                 // `period_levels` probes; a severed link never does. A
@@ -202,17 +197,14 @@ where
                 if verdicts.is_hard_down(from, to) {
                     recovery.link_verdict_hits += 1;
                 } else {
-                    let mut probe_backoff = route.probe_backoff_ms;
+                    let mut probe = Backoff::new();
                     let mut healed = false;
                     let mut probes = 0u32;
-                    for _ in 0..route.max_link_retries {
-                        if spent_ms + probe_backoff > route.exchange_timeout_ms {
+                    for _ in 0..MAX_LINK_PROBES {
+                        if spent_ms + probe.peek() > timeout_ms {
                             break;
                         }
-                        multi.advance_all(probe_backoff);
-                        recovery.backoff_ms += probe_backoff;
-                        spent_ms += probe_backoff;
-                        probe_backoff *= route.backoff_multiplier;
+                        wait(multi, recovery, &mut spent_ms, probe.take());
                         recovery.link_retries += 1;
                         probes += 1;
                         if multi.probe_link(from, to) {
@@ -225,7 +217,7 @@ where
                     }
                     // Only a full, un-timed-out probe ladder earns a
                     // verdict; a timeout proves nothing about the link.
-                    if probes == route.max_link_retries {
+                    if probes == MAX_LINK_PROBES {
                         verdicts.record(from, to);
                     }
                 }
@@ -249,9 +241,9 @@ where
                 return Err(BfsError::LinkIsolated { level, device });
             }
             transient => {
-                // Rung 1: transient drop/corruption — same receiver-side
-                // detection and bounded backoff as the policy-off loop,
-                // additionally capped by the per-exchange timeout.
+                // Rung 1: a transient fault. Receiver-side detection:
+                // flip the faulted bit in a copy of the payload and
+                // confirm the checksum catches it.
                 if let ExchangeFault::Corrupted { bit, .. } = transient {
                     let mut received = payload.to_vec();
                     let bit = bit as usize % (received.len() * 8);
@@ -263,8 +255,8 @@ where
                     );
                 }
                 transient_attempts += 1;
-                if transient_attempts > policy.max_exchange_retries
-                    || spent_ms + backoff > route.exchange_timeout_ms
+                if transient_attempts > MAX_EXCHANGE_RETRIES
+                    || spent_ms + backoff.peek() > timeout_ms
                 {
                     return Err(BfsError::ExchangeRetriesExhausted {
                         level,
@@ -272,13 +264,18 @@ where
                     });
                 }
                 recovery.exchange_retries += 1;
-                multi.advance_all(backoff);
-                recovery.backoff_ms += backoff;
-                spent_ms += backoff;
-                backoff *= policy.backoff_multiplier;
+                wait(multi, recovery, &mut spent_ms, backoff.take());
             }
         }
     }
+}
+
+/// Charges one backoff wait to every device timeline and to the
+/// exchange's running total `spent_ms`.
+fn wait(multi: &mut MultiDevice, recovery: &mut RecoveryReport, spent_ms: &mut f64, ms: f64) {
+    multi.advance_all(ms);
+    recovery.backoff_ms += ms;
+    *spent_ms += ms;
 }
 
 #[cfg(test)]
@@ -289,14 +286,6 @@ mod tests {
     fn default_policy_is_disabled_and_bounded() {
         let p = RoutePolicy::default();
         assert!(!p.enabled);
-        assert!(p.max_link_retries > 0);
-        assert!(p.probe_backoff_ms > 0.0 && p.backoff_multiplier >= 1.0);
-        assert!(p.exchange_timeout_ms > 0.0);
-        let on = RoutePolicy::on();
-        assert!(on.enabled);
-        assert_eq!(on.max_link_retries, p.max_link_retries);
-        // The probe budget must cover the chaos flap period, or bounded
-        // retry could never converge on a chaos-armed flapping link.
-        assert!(on.max_link_retries >= gpu_sim::CHAOS_LINK_FLAP_PERIOD_LEVELS);
+        assert!(RoutePolicy::on().enabled);
     }
 }

@@ -13,9 +13,9 @@
 //! verification ladder the drivers use to survive injected bit flips
 //! (DESIGN.md §5e), controlled by [`VerifyPolicy`]:
 //!
-//! * [`check_level`] — incremental end-of-level invariant checker over
+//! * `check_level` — incremental end-of-level invariant checker over
 //!   the (merged) status/parent arrays;
-//! * [`repair_vertices`] — localized repair of flagged vertices from the
+//! * `repair_vertices` — localized repair of flagged vertices from the
 //!   verified per-level checkpoint, tried before any level replay;
 //! * [`audit`] — end-of-run parent-tree audit that *proves* the final
 //!   depths are the exact BFS distances without running the oracle.
@@ -94,7 +94,7 @@ pub enum ValidationError {
     /// The visited count differs from the oracle's reachable set.
     VisitedCount { expected: usize, actual: usize },
     /// An invariant violated by silent data corruption, found by the
-    /// oracle-free ladder ([`check_level`] or [`audit`]) rather than the
+    /// oracle-free ladder (`check_level` or [`audit`]) rather than the
     /// oracle comparison.
     SilentCorruption { vertex: VertexId, detail: String },
 }

@@ -16,9 +16,9 @@ use enterprise::multi_gpu::{MultiGpuConfig, MultiGpuEnterprise};
 use enterprise::multi_gpu_2d::{Grid2DConfig, MultiGpu2DEnterprise};
 use enterprise::validate::cpu_levels;
 use enterprise::{
-    BatchPolicy, BatchSource, BfsError, Enterprise, EnterpriseConfig, FaultSpec, PersistPolicy,
-    PipelineMode, PoisonReason, RebalancePolicy, ShedOrder, SourceOutcome, VerifyPolicy,
-    WatchdogPolicy,
+    BatchPolicy, BatchReport, BatchSource, BfsError, Enterprise, EnterpriseConfig, FaultSpec,
+    PersistPolicy, PipelineMode, PoisonReason, RebalancePolicy, ShedOrder, SourceOutcome,
+    VerifyPolicy, WatchdogPolicy,
 };
 use enterprise_graph::gen::kronecker;
 use std::path::PathBuf;
@@ -336,6 +336,73 @@ fn pipelined_batch_matches_sequential_digests_on_all_drivers() {
         assert_eq!(pr.levels, sr.levels);
         assert_eq!(pr.parents, sr.parents);
     }
+}
+
+/// Checks one shape against source `n`, one past the last vertex:
+/// `try_bfs` returns the typed error, and in a passthrough, a sequential
+/// and a pipelined batch the bad source alone is poisoned with it after
+/// one attempt that cost no simulated time, while its siblings keep the
+/// digests they get in a batch without it.
+fn assert_rejects_out_of_range<R>(
+    shape: &str,
+    n: u32,
+    try_bfs: impl FnOnce(u32) -> Result<R, BfsError>,
+    mut batch: impl FnMut(&[BatchSource], &BatchPolicy) -> BatchReport<R>,
+) {
+    let is_rejection = |e: &BfsError| {
+        matches!(e, BfsError::SourceOutOfRange { source, vertices }
+            if *source == n && *vertices == n as usize)
+    };
+    let Err(e) = try_bfs(n) else { panic!("{shape}: source {n} was accepted") };
+    assert!(is_rejection(&e), "{shape}: {e:?}");
+    let mut with_bad = queue();
+    with_bad.insert(2, BatchSource::new(n));
+    for policy in [BatchPolicy::disabled(), BatchPolicy::on(), BatchPolicy::pipelined(4)] {
+        let want: Vec<u64> = batch(&queue(), &policy).runs.iter().map(|r| r.digest).collect();
+        let report = batch(&with_bad, &policy);
+        assert!(report.accounted(), "{shape} {policy:?}: accounting broken");
+        assert_eq!(report.poisoned, 1, "{shape} {policy:?}");
+        let bad = &report.runs[2];
+        match &bad.outcome {
+            SourceOutcome::Poisoned(PoisonReason::Error(e)) => {
+                assert!(is_rejection(e), "{shape} {policy:?}: {e:?}")
+            }
+            other => panic!("{shape} {policy:?}: bad source ended {other:?}"),
+        }
+        assert_eq!((bad.attempts, bad.time_ms), (1, 0.0), "{shape} {policy:?}");
+        let mut got: Vec<u64> = report.runs.iter().map(|r| r.digest).collect();
+        got.remove(2);
+        assert_eq!(got, want, "{shape} {policy:?}: sibling digests moved");
+    }
+}
+
+/// An out-of-range source is a typed error, not a panic, on every
+/// shape, alone or as one entry of a batch in every serving mode.
+#[test]
+fn out_of_range_source_is_a_typed_error_on_every_shape() {
+    let g = kronecker(9, 8, 5);
+    let n = g.vertex_count() as u32;
+    let single = EnterpriseConfig::default();
+    assert_rejects_out_of_range(
+        "single",
+        n,
+        |s| Enterprise::new(single.clone(), &g).try_bfs(s),
+        |q, p| Enterprise::new(single.clone(), &g).batch(q, p),
+    );
+    let slices = MultiGpuConfig::k40s(4);
+    assert_rejects_out_of_range(
+        "1-D x4",
+        n,
+        |s| MultiGpuEnterprise::new(slices.clone(), &g).try_bfs(s),
+        |q, p| MultiGpuEnterprise::new(slices.clone(), &g).batch(q, p),
+    );
+    let grid = Grid2DConfig::k40s(2, 2);
+    assert_rejects_out_of_range(
+        "2x2",
+        n,
+        |s| MultiGpu2DEnterprise::new(grid.clone(), &g).try_bfs(s),
+        |q, p| MultiGpu2DEnterprise::new(grid.clone(), &g).batch(q, p),
+    );
 }
 
 /// `PipelineMode::Off` is a strict no-op: an enabled-but-unpipelined

@@ -7,7 +7,7 @@
 use enterprise::multi_gpu::{Fleet, MultiGpuConfig, MultiGpuEnterprise};
 use enterprise::multi_gpu_2d::{Grid2DConfig, MultiGpu2DEnterprise};
 use enterprise::validate::cpu_levels;
-use enterprise::{BfsError, Enterprise, EnterpriseConfig, FaultSpec, RecoveryPolicy};
+use enterprise::{BfsError, Enterprise, EnterpriseConfig, FaultSpec, RecoveryPolicy, VerifyPolicy};
 use enterprise_graph::gen::{kronecker, social, SocialParams};
 use enterprise_graph::Csr;
 use gpu_sim::DeviceConfig;
@@ -195,8 +195,12 @@ fn injected_alloc_fault_at_setup_degrades_to_cpu_baseline() {
 #[test]
 fn validation_gate_passes_fault_free_runs_through() {
     let g = kronecker(9, 8, 3);
-    let mut e = Enterprise::new(EnterpriseConfig::default(), &g);
-    let r = e.bfs_validated(&g, 4).expect("clean run validates");
+    let cfg = EnterpriseConfig {
+        verify: VerifyPolicy { end_of_run: true, ..VerifyPolicy::disabled() },
+        ..EnterpriseConfig::default()
+    };
+    let mut e = Enterprise::new(cfg, &g);
+    let r = e.try_bfs(4).expect("clean run validates");
     assert_eq!(r.recovery.validation_replays, 0);
     assert_eq!(r.levels, cpu_levels(&g, 4));
 }

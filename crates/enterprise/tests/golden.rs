@@ -3,8 +3,8 @@
 //! - `golden_fleet.txt`: every multi-GPU partition shape, graph family
 //!   and fault plane below. A line records a traversal's result digest,
 //!   simulated time (as `f64` bits), interconnect bytes and full
-//!   `RecoveryReport`, or a pipelined batch's wall time and per-source
-//!   digests.
+//!   `RecoveryReport`, or a sequential or pipelined batch's wall time
+//!   and per-source digests.
 //! - `golden_single.txt`: the single-GPU `Enterprise` under its own fault
 //!   planes and ablation points. A line adds the device report, the
 //!   kernel count and the per-level trace (direction, class sizes, γ and
@@ -79,7 +79,32 @@ fn planes() -> Vec<Plane> {
                 },
             )
         },
+        // The exchange retry ladder with the router off: a down or
+        // flapping link is one more transient fault.
+        plane("wire", wire_faults()),
+        // The same wire faults through the router's transient and probe
+        // rungs.
+        Plane { route: RoutePolicy::on(), ..plane("wire+route", wire_faults()) },
     ]
+}
+
+/// Dropped and corrupted exchanges over a topology with down and
+/// flapping links.
+fn wire_faults() -> FaultSpec {
+    FaultSpec {
+        exchange_drop_rate: 0.15,
+        exchange_corrupt_rate: 0.15,
+        link_down_rate: 0.03,
+        link_flap_rate: 0.15,
+        link_flap_period_levels: CHAOS_LINK_FLAP_PERIOD_LEVELS,
+        ..FaultSpec::none(17)
+    }
+}
+
+/// The batch policies both fixtures pin: the sequential serving plane
+/// and four pipelined lanes.
+fn batch_policies() -> [(&'static str, BatchPolicy); 2] {
+    [("pipelined4", BatchPolicy::pipelined(4)), ("sequential", BatchPolicy::on())]
 }
 
 /// FNV-1a over levels then parents, `u32::MAX` for unreachable.
@@ -212,10 +237,12 @@ fn generate() -> String {
                 });
             }
             for plane in [&planes[0], &planes[1]] {
-                let tag = format!("{gname} {} {} pipelined4", shape.tag(), plane.name);
-                with_driver!(shape, plane, g, |sys| {
-                    batch_line(&mut out, &tag, &sys.batch(&batch, &BatchPolicy::pipelined(4)));
-                });
+                for (mode, policy) in batch_policies() {
+                    let tag = format!("{gname} {} {} {mode}", shape.tag(), plane.name);
+                    with_driver!(shape, plane, g, |sys| {
+                        batch_line(&mut out, &tag, &sys.batch(&batch, &policy));
+                    });
+                }
             }
         }
     }
@@ -328,9 +355,11 @@ fn generate_single() -> String {
             }
         }
         for plane in [&planes[0], &planes[1]] {
-            let tag = format!("{gname} {} pipelined4", plane.name);
-            let mut sys = Enterprise::new(plane.config.clone(), g);
-            batch_line(&mut out, &tag, &sys.batch(&batch, &BatchPolicy::pipelined(4)));
+            for (mode, policy) in batch_policies() {
+                let tag = format!("{gname} {} {mode}", plane.name);
+                let mut sys = Enterprise::new(plane.config.clone(), g);
+                batch_line(&mut out, &tag, &sys.batch(&batch, &policy));
+            }
         }
     }
     out

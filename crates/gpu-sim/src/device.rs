@@ -20,8 +20,6 @@ pub struct DeviceConfig {
     pub smx_count: u32,
     /// CUDA cores per SMX (K40: 192).
     pub cores_per_smx: u32,
-    /// Threads per warp (32 on every NVIDIA generation the paper uses).
-    pub warp_size: u32,
     /// Max resident warps per SMX (K40: 64).
     pub max_warps_per_smx: u32,
     /// Max resident CTAs per SMX (Kepler: 16).
@@ -78,7 +76,6 @@ impl DeviceConfig {
             name: "K40",
             smx_count: 15,
             cores_per_smx: 192,
-            warp_size: 32,
             max_warps_per_smx: 64,
             max_ctas_per_smx: 16,
             max_threads_per_smx: 2048,
@@ -401,11 +398,6 @@ impl Device {
         self.mem.enable_init_tracking();
     }
 
-    /// True when a sanitizer is installed.
-    pub fn sanitizer_enabled(&self) -> bool {
-        self.sanitizer.is_some()
-    }
-
     /// The installed sanitizer, if any (inspect findings/counters).
     pub fn sanitizer(&self) -> Option<&Sanitizer> {
         self.sanitizer.as_ref()
@@ -548,12 +540,6 @@ impl Device {
     /// flips never reach live data).
     pub fn sdc_events(&self) -> &[SdcEvent] {
         &self.sdc_log
-    }
-
-    /// Number of 64-bit words currently holding a latent (corrected but
-    /// not yet rewritten) single-bit error under ECC.
-    pub fn latent_errors(&self) -> usize {
-        self.latent.len()
     }
 
     /// One background-scrubber sweep: rewrites every word holding a

@@ -14,7 +14,7 @@
 //! * **latency**: every warp-level memory op holds its warp for the
 //!   (L2/DRAM-blended) access latency; with `W` resident warps per SMX
 //!   those latencies overlap W-wide (the §2.2 "oversubscribing threads in
-//!   each SMX [so] data access can be overlapped with execution"), so the
+//!   each SMX \[so\] data access can be overlapped with execution"), so the
 //!   term is `requests x latency / (smxs_used x W)`, plus shared-memory
 //!   and atomic-serialization cycles.
 //!

@@ -16,7 +16,7 @@ use crate::counters::KernelRecord;
 use crate::memory::{coalesce, BufferId, DeviceMem, L2Cache, ELEMS_PER_TRANSACTION};
 use crate::sanitizer::{AccessKind, Sanitizer, ThreadCoord, COOP_PHASE};
 
-/// Threads per warp.
+/// Threads per warp (32 on every NVIDIA generation the paper uses).
 pub const WARP_SIZE: u32 = 32;
 
 /// Per-lane results of a warp-wide operation.
@@ -137,19 +137,6 @@ impl<'a> WarpCtx<'a> {
     #[inline]
     pub fn lane_info(&self, lane: u32) -> Lane {
         Lane { lane, tid: self.global_thread_id(lane) }
-    }
-
-    /// Total warps in the launch (rounded up per CTA).
-    #[inline]
-    pub fn grid_warps(&self) -> u64 {
-        let wpc = (self.threads_per_cta as u64).div_ceil(WARP_SIZE as u64);
-        self.grid_threads.div_ceil(self.threads_per_cta as u64) * wpc
-    }
-
-    /// Shared memory of this warp's CTA, as `u32` words.
-    #[inline]
-    pub fn shared_len(&self) -> usize {
-        self.shared.len()
     }
 
     /// Records `warp_ops` warp-wide arithmetic instructions with
@@ -522,11 +509,6 @@ pub struct CtaCtx<'a> {
 }
 
 impl<'a> CtaCtx<'a> {
-    /// Shared memory size in words.
-    pub fn shared_len(&self) -> usize {
-        self.shared.len()
-    }
-
     /// Cooperative, fully-coalesced copy of `buf[src_range]` into
     /// `shared[dst_offset..]`. Models every warp of the CTA streaming a
     /// contiguous chunk: transactions = touched blocks, instructions =

@@ -184,7 +184,7 @@ impl DeviceMem {
     }
 
     /// Fallible single-element read; the typed counterpart of
-    /// [`DeviceMem::read`]'s panic path.
+    /// `DeviceMem::read`'s panic path.
     #[inline]
     pub fn try_read(&self, id: BufferId, index: usize) -> Result<u32, DeviceError> {
         let buf = &self.buffers[id.0];
@@ -200,7 +200,7 @@ impl DeviceMem {
     }
 
     /// Fallible single-element write; the typed counterpart of
-    /// [`DeviceMem::write`]'s panic path.
+    /// `DeviceMem::write`'s panic path.
     #[inline]
     pub fn try_write(&mut self, id: BufferId, index: usize, value: u32) -> Result<(), DeviceError> {
         let device = self.device_id;

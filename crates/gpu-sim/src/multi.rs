@@ -273,16 +273,6 @@ impl MultiDevice {
         }
     }
 
-    /// Removes every fault plan (devices and interconnect).
-    pub fn clear_faults(&mut self) {
-        for d in &mut self.devices {
-            d.set_fault_plan(None);
-        }
-        self.link_fault = None;
-        self.link_degrade = 1.0;
-        self.topology = None;
-    }
-
     /// True when the interconnect drew as degraded at plan installation
     /// (see [`FaultSpec::link_degrade_rate`]).
     pub fn link_degraded(&self) -> bool {
