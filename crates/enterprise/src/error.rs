@@ -1,11 +1,11 @@
 //! Typed errors and recovery accounting for fault-tolerant traversal.
 //!
-//! The drivers in [`crate::bfs`], [`crate::multi_gpu`] and
-//! [`crate::multi_gpu_2d`] run against a device substrate that can fail:
-//! allocations may be denied (real OOM or an injected fault), kernel
+//! The one fleet driver ([`crate::multi_gpu::Fleet`]) runs every partition
+//! shape, the single GPU included, against a device substrate that can
+//! fail: allocations may be denied (real OOM or an injected fault), kernel
 //! launches may abort transiently, and interconnect exchanges may drop or
-//! corrupt a compressed bitmap. This module defines the error type those
-//! drivers propagate, the knobs bounding how hard they try to recover,
+//! corrupt a compressed bitmap. This module defines the error type the
+//! driver propagates, the knobs bounding how hard it tries to recover,
 //! and the counters reporting what recovery actually happened.
 
 use crate::persist::PersistError;
@@ -16,6 +16,15 @@ use gpu_sim::{DeviceError, FaultStats};
 /// An unrecovered failure of a BFS run.
 #[derive(Debug, Clone)]
 pub enum BfsError {
+    /// The graph has fewer vertices than the fleet has devices, so some
+    /// device would own no vertex. Checked at setup, before any device
+    /// allocation.
+    TooFewVertices {
+        /// Vertices in the graph.
+        vertices: usize,
+        /// Devices in the fleet's shape.
+        devices: usize,
+    },
     /// The requested source is not a vertex of the bound graph. Checked
     /// before anything runs, so the driver's state is untouched.
     SourceOutOfRange {
@@ -107,6 +116,9 @@ pub enum BfsError {
 impl std::fmt::Display for BfsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            BfsError::TooFewVertices { vertices, devices } => {
+                write!(f, "graph has {vertices} vertices, fewer than its {devices} devices")
+            }
             BfsError::SourceOutOfRange { source, vertices } => {
                 write!(f, "source {source} is out of range ({vertices} vertices)")
             }
@@ -165,7 +177,8 @@ impl std::error::Error for BfsError {
         match self {
             BfsError::Device(e) | BfsError::LevelRetriesExhausted { last: e, .. } => Some(e),
             BfsError::ValidationFailedAfterReplay(e) => Some(e),
-            BfsError::SourceOutOfRange { .. }
+            BfsError::TooFewVertices { .. }
+            | BfsError::SourceOutOfRange { .. }
             | BfsError::ExchangeRetriesExhausted { .. }
             | BfsError::Hang { .. }
             | BfsError::Deadline { .. }
@@ -356,6 +369,8 @@ mod tests {
         assert!(s.contains("device 2") && s.contains("link-isolated"), "{s}");
         let s = BfsError::SourceOutOfRange { source: 9, vertices: 9 }.to_string();
         assert!(s.contains("source 9") && s.contains("out of range"), "{s}");
+        let s = BfsError::TooFewVertices { vertices: 3, devices: 4 }.to_string();
+        assert!(s.contains("3 vertices") && s.contains("4 devices"), "{s}");
     }
 
     #[test]

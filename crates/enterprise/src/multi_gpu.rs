@@ -33,11 +33,13 @@
 //! One [`Fleet`] runs every shape: the seed, level loop, replay, verify,
 //! persistence, merge, collect and pipelined lanes are shared, and each
 //! shape-specific decision lives in one function that matches on the
-//! shape (layout and census, exchange, loss, rebalance, persistence).
+//! shape (layout, exchange, loss, rebalance, persistence).
 //! The rules that only a single device needs — a terminal loss, no
 //! brownout pin, the device's own fault stream armed from construction,
-//! host-degree seeding, the whole CSR uploaded as is — are likewise each
-//! one function keyed on the device count (DESIGN.md §5).
+//! the whole CSR uploaded as is — are likewise each one function keyed on
+//! the device count (DESIGN.md §5). Persisted extents on every shape pass
+//! one validity rule, `tiling`, so a degraded grid checkpoints and
+//! resumes on its survivors like a degraded 1-D fleet.
 //!
 //! Parents are private to the discovering device; the final parent tree
 //! is gathered host-side (any device's recorded parent is valid because
@@ -376,7 +378,7 @@ pub(crate) fn cpu_fallback(csr: &Csr, source: VertexId) -> MultiBfsResult {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum View {
     /// Full out/in adjacency of a contiguous slice (`build_1d`): 1-D
-    /// slices, and grid devices after a collapse.
+    /// slices, and grid devices after a collapse to slices.
     Strip,
     /// A 2-D adjacency block (`build_2d`): out-edges of the column block
     /// restricted to row-block targets, plus the transposed in-view.
@@ -385,6 +387,7 @@ enum View {
 
 /// A device's partition: its view kind plus the top-down (sources) and
 /// bottom-up (targets) scan ranges.
+#[derive(PartialEq, Eq)]
 struct Extent {
     view: View,
     td: Range<usize>,
@@ -464,15 +467,11 @@ fn try_place(
 
 /// Seeds `source` on one device's state: the device learns the source
 /// (initial broadcast); only the device whose top-down range holds it
-/// enqueues it, classified by `host_degree` when given (see
-/// [`Fleet::seed_degree`]), else by its view's out-degree.
-fn seed(
-    device: &mut Device,
-    graph: &DeviceGraph,
-    st: &mut BfsState,
-    source: VertexId,
-    host_degree: Option<u32>,
-) {
+/// enqueues it, classified by its resident view's out-degree (on one
+/// device, the CSR's own). Seeding writes device memory from the host
+/// and charges no simulated time, so it needs no barrier: the level's
+/// exchange is the first synchronization.
+fn seed(device: &mut Device, graph: &DeviceGraph, st: &mut BfsState, source: VertexId) {
     let s = source as usize;
     st.reset(device);
     if !st.td_range.contains(&s) {
@@ -482,11 +481,24 @@ fn seed(
     // Resident graph arrays can carry silent bit rot from an earlier
     // batch source; kernels clamp corrupt offsets, and the host must
     // tolerate them too. A wrong class is caught by the verifier.
-    let degree = host_degree.unwrap_or_else(|| {
-        let offs = device.mem_ref().view(graph.out_offsets);
-        offs[s + 1].saturating_sub(offs[s])
-    });
+    let offs = device.mem_ref().view(graph.out_offsets);
+    let degree = offs[s + 1].saturating_sub(offs[s]);
     enqueue_seed(device, st, source, degree);
+}
+
+/// The hub census T_h — `restored` when a layout snapshot carried it,
+/// else the per-device counts summed once per distinct top-down range:
+/// every slice, and on a cold grid its first row (a grid column repeats
+/// its range on every row).
+fn census(parts: &[PerDevice], restored: Option<u64>) -> u64 {
+    let mut counted = BTreeSet::new();
+    restored.unwrap_or_else(|| {
+        parts
+            .iter()
+            .filter(|p| counted.insert((p.state.td_range.start, p.state.td_range.end)))
+            .map(|p| p.state.total_hubs)
+            .sum()
+    })
 }
 
 /// Classifies a device error as a permanent device loss, given the
@@ -579,29 +591,30 @@ enum Verdict {
     Corrupt(ValidationError),
 }
 
-/// Checks that persisted 1-D slices are a non-empty tiling of `[0, n)`
-/// with identical top-down and bottom-up extents per device — the shape
-/// every 1-D layout (initial, rebalanced, collapsed grid) has. Device
-/// order need not follow slice order: a grid collapse hands out slices in
-/// column-sorted device order, so the per-device ranges tile `[0, n)` as
-/// a *set* while the device indices permute it.
-fn slices_tile_1d(slices: &[(Range<usize>, Range<usize>)], n: usize) -> bool {
-    if slices.is_empty() {
-        return false;
+/// The one validity rule for persisted `(td, bu)` extents: the view
+/// they partition an `n`-vertex graph with, or `None`. They are strips
+/// when every `td == bu` and the ranges tile `[0, n)` in any device order
+/// (a grid collapse hands slices out in column-sorted device order), and
+/// blocks when the `td × bu` rectangles tile `[0, n)²` without overlap.
+/// One full-range extent is both; its two views hold the same arrays.
+fn tiling(extents: &[(Range<usize>, Range<usize>)], n: usize) -> Option<View> {
+    let bad = |r: &Range<usize>| r.is_empty() || r.end > n;
+    if extents.is_empty() || extents.iter().any(|(td, bu)| bad(td) || bad(bu)) {
+        return None;
     }
-    if slices.iter().any(|(td, bu)| td != bu || td.end <= td.start) {
-        return false;
+    if extents.iter().all(|(td, bu)| td == bu) {
+        let mut spans: Vec<(usize, usize)> =
+            extents.iter().map(|(td, _)| (td.start, td.end)).collect();
+        spans.sort_unstable();
+        let end = spans.into_iter().try_fold(0, |next, (lo, hi)| (lo == next).then_some(hi));
+        return (end == Some(n)).then_some(View::Strip);
     }
-    let mut starts: Vec<(usize, usize)> = slices.iter().map(|(td, _)| (td.start, td.end)).collect();
-    starts.sort_unstable();
-    let mut next = 0usize;
-    for (lo, hi) in starts {
-        if lo != next {
-            return false;
-        }
-        next = hi;
-    }
-    next == n
+    let overlap = |a: &Range<usize>, b: &Range<usize>| a.start < b.end && b.start < a.end;
+    let disjoint = extents.iter().enumerate().all(|(i, (td, bu))| {
+        extents[i + 1..].iter().all(|(t, b)| !overlap(td, t) || !overlap(bu, b))
+    });
+    let area: u128 = extents.iter().map(|(td, bu)| td.len() as u128 * bu.len() as u128).sum();
+    (disjoint && area == n as u128 * n as u128).then_some(View::Block)
 }
 
 /// An Enterprise system over a partition [`Shape`], bound to one graph.
@@ -637,12 +650,8 @@ pub struct Fleet {
     ckpt_writer: CheckpointWriter,
     /// Devices a restored *degraded-fleet* layout recorded as evicted:
     /// every run of this instance re-evicts them at start and resumes on
-    /// the survivors (whose restored slices tile the vertex range alone).
+    /// the survivors (whose restored extents tile the graph alone).
     layout_evicted: Vec<usize>,
-    /// Whether the grid has collapsed to rebalanced 1-D slices (set by a
-    /// grid rebalance, which outlives the run, or restored from a
-    /// persisted collapsed layout). Always false on slices.
-    collapsed: bool,
     /// Brownout pin (batch serving plane, DESIGN.md §5i): while set, the
     /// per-run fleet restoration — revive, retired-partition restore,
     /// detector and link-verdict reset — is skipped, so evictions and
@@ -855,12 +864,9 @@ impl Fleet {
     }
 
     /// The fleet's serializable degradation — evicted device ids, spliced
-    /// partition boundaries, learned link verdicts — or `None` while the
-    /// fleet is healthy (or its shape persists no degraded layout).
-    pub(crate) fn capture_fleet(&mut self) -> Option<FleetRecord> {
-        if !self.persists_degraded() {
-            return None;
-        }
+    /// partition extents, learned link verdicts — or `None` while the
+    /// fleet is healthy.
+    pub(crate) fn capture_fleet(&self) -> Option<FleetRecord> {
         let p = self.parts.len();
         let dead: Vec<usize> = (0..p).filter(|&d| !self.multi.is_alive(d)).collect();
         let verdicts = self.link_verdicts.pairs();
@@ -870,7 +876,7 @@ impl Fleet {
             return None;
         }
         // Fault-plane losses first, link-isolated evictions last: the
-        // counts split the id list exactly on restore.
+        // isolated count splits the id list exactly on restore.
         let (isolated, fault): (Vec<u32>, Vec<u32>) = dead
             .iter()
             .map(|&d| d as u32)
@@ -878,10 +884,9 @@ impl Fleet {
         let boundaries = self
             .parts
             .iter()
-            .map(|p| (p.state.td_range.clone(), p.state.td_range.clone()))
+            .map(|p| (p.state.td_range.clone(), p.state.bu_range.clone()))
             .collect();
         Some(FleetRecord {
-            fault_lost: fault.len() as u32,
             link_isolated: isolated.len() as u32,
             evicted: fault.into_iter().chain(isolated).collect(),
             boundaries,
@@ -890,51 +895,19 @@ impl Fleet {
     }
 
     /// Re-applies a captured fleet shape before a resumed batch runs:
-    /// re-evicts the dead devices and rebuilds the survivors on the
-    /// spliced boundaries. `false` = unsupported or mismatched; the batch
-    /// proceeds on the cold fleet.
+    /// reshapes onto the recorded survivors ([`Fleet::reshape`]) and
+    /// restores the learned link verdicts. `false` = a defective or
+    /// mismatched record; the batch proceeds on the cold fleet.
     pub(crate) fn restore_fleet(&mut self, rec: &FleetRecord) -> bool {
-        let n = self.csr.vertex_count();
-        let p = self.parts.len();
-        if !self.persists_degraded()
-            || rec.boundaries.len() != p
-            || rec.evicted.len() != (rec.fault_lost + rec.link_isolated) as usize
-            || rec.evicted.len() >= p
+        if rec.link_isolated as usize > rec.evicted.len()
+            || self.reshape(&rec.boundaries, &rec.evicted).is_err()
         {
             return false;
         }
-        let Some(dead) = dead_mask(&rec.evicted, p) else { return false };
-        // The survivors' recorded slices must tile the vertex range by
-        // themselves (evicted entries are stale).
-        let survivors: Vec<(usize, Range<usize>)> = rec
-            .boundaries
-            .iter()
-            .enumerate()
-            .filter(|(d, _)| !dead[*d])
-            .map(|(d, (td, _))| (d, td.clone()))
-            .collect();
-        let slices: Vec<_> = survivors.iter().map(|(_, s)| (s.clone(), s.clone())).collect();
-        if !slices_tile_1d(&slices, n) {
-            return false;
-        }
-        // Rebuild (fallibly) every survivor whose extent moved, before
-        // committing anything; a defect leaves the fleet untouched and
-        // the batch cold-starts.
-        let Ok(rebuilt) = self.rebuild_strips(&survivors) else { return false };
-        // Commit. The displaced cold partitions are retired so the next
-        // *unpinned* run of this instance restores the original layout.
-        for &d in &rec.evicted {
-            if self.multi.is_alive(d as usize) {
-                self.multi.evict(d as usize);
-            }
-        }
-        self.commit_rebuilt(rebuilt);
         self.link_verdicts.restore(&rec.verdicts);
         self.batch_isolated.clear();
         let iso_start = rec.evicted.len() - rec.link_isolated as usize;
-        for &d in &rec.evicted[iso_start..] {
-            self.batch_isolated.insert(d as usize);
-        }
+        self.batch_isolated.extend(rec.evicted[iso_start..].iter().map(|&d| d as usize));
         true
     }
 }
@@ -1001,43 +974,6 @@ impl Fleet {
                     bu: (i * n / r)..((i + 1) * n / r),
                 }
             }
-        }
-    }
-
-    /// Layout: the hub census T_h — `restored` when a layout snapshot
-    /// carried it, else from per-device counts. A slice counts only its
-    /// own vertices, so the fleet sums every device; a grid column counts
-    /// the same hubs on every row, so the grid sums one row and then
-    /// synchronizes its clocks.
-    fn census(
-        shape: Shape,
-        multi: &mut MultiDevice,
-        parts: &[PerDevice],
-        restored: Option<u64>,
-    ) -> u64 {
-        let measured = |k: usize| parts[..k].iter().map(|p| p.state.total_hubs).sum();
-        match shape.grid() {
-            None => restored.unwrap_or_else(|| measured(parts.len())),
-            Some((_, c)) => {
-                let total = restored.unwrap_or_else(|| measured(c));
-                multi.barrier();
-                total
-            }
-        }
-    }
-
-    /// Layout: the out-degree the source is classified by at seeding — the
-    /// host table on a single device, the owning device's resident view
-    /// offsets on a fleet (see [`seed`]).
-    fn seed_degree(&self, source: VertexId) -> Option<u32> {
-        (self.parts.len() == 1).then(|| self.out_degrees[source as usize])
-    }
-
-    /// Exchange: the seed broadcast's synchronization. Slices barrier
-    /// after seeding; a grid starts its first level unsynchronized.
-    fn seed_sync(&mut self) {
-        if self.config.shape.grid().is_none() {
-            self.multi.barrier();
         }
     }
 
@@ -1295,9 +1231,7 @@ impl Fleet {
             self.fleet_epoch += 1;
         }
         self.retired.truncate(mark);
-        if collapse {
-            self.collapsed = true;
-        } else {
+        if !collapse {
             recovery.rebalance_ms += self.charge(moved);
         }
         Ok(())
@@ -1317,27 +1251,17 @@ impl Fleet {
         }
     }
 
-    /// Persistence: whether a degraded fleet persists as such (eviction
-    /// ledgers in checkpoints and layouts, fleet records). Slices do; a
-    /// degraded grid has merged *block* views the records' 1-D
-    /// boundaries cannot express, so it writes no checkpoint, publishes
-    /// its cold layout, and resumes batches on the cold grid.
-    fn persists_degraded(&self) -> bool {
-        self.config.shape.grid().is_none()
-    }
-
-    /// Persistence: whether a layout snapshot fits this shape — kind, τ,
-    /// grid dimensions and device count match, and the live extents
-    /// (devices for which `alive` holds) tile the vertex range: 1-D
-    /// slices, a grid's collapsed slices, or a grid's exact cold blocks.
-    /// Only slices may carry evictions.
+    /// Persistence: the view a layout snapshot restores with, when it
+    /// fits this shape — kind, τ, grid dimensions and device count match,
+    /// and the live extents (devices for which `alive` holds) tile the
+    /// graph ([`Fleet::live_view`]).
     fn layout_fits(
         shape: Shape,
         tau: u32,
         n: usize,
         snap: &LayoutSnapshot,
         alive: impl Fn(usize) -> bool,
-    ) -> bool {
+    ) -> Option<View> {
         let p = shape.devices();
         let (r, c) = shape.grid().unwrap_or((1, p));
         if snap.kind != Self::kind_of(shape)
@@ -1346,31 +1270,23 @@ impl Fleet {
             || snap.slices.len() != p
             || snap.evicted.len() >= p
         {
-            return false;
+            return None;
         }
-        match shape.grid() {
-            None => {
-                let live: Vec<_> = snap
-                    .slices
-                    .iter()
-                    .enumerate()
-                    .filter(|(d, _)| alive(*d))
-                    .map(|(_, s)| s.clone())
-                    .collect();
-                slices_tile_1d(&live, n)
-            }
-            Some(_) => {
-                snap.evicted.is_empty()
-                    && if snap.collapsed {
-                        slices_tile_1d(&snap.slices, n)
-                    } else {
-                        snap.slices.iter().enumerate().all(|(d, (td, bu))| {
-                            let cold = Self::cold_extent(shape, n, d);
-                            *td == cold.td && *bu == cold.bu
-                        })
-                    }
-            }
-        }
+        Self::live_view(shape, n, &snap.slices, alive)
+    }
+
+    /// Persistence: the view the live devices' persisted `extents` tile an
+    /// `n`-vertex graph with by the [`tiling`] rule — strips or blocks on
+    /// a grid, strips only on slices — or `None`.
+    fn live_view(
+        shape: Shape,
+        n: usize,
+        extents: &[(Range<usize>, Range<usize>)],
+        alive: impl Fn(usize) -> bool,
+    ) -> Option<View> {
+        let live: Vec<_> =
+            extents.iter().enumerate().filter(|(d, _)| alive(*d)).map(|(_, e)| e.clone()).collect();
+        tiling(&live, n).filter(|&view| view == View::Strip || shape.grid().is_some())
     }
 }
 
@@ -1384,10 +1300,11 @@ impl Fleet {
         Self::try_new(config, csr).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible constructor: device OOM (a partition not fitting), an
-    /// injected allocation fault and a census that exhausts its retries
-    /// surface as a typed [`BfsError`] on every shape, so the caller can
-    /// degrade to the CPU baseline.
+    /// Fallible constructor: a graph with fewer vertices than devices,
+    /// device OOM (a partition not fitting), an injected allocation fault
+    /// and a census that exhausts its retries surface as a typed
+    /// [`BfsError`] on every shape, so the caller can degrade to the CPU
+    /// baseline.
     pub fn try_new<S: Into<Shape>>(config: FleetConfig<S>, csr: &Csr) -> Result<Self, BfsError> {
         let mut config = config.erase();
         let shape = config.shape;
@@ -1398,7 +1315,9 @@ impl Fleet {
             "a multi-device fleet supports the Gamma and TopDownOnly policies"
         );
         let n = csr.vertex_count();
-        assert!(n >= p, "fewer vertices than devices");
+        if n < p {
+            return Err(BfsError::TooFewVertices { vertices: n, devices: p });
+        }
         // Block views cover one column block's out-degrees, so hubs are
         // not identifiable locally: grids run without the hub cache.
         if shape.grid().is_some() {
@@ -1424,8 +1343,8 @@ impl Fleet {
         // Crash-consistent persistence: a valid layout snapshot for this
         // exact graph/configuration restores the layout a previous
         // process converged to (rebalanced slices, a collapsed grid, a
-        // degraded fleet) and the hub census, skipping hub measurement.
-        // Defects degrade to a cold start.
+        // degraded fleet of strips or blocks) and the hub census,
+        // skipping hub measurement. Defects degrade to a cold start.
         let mut store = None;
         let mut persist_errors: Vec<PersistError> = Vec::new();
         let fingerprint = config.persist.as_ref().map(|_| GraphFingerprint::of(csr));
@@ -1435,19 +1354,19 @@ impl Fleet {
                 Err(e) => persist_errors.push(e),
             }
         }
-        let mut restored: Option<LayoutSnapshot> = None;
+        let mut restored: Option<(LayoutSnapshot, View)> = None;
         if let (Some(st), Some(fp)) = (store.as_mut(), fingerprint.as_ref()) {
             match LayoutSnapshot::load(st) {
                 Ok(Some(snap)) => {
-                    // Evicted entries are stale; only the survivors' slices
-                    // must tile the vertex range.
+                    // Evicted entries are stale; only the survivors'
+                    // extents must tile the graph.
                     let alive = |d: usize| !snap.evicted.contains(&(d as u32));
                     if snap.fingerprint != *fp {
                         persist_errors.push(PersistError::GraphMismatch);
-                    } else if !Self::layout_fits(shape, tau, n, &snap, alive) {
-                        persist_errors.push(PersistError::LayoutMismatch);
+                    } else if let Some(view) = Self::layout_fits(shape, tau, n, &snap, alive) {
+                        restored = Some((snap, view));
                     } else {
-                        restored = Some(snap);
+                        persist_errors.push(PersistError::LayoutMismatch);
                     }
                 }
                 Ok(None) => {}
@@ -1455,20 +1374,19 @@ impl Fleet {
             }
         }
         let warm_restart = restored.is_some();
-        let collapsed = restored.as_ref().is_some_and(|s| s.collapsed);
         let layout_evicted: Vec<usize> = restored
             .as_ref()
-            .map(|snap| snap.evicted.iter().map(|&d| d as usize).collect())
+            .map(|(snap, _)| snap.evicted.iter().map(|&d| d as usize).collect())
             .unwrap_or_default();
 
         let mut parts = Vec::with_capacity(p);
         for d in 0..p {
-            // A restored grid that did not collapse sits on its cold blocks.
             let ext = match &restored {
-                Some(snap) if collapsed || shape.grid().is_none() => {
-                    Extent::strip(snap.slices[d].0.clone())
+                Some((snap, view)) => {
+                    let (td, bu) = snap.slices[d].clone();
+                    Extent { view: *view, td, bu }
                 }
-                _ => Self::cold_extent(shape, n, d),
+                None => Self::cold_extent(shape, n, d),
             };
             let device = multi.device(d);
             // Sanitize/deadline before any allocation so initialization
@@ -1494,7 +1412,7 @@ impl Fleet {
         }
         // T_h is a graph property: measured once at setup and shared (a
         // scalar all-reduce). A warm restart reuses the persisted census.
-        let total_hubs = Self::census(shape, &mut multi, &parts, restored.map(|s| s.total_hubs));
+        let total_hubs = census(&parts, restored.map(|(snap, _)| snap.total_hubs));
         for part in &mut parts {
             part.state.total_hubs = total_hubs;
         }
@@ -1515,7 +1433,6 @@ impl Fleet {
             warm_restart,
             ckpt_writer: CheckpointWriter::new(),
             layout_evicted,
-            collapsed,
             pinned: false,
             detector,
             link_verdicts: crate::route::LinkVerdicts::default(),
@@ -1651,12 +1568,10 @@ impl Fleet {
             self.multi.evict(d);
         }
         self.multi.reset_stats();
-        let degree = self.seed_degree(source);
         for d in self.multi.alive_ids() {
             let part = &mut self.parts[d];
-            seed(self.multi.device(d), &part.graph, &mut part.state, source, degree);
+            seed(self.multi.device(d), &part.graph, &mut part.state, source);
         }
-        self.seed_sync();
 
         let mut walk = self.open_walk(source);
         // Warm restart from a durable mid-traversal checkpoint: overwrite
@@ -2050,42 +1965,61 @@ impl Fleet {
         Ok(())
     }
 
-    /// Builds strip partitions for every `(device, slice)` whose slice
-    /// differs from the device's current one, committing nothing.
-    fn rebuild_strips(
+    /// Moves the fleet onto persisted per-device `extents` with `evicted`
+    /// dead — the one reshape a degraded checkpoint resume
+    /// ([`Fleet::try_resume`]) and a batch fleet restore share. It checks
+    /// that the evictions name distinct, known devices and leave a
+    /// survivor, and that the survivors tile the shape
+    /// ([`Fleet::live_view`]); rebuilds every survivor whose extent
+    /// changed, fallibly, before committing anything; then evicts the
+    /// dead, retires the displaced partitions so the next *unpinned* run
+    /// restores the original layout, and bumps the fleet epoch. Returns
+    /// the devices it evicted; on an error the fleet is untouched.
+    fn reshape(
         &mut self,
-        slices: &[(usize, Range<usize>)],
-    ) -> Result<Vec<(usize, PerDevice)>, DeviceError> {
+        extents: &[(Range<usize>, Range<usize>)],
+        evicted: &[u32],
+    ) -> Result<Vec<usize>, PersistError> {
+        let (n, p) = (self.csr.vertex_count(), self.parts.len());
+        let dead = dead_mask(evicted, p)
+            .filter(|_| extents.len() == p && evicted.len() < p)
+            .ok_or(PersistError::LayoutMismatch)?;
+        let view = Self::live_view(self.config.shape, n, extents, |d| !dead[d])
+            .ok_or(PersistError::LayoutMismatch)?;
         let (thresholds, entries) = (self.config.thresholds, self.config.hub_cache_entries);
         let mut rebuilt = Vec::new();
-        for (d, td) in slices {
-            if *td == self.parts[*d].state.td_range {
+        for (d, (td, bu)) in extents.iter().enumerate().filter(|(d, _)| !dead[*d]) {
+            let ext = Extent { view, td: td.clone(), bu: bu.clone() };
+            if ext == self.parts[d].extent() {
                 continue;
             }
-            let ext = Extent::strip(td.clone());
-            let device = self.multi.device(*d);
-            let (graph, _) = ext.try_upload(device, &self.csr)?;
-            let mut part = try_place(device, graph, &ext, thresholds, entries, self.tau)?;
+            let device = self.multi.device(d);
+            let mut part = ext
+                .try_upload(device, &self.csr)
+                .and_then(|(graph, _)| {
+                    try_place(device, graph, &ext, thresholds, entries, self.tau)
+                })
+                .map_err(|e| PersistError::Io(e.to_string()))?;
             // T_h is a global graph property, unchanged by repartitioning.
-            part.state.total_hubs = self.parts[*d].state.total_hubs;
-            rebuilt.push((*d, part));
+            part.state.total_hubs = self.parts[d].state.total_hubs;
+            rebuilt.push((d, part));
         }
-        Ok(rebuilt)
-    }
-
-    /// Installs partitions from [`Fleet::rebuild_strips`], retiring the
-    /// displaced ones so the next *unpinned* run restores the original
-    /// layout.
-    fn commit_rebuilt(&mut self, rebuilt: Vec<(usize, PerDevice)>) {
+        let newly: Vec<usize> =
+            evicted.iter().map(|&d| d as usize).filter(|&d| self.multi.is_alive(d)).collect();
+        for &d in &newly {
+            self.multi.evict(d);
+        }
         for (d, part) in rebuilt {
             let old = std::mem::replace(&mut self.parts[d], part);
             self.retired.push((d, old));
         }
         self.fleet_epoch += 1;
+        Ok(newly)
     }
 
-    /// Attempts to resume from a durable mid-traversal checkpoint. Returns
-    /// the level to continue at, or `None` for a cold start (no snapshot,
+    /// Attempts to resume from a durable mid-traversal checkpoint, on a
+    /// degraded one after reshaping onto its survivors. Returns the level
+    /// to continue at, or `None` for a cold start (no snapshot,
     /// persistence disabled, or a typed defect recorded in `walk`).
     fn try_resume(&mut self, walk: &mut Walk) -> Option<u32> {
         let fp = *self.fingerprint.as_ref()?;
@@ -2107,38 +2041,47 @@ impl Fleet {
             recovery.snapshot_errors.push(PersistError::SourceMismatch);
             return None;
         }
+        // Every image must be full-size, except an evicted device's,
+        // whose extent lives on a survivor.
         let n = self.csr.vertex_count();
-        if snap.kind != self.kind()
-            || snap.devices.len() != self.parts.len()
-            // Lane-bound checkpoints (written inside a pipelined window)
-            // must not be adopted by a sequential resume.
-            || !snap.lanes.is_empty()
-            || (!snap.evicted.is_empty() && !self.persists_degraded())
-        {
+        let images_fit =
+            snap.devices.iter().zip(&self.parts).enumerate().all(|(d, (dev, part))| {
+                snap.evicted.contains(&(d as u32))
+                    || (dev.status.len() == n
+                        && dev.parent.len() == n
+                        && dev.hub_src.len() == part.state.hub_cache_entries
+                        && dev.queues.iter().all(|q| q.len() <= n))
+            });
+        if snap.kind != self.kind() || snap.devices.len() != self.parts.len() || !images_fit {
             recovery.snapshot_errors.push(PersistError::LayoutMismatch);
             return None;
         }
         if snap.evicted.is_empty() {
-            // Fleet-intact checkpoint: every image must match the current
+            // Fleet-intact checkpoint: every extent must match the current
             // partitioning exactly.
-            let compatible = snap.devices.iter().zip(&self.parts).all(|(dev, part)| {
-                dev.td == part.state.td_range
-                    && dev.bu == part.state.bu_range
-                    && dev.status.len() == n
-                    && dev.parent.len() == n
-                    && dev.hub_src.len() == part.state.hub_cache_entries
-                    && dev.queues.iter().all(|q| q.len() <= n)
-            });
-            if !compatible {
+            let same =
+                snap.devices.iter().zip(&self.parts).all(|(dev, part)| {
+                    dev.td == part.state.td_range && dev.bu == part.state.bu_range
+                });
+            if !same {
                 recovery.snapshot_errors.push(PersistError::LayoutMismatch);
                 return None;
             }
-        } else if !self.degraded_resume(&snap, &mut walk.recovery) {
-            // The interrupted run had already evicted devices; the
-            // survivors were rebuilt to the checkpoint's spliced extents
-            // (or, on a typed defect, nothing was committed and the
-            // caller cold-starts on the full fleet).
-            return None;
+        } else {
+            // Degraded resume: the interrupted run had already evicted
+            // devices, so the survivors take the checkpoint's spliced
+            // extents and the inherited losses count toward this run's
+            // eviction ledger. On a typed defect nothing was committed and
+            // the run cold-starts on the full fleet.
+            let extents: Vec<_> =
+                snap.devices.iter().map(|dev| (dev.td.clone(), dev.bu.clone())).collect();
+            match self.reshape(&extents, &snap.evicted) {
+                Ok(lost) => recovery.devices_lost.extend(lost),
+                Err(e) => {
+                    recovery.snapshot_errors.push(e);
+                    return None;
+                }
+            }
         }
         for (d, (dev, part)) in snap.devices.iter().zip(&mut self.parts).enumerate() {
             if !self.multi.is_alive(d) {
@@ -2167,86 +2110,19 @@ impl Fleet {
         Some(snap.level)
     }
 
-    /// Rebuilds this instance's partitions to match a *degraded-fleet*
-    /// checkpoint (one whose `evicted` ledger is non-empty because a kill
-    /// interrupted a run after device evictions): every survivor whose
-    /// spliced extent differs from the cold layout re-uploads its merged
-    /// CSR view, the recorded devices are evicted — inherited losses
-    /// count toward this run's eviction ledger — and the displaced cold
-    /// partitions are retired so the *next* run of this instance starts
-    /// from the original layout again. All fallible work happens before
-    /// anything is committed; on a typed defect this returns `false`
-    /// with the fleet untouched and the caller cold-starts.
-    fn degraded_resume(
-        &mut self,
-        snap: &CheckpointSnapshot,
-        recovery: &mut RecoveryReport,
-    ) -> bool {
-        let n = self.csr.vertex_count();
-        let p = self.parts.len();
-        // Eviction records must name distinct, known devices and leave at
-        // least one survivor.
-        let dead = match dead_mask(&snap.evicted, p) {
-            Some(dead) if snap.evicted.len() < p => dead,
-            _ => {
-                recovery.snapshot_errors.push(PersistError::LayoutMismatch);
-                return false;
-            }
-        };
-        // Survivor images must be full-size and their extents must tile
-        // the vertex range by themselves (evicted entries are stale).
-        let survivors: Vec<(usize, &DeviceCheckpoint)> =
-            snap.devices.iter().enumerate().filter(|(d, _)| !dead[*d]).collect();
-        let shape_ok = survivors.iter().all(|(d, dev)| {
-            dev.td == dev.bu
-                && dev.status.len() == n
-                && dev.parent.len() == n
-                && dev.hub_src.len() == self.parts[*d].state.hub_cache_entries
-                && dev.queues.iter().all(|q| q.len() <= n)
-        });
-        let slices: Vec<_> =
-            survivors.iter().map(|(_, dev)| (dev.td.clone(), dev.td.clone())).collect();
-        if !shape_ok || !slices_tile_1d(&slices, n) {
-            recovery.snapshot_errors.push(PersistError::LayoutMismatch);
-            return false;
-        }
-        let extents: Vec<(usize, Range<usize>)> =
-            survivors.iter().map(|(d, dev)| (*d, dev.td.clone())).collect();
-        let rebuilt = match self.rebuild_strips(&extents) {
-            Ok(r) => r,
-            Err(e) => {
-                recovery.snapshot_errors.push(PersistError::Io(e.to_string()));
-                return false;
-            }
-        };
-        // Commit.
-        for &d in &snap.evicted {
-            let d = d as usize;
-            if self.multi.is_alive(d) {
-                self.multi.evict(d);
-                recovery.devices_lost.push(d);
-            }
-        }
-        self.commit_rebuilt(rebuilt);
-        true
-    }
-
     /// Publishes a durable mid-traversal checkpoint at the configured
     /// level cadence, as a sparse delta against the last keyframe (see
-    /// [`CheckpointWriter`]) in steady state. A degraded fleet checkpoints
-    /// too when its shape persists degraded layouts: evicted devices are
-    /// listed in the eviction ledger with empty images, so a fresh
-    /// process can rebuild the survivor splices and resume on the
-    /// shrunken fleet. Failures are absorbed.
+    /// [`CheckpointWriter`]) in steady state. A degraded fleet of any
+    /// shape checkpoints too: evicted devices are listed in the eviction
+    /// ledger with empty images, so a fresh process can rebuild the
+    /// survivor splices and resume on the shrunken fleet. Failures are
+    /// absorbed.
     fn maybe_persist_checkpoint(&mut self, ckpt: &MultiCheckpoint, walk: &mut Walk) {
         let Some(every) = self.config.persist.as_ref().and_then(|p| p.checkpoint_levels) else {
             return;
         };
         let level = walk.level;
         if level == 0 || level % every != 0 {
-            return;
-        }
-        if !self.persists_degraded() && self.multi.alive_count() != self.parts.len() {
             return;
         }
         let (Some(fp), Some(_)) = (self.fingerprint.as_ref(), self.store.as_ref()) else {
@@ -2299,7 +2175,6 @@ impl Fleet {
             prev_frontier_edges: ckpt.vars.prev_frontier_edges,
             devices,
             evicted,
-            lanes: Vec::new(),
         };
         let store = self.store.as_mut().expect("checked above");
         match self.ckpt_writer.persist(store, &snap) {
@@ -2309,19 +2184,18 @@ impl Fleet {
     }
 
     /// End-of-run persistence: durably publish the learned layout
-    /// (rebalanced boundaries or a collapsed grid, plus the hub census)
-    /// and retire the mid-traversal checkpoint chain. Eviction splices
-    /// are per-run, so the published extents substitute each retired
-    /// partition's range back in — except on a degraded fleet whose shape
-    /// persists degraded layouts: that publishes the spliced survivor
-    /// boundaries plus the eviction ledger, so the next process resumes
-    /// on the survivors directly.
+    /// (rebalanced or collapsed extents, plus the hub census) and retire
+    /// the mid-traversal checkpoint chain. Eviction splices are per-run,
+    /// so the published extents substitute each retired partition's range
+    /// back in — except on a degraded fleet: that publishes the spliced
+    /// survivor extents plus the eviction ledger, so the next process
+    /// resumes on the survivors directly.
     fn persist_finish(&mut self, recovery: &mut RecoveryReport) {
         let (Some(fp), Some(_)) = (self.fingerprint.as_ref(), self.store.as_ref()) else {
             return;
         };
         let p = self.parts.len();
-        let degraded = self.persists_degraded() && self.multi.alive_count() != p;
+        let degraded = self.multi.alive_count() != p;
         let mut slices: Vec<(Range<usize>, Range<usize>)> = self
             .parts
             .iter()
@@ -2346,13 +2220,13 @@ impl Fleet {
             hub_tau: self.tau,
             total_hubs: self.parts[0].state.total_hubs,
             grid: (r as u32, c as u32),
-            collapsed: self.collapsed,
             slices,
             evicted,
         };
         let n = self.csr.vertex_count();
         let fits =
-            Self::layout_fits(self.config.shape, self.tau, n, &layout, |d| self.multi.is_alive(d));
+            Self::layout_fits(self.config.shape, self.tau, n, &layout, |d| self.multi.is_alive(d))
+                .is_some();
         let store = self.store.as_mut().expect("checked above");
         if fits {
             match layout.save(store) {
@@ -2849,7 +2723,6 @@ impl Fleet {
         if self.lane_pool[slot].len() < p {
             self.lane_pool[slot].resize_with(p, || None);
         }
-        let degree = self.seed_degree(source);
         let mut states: Vec<Option<BfsState>> = Vec::with_capacity(p);
         for d in 0..p {
             if !self.multi.is_alive(d) {
@@ -2875,10 +2748,9 @@ impl Fleet {
                 .map_err(BfsError::Device)?,
             };
             st.total_hubs = self.parts[d].state.total_hubs;
-            seed(self.multi.device(d), &self.parts[d].graph, &mut st, source, degree);
+            seed(self.multi.device(d), &self.parts[d].graph, &mut st, source);
             states.push(Some(st));
         }
-        self.seed_sync();
         Ok(FleetLane {
             walk: self.open_walk(source),
             slot,
@@ -2980,6 +2852,65 @@ mod tests {
             "2-D must cut traffic: {} vs {}",
             r2.communication_bytes,
             r1.communication_bytes
+        );
+    }
+
+    /// The one tiling rule: strips in any device order, the cold blocks of
+    /// every grid shape and spliced blocks are accepted; a gap, an
+    /// overlap, an empty range, a range past `n`, and blocks offered to a
+    /// slices shape are not.
+    #[test]
+    fn tiling_accepts_strips_and_blocks_and_rejects_defects() {
+        let n = 97;
+        let strips =
+            |rs: &[Range<usize>]| -> Vec<_> { rs.iter().map(|r| (r.clone(), r.clone())).collect() };
+        let cold = |r: usize, c: usize| -> Vec<_> {
+            (0..r * c)
+                .map(|d| {
+                    let e = Fleet::cold_extent(Shape::Grid(r, c), n, d);
+                    (e.td, e.bu)
+                })
+                .collect()
+        };
+        assert_eq!(tiling(&strips(&[50..80, 0..20, 80..97, 20..50]), n), Some(View::Strip));
+        for (r, c) in [(2, 2), (3, 3), (4, 2), (1, 2), (2, 1)] {
+            assert_eq!(tiling(&cold(r, c), n), Some(View::Block), "{r}x{c}");
+        }
+        // A 2x2 after a same-row splice (device 0 absorbs device 1's
+        // columns), and after a same-column splice (device 0 absorbs
+        // device 2's rows).
+        let mut row = cold(2, 2);
+        row[0].0 = 0..n;
+        row.remove(1);
+        assert_eq!(tiling(&row, n), Some(View::Block));
+        let mut col = cold(2, 2);
+        col[0].1 = 0..n;
+        col.remove(2);
+        assert_eq!(tiling(&col, n), Some(View::Block));
+        // A 2x2 never keeps one splice of each kind (a same-column splice
+        // needs the lost device's row merged first); a 3x3 can: device 0
+        // absorbs device 1's columns, device 8 absorbs device 5's rows.
+        let mut both = cold(3, 3);
+        both[0].0.end = both[1].0.end;
+        both[8].1.start = both[5].1.start;
+        both.remove(5);
+        both.remove(1);
+        assert_eq!(tiling(&both, n), Some(View::Block));
+
+        assert_eq!(tiling(&strips(&[0..20, 50..97]), n), None, "gap");
+        assert_eq!(tiling(&strips(&[0..60, 50..97]), n), None, "overlapping strips");
+        // Device 1's block slides onto device 0's: the total area still
+        // matches, but the rectangles overlap (and leave a gap).
+        let mut overlap = cold(2, 2);
+        overlap[1].0 = 38..87;
+        assert_eq!(tiling(&overlap, n), None, "overlapping blocks");
+        assert_eq!(tiling(&strips(&[0..50, 50..50, 50..97]), n), None, "empty range");
+        assert_eq!(tiling(&strips(&[0..50, 50..120]), n), None, "past n");
+        assert_eq!(tiling(&[], n), None, "no extents");
+        assert_eq!(Fleet::live_view(Shape::Slices(4), n, &cold(2, 2), |_| true), None);
+        assert_eq!(
+            Fleet::live_view(Shape::Grid(2, 2), n, &cold(2, 2), |_| true),
+            Some(View::Block)
         );
     }
 

@@ -32,8 +32,11 @@ use gpu_sim::{FaultPlan, FaultSpec, FaultStats};
 /// driver cold-starts. Version 2 added degraded-fleet eviction records to
 /// both snapshot kinds and the delta-checkpoint frame. Version 3 converted
 /// the batch outcome ledger to an append-only record log and added the
-/// active-lane set to checkpoint identity.
-pub const FORMAT_VERSION: u32 = 3;
+/// active-lane set to checkpoint identity. Version 4 dropped the layout's
+/// `collapsed` flag (the extents' tiling says which view they hold), the
+/// always-empty checkpoint lane set and the fleet record's derivable
+/// fault-loss count, and versioned the ledger's header record.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Magic prefix identifying an enterprise snapshot frame.
 pub const MAGIC: [u8; 8] = *b"ENTSNAP\0";
@@ -596,7 +599,8 @@ fn dec_fingerprint(dec: &mut Dec<'_>) -> Result<GraphFingerprint, PersistError> 
 /// The learned end-of-run layout: rebalanced partition boundaries (1-D
 /// slices or 2-D blocks), grid shape, and the hub census that sizes the hub
 /// cache. Restoring it lets a fresh process skip hub measurement and start
-/// from the boundaries the previous process converged to.
+/// from the boundaries the previous process converged to; the extents'
+/// tiling decides whether the devices hold strips or blocks.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct LayoutSnapshot {
     pub kind: DriverKind,
@@ -605,10 +609,6 @@ pub(crate) struct LayoutSnapshot {
     pub total_hubs: u64,
     /// (rows, cols) for 2-D; (1, device_count) for 1-D; (1, 1) for single.
     pub grid: (u32, u32),
-    /// True when a 2-D grid has been collapsed to 1-D slices (rebalance or
-    /// rule-3 loss recovery). Diagonal blocks of a square grid also have
-    /// td == bu, so this cannot be inferred from the ranges.
-    pub collapsed: bool,
     /// Per-device (td_range, bu_range) partition extents, device order.
     pub slices: Vec<(Range<usize>, Range<usize>)>,
     /// Devices permanently evicted in the run that learned this layout, in
@@ -629,7 +629,6 @@ impl LayoutSnapshot {
         enc.u64(self.total_hubs);
         enc.u32(self.grid.0);
         enc.u32(self.grid.1);
-        enc.boolean(self.collapsed);
         enc.u64(self.slices.len() as u64);
         for (td, bu) in &self.slices {
             enc.range(td);
@@ -646,7 +645,6 @@ impl LayoutSnapshot {
         let hub_tau = dec.u32()?;
         let total_hubs = dec.u64()?;
         let grid = (dec.u32()?, dec.u32()?);
-        let collapsed = dec.boolean()?;
         let count = dec.u64()? as usize;
         if count > 4096 {
             return Err(PersistError::Corrupt("implausible device count".into()));
@@ -662,16 +660,7 @@ impl LayoutSnapshot {
             return Err(PersistError::Corrupt("evicted device out of range".into()));
         }
         dec.done()?;
-        Ok(LayoutSnapshot {
-            kind,
-            fingerprint,
-            hub_tau,
-            total_hubs,
-            grid,
-            collapsed,
-            slices,
-            evicted,
-        })
+        Ok(LayoutSnapshot { kind, fingerprint, hub_tau, total_hubs, grid, slices, evicted })
     }
 
     pub(crate) fn save(&self, store: &mut SnapshotStore) -> Result<(), PersistError> {
@@ -710,18 +699,18 @@ pub(crate) struct BatchLedgerEntry {
 }
 
 /// The browned-out fleet shape at a point in a batch: which devices are
-/// gone (and why, split into fault-evicted vs link-isolated counts), the
-/// spliced partition extents the survivors run on, and the learned
-/// hard-down link verdicts. Appended to the batch record log whenever
+/// gone (and how many of them were link-isolated rather than lost to
+/// faults), the spliced partition extents the survivors run on, and the
+/// learned hard-down link verdicts. Appended to the batch record log whenever
 /// the shape changes, so a resumed batch re-evicts the same devices and
 /// resumes on the survivors instead of a full fleet.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub(crate) struct FleetRecord {
-    /// Evicted device ids, in eviction order.
+    /// Evicted device ids: fault-plane losses first, link-isolated ones
+    /// last.
     pub evicted: Vec<u32>,
-    /// How many of `evicted` were lost to device faults.
-    pub fault_lost: u32,
-    /// How many of `evicted` were link-isolated (unreachable, migrated).
+    /// How many of `evicted` (its tail) were link-isolated (unreachable,
+    /// migrated); the rest were lost to device faults.
     pub link_isolated: u32,
     /// Per-device `(td, bu)` scan extents after splicing, positional over
     /// the full original fleet (evicted entries keep their last extents).
@@ -734,7 +723,9 @@ pub(crate) struct FleetRecord {
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) enum BatchRecord {
     /// First record of every log: binds the log to a driver kind and
-    /// graph. A mismatch degrades the batch to a cold start.
+    /// graph, after the [`FORMAT_VERSION`] it was written in. Another
+    /// version fails to decode with [`PersistError::VersionMismatch`]; a
+    /// kind or graph mismatch degrades the batch to a cold start.
     Header {
         kind: DriverKind,
         fingerprint: GraphFingerprint,
@@ -755,6 +746,7 @@ impl BatchRecord {
         match self {
             BatchRecord::Header { kind, fingerprint } => {
                 enc.u32(Self::TAG_HEADER);
+                enc.u32(FORMAT_VERSION);
                 enc.u32(kind.to_u32());
                 enc_fingerprint(&mut enc, fingerprint);
             }
@@ -771,7 +763,6 @@ impl BatchRecord {
             BatchRecord::Fleet(f) => {
                 enc.u32(Self::TAG_FLEET);
                 enc.words(&f.evicted);
-                enc.u32(f.fault_lost);
                 enc.u32(f.link_isolated);
                 enc.u64(f.boundaries.len() as u64);
                 for (td, bu) in &f.boundaries {
@@ -787,10 +778,20 @@ impl BatchRecord {
     pub(crate) fn decode(payload: &[u8]) -> Result<Self, PersistError> {
         let mut dec = Dec::new(payload);
         let rec = match dec.u32()? {
-            Self::TAG_HEADER => BatchRecord::Header {
-                kind: DriverKind::from_u32(dec.u32()?)?,
-                fingerprint: dec_fingerprint(&mut dec)?,
-            },
+            Self::TAG_HEADER => {
+                // The version leads, so a header of another format fails
+                // on it before any field that format may lay out
+                // differently (a version-3 header, which has none, fails
+                // on its driver kind).
+                let version = dec.u32()?;
+                if version != FORMAT_VERSION {
+                    return Err(PersistError::VersionMismatch { found: version });
+                }
+                BatchRecord::Header {
+                    kind: DriverKind::from_u32(dec.u32()?)?,
+                    fingerprint: dec_fingerprint(&mut dec)?,
+                }
+            }
             Self::TAG_OUTCOME => {
                 let entry = BatchLedgerEntry {
                     index: dec.u32()?,
@@ -808,7 +809,6 @@ impl BatchRecord {
             }
             Self::TAG_FLEET => {
                 let evicted = dec.words()?;
-                let fault_lost = dec.u32()?;
                 let link_isolated = dec.u32()?;
                 let count = dec.u64()? as usize;
                 if count > 4096 {
@@ -821,13 +821,7 @@ impl BatchRecord {
                     boundaries.push((td, bu));
                 }
                 let verdicts = dec.pairs()?;
-                BatchRecord::Fleet(FleetRecord {
-                    evicted,
-                    fault_lost,
-                    link_isolated,
-                    boundaries,
-                    verdicts,
-                })
+                BatchRecord::Fleet(FleetRecord { evicted, link_isolated, boundaries, verdicts })
             }
             t => {
                 return Err(PersistError::Corrupt(format!("unknown batch record tag {t}")));
@@ -849,10 +843,11 @@ pub(crate) struct BatchLogReplay {
 
 /// Loads and validates the batch record log against the running driver
 /// and graph. `Ok(None)` means no log, or a log for a different
-/// kind/graph (a cold batch, not an error). Damaged tails have already
-/// been dropped by [`SnapshotStore::load_records`]; this also truncates
-/// the file to the intact prefix so subsequent appends extend intact
-/// records only.
+/// kind/graph (a cold batch, not an error); a log whose header carries
+/// another format version is a [`PersistError::VersionMismatch`].
+/// Damaged tails have already been dropped by
+/// [`SnapshotStore::load_records`]; this also truncates the file to the
+/// intact prefix so subsequent appends extend intact records only.
 pub(crate) fn load_batch_log(
     store: &mut SnapshotStore,
     kind: DriverKind,
@@ -920,12 +915,6 @@ pub(crate) struct CheckpointSnapshot {
     /// them and rebuilds the survivors to the spliced extents recorded in
     /// the surviving entries' `td`/`bu` ranges.
     pub evicted: Vec<u32>,
-    /// Sources of the batch lanes co-active when this checkpoint was
-    /// written. Empty for a sequential traversal. A checkpoint written
-    /// inside a pipelined window is bound to its lane set: a sequential
-    /// resume (or a pipeline with a different lane set) must reject it
-    /// rather than adopt state another lane was still mutating.
-    pub lanes: Vec<u32>,
 }
 
 impl CheckpointSnapshot {
@@ -954,7 +943,6 @@ impl CheckpointSnapshot {
             enc.words(&dev.hub_src);
         }
         enc.words(&self.evicted);
-        enc.words(&self.lanes);
         enc.finish()
     }
 
@@ -1000,7 +988,6 @@ impl CheckpointSnapshot {
         if evicted.iter().any(|&d| d as usize >= count) {
             return Err(PersistError::Corrupt("evicted device out of range".into()));
         }
-        let lanes = dec.words()?;
         dec.done()?;
         Ok(CheckpointSnapshot {
             kind,
@@ -1015,7 +1002,6 @@ impl CheckpointSnapshot {
             prev_frontier_edges,
             devices,
             evicted,
-            lanes,
         })
     }
 
@@ -1066,7 +1052,6 @@ fn delta_compatible(base: &CheckpointSnapshot, snap: &CheckpointSnapshot) -> boo
         && base.fingerprint == snap.fingerprint
         && base.source == snap.source
         && base.evicted == snap.evicted
-        && base.lanes == snap.lanes
         && base.devices.len() == snap.devices.len()
         && base.devices.iter().zip(&snap.devices).all(|(b, s)| {
             b.td == s.td
@@ -1269,7 +1254,6 @@ mod tests {
             hub_tau: 7,
             total_hubs: 12,
             grid: (1, 4),
-            collapsed: false,
             slices: vec![(0..10, 0..10), (10..31, 10..31), (31..40, 31..40), (40..64, 40..64)],
             evicted: vec![2],
         }
@@ -1305,12 +1289,14 @@ mod tests {
         let kind = DriverKind::OneD;
         let fp = GraphFingerprint { vertices: 64, edges: 512, structure: 0xdead_beef };
         let entries = sample_entries();
+        // A degraded 2x2 grid: blocks keep distinct top-down and
+        // bottom-up extents; device 3 was link-isolated after device 1
+        // was lost.
         let fleet = FleetRecord {
-            evicted: vec![2],
-            fault_lost: 1,
-            link_isolated: 0,
-            boundaries: vec![(0..32, 0..32), (32..40, 32..40), (40..64, 40..64)],
-            verdicts: vec![(0, 2)],
+            evicted: vec![1, 3],
+            link_isolated: 1,
+            boundaries: vec![(0..64, 0..32), (32..64, 0..32), (0..64, 32..64), (32..64, 32..64)],
+            verdicts: vec![(0, 3)],
         };
         store.append(BATCH_FILE, &BatchRecord::Header { kind, fingerprint: fp }.encode()).unwrap();
         for e in &entries {
@@ -1357,6 +1343,41 @@ mod tests {
         store.append(BATCH_FILE, &BatchRecord::Outcome(entries[1].clone()).encode()).unwrap();
         let replay = load_batch_log(&mut store, kind, fp).unwrap().unwrap();
         assert_eq!(replay.entries, entries);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A version-3 ledger, whose header carries no version, fails on its
+    /// header with a typed version mismatch instead of decoding on into
+    /// records laid out for another format, and a batch over it starts
+    /// cold: nothing replays and a current header replaces the log.
+    #[test]
+    fn v3_ledger_header_degrades_to_a_cold_batch() {
+        use crate::multi_gpu::{Fleet, MultiGpuConfig};
+        use crate::{BatchPolicy, BatchSource};
+        let g = kronecker(6, 4, 1);
+        let (kind, fp) = (DriverKind::OneD, GraphFingerprint::of(&g));
+        let dir = tmp_dir("batch-log-v3");
+        let mut store = SnapshotStore::open(&dir, None).unwrap();
+        let mut v3_header = Enc::new();
+        v3_header.u32(BatchRecord::TAG_HEADER);
+        v3_header.u32(kind.to_u32());
+        enc_fingerprint(&mut v3_header, &fp);
+        store.append(BATCH_FILE, &v3_header.finish()).unwrap();
+        let outcome = BatchRecord::Outcome(sample_entries().remove(0));
+        store.append(BATCH_FILE, &outcome.encode()).unwrap();
+        let mismatch = PersistError::VersionMismatch { found: kind.to_u32() };
+        assert_eq!(load_batch_log(&mut store, kind, fp).unwrap_err(), mismatch);
+
+        let cfg = MultiGpuConfig {
+            persist: Some(PersistPolicy::layout_only(&dir)),
+            ..MultiGpuConfig::k40s(4)
+        };
+        let sources: Vec<BatchSource> = [9, 17, 33].into_iter().map(BatchSource::new).collect();
+        let report = Fleet::new(cfg, &g).batch(&sources, &BatchPolicy::on());
+        assert_eq!(report.manifest_errors, vec![mismatch]);
+        assert_eq!((report.resumed, report.completed), (0, sources.len()));
+        let replay = load_batch_log(&mut store, kind, fp).unwrap().expect("a fresh v4 log");
+        assert_eq!(replay.entries.len(), sources.len());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1413,7 +1434,6 @@ mod tests {
                 hub_src: vec![u32::MAX; 4],
             }],
             evicted: vec![],
-            lanes: vec![3, 17],
         };
         snap.save(&mut store).unwrap();
         let back = CheckpointSnapshot::load(&mut store).unwrap().unwrap();
@@ -1445,7 +1465,6 @@ mod tests {
                 hub_src: vec![u32::MAX; 16],
             }],
             evicted: vec![],
-            lanes: vec![],
         };
         // Next level: a handful of words change; everything else is shared.
         let mut next = base.clone();

@@ -1,7 +1,7 @@
 //! Batch serving-plane contracts (DESIGN.md §5i).
 //!
 //! The load-bearing guarantees: a disabled policy is a strict no-op
-//! against sequential per-source runs on all three drivers; a poisoned
+//! against sequential per-source runs on every shape; a poisoned
 //! source is quarantined without touching its siblings' results; the
 //! hedged re-execution is bit-deterministic across fresh instances;
 //! and a killed batch resumes from its durable outcome ledger without
@@ -10,9 +10,9 @@
 //! `Overlap` changes scheduling but never answers, `Off` is
 //! bit-identical to the sequential plane, hedging stays deterministic
 //! under lanes, a pipelined kill resumes from the append-only ledger,
-//! and a browned-out batch resumes on its survivor fleet.
+//! and a browned-out batch resumes on its survivor fleet, 1-D or grid.
 
-use enterprise::multi_gpu::{MultiGpuConfig, MultiGpuEnterprise};
+use enterprise::multi_gpu::{Fleet, FleetConfig, MultiGpuConfig, MultiGpuEnterprise, Shape};
 use enterprise::multi_gpu_2d::{Grid2DConfig, MultiGpu2DEnterprise};
 use enterprise::validate::cpu_levels;
 use enterprise::{
@@ -21,6 +21,7 @@ use enterprise::{
     VerifyPolicy, WatchdogPolicy,
 };
 use enterprise_graph::gen::kronecker;
+use std::ops::RangeInclusive;
 use std::path::PathBuf;
 
 fn state_dir(tag: &str) -> PathBuf {
@@ -37,7 +38,7 @@ fn queue() -> Vec<BatchSource> {
 
 /// Zero fault rates + disabled policy: the batch entry point must be
 /// bit-identical — results, timings, recovery counters — to the caller
-/// looping over `try_bfs` on a twin instance, on all three drivers.
+/// looping over `try_bfs` on a twin instance, on every shape.
 #[test]
 fn disabled_policy_is_bit_identical_to_sequential_on_all_drivers() {
     let g = kronecker(9, 8, 5);
@@ -291,8 +292,7 @@ fn deadline_sheds_by_priority_then_by_submission_order() {
 
 /// Pipelined lanes change scheduling and timing, never answers: an
 /// `Overlap(4)` batch produces the same per-source digests, levels, and
-/// parents as the sequential plane on a twin instance, on all three
-/// drivers.
+/// parents as the sequential plane on a twin instance, on every shape.
 #[test]
 fn pipelined_batch_matches_sequential_digests_on_all_drivers() {
     let g = kronecker(9, 8, 5);
@@ -407,7 +407,7 @@ fn out_of_range_source_is_a_typed_error_on_every_shape() {
 
 /// `PipelineMode::Off` is a strict no-op: an enabled-but-unpipelined
 /// batch is bit-identical — timings, counters, recovery — to the
-/// disabled plane fault-free on all three drivers, and bit-deterministic
+/// disabled plane fault-free on every shape, and bit-deterministic
 /// across fresh instances with every fault plane armed.
 #[test]
 fn pipeline_off_is_strict_noop_bit_identity() {
@@ -566,63 +566,82 @@ fn killed_pipelined_batch_resumes_from_append_only_ledger() {
 /// uninterrupted twin that browned out the same way.
 #[test]
 fn degraded_batch_resumes_on_survivor_fleet() {
+    degraded_batch_resumes(MultiGpuConfig::k40s(4), "1d", 1..=3);
+}
+
+/// The same contract on a 2x2 grid, whose fleet record keeps each
+/// survivor's spliced block. Two or three survivors, so the resumed grid
+/// runs spliced blocks rather than one full-range device.
+#[test]
+fn degraded_batch_resumes_on_survivor_fleet_two_d() {
+    degraded_batch_resumes(Grid2DConfig::k40s(2, 2), "2d", 2..=3);
+}
+
+/// Runs the degraded-resume contract on the first seed whose first two
+/// sources leave a number of survivors in `survivors`.
+fn degraded_batch_resumes<S: Into<Shape> + Clone>(
+    shape: FleetConfig<S>,
+    tag: &str,
+    survivors: RangeInclusive<usize>,
+) {
     let g = kronecker(9, 8, 5);
     let invariant = |run: &enterprise::SourceRun<enterprise::multi_gpu::MultiBfsResult>| {
         if let Some(r) = &run.result {
             assert_eq!(
                 r.recovery.devices_lost.len(),
                 r.recovery.faults.devices_lost as usize + r.recovery.link_isolated.len(),
-                "source {}: eviction accounting broken",
+                "{tag} source {}: eviction accounting broken",
                 run.source
             );
         }
     };
     for seed in 0..40u64 {
         let spec = FaultSpec { device_loss_rate: 0.01, ..FaultSpec::none(seed) };
-        let dir = state_dir(&format!("degraded-{seed}"));
-        let cfg = |d: &PathBuf| MultiGpuConfig {
+        let dir = state_dir(&format!("degraded-{tag}-{seed}"));
+        let cfg = |d: &PathBuf| FleetConfig {
             faults: Some(spec),
             persist: Some(PersistPolicy::layout_only(d)),
-            ..MultiGpuConfig::k40s(4)
+            ..shape.clone()
         };
         let sources = queue();
 
-        // "Killed" process: first two sources; need at least one device
-        // lost for the scenario to be interesting.
-        let mut sys = MultiGpuEnterprise::new(cfg(&dir), &g);
+        // "Killed" process: first two sources; the scenario needs a
+        // browned-out fleet with survivors in range.
+        let mut sys = Fleet::new(cfg(&dir), &g);
         let partial = sys.batch(&sources[..2], &BatchPolicy::on());
-        assert!(partial.accounted(), "seed {seed}: accounting broken");
-        let survivors = sys.alive_devices();
-        if survivors == 4 || partial.completed < 2 {
+        assert!(partial.accounted(), "{tag} seed {seed}: accounting broken");
+        let alive = sys.alive_devices();
+        if !survivors.contains(&alive) || partial.completed < 2 {
             continue;
         }
         partial.runs.iter().for_each(&invariant);
 
         // Uninterrupted twin over the full queue (separate store).
-        let twin_dir = state_dir(&format!("degraded-twin-{seed}"));
-        let twin = MultiGpuEnterprise::new(cfg(&twin_dir), &g).batch(&sources, &BatchPolicy::on());
+        let twin_dir = state_dir(&format!("degraded-twin-{tag}-{seed}"));
+        let twin = Fleet::new(cfg(&twin_dir), &g).batch(&sources, &BatchPolicy::on());
         assert!(twin.accounted());
 
         // Restarted process: the fleet record must re-evict before any
         // survivor runs, not restart on a full fleet.
-        let mut resumed_sys = MultiGpuEnterprise::new(cfg(&dir), &g);
+        let mut resumed_sys = Fleet::new(cfg(&dir), &g);
         let resumed = resumed_sys.batch(&sources, &BatchPolicy::on());
         assert!(resumed.accounted());
-        assert_eq!(resumed.resumed, 2, "ledger entries not replayed");
+        assert_eq!(resumed.resumed, 2, "{tag}: ledger entries not replayed");
+        assert!(resumed.manifest_errors.is_empty(), "{tag}: {:?}", resumed.manifest_errors);
         assert!(
-            resumed_sys.alive_devices() <= survivors,
-            "seed {seed}: resume restarted on a full fleet"
+            resumed_sys.alive_devices() <= alive,
+            "{tag} seed {seed}: resume restarted on a full fleet"
         );
         resumed.runs.iter().for_each(&invariant);
         for i in 2..sources.len() {
             assert!(!resumed.runs[i].resumed);
             assert_eq!(
                 resumed.runs[i].digest, twin.runs[i].digest,
-                "seed {seed}: post-kill source {} diverged from the uninterrupted twin",
+                "{tag} seed {seed}: post-kill source {} diverged from the uninterrupted twin",
                 resumed.runs[i].source
             );
         }
         return;
     }
-    panic!("no seed in 0..40 browned out the fleet inside the first two sources");
+    panic!("{tag}: no seed in 0..40 browned out the fleet inside the first two sources");
 }

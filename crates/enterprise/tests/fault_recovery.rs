@@ -9,7 +9,7 @@ use enterprise::multi_gpu_2d::{Grid2DConfig, MultiGpu2DEnterprise};
 use enterprise::validate::cpu_levels;
 use enterprise::{BfsError, Enterprise, EnterpriseConfig, FaultSpec, RecoveryPolicy, VerifyPolicy};
 use enterprise_graph::gen::{kronecker, social, SocialParams};
-use enterprise_graph::Csr;
+use enterprise_graph::{Csr, GraphBuilder};
 use gpu_sim::DeviceConfig;
 use sim_rng::DetRng;
 
@@ -176,6 +176,26 @@ fn fleet_oom_at_setup_is_a_typed_error() {
     assert!(matches!(Fleet::try_new(one_d, &g), Err(BfsError::Device(_))), "1-D x4");
     let grid = Grid2DConfig { device: tiny, ..Grid2DConfig::k40s(2, 2) };
     assert!(matches!(Fleet::try_new(grid, &g), Err(BfsError::Device(_))), "2x2 grid");
+}
+
+/// A graph with fewer vertices than the shape has devices fails fleet
+/// construction with a typed error naming both counts on every shape, an
+/// empty graph on the single device included, never a panic.
+#[test]
+fn too_few_vertices_is_a_typed_error_on_every_shape() {
+    let empty = GraphBuilder::new_undirected(0).build();
+    let mut three = GraphBuilder::new_undirected(3);
+    three.extend_edges([(0, 1), (1, 2)]);
+    let three = three.build();
+    let too_few = |r: Result<Fleet, BfsError>, vertices: usize, devices: usize| match r {
+        Err(BfsError::TooFewVertices { vertices: v, devices: d }) => (v, d) == (vertices, devices),
+        _ => false,
+    };
+    assert!(too_few(Fleet::try_new(EnterpriseConfig::default(), &empty), 0, 1), "single");
+    assert!(too_few(Fleet::try_new(MultiGpuConfig::k40s(4), &three), 3, 4), "1-D x4");
+    assert!(too_few(Fleet::try_new(Grid2DConfig::k40s(2, 2), &three), 3, 4), "2x2 grid");
+    let err = Enterprise::try_new(EnterpriseConfig::default(), &empty).err();
+    assert!(matches!(err, Some(BfsError::TooFewVertices { .. })), "{err:?}");
 }
 
 #[test]

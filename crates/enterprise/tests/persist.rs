@@ -411,40 +411,50 @@ fn collapsed_grid_layout_survives_restart() {
 /// substrate's fault counter stays zero (nothing re-fired).
 #[test]
 fn kill_after_eviction_restarts_on_survivors_bit_identically() {
+    kill_after_eviction(MultiGpuConfig::k40s(4), "1d");
+}
+
+/// The same contract on a 2x2 grid: its survivors resume on spliced
+/// blocks, as a 1-D fleet resumes on spliced slices.
+#[test]
+fn kill_after_eviction_restarts_on_survivors_bit_identically_two_d() {
+    kill_after_eviction(Grid2DConfig::k40s(2, 2), "2d");
+}
+
+fn kill_after_eviction<S: Into<Shape> + Clone>(shape: FleetConfig<S>, tag: &str) {
     let g = road_grid(16, 16, 0.05, 7);
     let source = 1u32;
     let oracle = cpu_levels(&g, source);
-    let mut found = false;
     for seed in 0..300u64 {
         let spec = FaultSpec { device_loss_rate: 0.004, ..FaultSpec::uniform(seed, 0.0) };
-        let base = |persist: Option<PersistPolicy>| MultiGpuConfig {
+        let base = |persist: Option<PersistPolicy>| FleetConfig {
             faults: Some(spec),
             rebalance: RebalancePolicy::disabled(),
             persist,
-            ..MultiGpuConfig::k40s(4)
+            ..shape.clone()
         };
         // Uninterrupted faulted reference: exactly one absorbed loss.
-        let Ok(reference) = MultiGpuEnterprise::new(base(None), &g).try_bfs(source) else {
+        let Ok(reference) = Fleet::new(base(None), &g).try_bfs(source) else {
             continue;
         };
         if reference.recovery.devices_lost.len() != 1 || reference.recovery.cpu_fallback {
             continue;
         }
         // Same fault plan, killed well after the eviction window.
-        let dir = state_dir(&format!("kill-evicted-{seed}"));
-        let doomed = MultiGpuConfig {
+        let dir = state_dir(&format!("kill-evicted-{tag}-{seed}"));
+        let doomed = FleetConfig {
             watchdog: doom_after(8),
             ..base(Some(PersistPolicy::with_checkpoints(dir.clone(), 1)))
         };
         assert!(
-            MultiGpuEnterprise::new(doomed, &g).try_bfs(source).is_err(),
-            "seed {seed}: the doomed run must die mid-traversal"
+            Fleet::new(doomed, &g).try_bfs(source).is_err(),
+            "{tag} seed {seed}: the doomed run must die mid-traversal"
         );
         if !dir.join("checkpoint.snap").exists() {
             continue;
         }
         let cfg = base(Some(PersistPolicy::with_checkpoints(dir.clone(), 1)));
-        let Ok(resumed) = MultiGpuEnterprise::new(cfg, &g).try_bfs(source) else {
+        let Ok(resumed) = Fleet::new(cfg, &g).try_bfs(source) else {
             continue;
         };
         // Only seeds whose loss fired *before* the kill are in scope: the
@@ -456,18 +466,20 @@ fn kill_after_eviction_restarts_on_survivors_bit_identically() {
         {
             continue;
         }
-        found = true;
-        assert_eq!(resumed.levels, reference.levels, "seed {seed}: resumed depths diverged");
-        assert_eq!(resumed.parents, reference.parents, "seed {seed}: resumed parents diverged");
-        assert_eq!(resumed.levels, oracle, "seed {seed}: degraded restart not oracle-correct");
+        assert_eq!(resumed.levels, reference.levels, "{tag} seed {seed}: resumed depths diverged");
+        assert_eq!(
+            resumed.parents, reference.parents,
+            "{tag} seed {seed}: resumed parents diverged"
+        );
+        assert_eq!(resumed.levels, oracle, "{tag} seed {seed}: degraded restart diverged");
         assert!(
             resumed.recovery.snapshot_errors.is_empty(),
-            "seed {seed}: {:?}",
+            "{tag} seed {seed}: {:?}",
             resumed.recovery.snapshot_errors
         );
-        break;
+        return;
     }
-    assert!(found, "no seed in 0..300 produced a kill-after-eviction restart");
+    panic!("{tag}: no seed in 0..300 produced a kill-after-eviction restart");
 }
 
 /// Satellite contract (§5g): steady-state checkpoints go out as sparse

@@ -1,5 +1,6 @@
-//! Silent-data-corruption negative paths: bit-flip campaigns against all
-//! three drivers with the verification ladder armed.
+//! Silent-data-corruption negative paths: bit-flip campaigns against every
+//! shape of the one fleet driver — the single device, 1-D slices and the
+//! 2-D grid — with the verification ladder armed.
 //!
 //! The contract under test (ISSUE acceptance): with `bitflip_rate > 0`
 //! and ECC off, every driver must still finish with depths identical to
