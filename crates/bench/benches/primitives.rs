@@ -4,11 +4,15 @@
 //! Plain harness (`harness = false`): run with `cargo bench --bench
 //! primitives`. The workspace builds offline, so there is no Criterion;
 //! each bench prints mean wall time per call and a derived throughput.
+//! The `warp_access/*` rows print host nanoseconds per warp access of one
+//! shape (a contiguous load issued per lane and as a span, a 32-block
+//! gather, a 32-way bank-conflicted shared load) and per L2 probe.
 
 use bench::{fmt_teps, time_ms, Table};
 use enterprise_graph::gen::{kronecker, rmat, social, SocialParams};
 use enterprise_graph::GraphBuilder;
-use gpu_sim::{exclusive_scan, Device, DeviceConfig, LaunchConfig, ScanScratch};
+use gpu_sim::memory::L2Cache;
+use gpu_sim::{exclusive_scan, Device, DeviceConfig, LaunchConfig, ScanScratch, WarpCtx};
 
 fn bench_generators(t: &mut Table) {
     for scale in [10u32, 12, 14] {
@@ -94,11 +98,74 @@ fn bench_kernel_launch(t: &mut Table) {
     }
 }
 
+/// Host cost of one warp access, by shape: a launch of `WARPS` full
+/// warps in which every warp issues `REPS` accesses of the shape, timed
+/// and divided by the accesses issued.
+fn bench_warp_access(t: &mut Table) {
+    const WARPS: u64 = 1024;
+    const REPS: usize = 64;
+    const LEN: usize = 1 << 20;
+    let mut d = Device::new(DeviceConfig::k40_repro());
+    let data = d.mem().alloc("data", LEN);
+    let mut row = |name: &str, shared_bytes: u32, access: &mut dyn FnMut(&mut WarpCtx, usize)| {
+        let cfg = LaunchConfig::for_threads(WARPS * 32, 256).with_shared_bytes(shared_bytes);
+        let ms = time_ms(5, || {
+            d.launch(name, cfg, |w| {
+                let warp = w.global_warp_id() as usize;
+                for r in 0..REPS {
+                    access(w, warp * REPS + r);
+                }
+            });
+            d.reset_stats();
+        });
+        let ops = (WARPS as usize * REPS) as f64;
+        t.row(vec![
+            format!("warp_access/{name}"),
+            format!("{:.1} ns/op", ms * 1e6 / ops),
+            format!("{:.1} Mop/s", ops / (ms / 1e3) / 1e6),
+        ]);
+    };
+    // Access `i` of the launch covers elements `32 i .. 32 i + 32`.
+    let tile = |i: usize| (i * 32) % LEN;
+    row("contiguous_per_lane", 0, &mut |w, i| {
+        w.load_global(data, |l| Some(tile(i) + l.lane as usize));
+    });
+    row("contiguous_span", 0, &mut |w, i| {
+        w.load_span(data, tile(i), 32);
+    });
+    row("gather_32_blocks", 0, &mut |w, i| {
+        w.load_global(data, |l| Some((i * 1024 + l.lane as usize * 32) % LEN));
+    });
+    row("shared_32way_conflict", 4096, &mut |w, _| {
+        w.load_shared(|l| Some(l.lane as usize * 32));
+    });
+
+    // One L2 probe, on a stream over four times the cache's blocks.
+    let l2_bytes = DeviceConfig::k40_repro().l2_bytes;
+    let span = 4 * l2_bytes / 128;
+    let mut l2 = L2Cache::new(l2_bytes);
+    let probes = 1u64 << 20;
+    let ms = time_ms(5, || {
+        let mut x = 0x9E37_79B9u64;
+        for _ in 0..probes {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            l2.access((x >> 33) % span);
+        }
+        l2.reset();
+    });
+    t.row(vec![
+        "warp_access/l2_access".to_string(),
+        format!("{:.1} ns/op", ms * 1e6 / probes as f64),
+        format!("{:.1} Mop/s", probes as f64 / (ms / 1e3) / 1e6),
+    ]);
+}
+
 fn main() {
     let mut t = Table::new(vec!["bench", "per call", "throughput"]);
     bench_generators(&mut t);
     bench_builder(&mut t);
     bench_scan(&mut t);
     bench_kernel_launch(&mut t);
+    bench_warp_access(&mut t);
     print!("{}", t.render());
 }

@@ -26,7 +26,9 @@
 use crate::device_graph::DeviceGraph;
 use crate::state::{BfsState, HUB_EMPTY};
 use crate::status::UNVISITED;
-use gpu_sim::{Device, DeviceError, LaunchConfig, WARP_SIZE};
+use gpu_sim::{BufferId, Device, DeviceError, LaunchConfig, WarpCtx, WARP_SIZE};
+
+const W: usize = WARP_SIZE as usize;
 
 /// Which queue-generation workflow to run.
 #[derive(Clone, Copy, Debug)]
@@ -190,14 +192,15 @@ pub fn try_measure_total_hubs(
     let (out_offsets, counts) = (g.out_offsets, st.counts);
     let tau = st.hub_tau;
     device.try_launch("count_hubs", LaunchConfig::for_threads(t as u64, 256), |w| {
+        let tid0 = w.global_thread_id(0) as usize;
         let mut cnt = [0u32; WARP_SIZE as usize];
         for j in 0..chunk {
-            let v_of = |tid: u64| -> Option<usize> {
-                let i = j * t + tid as usize; // interleaved: coalesced
-                (i < domain).then(|| base + i)
-            };
-            let begin = w.load_global(out_offsets, |l| v_of(l.tid));
-            let end = w.load_global(out_offsets, |l| v_of(l.tid).map(|v| v + 1));
+            // Interleaved: thread `tid` reads vertex `j * t + tid`, so the
+            // warp's lanes read one coalesced span.
+            let first = j * t + tid0;
+            let n = lanes_below(domain, first);
+            let begin = w.load_span(out_offsets, base + first, n);
+            let end = w.load_span(out_offsets, base + first + 1, n);
             for lane in w.lanes() {
                 if let (Some(b), Some(e)) = (begin[lane as usize], end[lane as usize]) {
                     if e.saturating_sub(b) > tau {
@@ -207,9 +210,7 @@ pub fn try_measure_total_hubs(
             }
             w.compute(1, w.active_lanes);
         }
-        w.store_global(counts, |l| {
-            ((l.tid as usize) < t).then(|| (l.tid as usize, cnt[l.lane as usize]))
-        });
+        w.store_span(counts, tid0, &cnt[..lanes_below(t, tid0)]);
     })?;
     // Device-side tree reduction of the per-thread counts.
     st.total_hubs = gpu_sim::try_reduce_sum(device, st.counts, t, &st.scan_scratch)? as u64;
@@ -222,9 +223,8 @@ fn clear_hub_table(device: &mut Device, st: &BfsState) -> Result<(), DeviceError
     let entries = st.hub_cache_entries;
     device
         .try_launch("clear_hub_table", LaunchConfig::for_threads(entries as u64, 256), |w| {
-            w.store_global(hub_src, |l| {
-                ((l.tid as usize) < entries).then_some((l.tid as usize, HUB_EMPTY))
-            });
+            let tid0 = w.global_thread_id(0) as usize;
+            w.store_span(hub_src, tid0, &[HUB_EMPTY; W][..lanes_below(entries, tid0)]);
         })
         .map(|_| ())
 }
@@ -263,6 +263,7 @@ fn scan_status(
     let name = if interleaved { "scan_status_interleaved" } else { "scan_status_blocked" };
 
     device.try_launch(name, LaunchConfig::for_threads(t as u64, 256), |w| {
+        let tid0 = w.global_thread_id(0) as usize;
         let mut cnt = [[0u32; 4]; WARP_SIZE as usize];
         let mut hub_cnt = [0u32; WARP_SIZE as usize];
         for j in 0..chunk {
@@ -274,7 +275,15 @@ fn scan_status(
                 let i = if interleaved { j * t + tid } else { tid * chunk + j };
                 (i < domain).then(|| base + i)
             };
-            let stats = w.load_global(status, |l| v_of(l.tid));
+            // The interleaved scan's lanes read one contiguous span of
+            // status words; the blocked scan's lanes are `chunk` apart.
+            let stats = if interleaved {
+                let first = j * t + tid0;
+                let n = lanes_below(t, tid0).min(domain.saturating_sub(first));
+                w.load_span(status, base + first, n)
+            } else {
+                w.load_global(status, |l| v_of(l.tid))
+            };
             // Per-lane frontier vertex ids.
             let mut frontier: [Option<usize>; WARP_SIZE as usize] = [None; WARP_SIZE as usize];
             for lane in w.lanes() {
@@ -342,17 +351,7 @@ fn scan_status(
             }
         }
         // Publish per-thread counters: four class counts plus hubs.
-        #[allow(clippy::needless_range_loop)] // k also forms the `k * t + tid` offset
-        for k in 0..4 {
-            w.store_global(counts, |l| {
-                let tid = l.tid as usize;
-                (tid < t).then(|| (k * t + tid, cnt[l.lane as usize][k]))
-            });
-        }
-        w.store_global(counts, |l| {
-            let tid = l.tid as usize;
-            (tid < t).then(|| (4 * t + tid, hub_cnt[l.lane as usize]))
-        });
+        publish_counts(w, counts, t, &cnt, &hub_cnt);
     })?;
     Ok(())
 }
@@ -462,20 +461,36 @@ fn filter_queues(
                 });
             }
         }
-        #[allow(clippy::needless_range_loop)] // k also forms the `k * t + tid` offset
-        for k in 0..4 {
-            w.store_global(counts, |l| {
-                let tid = l.tid as usize;
-                (tid < t).then(|| (k * t + tid, cnt[l.lane as usize][k]))
-            });
-        }
         // No hub-frontier counting during bottom-up (γ has already fired).
-        w.store_global(counts, |l| {
-            let tid = l.tid as usize;
-            (tid < t).then(|| (4 * t + tid, 0))
-        });
+        publish_counts(w, counts, t, &cnt, &[0; W]);
     })?;
     Ok(t)
+}
+
+/// Publishes a warp's per-thread counters: thread `tid < t` writes its
+/// four class counts to `counts[k * t + tid]` and its hub count to
+/// `counts[4 * t + tid]`, five coalesced spans.
+fn publish_counts(
+    w: &mut WarpCtx,
+    counts: BufferId,
+    t: usize,
+    cnt: &[[u32; 4]; W],
+    hub_cnt: &[u32; W],
+) {
+    let tid0 = w.global_thread_id(0) as usize;
+    let n = lanes_below(t, tid0);
+    #[allow(clippy::needless_range_loop)] // k also forms the `k * t + tid` offset
+    for k in 0..4 {
+        let class: [u32; W] = std::array::from_fn(|lane| cnt[lane][k]);
+        w.store_span(counts, k * t + tid0, &class[..n]);
+    }
+    w.store_span(counts, 4 * t + tid0, &hub_cnt[..n]);
+}
+
+/// How many lanes of a warp whose lane 0 handles item `first` handle
+/// items below `limit`.
+fn lanes_below(limit: usize, first: usize) -> usize {
+    limit.saturating_sub(first).min(W)
 }
 
 /// Copies every thread bin into its class queue at the prefix-sum
@@ -493,15 +508,11 @@ fn copy_bins_to_queues(
     let bin_region = t * chunk;
 
     device.try_launch("copy_bins", LaunchConfig::for_threads(t as u64, 256), |w| {
+        let tid0 = w.global_thread_id(0) as usize;
+        let n = lanes_below(t, tid0);
         for k in 0..4usize {
-            let start = w.load_global(counts, |l| {
-                let tid = l.tid as usize;
-                (tid < t).then_some(k * t + tid)
-            });
-            let next = w.load_global(counts, |l| {
-                let tid = l.tid as usize;
-                (tid < t).then_some(k * t + tid + 1)
-            });
+            let start = w.load_span(counts, k * t + tid0, n);
+            let next = w.load_span(counts, k * t + tid0 + 1, n);
             let mut cnts = [0u32; WARP_SIZE as usize];
             let mut max_cnt = 0u32;
             for lane in w.lanes() {

@@ -208,7 +208,8 @@ fn launch_thread_kernel(
     let use_hc = p.use_hc;
     let hub_src = p.hub_src;
     let body = move |w: &mut WarpCtx| {
-        let vids = w.load_global(p.queue, |l| ((l.tid as usize) < size).then_some(l.tid as usize));
+        let tid0 = w.global_thread_id(0) as usize;
+        let vids = w.load_span(p.queue, tid0, size.saturating_sub(tid0));
         let (begin, deg) = load_degrees(w, &p, &lanes_usize(&vids));
         let max_deg = deg.iter().take(w.active_lanes as usize).copied().max().unwrap_or(0);
         w.compute(2, w.active_lanes);
@@ -342,24 +343,12 @@ fn launch_warp_kernel(
         if q_idx >= size {
             return;
         }
-        // Lane 0 fetches the frontier and its offsets; broadcast. A
-        // corrupted queue entry makes the offset loads wild (suppressed,
-        // `None`) — default to an empty range and let the verifier see
-        // whatever the traversal misses.
-        let vid = w.load_global(p.queue, |l| (l.lane == 0).then_some(q_idx))[0].unwrap_or(0);
-        let begin =
-            w.load_global(p.offsets, |l| (l.lane == 0).then_some(vid as usize))[0].unwrap_or(0);
-        let end =
-            w.load_global(p.offsets, |l| (l.lane == 0).then_some(vid as usize + 1))[0].unwrap_or(0);
-        w.compute(2, w.active_lanes);
-        let (begin, deg) = p.clamp_range(begin, end);
+        let (vid, begin, deg) = load_frontier(w, &p, q_idx);
 
         let mut found = dir == Direction::TopDown; // BU: stop at first hit
         let mut base = 0;
         while base < deg && !(dir == Direction::BottomUp && found) {
-            let nbr = w.load_global(p.adjacency, |l| {
-                (base + l.lane < deg).then(|| (begin + base + l.lane) as usize)
-            });
+            let nbr = w.load_span(p.adjacency, (begin + base) as usize, (deg - base) as usize);
             // Per-chunk cache probe: a hit adopts the hub and skips the
             // chunk's global status loads entirely.
             if use_hc {
@@ -374,10 +363,7 @@ fn launch_warp_kernel(
                 if hit != 0 {
                     let winner = hit.trailing_zeros() as usize;
                     let u = nbr[winner].unwrap();
-                    w.store_global(p.status, |l| {
-                        (l.lane == 0).then_some((vid as usize, p.level + 1))
-                    });
-                    w.store_global(p.parent, |l| (l.lane == 0).then_some((vid as usize, u)));
+                    adopt(w, &p, vid, u);
                     return;
                 }
             }
@@ -404,10 +390,7 @@ fn launch_warp_kernel(
                     if hit != 0 {
                         let winner = hit.trailing_zeros() as usize;
                         let u = nbr[winner].unwrap();
-                        w.store_global(p.status, |l| {
-                            (l.lane == 0).then_some((vid as usize, p.level + 1))
-                        });
-                        w.store_global(p.parent, |l| (l.lane == 0).then_some((vid as usize, u)));
+                        adopt(w, &p, vid, u);
                         found = true;
                     }
                 }
@@ -432,15 +415,7 @@ fn launch_cta_kernel(
     let use_hc = p.use_hc;
     let hub_src = p.hub_src;
     let body = move |w: &mut WarpCtx| {
-        let q_idx = w.cta_id as usize;
-        let vid = w.load_global(p.queue, |l| (l.lane == 0).then_some(q_idx))[0].unwrap_or(0);
-        let begin =
-            w.load_global(p.offsets, |l| (l.lane == 0).then_some(vid as usize))[0].unwrap_or(0);
-        let end =
-            w.load_global(p.offsets, |l| (l.lane == 0).then_some(vid as usize + 1))[0]
-                .unwrap_or(0);
-        w.compute(2, w.active_lanes);
-        let (begin, deg) = p.clamp_range(begin, end);
+        let (vid, begin, deg) = load_frontier(w, &p, w.cta_id as usize);
         stripe_inspect(
             w,
             &p,
@@ -473,15 +448,7 @@ fn launch_grid_kernel(
     let body = move |w: &mut WarpCtx| {
         let gw = w.global_warp_id() as usize;
         for q_idx in 0..size {
-            let vid = w.load_global(p.queue, |l| (l.lane == 0).then_some(q_idx))[0].unwrap_or(0);
-            let begin = w
-                .load_global(p.offsets, |l| (l.lane == 0).then_some(vid as usize))[0]
-                .unwrap_or(0);
-            let end = w
-                .load_global(p.offsets, |l| (l.lane == 0).then_some(vid as usize + 1))[0]
-                .unwrap_or(0);
-            w.compute(2, w.active_lanes);
-            let (begin, deg) = p.clamp_range(begin, end);
+            let (vid, begin, deg) = load_frontier(w, &p, q_idx);
             stripe_inspect(w, &p, dir, vid, begin, deg, (gw, total_warps), use_hc, hub_entries);
         }
     };
@@ -515,8 +482,7 @@ fn stripe_inspect(
     // wild (suppressed) status read for a corrupted vid inspects anyway;
     // its stores are equally wild and suppressed.
     if dir == Direction::BottomUp {
-        let s = w.load_global(p.status, |l| (l.lane == 0).then_some(vid as usize))[0]
-            .unwrap_or(UNVISITED);
+        let s = w.load_span(p.status, vid as usize, 1)[0].unwrap_or(UNVISITED);
         if s != UNVISITED {
             return;
         }
@@ -524,9 +490,7 @@ fn stripe_inspect(
 
     let mut base = first;
     while base < deg {
-        let nbr = w.load_global(p.adjacency, |l| {
-            (base + l.lane < deg).then(|| (begin + base + l.lane) as usize)
-        });
+        let nbr = w.load_span(p.adjacency, (begin + base) as usize, (deg - base) as usize);
         // Per-chunk cache probe before any status traffic.
         if use_hc {
             let cached =
@@ -540,8 +504,7 @@ fn stripe_inspect(
             if hit != 0 {
                 let winner = hit.trailing_zeros() as usize;
                 let u = nbr[winner].unwrap();
-                w.store_global(p.status, |l| (l.lane == 0).then_some((vid as usize, p.level + 1)));
-                w.store_global(p.parent, |l| (l.lane == 0).then_some((vid as usize, u)));
+                adopt(w, p, vid, u);
                 return;
             }
         }
@@ -568,10 +531,7 @@ fn stripe_inspect(
                 if hit != 0 {
                     let winner = hit.trailing_zeros() as usize;
                     let u = nbr[winner].unwrap();
-                    w.store_global(p.status, |l| {
-                        (l.lane == 0).then_some((vid as usize, p.level + 1))
-                    });
-                    w.store_global(p.parent, |l| (l.lane == 0).then_some((vid as usize, u)));
+                    adopt(w, p, vid, u);
                     return;
                 }
             }
@@ -602,6 +562,28 @@ fn launch_maybe_cached(
         device.try_launch(name, cfg, body)?;
     }
     Ok(())
+}
+
+/// Lane 0 fetches queue entry `q_idx` and its two offset words (the
+/// one-frontier-per-warp/CTA/grid kernels broadcast them), returning
+/// `(vid, begin, degree)` clamped as in [`Pass::clamp_range`]. A corrupted
+/// queue entry makes the offset loads wild (suppressed, `None`): default
+/// to an empty range and let the verifier see whatever the traversal
+/// misses.
+fn load_frontier(w: &mut WarpCtx, p: &Pass, q_idx: usize) -> (u32, u32, u32) {
+    let vid = w.load_span(p.queue, q_idx, 1)[0].unwrap_or(0);
+    let begin = w.load_span(p.offsets, vid as usize, 1)[0].unwrap_or(0);
+    let end = w.load_span(p.offsets, vid as usize + 1, 1)[0].unwrap_or(0);
+    w.compute(2, w.active_lanes);
+    let (begin, deg) = p.clamp_range(begin, end);
+    (vid, begin, deg)
+}
+
+/// Lane 0 marks `vid` visited at the next level with parent `u` (a
+/// bottom-up hit).
+fn adopt(w: &mut WarpCtx, p: &Pass, vid: u32, u: u32) {
+    w.store_span(p.status, vid as usize, &[p.level + 1]);
+    w.store_span(p.parent, vid as usize, &[u]);
 }
 
 /// Loads `offsets[v]` and `offsets[v+1]` for each lane's vertex, returning

@@ -6,6 +6,24 @@
 //! instruction, the active-lane count, and — for global accesses — the
 //! coalesced transactions, exactly where CUDA hardware would.
 //!
+//! Each access costs the host only what its shape requires:
+//!
+//! * **Spans.** [`WarpCtx::load_span`] and [`WarpCtx::store_span`] serve
+//!   the accesses where lane `l` touches `start + l` — the scans, counter
+//!   publishes and adjacency chunks whose addresses depend only on
+//!   lengths. A span copies one slice and derives its blocks in ascending
+//!   order, which is their first-touch order, so its values, counters, L2
+//!   order and critical path are those of the per-lane closure it stands
+//!   for. A span that leaves its buffer, or any span under an installed
+//!   sanitizer, runs lane by lane instead: suppressed under a bit-flip
+//!   campaign, a typed panic otherwise, and one sanitizer check per lane.
+//! * **Per-lane accesses** (gathers, scatters, atomics) look their buffer
+//!   up once per warp access and check, access and place every lane in
+//!   one loop; [`crate::memory::coalesce`] then dedupes the lanes' blocks
+//!   in linear time.
+//! * **Shared accesses** count bank conflicts by sorting `(bank, word)`
+//!   keys ([`bank_conflict_replays`]).
+//!
 //! Warps within a CTA execute sequentially to completion, so intra-kernel
 //! `__syncthreads` phase patterns are expressed with
 //! [`crate::Device::launch_with_init`]: a per-CTA cooperative phase (e.g.
@@ -13,7 +31,7 @@
 //! body, which is how Enterprise's kernels are phased.
 
 use crate::counters::KernelRecord;
-use crate::memory::{coalesce, BufferId, DeviceMem, L2Cache, ELEMS_PER_TRANSACTION};
+use crate::memory::{coalesce, BufMeta, BufferId, DeviceMem, L2Cache, ELEMS_PER_TRANSACTION};
 use crate::sanitizer::{AccessKind, Sanitizer, ThreadCoord, COOP_PHASE};
 
 /// Threads per warp (32 on every NVIDIA generation the paper uses).
@@ -155,21 +173,7 @@ impl<'a> WarpCtx<'a> {
         buf: BufferId,
         mut f: impl FnMut(Lane) -> Option<usize>,
     ) -> Lanes<u32> {
-        let mut out = no_lanes();
-        let mut active = 0u32;
-        let mut lane_blocks = [0u64; WARP_SIZE as usize];
-        for lane in self.lanes() {
-            if let Some(idx) = f(self.lane_info(lane)) {
-                if !self.san_global(buf, idx, lane, AccessKind::Read) {
-                    continue; // suppressed out-of-bounds lane
-                }
-                out[lane as usize] = Some(self.mem.read(buf, idx));
-                lane_blocks[active as usize] = self.mem.block_of(buf, idx);
-                active += 1;
-            }
-        }
-        self.finish_global_access(active, &lane_blocks, true);
-        out
+        self.gather(&[buf], |l| f(l).map(|i| (0, i)))
     }
 
     /// Warp-wide gather across several buffers: lane `l` reads
@@ -179,24 +183,42 @@ impl<'a> WarpCtx<'a> {
     pub fn load_global_multi<const K: usize>(
         &mut self,
         bufs: &[BufferId; K],
-        mut f: impl FnMut(Lane) -> Option<(usize, usize)>,
+        f: impl FnMut(Lane) -> Option<(usize, usize)>,
     ) -> Lanes<u32> {
+        self.gather(bufs, f)
+    }
+
+    /// Warp-wide contiguous load: lane `l < count` reads `buf[start + l]`
+    /// (lanes past `count` or past the warp's active lanes stay inactive).
+    ///
+    /// Exactly [`WarpCtx::load_global`] with the closure
+    /// `|l| (l.lane < count).then(|| start + l.lane)` — same values,
+    /// counters, L2 order and critical path — but it copies one slice and
+    /// derives its one or two blocks arithmetically. A span that leaves
+    /// its buffer, or any span under an installed sanitizer, takes the
+    /// per-lane path, so it is suppressed or panics lane by lane.
+    pub fn load_span(&mut self, buf: BufferId, start: usize, count: usize) -> Lanes<u32> {
+        let n = count.min(self.active_lanes as usize);
         let mut out = no_lanes();
-        let mut active = 0u32;
-        let mut lane_blocks = [0u64; WARP_SIZE as usize];
-        for lane in self.lanes() {
-            if let Some((b, idx)) = f(self.lane_info(lane)) {
-                let buf = bufs[b];
-                if !self.san_global(buf, idx, lane, AccessKind::Read) {
-                    continue;
+        if n == 0 {
+            return out;
+        }
+        let view = self.mem.read_view(buf);
+        match view.data.get(start..start.saturating_add(n)) {
+            Some(vals) if self.san.is_none() => {
+                for (o, &v) in out.iter_mut().zip(vals) {
+                    *o = Some(v);
                 }
-                out[lane as usize] = Some(self.mem.read(buf, idx));
-                lane_blocks[active as usize] = self.mem.block_of(buf, idx);
-                active += 1;
+                let blocks = view.meta.block(start)..=view.meta.block(start + n - 1);
+                self.blocks.clear();
+                self.blocks.extend(blocks);
+                self.account_global(n as u32, true);
+                out
+            }
+            _ => {
+                self.load_global(buf, |l| ((l.lane as usize) < n).then(|| start + l.lane as usize))
             }
         }
-        self.finish_global_access(active, &lane_blocks, true);
-        out
     }
 
     /// Warp-wide global store: lane `l` writes `f(l)? = (index, value)`.
@@ -206,19 +228,53 @@ impl<'a> WarpCtx<'a> {
     /// survivor semantics the paper relies on ("whoever finishes last
     /// becomes vertex 2's parent", §2.1).
     pub fn store_global(&mut self, buf: BufferId, mut f: impl FnMut(Lane) -> Option<(usize, u32)>) {
-        let mut active = 0u32;
         let mut lane_blocks = [0u64; WARP_SIZE as usize];
-        for lane in self.lanes() {
-            if let Some((idx, val)) = f(self.lane_info(lane)) {
-                if !self.san_global(buf, idx, lane, AccessKind::Write) {
-                    continue;
-                }
-                self.mem.write(buf, idx, val);
-                lane_blocks[active as usize] = self.mem.block_of(buf, idx);
-                active += 1;
+        let mut active = 0;
+        let tid0 = self.global_thread_id(0);
+        let (cta, warp, tolerant) = (self.cta_id, self.warp_in_cta, self.mem.sdc_tolerant);
+        let mut view = self.mem.write_view(buf);
+        let mut san = self.san.as_deref_mut();
+        for lane in 0..self.active_lanes {
+            let Some((idx, val)) = f(Lane { lane, tid: tid0 + lane as u64 }) else { continue };
+            let coord = ThreadCoord { cta, warp, lane };
+            let init = view.init.as_deref();
+            if !admit(san.as_deref_mut(), view.meta, init, idx, coord, AccessKind::Write, tolerant)
+            {
+                continue; // suppressed out-of-bounds lane
             }
+            view.set(idx, val);
+            lane_blocks[active] = view.meta.block(idx);
+            active += 1;
         }
-        self.finish_global_access(active, &lane_blocks, false);
+        self.finish_lanes(&lane_blocks[..active], false);
+    }
+
+    /// Warp-wide contiguous store: lane `l < vals.len()` writes `vals[l]`
+    /// to `buf[start + l]`. The store counterpart of
+    /// [`WarpCtx::load_span`], exact in the same way.
+    pub fn store_span(&mut self, buf: BufferId, start: usize, vals: &[u32]) {
+        let vals = &vals[..vals.len().min(self.active_lanes as usize)];
+        let n = vals.len();
+        if n == 0 {
+            return;
+        }
+        let sanitized = self.san.is_some();
+        let view = self.mem.write_view(buf);
+        match view.data.get_mut(start..start.saturating_add(n)) {
+            Some(dst) if !sanitized => {
+                dst.copy_from_slice(vals);
+                if let Some(init) = view.init {
+                    init[start..start + n].fill(true);
+                }
+                let blocks = view.meta.block(start)..=view.meta.block(start + n - 1);
+                self.blocks.clear();
+                self.blocks.extend(blocks);
+                self.account_global(n as u32, false);
+            }
+            _ => self.store_global(buf, |l| {
+                vals.get(l.lane as usize).map(|&v| (start + l.lane as usize, v))
+            }),
+        }
     }
 
     /// Warp-wide `atomicAdd` on global memory; returns each active lane's
@@ -228,7 +284,7 @@ impl<'a> WarpCtx<'a> {
         buf: BufferId,
         f: impl FnMut(Lane) -> Option<(usize, u32)>,
     ) -> Lanes<u32> {
-        self.atomic_rmw(buf, f, |old, operand| old.wrapping_add(operand))
+        self.atomic(buf, f, |old, operand| Some(old.wrapping_add(operand)))
     }
 
     /// Warp-wide `atomicCAS`: lane provides `(index, expected, new)`;
@@ -238,56 +294,81 @@ impl<'a> WarpCtx<'a> {
         buf: BufferId,
         mut f: impl FnMut(Lane) -> Option<(usize, u32, u32)>,
     ) -> Lanes<u32> {
+        self.atomic(
+            buf,
+            |l| f(l).map(|(idx, expected, new)| (idx, (expected, new))),
+            |old, (expected, new)| (old == expected).then_some(new),
+        )
+    }
+
+    /// The per-lane gather loop: looks every buffer up once, then for
+    /// each lane checks the access (sanitizer, or the bit-flip campaign's
+    /// tolerance), reads, and records the lane's block.
+    fn gather<const K: usize>(
+        &mut self,
+        bufs: &[BufferId; K],
+        mut f: impl FnMut(Lane) -> Option<(usize, usize)>,
+    ) -> Lanes<u32> {
         let mut out = no_lanes();
-        let mut active = 0u32;
         let mut lane_blocks = [0u64; WARP_SIZE as usize];
-        let mut addresses = [usize::MAX; WARP_SIZE as usize];
-        for lane in self.lanes() {
-            if let Some((idx, expected, new)) = f(self.lane_info(lane)) {
-                if !self.san_global(buf, idx, lane, AccessKind::Atomic) {
-                    continue;
-                }
-                let old = self.mem.read(buf, idx);
-                if old == expected {
-                    self.mem.write(buf, idx, new);
-                }
-                out[lane as usize] = Some(old);
-                lane_blocks[active as usize] = self.mem.block_of(buf, idx);
-                addresses[active as usize] = idx;
-                active += 1;
+        let mut active = 0;
+        let tid0 = self.global_thread_id(0);
+        let (cta, warp, tolerant) = (self.cta_id, self.warp_in_cta, self.mem.sdc_tolerant);
+        let mem: &DeviceMem = self.mem;
+        let views = bufs.map(|b| mem.read_view(b));
+        let mut san = self.san.as_deref_mut();
+        for lane in 0..self.active_lanes {
+            let Some((b, idx)) = f(Lane { lane, tid: tid0 + lane as u64 }) else { continue };
+            let view = &views[b];
+            let coord = ThreadCoord { cta, warp, lane };
+            let init = view.init;
+            if !admit(san.as_deref_mut(), view.meta, init, idx, coord, AccessKind::Read, tolerant) {
+                continue; // suppressed out-of-bounds lane
             }
+            out[lane as usize] = Some(view.get(idx));
+            lane_blocks[active] = view.meta.block(idx);
+            active += 1;
         }
-        if active > 0 {
-            self.account_atomic(active, &lane_blocks, &addresses);
-        }
+        self.finish_lanes(&lane_blocks[..active], true);
         out
     }
 
-    fn atomic_rmw(
+    /// The per-lane atomic loop: lane `l` reads `buf[i]` and, when
+    /// `update(old, operand)` returns a value, writes it, for
+    /// `f(l) = Some((i, operand))`. Returns each lane's old value.
+    fn atomic<T>(
         &mut self,
         buf: BufferId,
-        mut f: impl FnMut(Lane) -> Option<(usize, u32)>,
-        update: impl Fn(u32, u32) -> u32,
+        mut f: impl FnMut(Lane) -> Option<(usize, T)>,
+        update: impl Fn(u32, T) -> Option<u32>,
     ) -> Lanes<u32> {
         let mut out = no_lanes();
-        let mut active = 0u32;
         let mut lane_blocks = [0u64; WARP_SIZE as usize];
         let mut addresses = [usize::MAX; WARP_SIZE as usize];
-        for lane in self.lanes() {
-            if let Some((idx, operand)) = f(self.lane_info(lane)) {
-                if !self.san_global(buf, idx, lane, AccessKind::Atomic) {
-                    continue;
-                }
-                let old = self.mem.read(buf, idx);
-                self.mem.write(buf, idx, update(old, operand));
-                out[lane as usize] = Some(old);
-                lane_blocks[active as usize] = self.mem.block_of(buf, idx);
-                addresses[active as usize] = idx;
-                active += 1;
+        let mut active = 0;
+        let tid0 = self.global_thread_id(0);
+        let (cta, warp, tolerant) = (self.cta_id, self.warp_in_cta, self.mem.sdc_tolerant);
+        let mut view = self.mem.write_view(buf);
+        let mut san = self.san.as_deref_mut();
+        for lane in 0..self.active_lanes {
+            let Some((idx, operand)) = f(Lane { lane, tid: tid0 + lane as u64 }) else { continue };
+            let coord = ThreadCoord { cta, warp, lane };
+            let init = view.init.as_deref();
+            if !admit(san.as_deref_mut(), view.meta, init, idx, coord, AccessKind::Atomic, tolerant)
+            {
+                continue;
             }
+            let old = view.get(idx);
+            if let Some(new) = update(old, operand) {
+                view.set(idx, new);
+            }
+            out[lane as usize] = Some(old);
+            lane_blocks[active] = view.meta.block(idx);
+            addresses[active] = idx;
+            active += 1;
         }
         if active > 0 {
-            self.account_atomic(active, &lane_blocks, &addresses);
+            self.account_atomic(&lane_blocks[..active], &addresses[..active]);
         }
         out
     }
@@ -295,16 +376,10 @@ impl<'a> WarpCtx<'a> {
     /// Shared accounting for atomic warp-ops: intra-warp same-address
     /// conflicts serialize at the L2 atomic unit, charged at
     /// `(max collisions - 1) * ATOMIC_REPLAY_CYCLES`.
-    fn account_atomic(
-        &mut self,
-        active: u32,
-        lane_blocks: &[u64; WARP_SIZE as usize],
-        addresses: &[usize; WARP_SIZE as usize],
-    ) {
-        let slice = &addresses[..active as usize];
-        let max_dup = slice
+    fn account_atomic(&mut self, lane_blocks: &[u64], addresses: &[usize]) {
+        let max_dup = addresses
             .iter()
-            .map(|a| slice.iter().filter(|b| *b == a).count())
+            .map(|a| addresses.iter().filter(|b| *b == a).count())
             .max()
             .unwrap_or(1) as u64;
         self.stats.atomic_serialization_cycles += (max_dup - 1) * ATOMIC_REPLAY_CYCLES;
@@ -312,8 +387,9 @@ impl<'a> WarpCtx<'a> {
         self.stats.atomic_requests += 1;
         self.stats.warp_instructions += 1;
         self.stats.lane_slots += WARP_SIZE as u64;
-        self.stats.lane_instructions += active as u64;
-        self.charge_transactions(&lane_blocks[..active as usize], false);
+        self.stats.lane_instructions += lane_blocks.len() as u64;
+        coalesce(self.blocks, lane_blocks);
+        self.charge_blocks(false);
     }
 
     /// Warp-wide shared-memory load from this CTA's shared array.
@@ -367,25 +443,8 @@ impl<'a> WarpCtx<'a> {
         }
     }
 
-    /// Routes one global access through the installed sanitizer; `true`
-    /// means proceed, `false` means the access was flagged out-of-bounds
-    /// and must be suppressed (lane goes inactive). With no sanitizer
-    /// this is a bounds check that tolerates wild accesses only during a
-    /// silent-corruption campaign (see `DeviceMem::tolerates`) — a
-    /// corrupted queue entry or CSR target behaves like stray hardware
-    /// traffic instead of a simulator panic.
-    #[inline]
-    fn san_global(&mut self, buf: BufferId, idx: usize, lane: u32, kind: AccessKind) -> bool {
-        match self.san.as_deref_mut() {
-            Some(san) => {
-                let coord = ThreadCoord { cta: self.cta_id, warp: self.warp_in_cta, lane };
-                san.check_global(self.mem, buf, idx, coord, kind)
-            }
-            None => self.mem.tolerates(buf, idx),
-        }
-    }
-
-    /// Same as [`WarpCtx::san_global`] for this CTA's shared memory.
+    /// Same as the global sanitizer check for this CTA's shared memory;
+    /// `true` means proceed.
     #[inline]
     fn san_shared(&mut self, idx: usize, lane: u32, kind: AccessKind) -> bool {
         let len = self.shared.len();
@@ -399,21 +458,9 @@ impl<'a> WarpCtx<'a> {
     }
 
     /// Shared-access accounting: one instruction plus serialized replays
-    /// for bank conflicts (distinct words, same `idx % 32` bank).
+    /// for bank conflicts (see [`bank_conflict_replays`]).
     fn account_shared(&mut self, active: u32, idxs: &[usize]) {
-        let mut conflict_factor = 1u64;
-        for bank in 0..WARP_SIZE as usize {
-            let mut words: [usize; WARP_SIZE as usize] = [usize::MAX; WARP_SIZE as usize];
-            let mut distinct = 0u64;
-            for &idx in idxs {
-                if idx % WARP_SIZE as usize == bank && !words[..distinct as usize].contains(&idx) {
-                    words[distinct as usize] = idx;
-                    distinct += 1;
-                }
-            }
-            conflict_factor = conflict_factor.max(distinct.max(1));
-        }
-        let replays = conflict_factor - 1;
+        let replays = bank_conflict_replays(idxs);
         self.stats.shared_bank_conflicts += replays;
         self.stats.shared_accesses += 1;
         self.stats.warp_instructions += 1;
@@ -435,10 +482,19 @@ impl<'a> WarpCtx<'a> {
         mask
     }
 
-    fn finish_global_access(&mut self, active: u32, lane_blocks: &[u64; 32], is_load: bool) {
-        if active == 0 {
+    /// Coalesces the blocks of a per-lane global access (one per lane
+    /// that proceeded) and charges the access; no lane, no instruction.
+    fn finish_lanes(&mut self, lane_blocks: &[u64], is_load: bool) {
+        if lane_blocks.is_empty() {
             return;
         }
+        coalesce(self.blocks, lane_blocks);
+        self.account_global(lane_blocks.len() as u32, is_load);
+    }
+
+    /// Charges one warp global access of `active` lanes whose distinct
+    /// blocks, in first-touch order, are in `self.blocks`.
+    fn account_global(&mut self, active: u32, is_load: bool) {
         self.stats.warp_instructions += 1;
         self.stats.lane_slots += WARP_SIZE as u64;
         self.stats.lane_instructions += active as u64;
@@ -447,33 +503,89 @@ impl<'a> WarpCtx<'a> {
         } else {
             self.stats.gst_requests += 1;
         }
-        self.charge_transactions(&lane_blocks[..active as usize], is_load);
+        self.charge_blocks(is_load);
     }
 
-    fn charge_transactions(&mut self, lane_blocks: &[u64], is_load: bool) {
-        coalesce(self.blocks, lane_blocks.iter().copied());
+    /// Transactions, L2 traffic and serial cost of the blocks in
+    /// `self.blocks`.
+    fn charge_blocks(&mut self, is_load: bool) {
         let n = self.blocks.len() as u64;
         if is_load {
             self.stats.gld_transactions += n;
         } else {
             self.stats.gst_transactions += n;
         }
-        let mut any_miss = false;
-        for i in 0..self.blocks.len() {
-            if self.l2.access(self.blocks[i]) {
-                self.stats.l2_hits += 1;
-            } else {
-                self.stats.dram_transactions += 1;
-                any_miss = true;
-            }
-        }
+        let any_miss = probe_l2(self.l2, self.stats, self.blocks);
         // Serial cost of one warp memory instruction: the LD/ST unit
         // replays once per transaction (issue cost), and the transactions
         // of a single instruction are independent, so their latencies
         // overlap — the warp stalls for one (MLP-discounted) latency.
         let lat = if any_miss { self.timing.dram_latency } else { self.timing.l2_latency };
-        self.serial_cycles += self.blocks.len() as f64 + lat / self.timing.mlp;
+        self.serial_cycles += n as f64 + lat / self.timing.mlp;
     }
+}
+
+/// Whether one lane's global access to `buf` (shadow init bitmap `init`)
+/// proceeds. An installed sanitizer checks it and suppresses it when out
+/// of bounds. Without one, an out-of-bounds lane is suppressed only during
+/// a bit-flip campaign (`tolerant`), where a corrupted index acts like
+/// stray hardware traffic; otherwise it reaches the access and panics with
+/// the typed error.
+#[inline]
+fn admit(
+    san: Option<&mut Sanitizer>,
+    buf: BufMeta<'_>,
+    init: Option<&[bool]>,
+    idx: usize,
+    coord: ThreadCoord,
+    kind: AccessKind,
+    tolerant: bool,
+) -> bool {
+    match san {
+        Some(san) => san.check_global(buf, init, idx, coord, kind),
+        None => idx < buf.len || !tolerant,
+    }
+}
+
+/// Runs one access's distinct blocks through the L2 in order, counting
+/// hits and DRAM transactions; returns whether any block missed.
+fn probe_l2(l2: &mut L2Cache, stats: &mut KernelRecord, blocks: &[u64]) -> bool {
+    let mut any_miss = false;
+    for &block in blocks {
+        if l2.access(block) {
+            stats.l2_hits += 1;
+        } else {
+            stats.dram_transactions += 1;
+            any_miss = true;
+        }
+    }
+    any_miss
+}
+
+/// Bank-conflict replays of one warp-wide shared access whose active
+/// lanes touch the words `idxs` (at most 32): the most distinct words
+/// any one of the 32 banks (`idx % 32`) must serve, minus one. Lanes
+/// reading the *same* word are a broadcast and cost nothing extra.
+///
+/// Counted by sorting `(bank, word)` keys: each index rotated right by
+/// the five bank bits puts its bank on top, and equal keys are the same
+/// word.
+pub fn bank_conflict_replays(idxs: &[usize]) -> u64 {
+    const BANK_BITS: u32 = WARP_SIZE.trailing_zeros();
+    let mut keys = [0u64; WARP_SIZE as usize];
+    let keys = &mut keys[..idxs.len()];
+    for (key, &idx) in keys.iter_mut().zip(idxs) {
+        *key = (idx as u64).rotate_right(BANK_BITS);
+    }
+    keys.sort_unstable();
+    let bank = |key: u64| key >> (u64::BITS - BANK_BITS);
+    let (mut worst, mut words) = (1, 1);
+    for pair in keys.windows(2) {
+        let same_bank = bank(pair[0]) == bank(pair[1]);
+        words = if same_bank { words + u64::from(pair[0] != pair[1]) } else { 1 };
+        worst = worst.max(words);
+    }
+    worst - 1
 }
 
 /// Extra cycles charged per colliding intra-warp atomic (replay cost).
@@ -530,39 +642,42 @@ impl<'a> CtaCtx<'a> {
             len,
             self.shared.len()
         );
-        for (i, src) in src_range.clone().enumerate() {
-            if let Some(san) = self.san.as_deref_mut() {
+        let shared_len = self.shared.len();
+        let dst = &mut self.shared[dst_offset..dst_offset + len];
+        let view = self.mem.read_view(buf);
+        match self.san.as_deref_mut() {
+            None => match view.data.get(src_range.clone()) {
+                Some(src) => dst.copy_from_slice(src),
+                // The first element past the buffer panics typed, as its
+                // per-element read would.
+                None => view.meta.out_of_bounds(src_range.start.max(view.meta.len)),
+            },
+            Some(san) => {
                 let coord = ThreadCoord { cta: self.cta_id, warp: COOP_PHASE, lane: 0 };
-                if !san.check_global(self.mem, buf, src, coord, AccessKind::Read) {
-                    continue; // suppressed out-of-bounds element
+                for (i, src) in src_range.clone().enumerate() {
+                    if !san.check_global(view.meta, view.init, src, coord, AccessKind::Read) {
+                        continue; // suppressed out-of-bounds element
+                    }
+                    san.check_shared(dst_offset + i, shared_len, coord, AccessKind::Write);
+                    dst[i] = view.get(src);
                 }
-                san.check_shared(dst_offset + i, self.shared.len(), coord, AccessKind::Write);
             }
-            self.shared[dst_offset + i] = self.mem.read(buf, src);
         }
         // Accounting: ceil(len/32) coalesced warp loads issued by
         // ceil(len/threads_per_cta) waves of the CTA's warps, plus the
-        // matching shared stores.
+        // matching shared stores. The range's blocks, ascending, are its
+        // first-touch order.
+        let blocks = view.meta.block(src_range.start)..=view.meta.block(src_range.end - 1);
         let warp_loads = (len as u64).div_ceil(ELEMS_PER_TRANSACTION);
         self.stats.gld_requests += warp_loads;
         self.stats.shared_accesses += warp_loads;
         self.stats.warp_instructions += 2 * warp_loads;
         self.stats.lane_slots += 2 * warp_loads * WARP_SIZE as u64;
         self.stats.lane_instructions += 2 * len as u64;
-        coalesce(
-            self.blocks,
-            src_range.map(|i| self.mem.block_of(buf, i)),
-        );
+        self.blocks.clear();
+        self.blocks.extend(blocks);
         self.stats.gld_transactions += self.blocks.len() as u64;
-        let mut any_miss = false;
-        for i in 0..self.blocks.len() {
-            if self.l2.access(self.blocks[i]) {
-                self.stats.l2_hits += 1;
-            } else {
-                self.stats.dram_transactions += 1;
-                any_miss = true;
-            }
-        }
+        let any_miss = probe_l2(self.l2, self.stats, self.blocks);
         // The whole CTA cooperates: each warp streams its share of the
         // tile with MLP-deep pipelining.
         let warps = (self.threads_per_cta as f64 / WARP_SIZE as f64).max(1.0);

@@ -1,5 +1,5 @@
 //! Device global memory: buffer arena, 128-byte transaction coalescing,
-//! and an L2 cache model.
+//! and an exact-LRU L2 cache model.
 //!
 //! Every buffer element is a `u32` (4 bytes) — the reproduction's graphs
 //! fit 32-bit ids and offsets — and each buffer gets a distinct virtual
@@ -13,6 +13,20 @@
 //! exclusively: BFS data structures are 4-byte typed and the paper's
 //! optimizations all target *whether* accesses share a block, not the
 //! block size.
+//!
+//! Buffers start on a transaction boundary, so element `i` of a buffer
+//! lies in block `base_block + i / 32`. A warp access borrows its buffer
+//! once and derives every lane's block from that rule instead of looking
+//! the buffer up per lane. [`coalesce`] keeps the distinct blocks of a
+//! warp access in first-touch order, which is the order the L2 sees them.
+//!
+//! The L2 is a set-associative cache with exact LRU replacement: a block
+//! maps to set `block % sets`, and each set keeps its 16 ways in recency
+//! order, so a hit moves its way to the front and a miss evicts the last
+//! way. Exact LRU is a function of the access sequence alone, so any
+//! implementation of it yields the same hit/miss sequence; the
+//! differential test in `tests/properties.rs` pins this one against the
+//! original tick-stamped model.
 
 use crate::fault::DeviceError;
 use crate::sanitizer::RacePolicy;
@@ -27,6 +41,98 @@ pub const ELEMS_PER_TRANSACTION: u64 = TRANSACTION_BYTES / ELEM_BYTES;
 /// Handle to a device buffer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct BufferId(pub(crate) usize);
+
+/// A buffer's identity as the sanitizer and the typed out-of-bounds
+/// panic report it, and its place in the address space, borrowed once
+/// per warp access.
+#[derive(Clone, Copy)]
+pub(crate) struct BufMeta<'a> {
+    pub(crate) id: BufferId,
+    pub(crate) device: usize,
+    pub(crate) name: &'a str,
+    pub(crate) len: usize,
+    pub(crate) race_policy: RacePolicy,
+    /// Block of element 0.
+    pub(crate) base_block: u64,
+}
+
+impl BufMeta<'_> {
+    /// The transaction block covering element `index`.
+    #[inline]
+    pub(crate) fn block(&self, index: usize) -> u64 {
+        self.base_block + index as u64 / ELEMS_PER_TRANSACTION
+    }
+
+    /// Panics with the typed error `DeviceMem::read`/`write` raise for an
+    /// out-of-bounds index.
+    #[cold]
+    pub(crate) fn out_of_bounds(&self, index: usize) -> ! {
+        let err = DeviceError::OutOfBounds {
+            device: self.device,
+            buffer: self.name.to_string(),
+            index,
+            len: self.len,
+        };
+        panic!("{err}")
+    }
+}
+
+/// One buffer borrowed for the reads of a warp access.
+pub(crate) struct ReadView<'a> {
+    pub(crate) meta: BufMeta<'a>,
+    pub(crate) data: &'a [u32],
+    /// Shadow init bitmap (present only while a sanitizer is installed).
+    pub(crate) init: Option<&'a [bool]>,
+}
+
+impl ReadView<'_> {
+    /// `data[index]`, or the typed out-of-bounds panic.
+    #[inline]
+    pub(crate) fn get(&self, index: usize) -> u32 {
+        match self.data.get(index) {
+            Some(&v) => v,
+            None => self.meta.out_of_bounds(index),
+        }
+    }
+}
+
+/// One buffer borrowed for the writes (and atomic reads) of a warp access.
+pub(crate) struct WriteView<'a> {
+    pub(crate) meta: BufMeta<'a>,
+    pub(crate) data: &'a mut [u32],
+    pub(crate) init: Option<&'a mut [bool]>,
+}
+
+impl WriteView<'_> {
+    /// `data[index]`, or the typed out-of-bounds panic.
+    #[inline]
+    pub(crate) fn get(&self, index: usize) -> u32 {
+        match self.data.get(index) {
+            Some(&v) => v,
+            None => self.meta.out_of_bounds(index),
+        }
+    }
+
+    /// Writes `data[index]` and marks it initialized, or panics typed.
+    #[inline]
+    pub(crate) fn set(&mut self, index: usize, value: u32) {
+        match self.data.get_mut(index) {
+            Some(slot) => *slot = value,
+            None => self.meta.out_of_bounds(index),
+        }
+        if let Some(init) = self.init.as_deref_mut() {
+            init[index] = true;
+        }
+    }
+}
+
+/// True when word `index` of a buffer with shadow bitmap `init` has been
+/// written since allocation. Always true when init tracking is off or the
+/// index is out of range (range errors are reported separately).
+#[inline]
+pub(crate) fn word_initialized(init: Option<&[bool]>, index: usize) -> bool {
+    init.is_none_or(|init| init.get(index).copied().unwrap_or(true))
+}
 
 struct Buffer {
     name: String,
@@ -264,26 +370,41 @@ impl DeviceMem {
         }
     }
 
-    /// True when `buffer[index]` has been written (by host or device)
-    /// since allocation. Always true when init tracking is off or the
-    /// index is out of range (range errors are reported separately).
-    pub(crate) fn is_initialized(&self, id: BufferId, index: usize) -> bool {
-        match self.buffers[id.0].init.as_ref() {
-            Some(init) => init.get(index).copied().unwrap_or(true),
-            None => true,
+    /// Borrows `id` for the reads of one warp access.
+    #[inline]
+    pub(crate) fn read_view(&self, id: BufferId) -> ReadView<'_> {
+        let buf = &self.buffers[id.0];
+        ReadView {
+            meta: BufMeta {
+                id,
+                device: self.device_id,
+                name: &buf.name,
+                len: buf.data.len(),
+                race_policy: buf.race_policy,
+                base_block: buf.base_addr / TRANSACTION_BYTES,
+            },
+            data: &buf.data,
+            init: buf.init.as_deref(),
         }
     }
 
-    /// True when a kernel-side access to `buffer[index]` should proceed.
-    /// Always true in bounds; out of bounds it is tolerated (access
-    /// suppressed, reads return 0) only while `sdc_tolerant` is armed —
-    /// i.e. only during an explicit silent-corruption campaign.
+    /// Borrows `id` for the writes of one warp access.
     #[inline]
-    pub(crate) fn tolerates(&self, id: BufferId, index: usize) -> bool {
-        // Outside a campaign the access proceeds regardless, so a genuine
-        // OOB bug reaches the access itself and panics with full typed
-        // context.
-        index < self.buffers[id.0].data.len() || !self.sdc_tolerant
+    pub(crate) fn write_view(&mut self, id: BufferId) -> WriteView<'_> {
+        let device = self.device_id;
+        let buf = &mut self.buffers[id.0];
+        WriteView {
+            meta: BufMeta {
+                id,
+                device,
+                name: &buf.name,
+                len: buf.data.len(),
+                race_policy: buf.race_policy,
+                base_block: buf.base_addr / TRANSACTION_BYTES,
+            },
+            data: &mut buf.data,
+            init: buf.init.as_deref_mut(),
+        }
     }
 
     /// Total elements across all allocated buffers (the flip injector's
@@ -311,44 +432,68 @@ impl DeviceMem {
     pub(crate) fn flip_bit(&mut self, id: BufferId, elem: usize, bit: u32) {
         self.buffers[id.0].data[elem] ^= 1u32 << bit;
     }
-
-    /// The global virtual address of `buffer[index]`.
-    #[inline]
-    pub(crate) fn addr(&self, id: BufferId, index: usize) -> u64 {
-        self.buffers[id.0].base_addr + index as u64 * ELEM_BYTES
-    }
-
-    /// The transaction block id covering `buffer[index]`.
-    #[inline]
-    pub(crate) fn block_of(&self, id: BufferId, index: usize) -> u64 {
-        self.addr(id, index) / TRANSACTION_BYTES
-    }
 }
 
-/// Coalesces one warp-wide access: deduplicates per-lane block ids.
+/// Slots of the first-touch table [`coalesce`] dedupes a warp's blocks
+/// in: twice the 32 lanes, so open addressing stays at most half full.
+const COALESCE_SLOTS: usize = 64;
+
+/// Coalesces one warp-wide access: the distinct blocks among
+/// `lane_blocks` (one per active lane, at most 32), in first-touch order.
 ///
-/// Returns the distinct blocks touched, in first-touch order. A warp has
-/// at most 32 lanes so a linear scan beats any hash structure.
-pub(crate) fn coalesce(blocks: &mut Vec<u64>, lane_blocks: impl Iterator<Item = u64>) {
+/// Linear time: each block is looked up in a fixed 64-slot
+/// open-addressing table (Fibonacci-hashed, so strided block ids spread
+/// over the slots) instead of being searched for in the output. A lane
+/// in the same block as the lane before it is already in the table and
+/// skips the lookup, so a contiguous access probes once per block.
+pub fn coalesce(blocks: &mut Vec<u64>, lane_blocks: &[u64]) {
+    assert!(lane_blocks.len() <= COALESCE_SLOTS / 2, "more lanes than a warp");
     blocks.clear();
-    for b in lane_blocks {
-        if !blocks.contains(&b) {
-            blocks.push(b);
+    // Block ids are byte addresses over 128, so u64::MAX never occurs.
+    let mut table = [u64::MAX; COALESCE_SLOTS];
+    let mut previous = u64::MAX;
+    for &b in lane_blocks {
+        if b == previous {
+            continue;
+        }
+        previous = b;
+        let mut slot = (b.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize;
+        loop {
+            let seen = table[slot];
+            if seen == b {
+                break;
+            }
+            if seen == u64::MAX {
+                table[slot] = b;
+                blocks.push(b);
+                break;
+            }
+            slot = (slot + 1) % COALESCE_SLOTS;
         }
     }
 }
 
-/// Set-associative LRU L2 cache model over 128-byte blocks.
+/// Ways per L2 set.
+const L2_WAYS: usize = 16;
+/// Tag of a way that holds no block.
+const EMPTY_WAY: u64 = u64::MAX;
+
+/// Set-associative L2 cache model over 128-byte blocks, 16 ways with
+/// exact LRU replacement.
 ///
 /// (Fields are internal; use [`L2Cache::hits`]/[`L2Cache::misses`].)
 ///
 /// The K40 has 1.5 MB of L2 shared by all SMXs; BFS working sets (status
 /// array + adjacency) far exceed it, but short-term reuse (e.g. frontier
 /// queue reads, repeated hub status probes without the hub cache) hits.
+///
+/// Tags live in one flat array, 16 per set. A set's ways are kept in
+/// recency order — a way's position is its LRU rank — so a hit rotates
+/// its way to the front and a miss shifts the set down by one, dropping
+/// the least recently used block.
 pub struct L2Cache {
-    sets: Vec<Vec<(u64, u64)>>, // (tag, last_use)
-    ways: usize,
-    tick: u64,
+    tags: Vec<u64>,
+    sets: u64,
     hits: u64,
     misses: u64,
 }
@@ -356,35 +501,34 @@ pub struct L2Cache {
 impl L2Cache {
     /// Creates a 16-way LRU cache of `capacity_bytes`.
     pub fn new(capacity_bytes: u64) -> Self {
-        let ways = 16usize;
-        let lines = (capacity_bytes / TRANSACTION_BYTES) as usize;
-        let set_count = (lines / ways).max(1);
-        Self { sets: vec![Vec::new(); set_count], ways, tick: 0, hits: 0, misses: 0 }
+        let lines = capacity_bytes / TRANSACTION_BYTES;
+        let sets = (lines / L2_WAYS as u64).max(1);
+        Self { tags: vec![EMPTY_WAY; sets as usize * L2_WAYS], sets, hits: 0, misses: 0 }
     }
 
-    /// Accesses one block; returns `true` on hit.
+    /// Accesses one block; returns `true` on hit. Block ids are byte
+    /// addresses over 128, so `u64::MAX` (the empty-way tag) never occurs.
+    #[inline]
     pub fn access(&mut self, block: u64) -> bool {
-        self.tick += 1;
-        let set_count = self.sets.len() as u64;
-        let set = &mut self.sets[(block % set_count) as usize];
-        if let Some(entry) = set.iter_mut().find(|(tag, _)| *tag == block) {
-            entry.1 = self.tick;
-            self.hits += 1;
-            return true;
+        debug_assert_ne!(block, EMPTY_WAY, "block id out of the address space");
+        // `block % sets`, without a 64-bit division when it is a mask.
+        let set =
+            if self.sets.is_power_of_two() { block & (self.sets - 1) } else { block % self.sets };
+        let base = set as usize * L2_WAYS;
+        let ways = &mut self.tags[base..base + L2_WAYS];
+        match ways.iter().position(|&tag| tag == block) {
+            Some(rank) => {
+                ways[..=rank].rotate_right(1);
+                self.hits += 1;
+                true
+            }
+            None => {
+                ways.rotate_right(1);
+                ways[0] = block;
+                self.misses += 1;
+                false
+            }
         }
-        self.misses += 1;
-        if set.len() >= self.ways {
-            // Evict LRU.
-            let lru = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, t))| *t)
-                .map(|(i, _)| i)
-                .expect("non-empty set");
-            set.swap_remove(lru);
-        }
-        set.push((block, self.tick));
-        false
     }
 
     /// Hits since the last reset.
@@ -399,10 +543,7 @@ impl L2Cache {
 
     /// Clears contents and statistics.
     pub fn reset(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
-        self.tick = 0;
+        self.tags.fill(EMPTY_WAY);
         self.hits = 0;
         self.misses = 0;
     }
@@ -417,10 +558,12 @@ mod tests {
         let mut mem = DeviceMem::new(1 << 20);
         let a = mem.alloc("a", 10);
         let b = mem.alloc("b", 10);
-        assert_ne!(mem.block_of(a, 0), mem.block_of(b, 0));
+        assert_ne!(mem.read_view(a).meta.block(0), mem.read_view(b).meta.block(0));
         // 10 elements = 40 bytes, padded to 128: buffer b starts at the
         // next transaction boundary.
-        assert_eq!(mem.addr(b, 0), 128);
+        assert_eq!(mem.read_view(b).meta.base_block, 1);
+        assert_eq!(mem.read_view(b).meta.block(31), 1);
+        assert_eq!(mem.read_view(b).meta.block(32), 2);
     }
 
     #[test]
@@ -511,30 +654,38 @@ mod tests {
     #[test]
     fn init_tracking_marks_host_writes() {
         let mut mem = DeviceMem::new(1 << 20);
+        let is_init = |mem: &DeviceMem, id, i| word_initialized(mem.read_view(id).init, i);
         let pre = mem.alloc("pre", 2);
+        assert!(is_init(&mem, pre, 0), "untracked buffers count as initialized");
         mem.enable_init_tracking();
-        assert!(mem.is_initialized(pre, 0), "pre-existing buffers count as initialized");
+        assert!(is_init(&mem, pre, 0), "pre-existing buffers count as initialized");
         let a = mem.alloc("a", 4);
-        assert!(!mem.is_initialized(a, 0));
+        assert!(!is_init(&mem, a, 0));
         mem.set(a, 1, 5);
-        assert!(mem.is_initialized(a, 1));
-        assert!(!mem.is_initialized(a, 2));
+        assert!(is_init(&mem, a, 1));
+        assert!(!is_init(&mem, a, 2));
+        assert!(is_init(&mem, a, 9), "out-of-range words are reported elsewhere");
         mem.fill(a, 0);
-        assert!(mem.is_initialized(a, 2));
+        assert!(is_init(&mem, a, 2));
         let b = mem.alloc("b", 2);
         mem.upload(b, &[1, 2]);
-        assert!(mem.is_initialized(b, 0) && mem.is_initialized(b, 1));
+        assert!(is_init(&mem, b, 0) && is_init(&mem, b, 1));
     }
 
     #[test]
     fn coalesce_dedupes_blocks() {
         let mut blocks = Vec::new();
         // 32 consecutive 4-byte elements share one 128-byte block.
-        coalesce(&mut blocks, (0..32u64).map(|i| i * 4 / TRANSACTION_BYTES));
+        let lanes: Vec<u64> = (0..32u64).map(|i| i * 4 / TRANSACTION_BYTES).collect();
+        coalesce(&mut blocks, &lanes);
         assert_eq!(blocks, vec![0]);
         // Stride-32 elements hit 32 distinct blocks.
-        coalesce(&mut blocks, (0..32u64).map(|i| i * 32 * 4 / TRANSACTION_BYTES));
+        let lanes: Vec<u64> = (0..32u64).map(|i| i * 32 * 4 / TRANSACTION_BYTES).collect();
+        coalesce(&mut blocks, &lanes);
         assert_eq!(blocks.len(), 32);
+        // Duplicates keep the position of their first touch.
+        coalesce(&mut blocks, &[7, 3, 7, 64 + 7, 3, 1]);
+        assert_eq!(blocks, vec![7, 3, 64 + 7, 1]);
     }
 
     #[test]

@@ -55,7 +55,7 @@
 //! counters — so a clean program produces identical results with the
 //! sanitizer on or off (the property the test suite asserts).
 
-use crate::memory::{BufferId, DeviceMem};
+use crate::memory::{word_initialized, BufMeta, BufferId};
 use std::collections::HashMap;
 
 /// Per-buffer race-detection policy.
@@ -499,59 +499,50 @@ impl Sanitizer {
         self.window_first.take()
     }
 
-    /// Validates one global access; returns `false` when the access must
-    /// be suppressed (out of bounds).
+    /// Validates one global access to the buffer `buf` (whose shadow
+    /// init bitmap is `init`); returns `false` when the access must be
+    /// suppressed (out of bounds).
     pub(crate) fn check_global(
         &mut self,
-        mem: &DeviceMem,
-        buf: BufferId,
+        buf: BufMeta<'_>,
+        init: Option<&[bool]>,
         index: usize,
         thread: ThreadCoord,
         kind: AccessKind,
     ) -> bool {
         self.checked_accesses += 1;
-        let len = mem.len(buf);
-        if index >= len {
+        if index >= buf.len {
             let finding = SanitizerError::OutOfBounds {
                 device: self.device_id,
                 kernel: self.kernel.clone(),
-                buffer: mem.buffer_name(buf).to_string(),
+                buffer: buf.name.to_string(),
                 index,
-                len,
+                len: buf.len,
                 access: Access { thread, kind },
             };
             self.record(finding);
             return false;
         }
         // Atomics also *read* the old value, so they count here too.
-        if kind != AccessKind::Write && !mem.is_initialized(buf, index) {
+        if kind != AccessKind::Write && !word_initialized(init, index) {
             let finding = SanitizerError::UninitRead {
                 device: self.device_id,
                 kernel: self.kernel.clone(),
-                buffer: mem.buffer_name(buf).to_string(),
+                buffer: buf.name.to_string(),
                 index,
                 access: Access { thread, kind },
             };
             self.record(finding);
         }
-        if mem.race_policy(buf) == RacePolicy::Strict {
-            self.check_race(mem, buf, index, thread, kind);
+        if buf.race_policy == RacePolicy::Strict {
+            self.check_race(buf, index, thread, kind);
         }
         true
     }
 
-    fn check_race(
-        &mut self,
-        mem: &DeviceMem,
-        buf: BufferId,
-        index: usize,
-        thread: ThreadCoord,
-        kind: AccessKind,
-    ) {
-        self.names
-            .entry(buf.0)
-            .or_insert_with(|| mem.buffer_name(buf).to_string());
-        let key = word_key(buf, index);
+    fn check_race(&mut self, buf: BufMeta<'_>, index: usize, thread: ThreadCoord, kind: AccessKind) {
+        self.names.entry(buf.id.0).or_insert_with(|| buf.name.to_string());
+        let key = word_key(buf.id, index);
         let w = self.words.entry(key).or_default();
         if w.poisoned {
             return;
@@ -613,7 +604,7 @@ impl Sanitizer {
             let finding = SanitizerError::RaceCondition {
                 device: self.device_id,
                 kernel: self.kernel.clone(),
-                buffer: mem.buffer_name(buf).to_string(),
+                buffer: buf.name.to_string(),
                 index,
                 first,
                 second,

@@ -8,6 +8,13 @@
 //! scanned recursively and added back. Critical path per kernel is a few
 //! hundred cycles regardless of input length — the property that keeps
 //! Enterprise's queue generation at ~11% of the traversal (§4.1).
+//!
+//! The scan is data-oblivious: every address depends on the length, never
+//! on the values, and each warp touches one contiguous tile. So every
+//! access here is a span ([`crate::WarpCtx::load_span`],
+//! [`crate::WarpCtx::store_span`]), which the simulator serves with one
+//! slice copy and arithmetic blocks, with the counters of the per-lane
+//! path.
 
 use crate::device::Device;
 use crate::fault::DeviceError;
@@ -119,10 +126,9 @@ fn scan_level(
             if tile >= warps {
                 return;
             }
-            let vals = w.load_global(buf, |l| {
-                let i = tile * 32 + l.lane as usize;
-                (i < len).then_some(i)
-            });
+            let start = tile * 32;
+            let n = (len - start).min(32);
+            let vals = w.load_span(buf, start, n);
             // Register prefix (log2(32) = 5 shuffle steps on hardware).
             w.compute(5, w.active_lanes);
             let mut prefix = [0u32; 32];
@@ -131,11 +137,8 @@ fn scan_level(
                 prefix[lane] = running;
                 running = running.wrapping_add(vals[lane].unwrap_or(0));
             }
-            w.store_global(buf, |l| {
-                let i = tile * 32 + l.lane as usize;
-                (i < len).then_some((i, prefix[l.lane as usize]))
-            });
-            w.store_global(partials, |l| (l.lane == 0).then_some((tile, running)));
+            w.store_span(buf, start, &prefix[..n]);
+            w.store_span(partials, tile, &[running]);
         },
     )?;
 
@@ -154,16 +157,14 @@ fn scan_level(
             if tile >= warps {
                 return;
             }
-            let offset = w.load_global(partials, |l| (l.lane == 0).then_some(tile))[0].unwrap();
-            let vals = w.load_global(buf, |l| {
-                let i = tile * 32 + l.lane as usize;
-                (i < len).then_some(i)
-            });
+            let offset = w.load_span(partials, tile, 1)[0].unwrap();
+            let start = tile * 32;
+            let n = (len - start).min(32);
+            let vals = w.load_span(buf, start, n);
             w.compute(1, w.active_lanes);
-            w.store_global(buf, |l| {
-                let i = tile * 32 + l.lane as usize;
-                (i < len).then(|| (i, vals[l.lane as usize].unwrap().wrapping_add(offset)))
-            });
+            let sums: [u32; 32] =
+                std::array::from_fn(|l| vals[l].map_or(0, |v| v.wrapping_add(offset)));
+            w.store_span(buf, start, &sums[..n]);
         },
     )?;
     Ok(())
@@ -207,12 +208,9 @@ pub fn try_reduce_sum(
                 if tile >= warps {
                     return;
                 }
-                let vals = w.load_global(src, |l| {
-                    let i = tile * 32 + l.lane as usize;
-                    (i < src_len).then_some(i)
-                });
+                let vals = w.load_span(src, tile * 32, src_len - tile * 32);
                 let total = w.warp_reduce_sum(&vals);
-                w.store_global(dst, |l| (l.lane == 0).then_some((tile, total)));
+                w.store_span(dst, tile, &[total]);
             },
         )?;
         src = dst;
