@@ -4,7 +4,9 @@
 //! `cargo run -p bench --bin table2 --release`
 
 use bench::Table;
-use gpu_sim::device::xeon_e7_4860_rows;
+use gpu_sim::device::{
+    xeon_e7_4860_rows, GLOBAL_LATENCY_CYCLES, L2_LATENCY_CYCLES, SHARED_LATENCY_CYCLES,
+};
 use gpu_sim::DeviceConfig;
 
 fn main() {
@@ -23,20 +25,20 @@ fn main() {
         (
             "L1/shared",
             format!("{}KB", k40.shared_mem_per_smx / 1024),
-            format!("~{:.0}", k40.shared_latency_cycles),
+            format!("~{:.0}", SHARED_LATENCY_CYCLES),
             "Hub Cache",
         ),
         (
             "L2 cache",
             format!("{:.1}MB", k40.l2_bytes as f64 / (1024.0 * 1024.0)),
-            format!("~{:.0}", k40.l2_latency_cycles),
+            format!("~{:.0}", L2_LATENCY_CYCLES),
             "-",
         ),
         ("L3 cache", "-".into(), "-".into(), "-"),
         (
             "DRAM",
             format!("{}GB", k40.global_mem_bytes >> 30),
-            format!("{:.0}", k40.global_latency_cycles),
+            format!("{:.0}", GLOBAL_LATENCY_CYCLES),
             "Status Array, Frontier Queue, Adjacency List",
         ),
     ];

@@ -58,7 +58,7 @@
 use crate::error::{Backoff, BfsError};
 use crate::multi_gpu::{Fleet, FleetLane, MultiBfsResult};
 use crate::persist::{
-    load_batch_log, BatchLedgerEntry, BatchRecord, FleetRecord, PersistError, BATCH_FILE,
+    encode, read_ledger, BatchLedgerEntry, FleetRecord, PersistError, BATCH_FILE,
 };
 use enterprise_graph::VertexId;
 use gpu_sim::{DeviceError, FaultSpec};
@@ -433,11 +433,11 @@ fn slow_overrun(e: &BfsError) -> Option<f64> {
     }
 }
 
-/// Appends one record to the durable batch log (when armed). Append
-/// failures degrade to a recorded error, never an aborted batch.
-fn ledger_append(host: &mut Fleet, rec: &BatchRecord, errors: &mut Vec<PersistError>) {
-    if let Some((store, _)) = host.manifest_store() {
-        if let Err(e) = store.append(BATCH_FILE, &rec.encode()) {
+/// Appends one encoded record to the durable batch log (when armed).
+/// Append failures degrade to a recorded error, never an aborted batch.
+fn ledger_append(host: &mut Fleet, record: &[u8], errors: &mut Vec<PersistError>) {
+    if let Some(store) = host.store() {
+        if let Err(e) = store.append(BATCH_FILE, record) {
             errors.push(e);
         }
     }
@@ -452,52 +452,39 @@ fn ledger_outcome(
     last_fleet: &mut Option<FleetRecord>,
     errors: &mut Vec<PersistError>,
 ) {
-    ledger_append(host, &BatchRecord::Outcome(entry), errors);
+    ledger_append(host, &encode(&entry), errors);
     if let Some(rec) = host.capture_fleet() {
         if last_fleet.as_ref() != Some(&rec) {
-            ledger_append(host, &BatchRecord::Fleet(rec.clone()), errors);
+            ledger_append(host, &encode(&rec), errors);
             *last_fleet = Some(rec);
         }
     }
 }
 
 /// Opens the durable batch log: replays prior terminal outcomes (keyed
-/// by queue index, last record wins), restores a recorded degraded
-/// fleet shape, and — for a cold batch — truncates any stale log and
-/// appends the header binding the log to this driver kind and graph.
+/// by queue index, last record wins) and restores a recorded degraded
+/// fleet shape. A cold batch — no log, or one that fails its header or
+/// holds a bad record, each recorded as a typed error — rewrites the log
+/// as a lone header binding it to this driver kind and graph.
 fn ledger_open(
     host: &mut Fleet,
     report: &mut BatchReport<MultiBfsResult>,
 ) -> (BTreeMap<u32, BatchLedgerEntry>, Option<FleetRecord>) {
-    let kind = host.kind();
     let mut prior = BTreeMap::new();
     let mut fleet = None;
-    let mut armed = false;
-    let mut fresh = false;
-    if let Some((store, fingerprint)) = host.manifest_store() {
-        armed = true;
-        match load_batch_log(store, kind, fingerprint) {
+    if let Some(store) = host.store() {
+        match read_ledger(store) {
             Ok(Some(replay)) => {
                 for e in replay.entries {
                     prior.insert(e.index, e);
                 }
                 fleet = replay.fleet;
             }
-            Ok(None) => fresh = true,
-            Err(e) => {
-                report.manifest_errors.push(e);
-                fresh = true;
-            }
-        }
-    }
-    if armed && fresh {
-        if let Some((store, fingerprint)) = host.manifest_store() {
-            if let Err(e) = store.remove(BATCH_FILE) {
-                report.manifest_errors.push(e);
-            }
-            let header = BatchRecord::Header { kind, fingerprint };
-            if let Err(e) = store.append(BATCH_FILE, &header.encode()) {
-                report.manifest_errors.push(e);
+            cold => {
+                report.manifest_errors.extend(cold.err());
+                if let Err(e) = store.rewrite(BATCH_FILE, &[]) {
+                    report.manifest_errors.push(e);
+                }
             }
         }
     }

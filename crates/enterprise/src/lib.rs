@@ -65,9 +65,7 @@ pub use gpu_sim::{
 };
 pub use kernels::Direction;
 pub use route::RoutePolicy;
-pub use persist::{
-    DriverKind, GraphFingerprint, PersistError, PersistPolicy, SnapshotStore, FORMAT_VERSION,
-};
+pub use persist::{DriverKind, GraphFingerprint, PersistError, PersistPolicy, FORMAT_VERSION};
 pub use rebalance::{DeviceTiming, ImbalanceDetector, RebalancePolicy};
 pub use validate::{audit, ValidationError, VerifyPolicy};
 pub use watchdog::WatchdogPolicy;

@@ -54,9 +54,9 @@ use crate::error::{BfsError, RecoveryPolicy, RecoveryReport};
 use crate::frontier::{enqueue_seed, try_generate_queues, try_measure_total_hubs, GenWorkflow};
 use crate::kernels::{try_expand_level, Direction};
 use crate::persist::{
-    load_checkpoint_chain, truncate_queues, CheckpointSnapshot, CheckpointWriter, DeviceCheckpoint,
-    DriverKind, FleetRecord, GraphFingerprint, LayoutSnapshot, PersistError, PersistPolicy,
-    SnapshotStore, CHECKPOINT_FILE, DELTA_FILE,
+    encode, read_checkpoint, read_layout, truncate_queues, CheckpointSnapshot, CheckpointWriter,
+    DeviceCheckpoint, DriverKind, Extents, FleetRecord, GraphFingerprint, Header, LayoutSnapshot,
+    PersistError, PersistPolicy, SnapshotStore, CHECKPOINT_FILE, LAYOUT_FILE,
 };
 use crate::rebalance::{self, DeviceTiming, ImbalanceDetector, RebalancePolicy};
 use crate::repartition::{self, PartitionArrays};
@@ -548,20 +548,21 @@ struct MultiCheckpoint {
     trace_len: usize,
 }
 
-/// Host loop variables, checkpointed with the device state.
-#[derive(Clone)]
-struct LoopVars {
-    dir: Direction,
-    switched_at: Option<u32>,
+/// Host loop variables, checkpointed with the device state (in memory for
+/// level replay, and durably).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct LoopVars {
+    pub dir: Direction,
+    pub switched_at: Option<u32>,
     /// Whether the last generation staged a hub: probing an empty cache
     /// is pure overhead.
-    cache_filled: bool,
+    pub cache_filled: bool,
     /// Running out-degree sum of visited vertices (α instrumentation).
-    visited_edge_sum: u64,
+    pub visited_edge_sum: u64,
     /// Out-degree sum of the current bottom-up queue.
-    bu_queue_edge_sum: u64,
+    pub bu_queue_edge_sum: u64,
     /// Out-degree sum of the previous top-down frontier.
-    prev_frontier_edges: u64,
+    pub prev_frontier_edges: u64,
 }
 
 /// One traversal in flight: the sequential `try_bfs` owns one, every
@@ -637,10 +638,9 @@ pub struct Fleet {
     /// (queue generation, barriers excluded) — the telemetry the
     /// imbalance detector consumes.
     level_busy: Vec<f64>,
-    /// Durable snapshot store, present when persistence is configured.
+    /// Durable snapshot store, present when persistence is configured,
+    /// bound to this fleet's driver kind and graph.
     store: Option<SnapshotStore>,
-    /// Structural identity of the bound graph, for stale-snapshot rejection.
-    fingerprint: Option<GraphFingerprint>,
     /// Persistence failures absorbed during setup, surfaced into the next
     /// run's [`RecoveryReport::snapshot_errors`].
     persist_errors: Vec<PersistError>,
@@ -748,13 +748,10 @@ impl Fleet {
         }
     }
 
-    /// The snapshot store and graph fingerprint, when persistence is
-    /// armed — the durable home of the batch ledger.
-    pub(crate) fn manifest_store(&mut self) -> Option<(&mut SnapshotStore, GraphFingerprint)> {
-        match (self.store.as_mut(), self.fingerprint) {
-            (Some(store), Some(fp)) => Some((store, fp)),
-            _ => None,
-        }
+    /// The snapshot store, when persistence is armed — the durable home
+    /// of the batch ledger.
+    pub(crate) fn store(&mut self) -> Option<&mut SnapshotStore> {
+        self.store.as_mut()
     }
 
     /// Monotonic fleet-shape epoch, bumped whenever the layout a lane was
@@ -881,15 +878,10 @@ impl Fleet {
             .iter()
             .map(|&d| d as u32)
             .partition(|&d| self.batch_isolated.contains(&(d as usize)));
-        let boundaries = self
-            .parts
-            .iter()
-            .map(|p| (p.state.td_range.clone(), p.state.bu_range.clone()))
-            .collect();
         Some(FleetRecord {
             link_isolated: isolated.len() as u32,
             evicted: fault.into_iter().chain(isolated).collect(),
-            boundaries,
+            boundaries: self.extents(),
             verdicts,
         })
     }
@@ -1237,13 +1229,9 @@ impl Fleet {
         Ok(())
     }
 
-    /// Persistence: the driver kind persisted snapshots and batch ledgers
-    /// are bound to — `Single` for one device, whatever its shape.
-    pub(crate) fn kind(&self) -> DriverKind {
-        Self::kind_of(self.config.shape)
-    }
-
-    fn kind_of(shape: Shape) -> DriverKind {
+    /// Persistence: the driver kind every persisted log is bound to —
+    /// `Single` for one device, whatever its shape.
+    pub(crate) fn kind_of(shape: Shape) -> DriverKind {
         match shape.grid() {
             _ if shape.devices() == 1 => DriverKind::Single,
             None => DriverKind::OneD,
@@ -1252,9 +1240,9 @@ impl Fleet {
     }
 
     /// Persistence: the view a layout snapshot restores with, when it
-    /// fits this shape — kind, τ, grid dimensions and device count match,
-    /// and the live extents (devices for which `alive` holds) tile the
-    /// graph ([`Fleet::live_view`]).
+    /// fits this shape — τ, grid dimensions and device count match, and
+    /// the live extents (devices for which `alive` holds) tile the graph
+    /// ([`Fleet::live_view`]).
     fn layout_fits(
         shape: Shape,
         tau: u32,
@@ -1264,8 +1252,7 @@ impl Fleet {
     ) -> Option<View> {
         let p = shape.devices();
         let (r, c) = shape.grid().unwrap_or((1, p));
-        if snap.kind != Self::kind_of(shape)
-            || snap.hub_tau != tau
+        if snap.hub_tau != tau
             || snap.grid != (r as u32, c as u32)
             || snap.slices.len() != p
             || snap.evicted.len() >= p
@@ -1347,26 +1334,24 @@ impl Fleet {
         // skipping hub measurement. Defects degrade to a cold start.
         let mut store = None;
         let mut persist_errors: Vec<PersistError> = Vec::new();
-        let fingerprint = config.persist.as_ref().map(|_| GraphFingerprint::of(csr));
         if let Some(policy) = &config.persist {
-            match SnapshotStore::open(&policy.state_dir, config.faults.as_ref()) {
+            let header =
+                Header { kind: Self::kind_of(shape), fingerprint: GraphFingerprint::of(csr) };
+            match SnapshotStore::open(&policy.state_dir, config.faults.as_ref(), header) {
                 Ok(s) => store = Some(s),
                 Err(e) => persist_errors.push(e),
             }
         }
         let mut restored: Option<(LayoutSnapshot, View)> = None;
-        if let (Some(st), Some(fp)) = (store.as_mut(), fingerprint.as_ref()) {
-            match LayoutSnapshot::load(st) {
+        if let Some(st) = store.as_mut() {
+            match read_layout(st) {
                 Ok(Some(snap)) => {
                     // Evicted entries are stale; only the survivors'
                     // extents must tile the graph.
                     let alive = |d: usize| !snap.evicted.contains(&(d as u32));
-                    if snap.fingerprint != *fp {
-                        persist_errors.push(PersistError::GraphMismatch);
-                    } else if let Some(view) = Self::layout_fits(shape, tau, n, &snap, alive) {
-                        restored = Some((snap, view));
-                    } else {
-                        persist_errors.push(PersistError::LayoutMismatch);
+                    match Self::layout_fits(shape, tau, n, &snap, alive) {
+                        Some(view) => restored = Some((snap, view)),
+                        None => persist_errors.push(PersistError::LayoutMismatch),
                     }
                 }
                 Ok(None) => {}
@@ -1428,7 +1413,6 @@ impl Fleet {
             retired: Vec::new(),
             level_busy: vec![0.0; p],
             store,
-            fingerprint,
             persist_errors,
             warm_restart,
             ckpt_writer: CheckpointWriter::new(),
@@ -1523,7 +1507,7 @@ impl Fleet {
         if let Some(spec) = self.config.faults {
             Self::arm_faults(&mut self.multi, spec);
         }
-        let result = self.try_bfs_once(source)?;
+        let result = self.try_bfs_once(source, true)?;
         if !self.config.verify.end_of_run {
             return Ok(result);
         }
@@ -1534,7 +1518,7 @@ impl Fleet {
         // continues the fault stream instead of reproducing the exact
         // corruption the audit rejected. Fault counters are cumulative
         // across the replay.
-        let mut replay = self.try_bfs_once(source)?;
+        let mut replay = self.try_bfs_once(source, true)?;
         replay.recovery.validation_replays += 1;
         match audit(&self.csr, source, &replay.levels, &replay.parents) {
             Ok(()) => Ok(replay),
@@ -1542,10 +1526,12 @@ impl Fleet {
         }
     }
 
-    /// One attempt of the traversal (no end-of-run audit): the body of
-    /// [`Fleet::try_bfs`], which may invoke it twice when the audit
-    /// demands a full replay.
-    fn try_bfs_once(&mut self, source: VertexId) -> Result<MultiBfsResult, BfsError> {
+    /// One attempt of the traversal: the body of [`Fleet::try_bfs`], which
+    /// may invoke it twice when the end-of-run audit demands a full
+    /// replay. With `resume`, a durable checkpoint is resumed; a resumed
+    /// traversal that fails the audit was resumed from a consistent but
+    /// wrong image, so it is recorded as corrupt and rerun cold.
+    fn try_bfs_once(&mut self, source: VertexId, resume: bool) -> Result<MultiBfsResult, BfsError> {
         // Device loss is per-run: revive the substrate and restore the
         // original partitions displaced by the previous run's evictions,
         // so repeated runs of one instance stay bit-reproducible. Under
@@ -1573,16 +1559,34 @@ impl Fleet {
             seed(self.multi.device(d), &part.graph, &mut part.state, source);
         }
 
+        // Every run's first checkpoint is a keyframe: deltas chain on the
+        // writer's last record, which a failed run may leave ahead of the
+        // log (past a torn tail the resume below cuts off).
+        self.ckpt_writer = CheckpointWriter::new();
         let mut walk = self.open_walk(source);
         // Warm restart from a durable mid-traversal checkpoint: overwrite
         // the freshly seeded state with the persisted level boundary and
         // continue from there. Defects degrade to the cold start above.
-        walk.level = self.try_resume(&mut walk).unwrap_or(0);
+        if resume {
+            walk.level = self.try_resume(&mut walk).unwrap_or(0);
+        }
         walk.link_mark = self.multi.fault_stats().link_slow_us;
         while !self.step(&mut walk, false)? {}
         walk.recovery.faults = self.multi.fault_stats();
         self.persist_finish(&mut walk.recovery);
-        Ok(self.collect(walk))
+        let result = self.collect(walk);
+        if result.recovery.resumed_at_level.is_none() {
+            return Ok(result);
+        }
+        let Err(e) = audit(&self.csr, source, &result.levels, &result.parents) else {
+            return Ok(result);
+        };
+        let mut errors = result.recovery.snapshot_errors;
+        errors.push(PersistError::Corrupt(format!("resumed traversal failed its audit: {e}")));
+        let mut cold = self.try_bfs_once(source, false)?;
+        errors.append(&mut cold.recovery.snapshot_errors);
+        cold.recovery.snapshot_errors = errors;
+        Ok(cold)
     }
 
     /// Rejects a source outside the bound graph, before any fault arming
@@ -2022,66 +2026,40 @@ impl Fleet {
     /// to continue at, or `None` for a cold start (no snapshot,
     /// persistence disabled, or a typed defect recorded in `walk`).
     fn try_resume(&mut self, walk: &mut Walk) -> Option<u32> {
-        let fp = *self.fingerprint.as_ref()?;
-        let store = self.store.as_mut()?;
-        let recovery = &mut walk.recovery;
-        let snap = match load_checkpoint_chain(store, &mut recovery.snapshot_errors) {
-            Ok(Some(s)) => s,
-            Ok(None) => return None,
-            Err(e) => {
-                recovery.snapshot_errors.push(e);
-                return None;
-            }
-        };
-        if snap.fingerprint != fp {
-            recovery.snapshot_errors.push(PersistError::GraphMismatch);
-            return None;
-        }
+        self.resume(walk).unwrap_or_else(|e| {
+            walk.recovery.snapshot_errors.push(e);
+            None
+        })
+    }
+
+    /// The body of [`Fleet::try_resume`]. The checkpoint passes every
+    /// check — source, device count, extents, image sizes and values —
+    /// before anything is committed, so a typed defect leaves the freshly
+    /// seeded full fleet untouched.
+    fn resume(&mut self, walk: &mut Walk) -> Result<Option<u32>, PersistError> {
+        let Some(store) = self.store.as_mut() else { return Ok(None) };
+        let Some(snap) = read_checkpoint(store)? else { return Ok(None) };
         if snap.source != walk.source {
-            recovery.snapshot_errors.push(PersistError::SourceMismatch);
-            return None;
+            return Err(PersistError::SourceMismatch);
         }
-        // Every image must be full-size, except an evicted device's,
-        // whose extent lives on a survivor.
         let n = self.csr.vertex_count();
-        let images_fit =
-            snap.devices.iter().zip(&self.parts).enumerate().all(|(d, (dev, part))| {
-                snap.evicted.contains(&(d as u32))
-                    || (dev.status.len() == n
-                        && dev.parent.len() == n
-                        && dev.hub_src.len() == part.state.hub_cache_entries
-                        && dev.queues.iter().all(|q| q.len() <= n))
-            });
-        if snap.kind != self.kind() || snap.devices.len() != self.parts.len() || !images_fit {
-            recovery.snapshot_errors.push(PersistError::LayoutMismatch);
-            return None;
+        if snap.extents.len() != self.parts.len() {
+            return Err(PersistError::LayoutMismatch);
         }
+        snap.check(&self.csr, self.config.hub_cache_entries)?;
         if snap.evicted.is_empty() {
             // Fleet-intact checkpoint: every extent must match the current
             // partitioning exactly.
-            let same =
-                snap.devices.iter().zip(&self.parts).all(|(dev, part)| {
-                    dev.td == part.state.td_range && dev.bu == part.state.bu_range
-                });
-            if !same {
-                recovery.snapshot_errors.push(PersistError::LayoutMismatch);
-                return None;
+            if snap.extents != self.extents() {
+                return Err(PersistError::LayoutMismatch);
             }
         } else {
             // Degraded resume: the interrupted run had already evicted
             // devices, so the survivors take the checkpoint's spliced
             // extents and the inherited losses count toward this run's
-            // eviction ledger. On a typed defect nothing was committed and
-            // the run cold-starts on the full fleet.
-            let extents: Vec<_> =
-                snap.devices.iter().map(|dev| (dev.td.clone(), dev.bu.clone())).collect();
-            match self.reshape(&extents, &snap.evicted) {
-                Ok(lost) => recovery.devices_lost.extend(lost),
-                Err(e) => {
-                    recovery.snapshot_errors.push(e);
-                    return None;
-                }
-            }
+            // eviction ledger.
+            let lost = self.reshape(&snap.extents, &snap.evicted)?;
+            walk.recovery.devices_lost.extend(lost);
         }
         for (d, (dev, part)) in snap.devices.iter().zip(&mut self.parts).enumerate() {
             if !self.multi.is_alive(d) {
@@ -2098,21 +2076,14 @@ impl Fleet {
             }
             mem.upload(part.state.hub_src, &dev.hub_src);
         }
-        walk.vars = LoopVars {
-            dir: if snap.dir_bottom_up { Direction::BottomUp } else { Direction::TopDown },
-            switched_at: snap.switched_at,
-            cache_filled: snap.cache_filled,
-            visited_edge_sum: snap.visited_edge_sum,
-            bu_queue_edge_sum: snap.bu_queue_edge_sum,
-            prev_frontier_edges: snap.prev_frontier_edges,
-        };
+        walk.vars = snap.vars;
         walk.recovery.resumed_at_level = Some(snap.level);
-        Some(snap.level)
+        Ok(Some(snap.level))
     }
 
     /// Publishes a durable mid-traversal checkpoint at the configured
-    /// level cadence, as a sparse delta against the last keyframe (see
-    /// [`CheckpointWriter`]) in steady state. A degraded fleet of any
+    /// level cadence, as a sparse delta against the previous checkpoint
+    /// (see [`CheckpointWriter`]) in steady state. A degraded fleet of any
     /// shape checkpoints too: evicted devices are listed in the eviction
     /// ledger with empty images, so a fresh process can rebuild the
     /// survivor splices and resume on the shrunken fleet. Failures are
@@ -2122,33 +2093,20 @@ impl Fleet {
             return;
         };
         let level = walk.level;
-        if level == 0 || level % every != 0 {
+        if level == 0 || level % every != 0 || self.store.is_none() {
             return;
         }
-        let (Some(fp), Some(_)) = (self.fingerprint.as_ref(), self.store.as_ref()) else {
-            return;
-        };
         let devices = self
             .parts
             .iter()
             .enumerate()
             .map(|(d, part)| {
-                let (td, bu) = (part.state.td_range.clone(), part.state.bu_range.clone());
                 if !self.multi.is_alive(d) {
                     // Evicted: its extent lives on a survivor; persist an
                     // empty image so resume never trusts stale state.
-                    return DeviceCheckpoint {
-                        td,
-                        bu,
-                        status: Vec::new(),
-                        parent: Vec::new(),
-                        queues: [Vec::new(), Vec::new(), Vec::new(), Vec::new()],
-                        hub_src: Vec::new(),
-                    };
+                    return DeviceCheckpoint::default();
                 }
                 DeviceCheckpoint {
-                    td,
-                    bu,
                     status: ckpt.devices[d].status.clone(),
                     parent: ckpt.devices[d].parent.clone(),
                     queues: truncate_queues(&ckpt.devices[d].queues, &ckpt.devices[d].queue_sizes),
@@ -2156,28 +2114,16 @@ impl Fleet {
                 }
             })
             .collect();
-        let evicted: Vec<u32> = self
-            .layout_evicted
-            .iter()
-            .chain(walk.recovery.devices_lost.iter())
-            .map(|&d| d as u32)
-            .collect();
         let snap = CheckpointSnapshot {
-            kind: self.kind(),
-            fingerprint: *fp,
             source: walk.source,
             level,
-            dir_bottom_up: matches!(ckpt.vars.dir, Direction::BottomUp),
-            switched_at: ckpt.vars.switched_at,
-            cache_filled: ckpt.vars.cache_filled,
-            visited_edge_sum: ckpt.vars.visited_edge_sum,
-            bu_queue_edge_sum: ckpt.vars.bu_queue_edge_sum,
-            prev_frontier_edges: ckpt.vars.prev_frontier_edges,
+            vars: ckpt.vars.clone(),
+            extents: self.extents(),
+            evicted: self.evicted(&walk.recovery),
             devices,
-            evicted,
         };
         let store = self.store.as_mut().expect("checked above");
-        match self.ckpt_writer.persist(store, &snap) {
+        match self.ckpt_writer.persist(store, snap) {
             Ok(()) => walk.recovery.snapshots_persisted += 1,
             Err(e) => walk.recovery.snapshot_errors.push(e),
         }
@@ -2185,28 +2131,20 @@ impl Fleet {
 
     /// End-of-run persistence: durably publish the learned layout
     /// (rebalanced or collapsed extents, plus the hub census) and retire
-    /// the mid-traversal checkpoint chain. Eviction splices are per-run,
-    /// so the published extents substitute each retired partition's range
-    /// back in — except on a degraded fleet: that publishes the spliced
-    /// survivor extents plus the eviction ledger, so the next process
-    /// resumes on the survivors directly.
+    /// the checkpoint log. Eviction splices are per-run, so the published
+    /// extents substitute each retired partition's range back in — except
+    /// on a degraded fleet: that publishes the spliced survivor extents
+    /// plus the eviction ledger, so the next process resumes on the
+    /// survivors directly.
     fn persist_finish(&mut self, recovery: &mut RecoveryReport) {
-        let (Some(fp), Some(_)) = (self.fingerprint.as_ref(), self.store.as_ref()) else {
+        if self.store.is_none() {
             return;
-        };
+        }
         let p = self.parts.len();
         let degraded = self.multi.alive_count() != p;
-        let mut slices: Vec<(Range<usize>, Range<usize>)> = self
-            .parts
-            .iter()
-            .map(|p| (p.state.td_range.clone(), p.state.bu_range.clone()))
-            .collect();
-        let evicted: Vec<u32> = if degraded {
-            self.layout_evicted
-                .iter()
-                .chain(recovery.devices_lost.iter())
-                .map(|&d| d as u32)
-                .collect()
+        let mut slices = self.extents();
+        let evicted = if degraded {
+            self.evicted(recovery)
         } else {
             for (d, part) in self.retired.iter().rev() {
                 slices[*d] = (part.state.td_range.clone(), part.state.bu_range.clone());
@@ -2215,8 +2153,6 @@ impl Fleet {
         };
         let (r, c) = self.config.shape.grid().unwrap_or((1, p));
         let layout = LayoutSnapshot {
-            kind: self.kind(),
-            fingerprint: *fp,
             hub_tau: self.tau,
             total_hubs: self.parts[0].state.total_hubs,
             grid: (r as u32, c as u32),
@@ -2229,20 +2165,29 @@ impl Fleet {
                 .is_some();
         let store = self.store.as_mut().expect("checked above");
         if fits {
-            match layout.save(store) {
+            match store.rewrite(LAYOUT_FILE, &[encode(&layout)]) {
                 Ok(()) => recovery.snapshots_persisted += 1,
                 Err(e) => recovery.snapshot_errors.push(e),
             }
         } else {
             recovery.snapshot_errors.push(PersistError::LayoutMismatch);
         }
-        for file in [CHECKPOINT_FILE, DELTA_FILE] {
-            if let Err(e) = store.remove(file) {
-                recovery.snapshot_errors.push(e);
-            }
+        if let Err(e) = store.remove(CHECKPOINT_FILE) {
+            recovery.snapshot_errors.push(e);
         }
-        self.ckpt_writer = CheckpointWriter::new();
         recovery.faults.merge(&store.take_stats());
+    }
+
+    /// Every device's `(td, bu)` scan extents, device order — the
+    /// placement persisted layouts, checkpoints and fleet records carry.
+    fn extents(&self) -> Vec<Extents> {
+        self.parts.iter().map(|p| (p.state.td_range.clone(), p.state.bu_range.clone())).collect()
+    }
+
+    /// The devices this run has lost so far, after those a restored
+    /// degraded layout pins, in eviction order.
+    fn evicted(&self, recovery: &RecoveryReport) -> Vec<u32> {
+        self.layout_evicted.iter().chain(&recovery.devices_lost).map(|&d| d as u32).collect()
     }
 
     /// This level's telemetry for the imbalance detector: each alive
@@ -2493,7 +2438,7 @@ impl Fleet {
         let vars = &mut walk.vars;
         let signals = match dir {
             Direction::TopDown => {
-                vars.visited_edge_sum += edges;
+                vars.visited_edge_sum = vars.visited_edge_sum.saturating_add(edges);
                 let signals = SwitchSignals {
                     gamma_pct,
                     frontier_edges: edges,
@@ -2507,8 +2452,10 @@ impl Fleet {
             }
             Direction::BottomUp => {
                 // Saturating: corrupted device counters (bit-flip
-                // campaign) must not panic the instrumentation math.
-                vars.visited_edge_sum += vars.bu_queue_edge_sum.saturating_sub(edges);
+                // campaign) or a resumed checkpoint's sums must not panic
+                // the instrumentation math.
+                let explored = vars.bu_queue_edge_sum.saturating_sub(edges);
+                vars.visited_edge_sum = vars.visited_edge_sum.saturating_add(explored);
                 vars.bu_queue_edge_sum = edges;
                 SwitchSignals {
                     gamma_pct,

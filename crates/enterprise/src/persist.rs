@@ -1,86 +1,87 @@
 //! Crash-consistent persistence plane: durable snapshots of learned state.
 //!
 //! Long multi-source campaigns amortize expensive decisions — rebalanced
-//! partition boundaries, the measured hub-cache population, and (optionally)
-//! a mid-traversal checkpoint — across many BFS runs. All of that state
-//! lives in host memory and dies with the process. This module serializes it
-//! to a small versioned, checksummed on-disk format so a restarted process
-//! can warm-start instead of re-deriving everything from scratch.
+//! partition boundaries, the measured hub-cache population, a
+//! mid-traversal checkpoint, a batch's finished outcomes — across many BFS
+//! runs. All of that state lives in host memory and dies with the process.
+//! This module serializes it to small versioned, checksummed files so a
+//! restarted process can warm-start instead of re-deriving everything.
 //!
-//! Durability protocol: every snapshot is framed as
-//! `MAGIC ‖ version(u32 LE) ‖ payload_len(u64 LE) ‖ fnv1a64(payload)(u64 LE) ‖ payload`
-//! and written to a temporary file in the same directory, then published with
-//! an atomic `rename`. A crash at any point leaves either the old snapshot,
-//! the new snapshot, or a stray temp file — never a half-visible frame under
-//! the published name. Torn writes (modeled by the gpu-sim storage fault
-//! plane) truncate the frame to a strict prefix; at-rest corruption flips a
-//! single bit. Both are caught on load by the length and checksum fields and
-//! degrade to a typed error, which drivers translate into a cold start —
-//! never a panic, never a wrong result.
+//! **One format.** Every file is a record log: a sequence of frames
+//! `REC_MAGIC ‖ payload_len(u32 LE) ‖ fnv1a64(payload)(u64 LE) ‖ payload`
+//! whose first record is a header naming the [`FORMAT_VERSION`], the
+//! [`DriverKind`] and the [`GraphFingerprint`] the log was written for.
+//! One scanner reads every file, and one header check rejects a log of
+//! another version ([`PersistError::VersionMismatch`]), driver kind
+//! ([`PersistError::LayoutMismatch`]) or graph
+//! ([`PersistError::GraphMismatch`]):
+//!
+//! - `layout.snap` is `[Header, Layout]`;
+//! - `checkpoint.snap` is `[Header, Keyframe, Delta…]`: each delta diffs
+//!   against the record before it, and a restore folds the intact deltas
+//!   over the keyframe in order;
+//! - `batch.snap` is `[Header, (Outcome | Fleet)…]`.
+//!
+//! **Durability.** A whole log — a layout, a keyframe, a fresh ledger — is
+//! written to a temporary file in the same directory and published with an
+//! atomic `rename`; a delta or a ledger record is appended. A torn write
+//! (modeled by the gpu-sim storage fault plane) keeps a strict prefix of
+//! one write's bytes; at-rest corruption flips a single bit on read. The
+//! scan stops at the first damaged frame, so damage costs the tail of a
+//! log, and a log missing a record it must hold is a typed error. Drivers
+//! translate every error into a cold start, and a resumed checkpoint must
+//! also pass value checks and the end-of-run audit: never a panic, never a
+//! wrong result.
 
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::ops::Range;
 use std::path::PathBuf;
 
+use crate::kernels::Direction;
+use crate::multi_gpu::LoopVars;
 use enterprise_graph::Csr;
 use gpu_sim::{FaultPlan, FaultSpec, FaultStats};
 
-/// On-disk format version. Bump on any incompatible layout change; loads of
-/// a mismatched version fail with [`PersistError::VersionMismatch`] and the
-/// driver cold-starts. Version 2 added degraded-fleet eviction records to
-/// both snapshot kinds and the delta-checkpoint frame. Version 3 converted
-/// the batch outcome ledger to an append-only record log and added the
-/// active-lane set to checkpoint identity. Version 4 dropped the layout's
-/// `collapsed` flag (the extents' tiling says which view they hold), the
-/// always-empty checkpoint lane set and the fleet record's derivable
-/// fault-loss count, and versioned the ledger's header record.
-pub const FORMAT_VERSION: u32 = 4;
+/// On-disk format version. Bump on any incompatible layout change; a log
+/// whose header carries another version fails with
+/// [`PersistError::VersionMismatch`] and the driver cold-starts. Version 2
+/// added degraded-fleet eviction records and delta checkpoints; version 3
+/// made the batch ledger an append-only record log; version 4 dropped
+/// fields the extents' tiling and the eviction list imply. Version 5 makes
+/// every file a record log under one header, and a checkpoint chain one
+/// log of a keyframe and the deltas appended after it.
+pub const FORMAT_VERSION: u32 = 5;
 
-/// Magic prefix identifying an enterprise snapshot frame.
-pub const MAGIC: [u8; 8] = *b"ENTSNAP\0";
-
-/// Magic prefix identifying one record in an append-only record log (the
-/// batch outcome ledger). Deliberately distinct from the first four bytes of
-/// [`MAGIC`] (`ENTS`), so a legacy whole-frame `batch.snap` fails the record
-/// magic check and degrades to a cold batch with a typed error instead of
-/// being misparsed.
+/// Magic prefix of every record frame.
 pub const REC_MAGIC: [u8; 4] = *b"ENTL";
 
-/// Fixed byte size of a record-log frame header:
+/// Fixed byte size of a record frame's header:
 /// `REC_MAGIC(4) ‖ payload_len(u32) ‖ fnv1a64(payload)(u64)`.
 const REC_HEADER_LEN: usize = 16;
-
-/// What a record-log scan yields: every intact record payload in order,
-/// plus the byte length of the intact prefix (the truncation point after
-/// a torn tail).
-pub type RecordScan = (Vec<Vec<u8>>, u64);
 
 /// Fault-plan stream id for storage faults, distinct from any device stream
 /// (device streams are small indices; this keeps the storage RNG decoupled
 /// from per-device draws so arming storage faults never perturbs them).
 const STORAGE_STREAM: u64 = 0x51A6_E5E5;
 
-/// File name of the layout snapshot inside a state directory.
+/// Most devices a persisted placement may name: a corrupt count must not
+/// cause a huge allocation.
+const MAX_DEVICES: usize = 4096;
+
+/// File name of the layout log inside a state directory.
 pub(crate) const LAYOUT_FILE: &str = "layout.snap";
-/// File name of the mid-traversal checkpoint snapshot inside a state directory.
+/// File name of the checkpoint log inside a state directory.
 pub(crate) const CHECKPOINT_FILE: &str = "checkpoint.snap";
-/// File name of the delta checkpoint: status/parent/hub images stored as
-/// sparse diffs against the keyframe in [`CHECKPOINT_FILE`]. Self-contained
-/// frame, but only applicable over the exact keyframe it was diffed against
-/// (bound by level + payload checksum); any mismatch degrades the resume to
-/// the keyframe alone.
-pub(crate) const DELTA_FILE: &str = "checkpoint.delta.snap";
-/// File name of the batch outcome ledger inside a state directory. An
-/// append-only record log ([`SnapshotStore::append`]): one header record,
-/// then one record per terminal per-source outcome, interleaved with fleet-
-/// shape records when the browned-out fleet changes — so a killed batch
-/// restarts, replays the intact prefix, and resumes from the first
-/// unfinished source on the surviving fleet.
+/// File name of the batch outcome ledger inside a state directory: one
+/// record per terminal per-source outcome, interleaved with fleet-shape
+/// records when the browned-out fleet changes, so a killed batch restarts,
+/// replays the intact prefix, and resumes from the first unfinished source
+/// on the surviving fleet.
 pub(crate) const BATCH_FILE: &str = "batch.snap";
-/// A full keyframe is forced after this many consecutive delta saves, so a
-/// lost or rotted keyframe can only strand a bounded chain of deltas.
+/// A full keyframe is forced after this many consecutive deltas, which
+/// bounds the chain a restore folds and a torn delta can hide.
 pub(crate) const KEYFRAME_EVERY: u32 = 8;
 
 /// Typed failure of a persistence operation. Every variant is recoverable:
@@ -89,26 +90,30 @@ pub(crate) const KEYFRAME_EVERY: u32 = 8;
 pub enum PersistError {
     /// Underlying filesystem operation failed (message preserved).
     Io(String),
-    /// Frame shorter than its header or its declared payload length
-    /// (e.g. a torn write published a strict prefix).
+    /// A frame ends before its header or its declared payload does, or a
+    /// log ends before a record it must hold (a torn write kept a strict
+    /// prefix).
     Truncated,
-    /// Frame does not start with [`MAGIC`] — not a snapshot at all.
+    /// A frame does not start with [`REC_MAGIC`]: not a record log of this
+    /// format at all.
     BadMagic,
-    /// Frame was written by an incompatible format version.
+    /// The log's header was written by another format version.
     VersionMismatch {
-        /// The version found in the frame header.
+        /// The version found in the header.
         found: u32,
     },
-    /// Payload checksum does not match the header (bit rot / corruption).
+    /// A frame's payload checksum does not match (bit rot / corruption).
     ChecksumMismatch,
-    /// Snapshot was taken on a different graph than the one loaded now.
+    /// The log was written for a different graph than the one loaded now.
     GraphMismatch,
     /// Checkpoint was taken for a different BFS source vertex.
     SourceMismatch,
-    /// Snapshot layout is incompatible with the current driver configuration
+    /// The log is incompatible with the current driver configuration
     /// (different driver kind, device count, grid shape, or buffer sizes).
     LayoutMismatch,
-    /// Payload decoded to structurally invalid data (message says what).
+    /// A record decoded to structurally invalid data, or a checkpoint
+    /// failed its value checks or its resumed traversal's audit (message
+    /// says what).
     Corrupt(String),
 }
 
@@ -140,6 +145,10 @@ impl From<io::Error> for PersistError {
     fn from(e: io::Error) -> Self {
         PersistError::Io(e.to_string())
     }
+}
+
+fn corrupt(msg: &str) -> PersistError {
+    PersistError::Corrupt(msg.into())
 }
 
 /// Opt-in persistence configuration for a BFS driver.
@@ -214,11 +223,11 @@ impl GraphFingerprint {
 /// same kind.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DriverKind {
-    /// One device: the single-GPU `Enterprise`.
+    /// One device.
     Single,
-    /// 1-D slices over several devices (`MultiGpuEnterprise`).
+    /// 1-D slices over several devices.
     OneD,
-    /// A 2-D grid of several devices (`MultiGpu2DEnterprise`).
+    /// A 2-D grid of several devices.
     TwoD,
 }
 
@@ -241,187 +250,129 @@ impl DriverKind {
     }
 }
 
-/// Durable snapshot store over one state directory.
+// ---------------------------------------------------------------------------
+// The store: one scanner, one header check.
+// ---------------------------------------------------------------------------
+
+/// Durable store over one state directory, bound to the header that every
+/// log it writes starts with and every log it reads must carry.
 ///
-/// Owns the storage-fault plan (torn writes on save, at-rest corruption on
-/// load) so the same seeded `FaultSpec` that drives device faults also
+/// Owns the storage-fault plan (torn writes on write, at-rest corruption on
+/// read) so the same seeded `FaultSpec` that drives device faults also
 /// drives storage faults deterministically, on an independent RNG stream.
-pub struct SnapshotStore {
+pub(crate) struct SnapshotStore {
     dir: PathBuf,
     plan: Option<FaultPlan>,
+    header: Header,
+}
+
+/// The records of one log after its header, and the damage that ended the
+/// scan early, if any.
+pub(crate) struct Log {
+    pub records: Vec<Record>,
+    pub damage: Option<PersistError>,
+}
+
+/// Why a log lacks a record it must hold: the `damage` that cut it short,
+/// or a clean end that came too soon.
+fn missing(damage: Option<PersistError>) -> PersistError {
+    damage.unwrap_or(PersistError::Truncated)
 }
 
 impl SnapshotStore {
-    /// Open (creating if needed) a snapshot store over `dir`. When `faults`
-    /// is `Some`, storage faults draw from its seeded plan on a dedicated
-    /// stream; zero rates never touch the RNG (strict no-op).
-    pub fn open(dir: impl Into<PathBuf>, faults: Option<&FaultSpec>) -> Result<Self, PersistError> {
+    /// Opens (creating if needed) a store over `dir` for logs of `header`.
+    /// When `faults` is `Some`, storage faults draw from its seeded plan on
+    /// a dedicated stream; zero rates never touch the RNG (strict no-op).
+    pub(crate) fn open(
+        dir: impl Into<PathBuf>,
+        faults: Option<&FaultSpec>,
+        header: Header,
+    ) -> Result<Self, PersistError> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         let plan = faults.map(|spec| FaultPlan::for_stream(*spec, STORAGE_STREAM));
-        Ok(SnapshotStore { dir, plan })
+        Ok(SnapshotStore { dir, plan, header })
     }
 
-    /// Path of a snapshot file inside the store.
     fn path_of(&self, name: &str) -> PathBuf {
         self.dir.join(name)
     }
 
-    /// Frame and durably publish `payload` under `name` via
-    /// write-temp-then-atomic-rename. An armed torn-write fault truncates the
-    /// frame to a strict prefix before publication (modeling a crash between
-    /// the write and a flush) — the checksum catches it on load.
-    pub fn save(&mut self, name: &str, payload: &[u8]) -> Result<(), PersistError> {
-        let mut frame = Vec::with_capacity(28 + payload.len());
-        frame.extend_from_slice(&MAGIC);
-        frame.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        frame.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        if let Some(plan) = self.plan.as_mut() {
-            if let Some(keep) = plan.draw_torn_write(frame.len()) {
-                frame.truncate(keep);
-            }
+    /// The bytes one write actually lands: all of `bytes`, or a strict
+    /// prefix when an armed torn-write fault fires (one draw per write,
+    /// modeling a crash between the write and a flush).
+    fn land(&mut self, mut bytes: Vec<u8>) -> Vec<u8> {
+        if let Some(keep) = self.plan.as_mut().and_then(|p| p.draw_torn_write(bytes.len())) {
+            bytes.truncate(keep);
         }
+        bytes
+    }
+
+    /// Publishes log `name` whole — the header, then `payloads` — via
+    /// write-temp-then-atomic-rename: a crash leaves the old log, the new
+    /// log, or a stray temp file, never a mix under the published name.
+    pub(crate) fn rewrite(&mut self, name: &str, payloads: &[Vec<u8>]) -> Result<(), PersistError> {
+        let header = encode(&self.header);
+        let records = std::iter::once(&header).chain(payloads);
+        let mut log = Vec::with_capacity(records.clone().map(|p| REC_HEADER_LEN + p.len()).sum());
+        for payload in records {
+            frame(&mut log, payload);
+        }
+        let log = self.land(log);
         let tmp = self.path_of(&format!("{name}.tmp"));
-        let dst = self.path_of(name);
-        fs::write(&tmp, &frame)?;
-        fs::rename(&tmp, &dst)?;
+        fs::write(&tmp, &log)?;
+        fs::rename(&tmp, self.path_of(name))?;
         Ok(())
     }
 
-    /// Load and verify a snapshot. `Ok(None)` means no snapshot exists (a
-    /// cold start, not an error). An armed at-rest corruption fault flips one
-    /// bit of the frame before verification — the checksum catches it.
-    pub fn load(&mut self, name: &str) -> Result<Option<Vec<u8>>, PersistError> {
+    /// Appends one record to the existing log `name`. A torn append damages
+    /// only its own bytes, so the records before it stay intact.
+    pub(crate) fn append(&mut self, name: &str, payload: &[u8]) -> Result<(), PersistError> {
+        let mut bytes = Vec::with_capacity(REC_HEADER_LEN + payload.len());
+        frame(&mut bytes, payload);
+        let bytes = self.land(bytes);
+        fs::OpenOptions::new().append(true).open(self.path_of(name))?.write_all(&bytes)?;
+        Ok(())
+    }
+
+    /// Reads log `name`; `Ok(None)` means it does not exist (a cold start,
+    /// not an error). An armed at-rest corruption fault flips one bit of the
+    /// image first. The scan keeps every intact record up to the first
+    /// damaged frame; the first record must be a header of this store's
+    /// version, driver kind and graph. A damaged tail of a matching log is
+    /// cut off the file, so later appends extend intact records only.
+    pub(crate) fn read(&mut self, name: &str) -> Result<Option<Log>, PersistError> {
         let mut bytes = match fs::read(self.path_of(name)) {
             Ok(b) => b,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e.into()),
         };
-        if let Some(plan) = self.plan.as_mut() {
-            if let Some(bit) = plan.draw_snapshot_corruption(bytes.len()) {
-                bytes[bit / 8] ^= 1 << (bit % 8);
-            }
+        if let Some(bit) = self.plan.as_mut().and_then(|p| p.draw_snapshot_corruption(bytes.len()))
+        {
+            bytes[bit / 8] ^= 1 << (bit % 8);
         }
-        if bytes.len() < 28 {
-            return Err(PersistError::Truncated);
-        }
-        if bytes[..8] != MAGIC {
-            return Err(PersistError::BadMagic);
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if version != FORMAT_VERSION {
-            return Err(PersistError::VersionMismatch { found: version });
-        }
-        let payload_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
-        let checksum = u64::from_le_bytes(bytes[20..28].try_into().unwrap());
-        let payload = &bytes[28..];
-        if payload.len() != payload_len {
-            return Err(PersistError::Truncated);
-        }
-        if fnv1a64(payload) != checksum {
-            return Err(PersistError::ChecksumMismatch);
-        }
-        Ok(Some(payload.to_vec()))
-    }
-
-    /// Append one checksummed record frame to the append-only log `name`
-    /// (creating it if needed). The frame is
-    /// `REC_MAGIC ‖ payload_len(u32) ‖ fnv1a64(payload) ‖ payload`; an
-    /// armed torn-write fault truncates the *appended bytes* to a strict
-    /// prefix (modeling a crash mid-append) — earlier records are never
-    /// touched, so damage is confined to the tail and
-    /// [`SnapshotStore::load_records`] degrades to the last intact
-    /// record instead of a cold start.
-    pub fn append(&mut self, name: &str, payload: &[u8]) -> Result<(), PersistError> {
-        let mut frame = Vec::with_capacity(REC_HEADER_LEN + payload.len());
-        frame.extend_from_slice(&REC_MAGIC);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        if let Some(plan) = self.plan.as_mut() {
-            if let Some(keep) = plan.draw_torn_write(frame.len()) {
-                frame.truncate(keep);
-            }
-        }
-        use std::io::Write;
-        let mut f = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.path_of(name))?;
-        f.write_all(&frame)?;
-        Ok(())
-    }
-
-    /// Load an append-only record log: every intact record payload in
-    /// order, plus the byte length of the intact prefix. `Ok(None)` means
-    /// the log does not exist. A damaged tail (torn append, at-rest bit
-    /// flip) ends the scan at the last intact record — the caller
-    /// truncates to `intact_len` via [`SnapshotStore::truncate_to`]
-    /// before appending again. A log whose *first* record is already
-    /// damaged — including a legacy whole-frame file, whose `ENTS` magic
-    /// fails the record check — surfaces a typed error so the caller
-    /// cold-starts.
-    pub fn load_records(&mut self, name: &str) -> Result<Option<RecordScan>, PersistError> {
-        let mut bytes = match fs::read(self.path_of(name)) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
+        let (payloads, intact, damage) = scan(&bytes);
+        let mut records = payloads.into_iter().map(Record::decode);
+        let header = match records.next().transpose()? {
+            Some(Record::Header(h)) => h,
+            Some(_) => return Err(corrupt("log does not start with a header")),
+            None => return Err(missing(damage)),
         };
-        if let Some(plan) = self.plan.as_mut() {
-            if let Some(bit) = plan.draw_snapshot_corruption(bytes.len()) {
-                bytes[bit / 8] ^= 1 << (bit % 8);
-            }
+        if header.kind != self.header.kind {
+            return Err(PersistError::LayoutMismatch);
         }
-        let mut records = Vec::new();
-        let mut pos = 0usize;
-        while bytes.len() - pos >= REC_HEADER_LEN {
-            let head = &bytes[pos..pos + REC_HEADER_LEN];
-            if head[..4] != REC_MAGIC {
-                break;
-            }
-            let payload_len = u32::from_le_bytes(head[4..8].try_into().unwrap()) as usize;
-            let checksum = u64::from_le_bytes(head[8..16].try_into().unwrap());
-            let start = pos + REC_HEADER_LEN;
-            if bytes.len() - start < payload_len {
-                break;
-            }
-            let payload = &bytes[start..start + payload_len];
-            if fnv1a64(payload) != checksum {
-                break;
-            }
-            records.push(payload.to_vec());
-            pos = start + payload_len;
+        if header.fingerprint != self.header.fingerprint {
+            return Err(PersistError::GraphMismatch);
         }
-        if records.is_empty() && !bytes.is_empty() {
-            // Nothing salvageable: either a legacy whole-frame file
-            // (wrong magic) or a first record damaged beyond recovery.
-            return Err(if bytes.len() >= 4 && bytes[..4] != REC_MAGIC {
-                PersistError::BadMagic
-            } else {
-                PersistError::Truncated
-            });
+        let records = records.collect::<Result<Vec<_>, _>>()?;
+        if intact < bytes.len() {
+            fs::OpenOptions::new().write(true).open(self.path_of(name))?.set_len(intact as u64)?;
         }
-        Ok(Some((records, pos as u64)))
+        Ok(Some(Log { records, damage }))
     }
 
-    /// Truncate a log file to `len` bytes (discarding a damaged tail
-    /// found by [`SnapshotStore::load_records`]). Missing file is not an
-    /// error.
-    pub fn truncate_to(&mut self, name: &str, len: u64) -> Result<(), PersistError> {
-        match fs::OpenOptions::new().write(true).open(self.path_of(name)) {
-            Ok(f) => {
-                f.set_len(len)?;
-                Ok(())
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// Remove a snapshot if present (missing file is not an error).
-    pub fn remove(&mut self, name: &str) -> Result<(), PersistError> {
+    /// Remove a log if present (missing file is not an error).
+    pub(crate) fn remove(&mut self, name: &str) -> Result<(), PersistError> {
         match fs::remove_file(self.path_of(name)) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
@@ -431,7 +382,7 @@ impl SnapshotStore {
 
     /// Drain accumulated storage fault statistics (torn writes, corrupted
     /// snapshots) without disturbing the RNG position.
-    pub fn take_stats(&mut self) -> FaultStats {
+    pub(crate) fn take_stats(&mut self) -> FaultStats {
         match self.plan.as_mut() {
             Some(plan) => {
                 let stats = plan.stats().clone();
@@ -441,6 +392,42 @@ impl SnapshotStore {
             None => FaultStats::default(),
         }
     }
+}
+
+/// Appends the record frame holding `payload` to `out`.
+fn frame(out: &mut Vec<u8>, payload: &[u8]) {
+    out.extend_from_slice(&REC_MAGIC);
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
+/// The one scanner: splits a log image into its intact record payloads, in
+/// order, stopping at the first damaged frame. Returns the payloads, the
+/// byte length of the intact prefix, and the damage that stopped the scan.
+fn scan(bytes: &[u8]) -> (Vec<&[u8]>, usize, Option<PersistError>) {
+    let mut payloads = Vec::new();
+    let mut pos = 0;
+    while pos < bytes.len() {
+        let rest = &bytes[pos..];
+        if rest.len() >= REC_MAGIC.len() && rest[..REC_MAGIC.len()] != REC_MAGIC {
+            return (payloads, pos, Some(PersistError::BadMagic));
+        }
+        if rest.len() < REC_HEADER_LEN {
+            return (payloads, pos, Some(PersistError::Truncated));
+        }
+        let len = u32::from_le_bytes(rest[4..8].try_into().unwrap()) as usize;
+        let checksum = u64::from_le_bytes(rest[8..16].try_into().unwrap());
+        let Some(payload) = rest.get(REC_HEADER_LEN..REC_HEADER_LEN + len) else {
+            return (payloads, pos, Some(PersistError::Truncated));
+        };
+        if fnv1a64(payload) != checksum {
+            return (payloads, pos, Some(PersistError::ChecksumMismatch));
+        }
+        payloads.push(payload);
+        pos += REC_HEADER_LEN + len;
+    }
+    (payloads, pos, None)
 }
 
 // ---------------------------------------------------------------------------
@@ -468,7 +455,7 @@ impl Enc {
         self.buf.push(v as u8);
     }
 
-    pub(crate) fn range(&mut self, r: &Range<usize>) {
+    fn range(&mut self, r: &Range<usize>) {
         self.u64(r.start as u64);
         self.u64(r.end as u64);
     }
@@ -480,7 +467,7 @@ impl Enc {
         }
     }
 
-    pub(crate) fn pairs(&mut self, pairs: &[(u32, u32)]) {
+    fn pairs(&mut self, pairs: &[(u32, u32)]) {
         self.u64(pairs.len() as u64);
         for &(i, v) in pairs {
             self.u32(i);
@@ -488,9 +475,33 @@ impl Enc {
         }
     }
 
-    pub(crate) fn str(&mut self, s: &str) {
+    fn str(&mut self, s: &str) {
         self.u64(s.len() as u64);
         self.buf.extend_from_slice(s.as_bytes());
+    }
+
+    /// The one placement codec of layouts, checkpoints and fleet records:
+    /// per-device `(td, bu)` extents, then the evicted device ids.
+    fn placement(&mut self, extents: &[Extents], evicted: &[u32]) {
+        self.u64(extents.len() as u64);
+        for (td, bu) in extents {
+            self.range(td);
+            self.range(bu);
+        }
+        self.words(evicted);
+    }
+
+    /// The one loop-state codec of keyframes and deltas: the level, then
+    /// the direction-switch bookkeeping.
+    fn vars(&mut self, level: u32, vars: &LoopVars) {
+        self.u32(level);
+        self.boolean(vars.dir == Direction::BottomUp);
+        self.boolean(vars.switched_at.is_some());
+        self.u32(vars.switched_at.unwrap_or(0));
+        self.boolean(vars.cache_filled);
+        self.u64(vars.visited_edge_sum);
+        self.u64(vars.bu_queue_edge_sum);
+        self.u64(vars.prev_frontier_edges);
     }
 
     pub(crate) fn finish(self) -> Vec<u8> {
@@ -510,7 +521,7 @@ impl<'a> Dec<'a> {
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
         if self.buf.len() - self.pos < n {
-            return Err(PersistError::Corrupt("payload shorter than declared".into()));
+            return Err(corrupt("payload shorter than declared"));
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
@@ -529,71 +540,169 @@ impl<'a> Dec<'a> {
         Ok(self.take(1)?[0] != 0)
     }
 
-    pub(crate) fn range(&mut self) -> Result<Range<usize>, PersistError> {
+    fn range(&mut self) -> Result<Range<usize>, PersistError> {
         let start = self.u64()? as usize;
         let end = self.u64()? as usize;
         if end < start {
-            return Err(PersistError::Corrupt("inverted range".into()));
+            return Err(corrupt("inverted range"));
         }
         Ok(start..end)
     }
 
+    /// A length prefix for items of `size` bytes, checked against the bytes
+    /// left, so a corrupt length cannot cause a huge allocation.
+    fn prefix(&mut self, size: usize) -> Result<usize, PersistError> {
+        let len = self.u64()?;
+        if len > ((self.buf.len() - self.pos) / size) as u64 {
+            return Err(corrupt("vector length exceeds payload"));
+        }
+        Ok(len as usize)
+    }
+
     pub(crate) fn words(&mut self) -> Result<Vec<u32>, PersistError> {
-        let len = self.u64()? as usize;
-        // Sanity guard: a corrupt length must not cause a huge allocation.
-        if len > (self.buf.len() - self.pos) / 4 {
-            return Err(PersistError::Corrupt("word vector length exceeds payload".into()));
-        }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.u32()?);
-        }
-        Ok(out)
+        let len = self.prefix(4)?;
+        (0..len).map(|_| self.u32()).collect()
     }
 
-    pub(crate) fn pairs(&mut self) -> Result<Vec<(u32, u32)>, PersistError> {
-        let len = self.u64()? as usize;
-        if len > (self.buf.len() - self.pos) / 8 {
-            return Err(PersistError::Corrupt("pair vector length exceeds payload".into()));
-        }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            let i = self.u32()?;
-            let v = self.u32()?;
-            out.push((i, v));
-        }
-        Ok(out)
+    fn pairs(&mut self) -> Result<Vec<(u32, u32)>, PersistError> {
+        let len = self.prefix(8)?;
+        (0..len).map(|_| Ok((self.u32()?, self.u32()?))).collect()
     }
 
-    pub(crate) fn str(&mut self) -> Result<String, PersistError> {
-        let len = self.u64()? as usize;
-        if len > self.buf.len() - self.pos {
-            return Err(PersistError::Corrupt("string length exceeds payload".into()));
-        }
+    fn str(&mut self) -> Result<String, PersistError> {
+        let len = self.prefix(1)?;
         String::from_utf8(self.take(len)?.to_vec())
-            .map_err(|_| PersistError::Corrupt("string is not valid UTF-8".into()))
+            .map_err(|_| corrupt("string is not valid UTF-8"))
+    }
+
+    fn placement(&mut self) -> Result<(Vec<Extents>, Vec<u32>), PersistError> {
+        let count = self.u64()?;
+        if count > MAX_DEVICES as u64 {
+            return Err(corrupt("implausible device count"));
+        }
+        let extents = (0..count)
+            .map(|_| Ok((self.range()?, self.range()?)))
+            .collect::<Result<Vec<Extents>, PersistError>>()?;
+        let evicted = self.words()?;
+        if evicted.iter().any(|&d| d as u64 >= count) {
+            return Err(corrupt("evicted device out of range"));
+        }
+        Ok((extents, evicted))
+    }
+
+    fn vars(&mut self) -> Result<(u32, LoopVars), PersistError> {
+        let level = self.u32()?;
+        let bottom_up = self.boolean()?;
+        let switched = self.boolean()?;
+        let switch_level = self.u32()?;
+        let vars = LoopVars {
+            dir: if bottom_up { Direction::BottomUp } else { Direction::TopDown },
+            switched_at: switched.then_some(switch_level),
+            cache_filled: self.boolean()?,
+            visited_edge_sum: self.u64()?,
+            bu_queue_edge_sum: self.u64()?,
+            prev_frontier_edges: self.u64()?,
+        };
+        Ok((level, vars))
     }
 
     pub(crate) fn done(&self) -> Result<(), PersistError> {
         if self.pos != self.buf.len() {
-            return Err(PersistError::Corrupt("trailing bytes in payload".into()));
+            return Err(corrupt("trailing bytes in payload"));
         }
         Ok(())
     }
 }
 
-fn enc_fingerprint(enc: &mut Enc, fp: &GraphFingerprint) {
-    enc.u64(fp.vertices);
-    enc.u64(fp.edges);
-    enc.u64(fp.structure);
+/// A device's `(td, bu)` scan extents.
+pub(crate) type Extents = (Range<usize>, Range<usize>);
+
+// ---------------------------------------------------------------------------
+// Records: one codec for every file.
+// ---------------------------------------------------------------------------
+
+/// A record body: its tag and its codec.
+pub(crate) trait Body: Sized {
+    /// Leads the record payload, naming the body that follows.
+    const TAG: u32;
+    fn put(&self, enc: &mut Enc);
+    fn get(dec: &mut Dec<'_>) -> Result<Self, PersistError>;
 }
 
-fn dec_fingerprint(dec: &mut Dec<'_>) -> Result<GraphFingerprint, PersistError> {
-    Ok(GraphFingerprint { vertices: dec.u64()?, edges: dec.u64()?, structure: dec.u64()? })
+/// Encodes one record payload: the body's tag, then the body.
+pub(crate) fn encode<T: Body>(body: &T) -> Vec<u8> {
+    let mut enc = Enc::new();
+    enc.u32(T::TAG);
+    body.put(&mut enc);
+    enc.finish()
+}
+
+/// One decoded record of a log.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Record {
+    Header(Header),
+    Layout(LayoutSnapshot),
+    Keyframe(CheckpointSnapshot),
+    Delta(CheckpointDelta),
+    Outcome(BatchLedgerEntry),
+    Fleet(FleetRecord),
+}
+
+impl Record {
+    pub(crate) fn decode(payload: &[u8]) -> Result<Self, PersistError> {
+        fn body<T: Body>(dec: &mut Dec<'_>, wrap: fn(T) -> Record) -> Result<Record, PersistError> {
+            T::get(dec).map(wrap)
+        }
+        let mut dec = Dec::new(payload);
+        let rec = match dec.u32()? {
+            Header::TAG => body(&mut dec, Record::Header),
+            LayoutSnapshot::TAG => body(&mut dec, Record::Layout),
+            CheckpointSnapshot::TAG => body(&mut dec, Record::Keyframe),
+            CheckpointDelta::TAG => body(&mut dec, Record::Delta),
+            BatchLedgerEntry::TAG => body(&mut dec, Record::Outcome),
+            FleetRecord::TAG => body(&mut dec, Record::Fleet),
+            t => Err(PersistError::Corrupt(format!("unknown record tag {t}"))),
+        }?;
+        dec.done()?;
+        Ok(rec)
+    }
+}
+
+/// The first record of every log: the driver kind and graph it was written
+/// for, after the [`FORMAT_VERSION`], which leads its body so a header of
+/// another format fails on it before any field that format may lay out
+/// differently.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Header {
+    pub kind: DriverKind,
+    pub fingerprint: GraphFingerprint,
+}
+
+impl Body for Header {
+    const TAG: u32 = 0;
+
+    fn put(&self, enc: &mut Enc) {
+        enc.u32(FORMAT_VERSION);
+        enc.u32(self.kind.to_u32());
+        enc.u64(self.fingerprint.vertices);
+        enc.u64(self.fingerprint.edges);
+        enc.u64(self.fingerprint.structure);
+    }
+
+    fn get(dec: &mut Dec<'_>) -> Result<Self, PersistError> {
+        let found = dec.u32()?;
+        if found != FORMAT_VERSION {
+            return Err(PersistError::VersionMismatch { found });
+        }
+        let kind = DriverKind::from_u32(dec.u32()?)?;
+        let fingerprint =
+            GraphFingerprint { vertices: dec.u64()?, edges: dec.u64()?, structure: dec.u64()? };
+        Ok(Header { kind, fingerprint })
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Layout snapshot: learned partition boundaries + hub census.
+// Layout: learned partition boundaries + hub census.
 // ---------------------------------------------------------------------------
 
 /// The learned end-of-run layout: rebalanced partition boundaries (1-D
@@ -603,14 +712,12 @@ fn dec_fingerprint(dec: &mut Dec<'_>) -> Result<GraphFingerprint, PersistError> 
 /// tiling decides whether the devices hold strips or blocks.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct LayoutSnapshot {
-    pub kind: DriverKind,
-    pub fingerprint: GraphFingerprint,
     pub hub_tau: u32,
     pub total_hubs: u64,
     /// (rows, cols) for 2-D; (1, device_count) for 1-D; (1, 1) for single.
     pub grid: (u32, u32),
     /// Per-device (td_range, bu_range) partition extents, device order.
-    pub slices: Vec<(Range<usize>, Range<usize>)>,
+    pub slices: Vec<Extents>,
     /// Devices permanently evicted in the run that learned this layout, in
     /// eviction order. When non-empty the layout is a *degraded-fleet*
     /// layout: the surviving devices' slices tile the vertex range by
@@ -620,59 +727,36 @@ pub(crate) struct LayoutSnapshot {
     pub evicted: Vec<u32>,
 }
 
-impl LayoutSnapshot {
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut enc = Enc::new();
-        enc.u32(self.kind.to_u32());
-        enc_fingerprint(&mut enc, &self.fingerprint);
+impl Body for LayoutSnapshot {
+    const TAG: u32 = 1;
+
+    fn put(&self, enc: &mut Enc) {
         enc.u32(self.hub_tau);
         enc.u64(self.total_hubs);
         enc.u32(self.grid.0);
         enc.u32(self.grid.1);
-        enc.u64(self.slices.len() as u64);
-        for (td, bu) in &self.slices {
-            enc.range(td);
-            enc.range(bu);
-        }
-        enc.words(&self.evicted);
-        enc.finish()
+        enc.placement(&self.slices, &self.evicted);
     }
 
-    pub(crate) fn decode(payload: &[u8]) -> Result<Self, PersistError> {
-        let mut dec = Dec::new(payload);
-        let kind = DriverKind::from_u32(dec.u32()?)?;
-        let fingerprint = dec_fingerprint(&mut dec)?;
+    fn get(dec: &mut Dec<'_>) -> Result<Self, PersistError> {
         let hub_tau = dec.u32()?;
         let total_hubs = dec.u64()?;
         let grid = (dec.u32()?, dec.u32()?);
-        let count = dec.u64()? as usize;
-        if count > 4096 {
-            return Err(PersistError::Corrupt("implausible device count".into()));
-        }
-        let mut slices = Vec::with_capacity(count);
-        for _ in 0..count {
-            let td = dec.range()?;
-            let bu = dec.range()?;
-            slices.push((td, bu));
-        }
-        let evicted = dec.words()?;
-        if evicted.iter().any(|&d| d as usize >= count) {
-            return Err(PersistError::Corrupt("evicted device out of range".into()));
-        }
-        dec.done()?;
-        Ok(LayoutSnapshot { kind, fingerprint, hub_tau, total_hubs, grid, slices, evicted })
+        let (slices, evicted) = dec.placement()?;
+        Ok(LayoutSnapshot { hub_tau, total_hubs, grid, slices, evicted })
     }
+}
 
-    pub(crate) fn save(&self, store: &mut SnapshotStore) -> Result<(), PersistError> {
-        store.save(LAYOUT_FILE, &self.encode())
-    }
-
-    /// Load the layout snapshot; `Ok(None)` means none exists.
-    pub(crate) fn load(store: &mut SnapshotStore) -> Result<Option<Self>, PersistError> {
-        match store.load(LAYOUT_FILE)? {
-            Some(payload) => Ok(Some(Self::decode(&payload)?)),
-            None => Ok(None),
-        }
+/// Reads the layout log, `[Header, Layout]`; `Ok(None)` means none exists.
+pub(crate) fn read_layout(
+    store: &mut SnapshotStore,
+) -> Result<Option<LayoutSnapshot>, PersistError> {
+    let Some(Log { records, damage }) = store.read(LAYOUT_FILE)? else { return Ok(None) };
+    let mut records = records.into_iter();
+    match (records.next(), records.next()) {
+        (Some(Record::Layout(layout)), None) => Ok(Some(layout)),
+        (None, _) => Err(missing(damage)),
+        _ => Err(corrupt("layout log holds other records")),
     }
 }
 
@@ -698,6 +782,34 @@ pub(crate) struct BatchLedgerEntry {
     pub error: String,
 }
 
+impl Body for BatchLedgerEntry {
+    const TAG: u32 = 4;
+
+    fn put(&self, enc: &mut Enc) {
+        for v in [self.index, self.source, self.priority, self.outcome, self.attempts] {
+            enc.u32(v);
+        }
+        enc.u64(self.digest);
+        enc.str(&self.error);
+    }
+
+    fn get(dec: &mut Dec<'_>) -> Result<Self, PersistError> {
+        let entry = BatchLedgerEntry {
+            index: dec.u32()?,
+            source: dec.u32()?,
+            priority: dec.u32()?,
+            outcome: dec.u32()?,
+            attempts: dec.u32()?,
+            digest: dec.u64()?,
+            error: dec.str()?,
+        };
+        if entry.outcome > 3 {
+            return Err(corrupt("unknown outcome tag"));
+        }
+        Ok(entry)
+    }
+}
+
 /// The browned-out fleet shape at a point in a batch: which devices are
 /// gone (and how many of them were link-isolated rather than lost to
 /// faults), the spliced partition extents the survivors run on, and the
@@ -714,177 +826,60 @@ pub(crate) struct FleetRecord {
     pub link_isolated: u32,
     /// Per-device `(td, bu)` scan extents after splicing, positional over
     /// the full original fleet (evicted entries keep their last extents).
-    pub boundaries: Vec<(Range<usize>, Range<usize>)>,
+    pub boundaries: Vec<Extents>,
     /// Learned hard-down pair links, as `(a, b)` device-id pairs.
     pub verdicts: Vec<(u32, u32)>,
 }
 
-/// One record in the append-only batch ledger (`batch.snap`).
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) enum BatchRecord {
-    /// First record of every log: binds the log to a driver kind and
-    /// graph, after the [`FORMAT_VERSION`] it was written in. Another
-    /// version fails to decode with [`PersistError::VersionMismatch`]; a
-    /// kind or graph mismatch degrades the batch to a cold start.
-    Header {
-        kind: DriverKind,
-        fingerprint: GraphFingerprint,
-    },
-    /// One terminal per-source outcome.
-    Outcome(BatchLedgerEntry),
-    /// The fleet shape after the preceding outcome.
-    Fleet(FleetRecord),
-}
+impl Body for FleetRecord {
+    const TAG: u32 = 5;
 
-impl BatchRecord {
-    const TAG_HEADER: u32 = 0;
-    const TAG_OUTCOME: u32 = 1;
-    const TAG_FLEET: u32 = 2;
-
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut enc = Enc::new();
-        match self {
-            BatchRecord::Header { kind, fingerprint } => {
-                enc.u32(Self::TAG_HEADER);
-                enc.u32(FORMAT_VERSION);
-                enc.u32(kind.to_u32());
-                enc_fingerprint(&mut enc, fingerprint);
-            }
-            BatchRecord::Outcome(e) => {
-                enc.u32(Self::TAG_OUTCOME);
-                enc.u32(e.index);
-                enc.u32(e.source);
-                enc.u32(e.priority);
-                enc.u32(e.outcome);
-                enc.u32(e.attempts);
-                enc.u64(e.digest);
-                enc.str(&e.error);
-            }
-            BatchRecord::Fleet(f) => {
-                enc.u32(Self::TAG_FLEET);
-                enc.words(&f.evicted);
-                enc.u32(f.link_isolated);
-                enc.u64(f.boundaries.len() as u64);
-                for (td, bu) in &f.boundaries {
-                    enc.range(td);
-                    enc.range(bu);
-                }
-                enc.pairs(&f.verdicts);
-            }
-        }
-        enc.finish()
+    fn put(&self, enc: &mut Enc) {
+        enc.placement(&self.boundaries, &self.evicted);
+        enc.u32(self.link_isolated);
+        enc.pairs(&self.verdicts);
     }
 
-    pub(crate) fn decode(payload: &[u8]) -> Result<Self, PersistError> {
-        let mut dec = Dec::new(payload);
-        let rec = match dec.u32()? {
-            Self::TAG_HEADER => {
-                // The version leads, so a header of another format fails
-                // on it before any field that format may lay out
-                // differently (a version-3 header, which has none, fails
-                // on its driver kind).
-                let version = dec.u32()?;
-                if version != FORMAT_VERSION {
-                    return Err(PersistError::VersionMismatch { found: version });
-                }
-                BatchRecord::Header {
-                    kind: DriverKind::from_u32(dec.u32()?)?,
-                    fingerprint: dec_fingerprint(&mut dec)?,
-                }
-            }
-            Self::TAG_OUTCOME => {
-                let entry = BatchLedgerEntry {
-                    index: dec.u32()?,
-                    source: dec.u32()?,
-                    priority: dec.u32()?,
-                    outcome: dec.u32()?,
-                    attempts: dec.u32()?,
-                    digest: dec.u64()?,
-                    error: dec.str()?,
-                };
-                if entry.outcome > 3 {
-                    return Err(PersistError::Corrupt("unknown outcome tag".into()));
-                }
-                BatchRecord::Outcome(entry)
-            }
-            Self::TAG_FLEET => {
-                let evicted = dec.words()?;
-                let link_isolated = dec.u32()?;
-                let count = dec.u64()? as usize;
-                if count > 4096 {
-                    return Err(PersistError::Corrupt("implausible boundary count".into()));
-                }
-                let mut boundaries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let td = dec.range()?;
-                    let bu = dec.range()?;
-                    boundaries.push((td, bu));
-                }
-                let verdicts = dec.pairs()?;
-                BatchRecord::Fleet(FleetRecord { evicted, link_isolated, boundaries, verdicts })
-            }
-            t => {
-                return Err(PersistError::Corrupt(format!("unknown batch record tag {t}")));
-            }
-        };
-        dec.done()?;
-        Ok(rec)
+    fn get(dec: &mut Dec<'_>) -> Result<Self, PersistError> {
+        let (boundaries, evicted) = dec.placement()?;
+        Ok(FleetRecord { evicted, link_isolated: dec.u32()?, boundaries, verdicts: dec.pairs()? })
     }
 }
 
-/// The intact contents of a batch record log, replayed for resume: the
-/// outcome entries keyed by batch index and the *last* fleet record, if
-/// any (the fleet shape when the previous process died).
+/// The intact contents of a batch ledger, replayed for resume: the outcome
+/// entries in log order and the *last* fleet record, if any (the fleet
+/// shape when the previous process died).
 #[derive(Debug, Default)]
 pub(crate) struct BatchLogReplay {
     pub entries: Vec<BatchLedgerEntry>,
     pub fleet: Option<FleetRecord>,
 }
 
-/// Loads and validates the batch record log against the running driver
-/// and graph. `Ok(None)` means no log, or a log for a different
-/// kind/graph (a cold batch, not an error); a log whose header carries
-/// another format version is a [`PersistError::VersionMismatch`].
-/// Damaged tails have already been dropped by
-/// [`SnapshotStore::load_records`]; this also truncates the file to the
-/// intact prefix so subsequent appends extend intact records only.
-pub(crate) fn load_batch_log(
+/// Reads the batch ledger, `[Header, (Outcome | Fleet)…]`; `Ok(None)` means
+/// none exists. A damaged tail has already been cut off by the scan.
+pub(crate) fn read_ledger(
     store: &mut SnapshotStore,
-    kind: DriverKind,
-    fingerprint: GraphFingerprint,
 ) -> Result<Option<BatchLogReplay>, PersistError> {
-    let Some((records, intact_len)) = store.load_records(BATCH_FILE)? else {
-        return Ok(None);
-    };
-    store.truncate_to(BATCH_FILE, intact_len)?;
-    let mut iter = records.iter();
-    match iter.next().map(|r| BatchRecord::decode(r)).transpose()? {
-        Some(BatchRecord::Header { kind: k, fingerprint: fp })
-            if k == kind && fp == fingerprint => {}
-        _ => return Ok(None),
-    }
+    let Some(log) = store.read(BATCH_FILE)? else { return Ok(None) };
     let mut replay = BatchLogReplay::default();
-    for r in iter {
-        match BatchRecord::decode(r)? {
-            BatchRecord::Header { .. } => {
-                return Err(PersistError::Corrupt("duplicate ledger header".into()));
-            }
-            BatchRecord::Outcome(e) => replay.entries.push(e),
-            BatchRecord::Fleet(f) => replay.fleet = Some(f),
+    for record in log.records {
+        match record {
+            Record::Outcome(e) => replay.entries.push(e),
+            Record::Fleet(f) => replay.fleet = Some(f),
+            _ => return Err(corrupt("batch log holds other records")),
         }
     }
     Ok(Some(replay))
 }
 
 // ---------------------------------------------------------------------------
-// Mid-traversal checkpoint snapshot.
+// Checkpoint log: a keyframe, then deltas.
 // ---------------------------------------------------------------------------
 
-/// Per-device slice of a durable mid-traversal checkpoint.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One live device's traversal image in a checkpoint (empty for an
+/// evicted device).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct DeviceCheckpoint {
-    pub td: Range<usize>,
-    pub bu: Range<usize>,
     pub status: Vec<u32>,
     pub parent: Vec<u32>,
     /// Queues truncated to their live sizes; sizes are the lengths.
@@ -897,44 +892,28 @@ pub(crate) struct DeviceCheckpoint {
 /// hub-cache contents, and the direction-switch bookkeeping.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct CheckpointSnapshot {
-    pub kind: DriverKind,
-    pub fingerprint: GraphFingerprint,
     pub source: u32,
     /// Level the checkpoint was taken at (resume executes this level next).
     pub level: u32,
-    pub dir_bottom_up: bool,
-    pub switched_at: Option<u32>,
-    pub cache_filled: bool,
-    pub visited_edge_sum: u64,
-    pub bu_queue_edge_sum: u64,
-    pub prev_frontier_edges: u64,
-    pub devices: Vec<DeviceCheckpoint>,
+    pub vars: LoopVars,
+    /// Per-device `(td, bu)` scan extents, device order.
+    pub extents: Vec<Extents>,
     /// Devices already evicted when this checkpoint was taken, in eviction
     /// order. Their positional [`DeviceCheckpoint`] entries carry empty
     /// images (only survivors are restored); a resuming process re-evicts
-    /// them and rebuilds the survivors to the spliced extents recorded in
-    /// the surviving entries' `td`/`bu` ranges.
+    /// them and rebuilds the survivors to the spliced `extents`.
     pub evicted: Vec<u32>,
+    pub devices: Vec<DeviceCheckpoint>,
 }
 
-impl CheckpointSnapshot {
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut enc = Enc::new();
-        enc.u32(self.kind.to_u32());
-        enc_fingerprint(&mut enc, &self.fingerprint);
+impl Body for CheckpointSnapshot {
+    const TAG: u32 = 2;
+
+    fn put(&self, enc: &mut Enc) {
         enc.u32(self.source);
-        enc.u32(self.level);
-        enc.boolean(self.dir_bottom_up);
-        enc.boolean(self.switched_at.is_some());
-        enc.u32(self.switched_at.unwrap_or(0));
-        enc.boolean(self.cache_filled);
-        enc.u64(self.visited_edge_sum);
-        enc.u64(self.bu_queue_edge_sum);
-        enc.u64(self.prev_frontier_edges);
-        enc.u64(self.devices.len() as u64);
+        enc.vars(self.level, &self.vars);
+        enc.placement(&self.extents, &self.evicted);
         for dev in &self.devices {
-            enc.range(&dev.td);
-            enc.range(&dev.bu);
             enc.words(&dev.status);
             enc.words(&dev.parent);
             for q in &dev.queues {
@@ -942,291 +921,267 @@ impl CheckpointSnapshot {
             }
             enc.words(&dev.hub_src);
         }
-        enc.words(&self.evicted);
-        enc.finish()
     }
 
-    pub(crate) fn decode(payload: &[u8]) -> Result<Self, PersistError> {
-        let mut dec = Dec::new(payload);
-        let kind = DriverKind::from_u32(dec.u32()?)?;
-        let fingerprint = dec_fingerprint(&mut dec)?;
+    fn get(dec: &mut Dec<'_>) -> Result<Self, PersistError> {
         let source = dec.u32()?;
-        let level = dec.u32()?;
-        let dir_bottom_up = dec.boolean()?;
-        let has_switch = dec.boolean()?;
-        let switch_level = dec.u32()?;
-        let switched_at = if has_switch { Some(switch_level) } else { None };
-        let cache_filled = dec.boolean()?;
-        let visited_edge_sum = dec.u64()?;
-        let bu_queue_edge_sum = dec.u64()?;
-        let prev_frontier_edges = dec.u64()?;
-        let count = dec.u64()? as usize;
-        if count > 4096 {
-            return Err(PersistError::Corrupt("implausible device count".into()));
-        }
-        let mut devices = Vec::with_capacity(count);
-        for _ in 0..count {
-            let td = dec.range()?;
-            let bu = dec.range()?;
-            let status = dec.words()?;
-            let parent = dec.words()?;
-            let q0 = dec.words()?;
-            let q1 = dec.words()?;
-            let q2 = dec.words()?;
-            let q3 = dec.words()?;
-            let hub_src = dec.words()?;
-            devices.push(DeviceCheckpoint {
-                td,
-                bu,
-                status,
-                parent,
-                queues: [q0, q1, q2, q3],
-                hub_src,
-            });
-        }
-        let evicted = dec.words()?;
-        if evicted.iter().any(|&d| d as usize >= count) {
-            return Err(PersistError::Corrupt("evicted device out of range".into()));
-        }
-        dec.done()?;
-        Ok(CheckpointSnapshot {
-            kind,
-            fingerprint,
-            source,
-            level,
-            dir_bottom_up,
-            switched_at,
-            cache_filled,
-            visited_edge_sum,
-            bu_queue_edge_sum,
-            prev_frontier_edges,
-            devices,
-            evicted,
-        })
-    }
-
-    /// Write a full keyframe, bypassing the delta writer. Production
-    /// checkpoints go through [`CheckpointWriter`].
-    #[cfg(test)]
-    pub(crate) fn save(&self, store: &mut SnapshotStore) -> Result<(), PersistError> {
-        store.save(CHECKPOINT_FILE, &self.encode())
-    }
-
-    /// Load the raw keyframe, ignoring any delta; `Ok(None)` means none
-    /// exists. Production resume goes through [`load_checkpoint_chain`].
-    #[cfg(test)]
-    pub(crate) fn load(store: &mut SnapshotStore) -> Result<Option<Self>, PersistError> {
-        match store.load(CHECKPOINT_FILE)? {
-            Some(payload) => Ok(Some(Self::decode(&payload)?)),
-            None => Ok(None),
-        }
+        let (level, vars) = dec.vars()?;
+        let (extents, evicted) = dec.placement()?;
+        let devices = extents
+            .iter()
+            .map(|_| {
+                Ok(DeviceCheckpoint {
+                    status: dec.words()?,
+                    parent: dec.words()?,
+                    queues: [dec.words()?, dec.words()?, dec.words()?, dec.words()?],
+                    hub_src: dec.words()?,
+                })
+            })
+            .collect::<Result<_, PersistError>>()?;
+        Ok(CheckpointSnapshot { source, level, vars, extents, evicted, devices })
     }
 }
 
-// ---------------------------------------------------------------------------
-// Delta checkpoints: sparse diffs against the durable keyframe.
-// ---------------------------------------------------------------------------
+impl CheckpointSnapshot {
+    /// The value checks a checkpoint passes before any of it is used, on
+    /// `csr` with `hub_entries` hub-cache slots per device. Wrong sizes are
+    /// a layout mismatch: every live device's images are full-size. Wrong
+    /// values are corruption:
+    ///
+    /// - the level is below the vertex count, and each edge sum is at most
+    ///   the edge count once per device (a grid counts a frontier once per
+    ///   block row);
+    /// - each status word is `UNVISITED` or at most the level;
+    /// - each parent and hub entry names a vertex or is its sentinel;
+    /// - each queue entry lies in the device's scan range for the
+    ///   checkpoint's direction (`td` top-down, `bu` bottom-up).
+    pub(crate) fn check(&self, csr: &Csr, hub_entries: usize) -> Result<(), PersistError> {
+        use crate::state::HUB_EMPTY;
+        use crate::status::{NO_PARENT, UNVISITED};
+        let n = csr.vertex_count();
+        let max_sum = csr.edge_count().saturating_mul(self.extents.len() as u64);
+        let vars = &self.vars;
+        if self.level as usize >= n
+            || [vars.visited_edge_sum, vars.bu_queue_edge_sum, vars.prev_frontier_edges]
+                .iter()
+                .any(|&sum| sum > max_sum)
+        {
+            return Err(corrupt("loop state out of range"));
+        }
+        let vertex_or = |sentinel: u32| move |&v: &u32| (v as usize) < n || v == sentinel;
+        for (d, (dev, (td, bu))) in self.devices.iter().zip(&self.extents).enumerate() {
+            if self.evicted.contains(&(d as u32)) {
+                continue;
+            }
+            let fits = dev.status.len() == n
+                && dev.parent.len() == n
+                && dev.hub_src.len() == hub_entries
+                && dev.queues.iter().all(|q| q.len() <= n);
+            if !fits {
+                return Err(PersistError::LayoutMismatch);
+            }
+            let scanned = if vars.dir == Direction::BottomUp { bu } else { td };
+            let valid = dev.status.iter().all(|&s| s == UNVISITED || s <= self.level)
+                && dev.parent.iter().all(vertex_or(NO_PARENT))
+                && dev.hub_src.iter().all(vertex_or(HUB_EMPTY))
+                && dev.queues.iter().flatten().all(|&v| scanned.contains(&(v as usize)));
+            if !valid {
+                return Err(PersistError::Corrupt(format!("device {d} image out of range")));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A checkpoint stored as a diff against the one before it in the log: the
+/// new level and loop state, and per device sparse `(index, value)` diffs
+/// of the status, parent and hub images, with the queues whole (they turn
+/// over entirely each level, so sparseness buys nothing).
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct CheckpointDelta {
+    pub level: u32,
+    pub vars: LoopVars,
+    pub devices: Vec<DeviceDelta>,
+}
+
+/// One device's part of a [`CheckpointDelta`].
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct DeviceDelta {
+    pub status: Vec<(u32, u32)>,
+    pub parent: Vec<(u32, u32)>,
+    pub queues: [Vec<u32>; 4],
+    pub hub_src: Vec<(u32, u32)>,
+}
 
 /// Sparse word diff: the `(index, new_value)` pairs where `new` differs from
 /// `old`. `None` when the vectors have different lengths (not diffable).
 fn sparse_diff(old: &[u32], new: &[u32]) -> Option<Vec<(u32, u32)>> {
-    if old.len() != new.len() {
-        return None;
-    }
-    Some(
+    (old.len() == new.len()).then(|| {
         old.iter()
             .zip(new)
             .enumerate()
             .filter(|(_, (o, n))| o != n)
             .map(|(i, (_, n))| (i as u32, *n))
-            .collect(),
-    )
+            .collect()
+    })
 }
 
-/// Can `snap` be stored as a delta against `base`? Requires identical
-/// identity (kind / fingerprint / source), fleet shape (device count,
-/// per-device extents, image lengths) and eviction record — any of those
-/// changing forces a fresh keyframe instead.
-fn delta_compatible(base: &CheckpointSnapshot, snap: &CheckpointSnapshot) -> bool {
-    base.kind == snap.kind
-        && base.fingerprint == snap.fingerprint
-        && base.source == snap.source
-        && base.evicted == snap.evicted
-        && base.devices.len() == snap.devices.len()
-        && base.devices.iter().zip(&snap.devices).all(|(b, s)| {
-            b.td == s.td
-                && b.bu == s.bu
-                && b.status.len() == s.status.len()
-                && b.parent.len() == s.parent.len()
-                && b.hub_src.len() == s.hub_src.len()
-        })
-}
-
-/// Encode `snap` as a delta frame against `base` (whose encoded payload
-/// hashes to `base_checksum`). Status, parent and hub images become sparse
-/// `(index, value)` diffs; queues are stored whole (they turn over entirely
-/// each level, so sparseness buys nothing). `None` when the shapes are not
-/// diffable — the caller must write a keyframe.
-pub(crate) fn encode_delta(
-    snap: &CheckpointSnapshot,
-    base: &CheckpointSnapshot,
-    base_checksum: u64,
-) -> Option<Vec<u8>> {
-    if !delta_compatible(base, snap) {
-        return None;
+/// Overwrites `img` at each diffed index.
+fn patch(img: &mut [u32], pairs: &[(u32, u32)]) -> Result<(), PersistError> {
+    for &(i, v) in pairs {
+        *img.get_mut(i as usize).ok_or_else(|| corrupt("delta index out of range"))? = v;
     }
-    let mut enc = Enc::new();
-    enc.u32(base.level);
-    enc.u64(base_checksum);
-    enc.u32(snap.level);
-    enc.boolean(snap.dir_bottom_up);
-    enc.boolean(snap.switched_at.is_some());
-    enc.u32(snap.switched_at.unwrap_or(0));
-    enc.boolean(snap.cache_filled);
-    enc.u64(snap.visited_edge_sum);
-    enc.u64(snap.bu_queue_edge_sum);
-    enc.u64(snap.prev_frontier_edges);
-    enc.u64(snap.devices.len() as u64);
-    for (b, s) in base.devices.iter().zip(&snap.devices) {
-        enc.pairs(&sparse_diff(&b.status, &s.status)?);
-        enc.pairs(&sparse_diff(&b.parent, &s.parent)?);
-        for q in &s.queues {
-            enc.words(q);
+    Ok(())
+}
+
+impl CheckpointDelta {
+    /// `snap` as a diff against `prev`, or `None` when the two differ in
+    /// anything a delta does not carry — source, placement, image sizes —
+    /// and `snap` must be a keyframe.
+    pub(crate) fn between(prev: &CheckpointSnapshot, snap: &CheckpointSnapshot) -> Option<Self> {
+        if prev.source != snap.source
+            || prev.extents != snap.extents
+            || prev.evicted != snap.evicted
+            || prev.devices.len() != snap.devices.len()
+        {
+            return None;
         }
-        enc.pairs(&sparse_diff(&b.hub_src, &s.hub_src)?);
+        let devices = prev
+            .devices
+            .iter()
+            .zip(&snap.devices)
+            .map(|(p, s)| {
+                Some(DeviceDelta {
+                    status: sparse_diff(&p.status, &s.status)?,
+                    parent: sparse_diff(&p.parent, &s.parent)?,
+                    queues: s.queues.clone(),
+                    hub_src: sparse_diff(&p.hub_src, &s.hub_src)?,
+                })
+            })
+            .collect::<Option<_>>()?;
+        Some(CheckpointDelta { level: snap.level, vars: snap.vars.clone(), devices })
     }
-    Some(enc.finish())
-}
 
-/// Decode a delta frame and replay it over `base` (whose encoded payload
-/// hashes to `base_checksum`), reconstructing the newer checkpoint. Fails —
-/// recoverably; the caller resumes at the keyframe — when the delta was
-/// diffed against a different keyframe than the one on disk.
-pub(crate) fn apply_delta(
-    base: &CheckpointSnapshot,
-    base_checksum: u64,
-    payload: &[u8],
-) -> Result<CheckpointSnapshot, PersistError> {
-    let mut dec = Dec::new(payload);
-    let bound_level = dec.u32()?;
-    let bound_checksum = dec.u64()?;
-    if bound_level != base.level || bound_checksum != base_checksum {
-        return Err(PersistError::Corrupt(
-            "delta checkpoint was diffed against a different keyframe".into(),
-        ));
-    }
-    let mut snap = base.clone();
-    snap.level = dec.u32()?;
-    snap.dir_bottom_up = dec.boolean()?;
-    let has_switch = dec.boolean()?;
-    let switch_level = dec.u32()?;
-    snap.switched_at = if has_switch { Some(switch_level) } else { None };
-    snap.cache_filled = dec.boolean()?;
-    snap.visited_edge_sum = dec.u64()?;
-    snap.bu_queue_edge_sum = dec.u64()?;
-    snap.prev_frontier_edges = dec.u64()?;
-    let count = dec.u64()? as usize;
-    if count != snap.devices.len() {
-        return Err(PersistError::Corrupt("delta device count mismatch".into()));
-    }
-    let apply = |img: &mut [u32], pairs: Vec<(u32, u32)>| -> Result<(), PersistError> {
-        for (i, v) in pairs {
-            *img.get_mut(i as usize)
-                .ok_or_else(|| PersistError::Corrupt("delta index out of range".into()))? = v;
+    /// Folds this delta over the checkpoint before it.
+    fn apply(self, snap: &mut CheckpointSnapshot) -> Result<(), PersistError> {
+        if self.devices.len() != snap.devices.len() {
+            return Err(corrupt("delta device count mismatch"));
+        }
+        snap.level = self.level;
+        snap.vars = self.vars;
+        for (dev, delta) in snap.devices.iter_mut().zip(self.devices) {
+            patch(&mut dev.status, &delta.status)?;
+            patch(&mut dev.parent, &delta.parent)?;
+            dev.queues = delta.queues;
+            patch(&mut dev.hub_src, &delta.hub_src)?;
         }
         Ok(())
-    };
-    for dev in &mut snap.devices {
-        apply(&mut dev.status, dec.pairs()?)?;
-        apply(&mut dev.parent, dec.pairs()?)?;
-        for q in &mut dev.queues {
-            *q = dec.words()?;
-        }
-        apply(&mut dev.hub_src, dec.pairs()?)?;
     }
-    dec.done()?;
-    Ok(snap)
 }
 
-/// Keyframe + delta checkpoint publisher shared by the drivers.
+impl Body for CheckpointDelta {
+    const TAG: u32 = 3;
+
+    fn put(&self, enc: &mut Enc) {
+        enc.vars(self.level, &self.vars);
+        enc.u64(self.devices.len() as u64);
+        for dev in &self.devices {
+            enc.pairs(&dev.status);
+            enc.pairs(&dev.parent);
+            for q in &dev.queues {
+                enc.words(q);
+            }
+            enc.pairs(&dev.hub_src);
+        }
+    }
+
+    fn get(dec: &mut Dec<'_>) -> Result<Self, PersistError> {
+        let (level, vars) = dec.vars()?;
+        let count = dec.u64()?;
+        if count > MAX_DEVICES as u64 {
+            return Err(corrupt("implausible device count"));
+        }
+        let devices = (0..count)
+            .map(|_| {
+                Ok(DeviceDelta {
+                    status: dec.pairs()?,
+                    parent: dec.pairs()?,
+                    queues: [dec.words()?, dec.words()?, dec.words()?, dec.words()?],
+                    hub_src: dec.pairs()?,
+                })
+            })
+            .collect::<Result<_, PersistError>>()?;
+        Ok(CheckpointDelta { level, vars, devices })
+    }
+}
+
+/// Checkpoint publisher shared by every shape.
 ///
-/// The first save (and every [`KEYFRAME_EVERY`]-th after, or any save whose
-/// fleet shape changed or whose delta would not actually be smaller) writes
-/// a full keyframe to [`CHECKPOINT_FILE`] and retires the stale delta;
-/// saves in between write a sparse delta to [`DELTA_FILE`] bound to that
-/// keyframe by level + payload checksum. Restores chain the two via
-/// [`load_checkpoint_chain`].
+/// The first checkpoint (and one after every [`KEYFRAME_EVERY`] deltas, or
+/// whenever a delta would not be smaller) rewrites the checkpoint log as
+/// `[Header, Keyframe]`; the checkpoints in between are appended as deltas
+/// against the checkpoint before them. A restore folds them back in order
+/// ([`read_checkpoint`]). Deltas chain on the writer's memory of its last
+/// record, so a writer serves one run.
 pub(crate) struct CheckpointWriter {
-    keyframe: Option<(CheckpointSnapshot, u64)>,
+    /// The last checkpoint written, which the next delta diffs against.
+    last: Option<CheckpointSnapshot>,
+    /// Deltas appended since the keyframe.
     since_key: u32,
 }
 
 impl CheckpointWriter {
     pub(crate) fn new() -> Self {
-        CheckpointWriter { keyframe: None, since_key: 0 }
+        CheckpointWriter { last: None, since_key: 0 }
     }
 
-    /// Durably publish `snap` — as a delta when a compatible, fresher-than-
-    /// [`KEYFRAME_EVERY`] keyframe exists and the delta is genuinely
-    /// smaller; as a keyframe otherwise.
+    /// Durably publishes `snap`: one append for a delta, one rewrite for a
+    /// keyframe, each a single write (and torn-write draw).
     pub(crate) fn persist(
         &mut self,
         store: &mut SnapshotStore,
-        snap: &CheckpointSnapshot,
+        snap: CheckpointSnapshot,
     ) -> Result<(), PersistError> {
-        if let Some((base, base_checksum)) = &self.keyframe {
-            if self.since_key < KEYFRAME_EVERY {
-                if let Some(delta) = encode_delta(snap, base, *base_checksum) {
-                    let full_len = snap.encode().len();
-                    if delta.len() < full_len {
-                        store.save(DELTA_FILE, &delta)?;
-                        self.since_key += 1;
-                        return Ok(());
-                    }
-                }
-            }
-        }
-        let payload = snap.encode();
-        store.save(CHECKPOINT_FILE, &payload)?;
-        // A keyframe supersedes any delta bound to its predecessor; a stale
-        // delta would fail its checksum binding anyway, but removing it
-        // keeps the directory's story simple.
-        store.remove(DELTA_FILE)?;
-        self.keyframe = Some((snap.clone(), fnv1a64(&payload)));
-        self.since_key = 0;
-        Ok(())
+        let keyframe = encode(&snap);
+        let delta = self
+            .last
+            .as_ref()
+            .filter(|_| self.since_key < KEYFRAME_EVERY)
+            .and_then(|prev| CheckpointDelta::between(prev, &snap))
+            .map(|delta| encode(&delta))
+            .filter(|delta| delta.len() < keyframe.len());
+        let written = match &delta {
+            Some(delta) => store.append(CHECKPOINT_FILE, delta),
+            None => store.rewrite(CHECKPOINT_FILE, &[keyframe]),
+        };
+        self.since_key = if delta.is_some() { self.since_key + 1 } else { 0 };
+        // After a failed write the log's last record is unknown, so the
+        // next checkpoint must be a keyframe.
+        self.last = written.is_ok().then_some(snap);
+        written
     }
 }
 
-/// Load the newest resumable checkpoint: the keyframe, plus the delta
-/// replayed over it when one exists and verifiably binds to that exact
-/// keyframe. Delta defects (rot, torn write, keyframe mismatch) are *soft* —
-/// pushed into `soft` and the resume degrades to the keyframe alone.
-/// `Ok(None)` means no checkpoint exists at all.
-pub(crate) fn load_checkpoint_chain(
+/// Reads the checkpoint log, `[Header, Keyframe, Delta…]`: the keyframe
+/// with every intact delta folded over it in order. `Ok(None)` means no
+/// checkpoint exists.
+pub(crate) fn read_checkpoint(
     store: &mut SnapshotStore,
-    soft: &mut Vec<PersistError>,
 ) -> Result<Option<CheckpointSnapshot>, PersistError> {
-    let payload = match store.load(CHECKPOINT_FILE)? {
-        Some(p) => p,
-        None => return Ok(None),
+    let Some(Log { records, damage }) = store.read(CHECKPOINT_FILE)? else { return Ok(None) };
+    let mut records = records.into_iter();
+    let mut snap = match records.next() {
+        Some(Record::Keyframe(snap)) => snap,
+        None => return Err(missing(damage)),
+        Some(_) => return Err(corrupt("checkpoint log does not start with a keyframe")),
     };
-    let base = CheckpointSnapshot::decode(&payload)?;
-    let base_checksum = fnv1a64(&payload);
-    match store.load(DELTA_FILE) {
-        Ok(Some(delta)) => match apply_delta(&base, base_checksum, &delta) {
-            Ok(snap) => Ok(Some(snap)),
-            Err(e) => {
-                soft.push(e);
-                Ok(Some(base))
-            }
-        },
-        Ok(None) => Ok(Some(base)),
-        Err(e) => {
-            soft.push(e);
-            Ok(Some(base))
+    for record in records {
+        match record {
+            Record::Delta(delta) => delta.apply(&mut snap)?,
+            _ => return Err(corrupt("checkpoint log holds other records")),
         }
     }
+    Ok(Some(snap))
 }
 
 /// Truncate the full-capacity queue views to their live sizes for
@@ -1236,386 +1191,6 @@ pub(crate) fn truncate_queues(queues: &[Vec<u32>; 4], sizes: &[usize; 4]) -> [Ve
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use enterprise_graph::gen::kronecker;
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("enterprise-persist-unit-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
-    }
-
-    fn sample_layout() -> LayoutSnapshot {
-        LayoutSnapshot {
-            kind: DriverKind::OneD,
-            fingerprint: GraphFingerprint { vertices: 64, edges: 512, structure: 0xdead_beef },
-            hub_tau: 7,
-            total_hubs: 12,
-            grid: (1, 4),
-            slices: vec![(0..10, 0..10), (10..31, 10..31), (31..40, 31..40), (40..64, 40..64)],
-            evicted: vec![2],
-        }
-    }
-
-    fn sample_entries() -> Vec<BatchLedgerEntry> {
-        vec![
-            BatchLedgerEntry {
-                index: 0,
-                source: 9,
-                priority: 3,
-                outcome: 0,
-                attempts: 1,
-                digest: 0x1234_5678_9abc_def0,
-                error: String::new(),
-            },
-            BatchLedgerEntry {
-                index: 1,
-                source: 9,
-                priority: 0,
-                outcome: 2,
-                attempts: 4,
-                digest: 0,
-                error: "all devices lost at level 3".into(),
-            },
-        ]
-    }
-
-    #[test]
-    fn batch_record_log_round_trips_and_rejects_damage() {
-        let dir = tmp_dir("batch-log");
-        let mut store = SnapshotStore::open(&dir, None).unwrap();
-        let kind = DriverKind::OneD;
-        let fp = GraphFingerprint { vertices: 64, edges: 512, structure: 0xdead_beef };
-        let entries = sample_entries();
-        // A degraded 2x2 grid: blocks keep distinct top-down and
-        // bottom-up extents; device 3 was link-isolated after device 1
-        // was lost.
-        let fleet = FleetRecord {
-            evicted: vec![1, 3],
-            link_isolated: 1,
-            boundaries: vec![(0..64, 0..32), (32..64, 0..32), (0..64, 32..64), (32..64, 32..64)],
-            verdicts: vec![(0, 3)],
-        };
-        store.append(BATCH_FILE, &BatchRecord::Header { kind, fingerprint: fp }.encode()).unwrap();
-        for e in &entries {
-            store.append(BATCH_FILE, &BatchRecord::Outcome(e.clone()).encode()).unwrap();
-        }
-        store.append(BATCH_FILE, &BatchRecord::Fleet(fleet.clone()).encode()).unwrap();
-        let replay = load_batch_log(&mut store, kind, fp).unwrap().unwrap();
-        assert_eq!(replay.entries, entries);
-        assert_eq!(replay.fleet, Some(fleet));
-        // Mismatched kind or fingerprint degrades to a cold batch.
-        assert!(load_batch_log(&mut store, DriverKind::Single, fp).unwrap().is_none());
-        // A missing ledger is a cold batch, not an error.
-        store.remove(BATCH_FILE).unwrap();
-        assert!(load_batch_log(&mut store, kind, fp).unwrap().is_none());
-        // An out-of-range outcome tag is rejected as corruption.
-        let mut bad = sample_entries().remove(0);
-        bad.outcome = 7;
-        assert!(matches!(
-            BatchRecord::decode(&BatchRecord::Outcome(bad).encode()),
-            Err(PersistError::Corrupt(_))
-        ));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn batch_record_log_torn_tail_degrades_to_last_intact_record() {
-        let dir = tmp_dir("batch-log-torn");
-        let mut store = SnapshotStore::open(&dir, None).unwrap();
-        let kind = DriverKind::TwoD;
-        let fp = GraphFingerprint { vertices: 8, edges: 9, structure: 1 };
-        let entries = sample_entries();
-        store.append(BATCH_FILE, &BatchRecord::Header { kind, fingerprint: fp }.encode()).unwrap();
-        store.append(BATCH_FILE, &BatchRecord::Outcome(entries[0].clone()).encode()).unwrap();
-        let intact_len = fs::metadata(dir.join(BATCH_FILE)).unwrap().len();
-        store.append(BATCH_FILE, &BatchRecord::Outcome(entries[1].clone()).encode()).unwrap();
-        // Tear the last append mid-frame: the log keeps the first outcome.
-        let full = fs::metadata(dir.join(BATCH_FILE)).unwrap().len();
-        store.truncate_to(BATCH_FILE, full - 3).unwrap();
-        let replay = load_batch_log(&mut store, kind, fp).unwrap().unwrap();
-        assert_eq!(replay.entries, entries[..1]);
-        // The damaged tail was physically dropped, so appends extend the
-        // intact prefix.
-        assert_eq!(fs::metadata(dir.join(BATCH_FILE)).unwrap().len(), intact_len);
-        store.append(BATCH_FILE, &BatchRecord::Outcome(entries[1].clone()).encode()).unwrap();
-        let replay = load_batch_log(&mut store, kind, fp).unwrap().unwrap();
-        assert_eq!(replay.entries, entries);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// A version-3 ledger, whose header carries no version, fails on its
-    /// header with a typed version mismatch instead of decoding on into
-    /// records laid out for another format, and a batch over it starts
-    /// cold: nothing replays and a current header replaces the log.
-    #[test]
-    fn v3_ledger_header_degrades_to_a_cold_batch() {
-        use crate::multi_gpu::{Fleet, MultiGpuConfig};
-        use crate::{BatchPolicy, BatchSource};
-        let g = kronecker(6, 4, 1);
-        let (kind, fp) = (DriverKind::OneD, GraphFingerprint::of(&g));
-        let dir = tmp_dir("batch-log-v3");
-        let mut store = SnapshotStore::open(&dir, None).unwrap();
-        let mut v3_header = Enc::new();
-        v3_header.u32(BatchRecord::TAG_HEADER);
-        v3_header.u32(kind.to_u32());
-        enc_fingerprint(&mut v3_header, &fp);
-        store.append(BATCH_FILE, &v3_header.finish()).unwrap();
-        let outcome = BatchRecord::Outcome(sample_entries().remove(0));
-        store.append(BATCH_FILE, &outcome.encode()).unwrap();
-        let mismatch = PersistError::VersionMismatch { found: kind.to_u32() };
-        assert_eq!(load_batch_log(&mut store, kind, fp).unwrap_err(), mismatch);
-
-        let cfg = MultiGpuConfig {
-            persist: Some(PersistPolicy::layout_only(&dir)),
-            ..MultiGpuConfig::k40s(4)
-        };
-        let sources: Vec<BatchSource> = [9, 17, 33].into_iter().map(BatchSource::new).collect();
-        let report = Fleet::new(cfg, &g).batch(&sources, &BatchPolicy::on());
-        assert_eq!(report.manifest_errors, vec![mismatch]);
-        assert_eq!((report.resumed, report.completed), (0, sources.len()));
-        let replay = load_batch_log(&mut store, kind, fp).unwrap().expect("a fresh v4 log");
-        assert_eq!(replay.entries.len(), sources.len());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_whole_frame_ledger_fails_magic_and_cold_starts() {
-        let dir = tmp_dir("batch-log-legacy");
-        let mut store = SnapshotStore::open(&dir, None).unwrap();
-        // A legacy whole-frame ledger starts with the snapshot MAGIC
-        // ("ENTSNAP\0"), whose first four bytes are not REC_MAGIC.
-        store.save(BATCH_FILE, b"legacy manifest payload").unwrap();
-        let kind = DriverKind::OneD;
-        let fp = GraphFingerprint { vertices: 1, edges: 1, structure: 1 };
-        assert!(matches!(store.load_records(BATCH_FILE), Err(PersistError::BadMagic)));
-        assert!(load_batch_log(&mut store, kind, fp).is_err());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn frame_round_trips_and_is_atomic() {
-        let dir = tmp_dir("roundtrip");
-        let mut store = SnapshotStore::open(&dir, None).unwrap();
-        let layout = sample_layout();
-        layout.save(&mut store).unwrap();
-        // No stray temp file left behind after a successful publish.
-        assert!(!dir.join(format!("{LAYOUT_FILE}.tmp")).exists());
-        let back = LayoutSnapshot::load(&mut store).unwrap().unwrap();
-        assert_eq!(back, layout);
-        // Missing checkpoint is a cold start, not an error.
-        assert_eq!(CheckpointSnapshot::load(&mut store).unwrap(), None);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn checkpoint_round_trips() {
-        let dir = tmp_dir("ckpt");
-        let mut store = SnapshotStore::open(&dir, None).unwrap();
-        let snap = CheckpointSnapshot {
-            kind: DriverKind::Single,
-            fingerprint: GraphFingerprint { vertices: 8, edges: 16, structure: 1 },
-            source: 3,
-            level: 2,
-            dir_bottom_up: true,
-            switched_at: Some(2),
-            cache_filled: true,
-            visited_edge_sum: 99,
-            bu_queue_edge_sum: 7,
-            prev_frontier_edges: 5,
-            devices: vec![DeviceCheckpoint {
-                td: 0..8,
-                bu: 0..8,
-                status: vec![0, 1, 1, 2, u32::MAX, 2, u32::MAX, u32::MAX],
-                parent: vec![0, 0, 0, 1, u32::MAX, 2, u32::MAX, u32::MAX],
-                queues: [vec![4, 6], vec![7], vec![], vec![]],
-                hub_src: vec![u32::MAX; 4],
-            }],
-            evicted: vec![],
-        };
-        snap.save(&mut store).unwrap();
-        let back = CheckpointSnapshot::load(&mut store).unwrap().unwrap();
-        assert_eq!(back, snap);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn delta_checkpoints_round_trip_and_shrink() {
-        let dir = tmp_dir("delta");
-        let mut store = SnapshotStore::open(&dir, None).unwrap();
-        let base = CheckpointSnapshot {
-            kind: DriverKind::OneD,
-            fingerprint: GraphFingerprint { vertices: 64, edges: 128, structure: 9 },
-            source: 0,
-            level: 1,
-            dir_bottom_up: false,
-            switched_at: None,
-            cache_filled: false,
-            visited_edge_sum: 0,
-            bu_queue_edge_sum: 0,
-            prev_frontier_edges: 0,
-            devices: vec![DeviceCheckpoint {
-                td: 0..64,
-                bu: 0..64,
-                status: vec![u32::MAX; 64],
-                parent: vec![u32::MAX; 64],
-                queues: [vec![0], vec![], vec![], vec![]],
-                hub_src: vec![u32::MAX; 16],
-            }],
-            evicted: vec![],
-        };
-        // Next level: a handful of words change; everything else is shared.
-        let mut next = base.clone();
-        next.level = 2;
-        next.devices[0].status[3] = 1;
-        next.devices[0].status[9] = 1;
-        next.devices[0].parent[3] = 0;
-        next.devices[0].parent[9] = 0;
-        next.devices[0].queues = [vec![3, 9], vec![], vec![], vec![]];
-
-        let mut writer = CheckpointWriter::new();
-        writer.persist(&mut store, &base).unwrap();
-        writer.persist(&mut store, &next).unwrap();
-        // Size regression: the delta frame must be materially smaller than
-        // the keyframe it rides on.
-        let key_len = fs::metadata(dir.join(CHECKPOINT_FILE)).unwrap().len();
-        let delta_len = fs::metadata(dir.join(DELTA_FILE)).unwrap().len();
-        assert!(
-            delta_len * 2 < key_len,
-            "delta ({delta_len} B) not materially smaller than keyframe ({key_len} B)"
-        );
-        // The chain loader reconstructs the newer checkpoint exactly.
-        let mut soft = Vec::new();
-        let back = load_checkpoint_chain(&mut store, &mut soft).unwrap().unwrap();
-        assert!(soft.is_empty(), "{soft:?}");
-        assert_eq!(back, next);
-
-        // A fresh keyframe retires the delta; the loader then sees only it.
-        let mut third = next.clone();
-        third.level = 3;
-        third.devices[0].td = 0..32; // shape change forces a keyframe
-        writer.persist(&mut store, &third).unwrap();
-        assert!(!dir.join(DELTA_FILE).exists());
-        let back = load_checkpoint_chain(&mut store, &mut soft).unwrap().unwrap();
-        assert_eq!(back, third);
-
-        // A delta bound to a *different* keyframe degrades softly.
-        writer.persist(&mut store, &base).unwrap(); // keyframe (shape changed back)
-        let orphan = encode_delta(&next, &base, 0xbad).unwrap();
-        store.save(DELTA_FILE, &orphan).unwrap();
-        let back = load_checkpoint_chain(&mut store, &mut soft).unwrap().unwrap();
-        assert_eq!(back, base, "mismatched delta must degrade to the keyframe");
-        assert_eq!(soft.len(), 1);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn load_detects_every_corruption_class() {
-        let dir = tmp_dir("taxonomy");
-        let mut store = SnapshotStore::open(&dir, None).unwrap();
-        let layout = sample_layout();
-        layout.save(&mut store).unwrap();
-        let path = dir.join(LAYOUT_FILE);
-        let pristine = fs::read(&path).unwrap();
-
-        // Torn write: strict prefix.
-        fs::write(&path, &pristine[..pristine.len() / 2]).unwrap();
-        assert_eq!(store.load(LAYOUT_FILE).unwrap_err(), PersistError::Truncated);
-        // Shorter than the header.
-        fs::write(&path, &pristine[..10]).unwrap();
-        assert_eq!(store.load(LAYOUT_FILE).unwrap_err(), PersistError::Truncated);
-        // Bad magic.
-        let mut bad = pristine.clone();
-        bad[0] ^= 0xff;
-        fs::write(&path, &bad).unwrap();
-        assert_eq!(store.load(LAYOUT_FILE).unwrap_err(), PersistError::BadMagic);
-        // Version mismatch.
-        let mut bad = pristine.clone();
-        bad[8..12].copy_from_slice(&99u32.to_le_bytes());
-        fs::write(&path, &bad).unwrap();
-        assert_eq!(
-            store.load(LAYOUT_FILE).unwrap_err(),
-            PersistError::VersionMismatch { found: 99 }
-        );
-        // Payload bit flip.
-        let mut bad = pristine.clone();
-        let last = bad.len() - 1;
-        bad[last] ^= 0x10;
-        fs::write(&path, &bad).unwrap();
-        assert_eq!(store.load(LAYOUT_FILE).unwrap_err(), PersistError::ChecksumMismatch);
-        // Pristine still loads after all that.
-        fs::write(&path, &pristine).unwrap();
-        assert_eq!(LayoutSnapshot::load(&mut store).unwrap().unwrap(), layout);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn armed_storage_faults_fire_and_are_counted() {
-        let dir = tmp_dir("armed");
-        let spec = FaultSpec {
-            torn_write_rate: 1.0,
-            snapshot_corrupt_rate: 0.0,
-            ..FaultSpec::none(11)
-        };
-        let mut store = SnapshotStore::open(&dir, Some(&spec)).unwrap();
-        sample_layout().save(&mut store).unwrap();
-        // Torn frame must be detected on load.
-        let err = LayoutSnapshot::load(&mut store).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                PersistError::Truncated
-                    | PersistError::BadMagic
-                    | PersistError::ChecksumMismatch
-                    | PersistError::VersionMismatch { .. }
-                    | PersistError::Corrupt(_)
-            ),
-            "unexpected error for torn frame: {err:?}"
-        );
-        let stats = store.take_stats();
-        assert_eq!(stats.torn_writes, 1);
-
-        // At-rest corruption on an otherwise pristine frame.
-        let spec = FaultSpec {
-            snapshot_corrupt_rate: 1.0,
-            ..FaultSpec::none(11)
-        };
-        let mut clean = SnapshotStore::open(&dir, None).unwrap();
-        sample_layout().save(&mut clean).unwrap();
-        let mut store = SnapshotStore::open(&dir, Some(&spec)).unwrap();
-        let err = LayoutSnapshot::load(&mut store).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                PersistError::Truncated
-                    | PersistError::BadMagic
-                    | PersistError::ChecksumMismatch
-                    | PersistError::VersionMismatch { .. }
-                    | PersistError::Corrupt(_)
-            ),
-            "unexpected error for corrupted frame: {err:?}"
-        );
-        assert_eq!(store.take_stats().snapshots_corrupted, 1);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_graphs() {
-        let a = kronecker(6, 4, 1);
-        let b = kronecker(6, 4, 2);
-        let fa = GraphFingerprint::of(&a);
-        let fb = GraphFingerprint::of(&b);
-        assert_eq!(fa, GraphFingerprint::of(&a));
-        assert_ne!(fa, fb);
-    }
-
-    #[test]
-    fn truncate_queues_respects_sizes() {
-        let queues = [vec![1, 2, 3, 4], vec![5, 6], vec![7], vec![]];
-        let sizes = [2, 2, 0, 0];
-        let out = truncate_queues(&queues, &sizes);
-        assert_eq!(out, [vec![1, 2], vec![5, 6], vec![], vec![]]);
-    }
-}
+mod fuzz;
+#[cfg(test)]
+mod tests;

@@ -1,15 +1,18 @@
 //! Crash-consistent persistence plane: durable layout snapshots, warm
 //! restarts, mid-traversal checkpoints, and storage-fault degradation.
 //!
-//! The contracts under test (DESIGN.md §5g):
+//! Every state file is a record log whose first record is a header
+//! naming the format version, driver kind and graph (DESIGN.md §5g). The
+//! contracts under test:
 //!
 //! - a process killed mid-campaign and restarted from the same state
-//!   directory resumes from the last durable checkpoint and produces
-//!   bit-identical levels/parents to an uninterrupted run;
-//! - a torn, bit-flipped, version-skewed, or wrong-graph snapshot is
-//!   detected (checksum/header/fingerprint) and degrades to a cold
-//!   start with a typed [`PersistError`] in the recovery report —
-//!   never a panic, never a wrong result;
+//!   directory resumes from the last durable checkpoint — a keyframe with
+//!   its deltas folded in — and produces bit-identical levels/parents to
+//!   an uninterrupted run;
+//! - a torn, bit-flipped, version-skewed, wrong-graph or pre-v5 file is
+//!   detected (frame checksum or header) and degrades to a cold start with
+//!   a typed [`PersistError`] in the recovery report — never a panic,
+//!   never a wrong result;
 //! - storage-fault rates with persistence disabled, and persistence
 //!   with a cold cache, are both strict no-ops on results and timing.
 
@@ -17,8 +20,8 @@ use enterprise::multi_gpu::{Fleet, FleetConfig, MultiGpuConfig, MultiGpuEnterpri
 use enterprise::multi_gpu_2d::{Grid2DConfig, MultiGpu2DEnterprise};
 use enterprise::validate::cpu_levels;
 use enterprise::{
-    Enterprise, EnterpriseConfig, FaultSpec, PersistError, PersistPolicy, RebalancePolicy,
-    WatchdogPolicy, CHAOS_STRAGGLER_SLOWDOWN, FORMAT_VERSION,
+    BatchPolicy, BatchSource, Enterprise, EnterpriseConfig, FaultSpec, PersistError, PersistPolicy,
+    RebalancePolicy, WatchdogPolicy, CHAOS_STRAGGLER_SLOWDOWN, FORMAT_VERSION,
 };
 use enterprise_graph::gen::{kronecker, road_grid};
 use std::path::PathBuf;
@@ -28,6 +31,40 @@ fn state_dir(name: &str) -> PathBuf {
     let d = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("persist").join(name);
     let _ = std::fs::remove_dir_all(&d);
     d
+}
+
+/// One record frame of the on-disk log format:
+/// `"ENTL" ‖ payload_len(u32 LE) ‖ fnv1a64(payload)(u64 LE) ‖ payload`.
+fn record(payload: &[u8]) -> Vec<u8> {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in payload {
+        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    let mut frame = b"ENTL".to_vec();
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&h.to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame
+}
+
+/// The byte size of each record frame in a log file.
+fn record_sizes(log: &[u8]) -> Vec<usize> {
+    let mut sizes = Vec::new();
+    let mut pos = 0;
+    while pos < log.len() {
+        let len = u32::from_le_bytes(log[pos + 4..pos + 8].try_into().unwrap()) as usize;
+        sizes.push(16 + len);
+        pos += 16 + len;
+    }
+    sizes
+}
+
+/// A header record payload of format `version`: tag 0, the version, then
+/// the driver kind and a graph fingerprint (zeros here).
+fn header_of_version(version: u32) -> Vec<u8> {
+    let mut payload = [0u32, version, 0].map(u32::to_le_bytes).concat();
+    payload.extend_from_slice(&[0u8; 24]);
+    payload
 }
 
 /// A watchdog that aborts the traversal after `levels` completed levels —
@@ -220,14 +257,10 @@ fn version_mismatch_is_rejected() {
     let source = 3u32;
     let dir = state_dir("version");
     std::fs::create_dir_all(&dir).unwrap();
-    // A frame from the future: valid magic, unknown format version.
+    // A log from the future: an intact header record of an unknown format
+    // version.
     assert_ne!(FORMAT_VERSION, 99);
-    let mut frame = Vec::new();
-    frame.extend_from_slice(b"ENTSNAP\0");
-    frame.extend_from_slice(&99u32.to_le_bytes());
-    frame.extend_from_slice(&0u64.to_le_bytes());
-    frame.extend_from_slice(&0u64.to_le_bytes());
-    std::fs::write(dir.join("layout.snap"), &frame).unwrap();
+    std::fs::write(dir.join("layout.snap"), record(&header_of_version(99))).unwrap();
 
     let cfg = EnterpriseConfig {
         persist: Some(PersistPolicy::layout_only(dir.clone())),
@@ -482,11 +515,12 @@ fn kill_after_eviction<S: Into<Shape> + Clone>(shape: FleetConfig<S>, tag: &str)
     panic!("{tag}: no seed in 0..300 produced a kill-after-eviction restart");
 }
 
-/// Satellite contract (§5g): steady-state checkpoints go out as sparse
-/// deltas against the last keyframe — materially smaller than a full
-/// snapshot on disk — and a restart replays keyframe + delta to the
-/// exact interrupted level, bit-identical to an uninterrupted run. Both
-/// partition shapes publish through the same writer.
+/// Satellite contract (§5g): steady-state checkpoints are appended to the
+/// one checkpoint log as sparse deltas against the record before them —
+/// each materially smaller than the keyframe — and a restart folds the
+/// keyframe and every delta to the exact interrupted level, bit-identical
+/// to an uninterrupted run. Both partition shapes publish through the
+/// same writer, and there is no second checkpoint file.
 #[test]
 fn delta_checkpoints_shrink_on_disk_and_resume_bit_identically() {
     delta_checkpoints(MultiGpuConfig::k40s(4), "1d");
@@ -502,16 +536,15 @@ fn delta_checkpoints<S: Into<Shape> + Clone>(base: FleetConfig<S>, tag: &str) {
     let persist = Some(PersistPolicy::with_checkpoints(dir.clone(), 1));
     let doomed = FleetConfig { persist: persist.clone(), watchdog: doom_after(4), ..base.clone() };
     assert!(Fleet::new(doomed, &g).try_bfs(source).is_err(), "{tag}");
-    let key = dir.join("checkpoint.snap");
-    let delta = dir.join("checkpoint.delta.snap");
-    assert!(key.exists(), "{tag}: keyframe must survive the crash");
-    assert!(delta.exists(), "{tag}: steady-state cadence must publish a delta");
-    let key_len = std::fs::metadata(&key).unwrap().len();
-    let delta_len = std::fs::metadata(&delta).unwrap().len();
-    assert!(
-        delta_len * 2 < key_len,
-        "{tag}: delta regressed: {delta_len} bytes vs {key_len}-byte keyframe"
-    );
+    let log = dir.join("checkpoint.snap");
+    assert!(log.exists(), "{tag}: the checkpoint log must survive the crash");
+    assert!(!dir.join("checkpoint.delta.snap").exists(), "{tag}: one checkpoint file");
+    // Header, the level-1 keyframe, then deltas for levels 2, 3 and 4.
+    let sizes = record_sizes(&std::fs::read(&log).unwrap());
+    assert_eq!(sizes.len(), 5, "{tag}: {sizes:?}");
+    for &delta in &sizes[2..] {
+        assert!(delta * 2 < sizes[1], "{tag}: delta regressed: {sizes:?}");
+    }
 
     let cfg = FleetConfig { persist, ..base };
     let resumed = Fleet::new(cfg, &g).try_bfs(source).expect("restart must recover");
@@ -524,6 +557,49 @@ fn delta_checkpoints<S: Into<Shape> + Clone>(base: FleetConfig<S>, tag: &str) {
     assert!(errors.is_empty(), "{tag}: {errors:?}");
     assert_eq!(resumed.levels, reference.levels, "{tag}");
     assert_eq!(resumed.parents, reference.parents, "{tag}");
-    assert!(!key.exists(), "{tag}: a finished run retires the keyframe");
-    assert!(!delta.exists(), "{tag}: a finished run retires the delta");
+    assert!(!log.exists(), "{tag}: a finished run retires the checkpoint log");
+}
+
+/// Files of format v4 — `ENTSNAP` whole-file frames under each of the
+/// three names, and a ledger log whose header carries version 4 — degrade
+/// to a cold start with a typed error each: no warm layout, no resumed
+/// checkpoint, no replayed outcome, and oracle-correct results.
+#[test]
+fn v4_snapshot_files_degrade_to_a_cold_start() {
+    let g = road_grid(16, 16, 0.05, 7);
+    let source = 1u32;
+    let oracle = cpu_levels(&g, source);
+    let v4_frame = |payload: &[u8]| {
+        let mut frame = b"ENTSNAP\0".to_vec();
+        frame.extend_from_slice(&4u32.to_le_bytes());
+        frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        frame.extend_from_slice(&0u64.to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame
+    };
+    let v4_ledger = [record(&header_of_version(4)), record(&[1, 0, 0, 0])].concat();
+    for (ledger, expect) in [
+        (v4_frame(b"v4 ledger"), PersistError::BadMagic),
+        (v4_ledger, PersistError::VersionMismatch { found: 4 }),
+    ] {
+        let dir = state_dir("v4");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("layout.snap"), v4_frame(b"v4 layout")).unwrap();
+        std::fs::write(dir.join("checkpoint.snap"), v4_frame(b"v4 keyframe")).unwrap();
+        std::fs::write(dir.join("batch.snap"), ledger).unwrap();
+        let cfg = MultiGpuConfig {
+            persist: Some(PersistPolicy::with_checkpoints(&dir, 1)),
+            ..MultiGpuConfig::k40s(4)
+        };
+        let mut fleet = Fleet::new(cfg, &g);
+        let r = fleet.try_bfs(source).expect("a cold start");
+        assert!(!r.recovery.warm_restart);
+        assert_eq!(r.recovery.resumed_at_level, None);
+        assert_eq!(r.recovery.snapshot_errors, [PersistError::BadMagic, PersistError::BadMagic]);
+        assert_eq!(r.levels, oracle);
+        let sources = [BatchSource::new(source), BatchSource::new(2)];
+        let report = fleet.batch(&sources, &BatchPolicy::on());
+        assert_eq!(report.manifest_errors, [expect]);
+        assert_eq!((report.resumed, report.completed), (0, 2));
+    }
 }

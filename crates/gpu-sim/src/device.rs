@@ -11,6 +11,28 @@ use crate::fault::{DeviceError, FaultPlan, FaultStats};
 use crate::memory::{BufferId, DeviceMem, L2Cache};
 use crate::sanitizer::{Sanitizer, SanitizerError};
 
+/// Largest shared-memory allocation of one CTA in bytes: the top of the
+/// configurable 16/32/48 KB split (§2.2), the same on every preset.
+pub const MAX_SHARED_PER_CTA: u32 = 48 * 1024;
+/// Global-memory access latency in cycles (Table 2: 200-400).
+pub const GLOBAL_LATENCY_CYCLES: f64 = 300.0;
+/// L2 hit latency in cycles.
+pub const L2_LATENCY_CYCLES: f64 = 80.0;
+/// Shared-memory latency in cycles (an order of magnitude faster than
+/// global per §2.2).
+pub const SHARED_LATENCY_CYCLES: f64 = 30.0;
+/// Scheduling cost per CTA (cycles a SMX's CTA slot machinery spends per
+/// block). Dominant for grids with one CTA per vertex (the BL baseline
+/// launches millions of mostly-idle CTAs).
+pub const CTA_DISPATCH_CYCLES: f64 = 30.0;
+/// Memory-level parallelism per warp: outstanding loads a single warp can
+/// keep in flight. Bounds the *critical path* of a warp that serially
+/// walks a long adjacency list (the workload-imbalance mechanism WB
+/// attacks).
+pub const WARP_MLP: f64 = 8.0;
+/// Dynamic power range in watts above idle at full utilization.
+pub const DYNAMIC_POWER_W: f64 = 60.0;
+
 /// Structural and timing parameters of a simulated GPU.
 #[derive(Clone, Debug)]
 pub struct DeviceConfig {
@@ -28,8 +50,6 @@ pub struct DeviceConfig {
     pub max_threads_per_smx: u32,
     /// Shared memory per SMX in bytes (K40: 64 KB).
     pub shared_mem_per_smx: u32,
-    /// Configurable shared-memory-per-CTA allocations (§2.2: 16/32/48 KB).
-    pub max_shared_per_cta: u32,
     /// L2 size in bytes (K40: 1.5 MB).
     pub l2_bytes: u64,
     /// Global memory in bytes (K40: 12 GB).
@@ -38,32 +58,14 @@ pub struct DeviceConfig {
     pub clock_mhz: f64,
     /// Achievable DRAM bandwidth in GB/s (§2.2: "close to 300 GB/s").
     pub dram_bandwidth_gbs: f64,
-    /// Global-memory access latency in cycles (Table 2: 200-400).
-    pub global_latency_cycles: f64,
-    /// L2 hit latency in cycles.
-    pub l2_latency_cycles: f64,
-    /// Shared-memory latency in cycles (an order of magnitude faster than
-    /// global per §2.2).
-    pub shared_latency_cycles: f64,
     /// Warp instructions each SMX can issue per cycle (Kepler: 4 warp
     /// schedulers).
     pub issue_width: u32,
     /// Fixed per-kernel-launch overhead in microseconds.
     pub launch_overhead_us: f64,
-    /// Scheduling cost per CTA (cycles a SMX's CTA slot machinery spends
-    /// per block). Dominant for grids with one CTA per vertex (the BL
-    /// baseline launches millions of mostly-idle CTAs).
-    pub cta_dispatch_cycles: f64,
-    /// Memory-level parallelism per warp: outstanding loads a single warp
-    /// can keep in flight. Bounds the *critical path* of a warp that
-    /// serially walks a long adjacency list (the workload-imbalance
-    /// mechanism WB attacks).
-    pub warp_mlp: f64,
     /// Idle (static) power in watts; calibrated so BFS-class kernels land
     /// in the paper's observed 60-90 W band (Fig. 16d).
     pub idle_power_w: f64,
-    /// Dynamic power range in watts above idle at full utilization.
-    pub dynamic_power_w: f64,
     /// Whether the device supports Hyper-Q concurrent kernels (Kepler
     /// yes, Fermi no — §2.2).
     pub hyper_q: bool,
@@ -80,20 +82,13 @@ impl DeviceConfig {
             max_ctas_per_smx: 16,
             max_threads_per_smx: 2048,
             shared_mem_per_smx: 64 * 1024,
-            max_shared_per_cta: 48 * 1024,
             l2_bytes: 1536 * 1024,
             global_mem_bytes: 12 << 30,
             clock_mhz: 875.0,
             dram_bandwidth_gbs: 288.0,
-            global_latency_cycles: 300.0,
-            l2_latency_cycles: 80.0,
-            shared_latency_cycles: 30.0,
             issue_width: 4,
             launch_overhead_us: 4.0,
-            cta_dispatch_cycles: 30.0,
-            warp_mlp: 8.0,
             idle_power_w: 55.0,
-            dynamic_power_w: 60.0,
             hyper_q: true,
         }
     }
@@ -120,7 +115,6 @@ impl DeviceConfig {
             max_ctas_per_smx: 8,
             max_threads_per_smx: 1536,
             shared_mem_per_smx: 48 * 1024,
-            max_shared_per_cta: 48 * 1024,
             l2_bytes: 768 * 1024,
             global_mem_bytes: 6 << 30,
             clock_mhz: 575.0,

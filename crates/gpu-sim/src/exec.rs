@@ -24,7 +24,10 @@
 //! cycle-accurate pipeline (DESIGN.md §5 records the rationale).
 
 use crate::counters::KernelRecord;
-use crate::device::Device;
+use crate::device::{
+    Device, CTA_DISPATCH_CYCLES, DYNAMIC_POWER_W, GLOBAL_LATENCY_CYCLES, L2_LATENCY_CYCLES,
+    MAX_SHARED_PER_CTA, SHARED_LATENCY_CYCLES, WARP_MLP,
+};
 use crate::fault::DeviceError;
 use crate::kernel::{CtaCtx, LaunchConfig, WarpCtx, WarpTiming, WARP_SIZE};
 
@@ -46,10 +49,10 @@ impl Device {
     pub fn occupancy(&self, cfg: &LaunchConfig) -> Occupancy {
         let c = &self.config;
         assert!(
-            cfg.shared_bytes_per_cta <= c.max_shared_per_cta,
+            cfg.shared_bytes_per_cta <= MAX_SHARED_PER_CTA,
             "shared request {} B exceeds per-CTA limit {} B",
             cfg.shared_bytes_per_cta,
-            c.max_shared_per_cta
+            MAX_SHARED_PER_CTA
         );
         let warps_per_cta = cfg.warps_per_cta();
         let mut ctas = c
@@ -236,10 +239,10 @@ impl Device {
         let mut blocks: Vec<u64> = Vec::with_capacity(WARP_SIZE as usize);
         let warps_per_cta = cfg.warps_per_cta();
         let timing = WarpTiming {
-            l2_latency: self.config.l2_latency_cycles,
-            dram_latency: self.config.global_latency_cycles,
-            shared_latency: self.config.shared_latency_cycles,
-            mlp: self.config.warp_mlp,
+            l2_latency: L2_LATENCY_CYCLES,
+            dram_latency: GLOBAL_LATENCY_CYCLES,
+            shared_latency: SHARED_LATENCY_CYCLES,
+            mlp: WARP_MLP,
         };
         let mut critical_path = 0.0f64;
 
@@ -326,19 +329,19 @@ impl Device {
         // poorly coalesced request issues many transactions and waits
         // correspondingly longer. Latencies overlap across the resident
         // warps of the busy SMXs.
-        let total_latency = stats.l2_hits as f64 * c.l2_latency_cycles
-            + stats.dram_transactions as f64 * c.global_latency_cycles;
+        let total_latency = stats.l2_hits as f64 * L2_LATENCY_CYCLES
+            + stats.dram_transactions as f64 * GLOBAL_LATENCY_CYCLES;
         let overlap = (occ.smxs_used * occ.resident_warps) as f64;
         stats.latency_cycles = total_latency / overlap
             + (stats.shared_accesses + stats.shared_bank_conflicts) as f64
-                * c.shared_latency_cycles
+                * SHARED_LATENCY_CYCLES
                 / overlap
             + stats.atomic_serialization_cycles as f64 / occ.smxs_used as f64;
 
         // CTA-dispatch throughput bound: every block costs scheduling
         // machinery on its SMX.
         stats.dispatch_cycles =
-            stats.grid_ctas as f64 * c.cta_dispatch_cycles / occ.smxs_used as f64;
+            stats.grid_ctas as f64 * CTA_DISPATCH_CYCLES / occ.smxs_used as f64;
 
         let overhead_cycles = c.launch_overhead_us * c.clock_mhz;
         stats.cycles = stats
@@ -357,7 +360,7 @@ impl Device {
         let activity = (stats.warp_instructions + stats.total_transactions()) as f64
             / ((c.issue_width * c.smx_count) as f64 * stats.cycles).max(1.0);
         let mix = 0.3 + 1.5 * activity;
-        stats.power_w = c.idle_power_w + c.dynamic_power_w * mix.min(1.0);
+        stats.power_w = c.idle_power_w + DYNAMIC_POWER_W * mix.min(1.0);
 
         // Straggler throttling (performance-fault plane): inflate the
         // charged *execution* duration — a thermally throttled part runs
@@ -444,7 +447,7 @@ impl Device {
                 .iter()
                 .map(|&i| self.records[i].grid_ctas as f64)
                 .sum::<f64>()
-                * c.cta_dispatch_cycles
+                * CTA_DISPATCH_CYCLES
                 / c.smx_count as f64;
             let overhead = c.launch_overhead_us * c.clock_mhz;
             compute.max(dram).max(latency).max(critical).max(dispatch) + overhead
