@@ -41,6 +41,13 @@
 //! one validity rule, `tiling`, so a degraded grid checkpoints and
 //! resumes on its survivors like a degraded 1-D fleet.
 //!
+//! A device's traversal state has one host-side form, the device image
+//! of [`crate::state`] (status, parents, live queues, hub table). The
+//! checkpoint taken at the top of every level is the durable checkpoint
+//! record itself; level replay and a resume install it through one
+//! fleet-level install, and a loss splice or an SDC repair installs an
+//! image rebuilt from the merged status.
+//!
 //! Parents are private to the discovering device; the final parent tree
 //! is gathered host-side (any device's recorded parent is valid because
 //! every discovery wrote a parent at the correct preceding level).
@@ -54,13 +61,13 @@ use crate::error::{BfsError, RecoveryPolicy, RecoveryReport};
 use crate::frontier::{enqueue_seed, try_generate_queues, try_measure_total_hubs, GenWorkflow};
 use crate::kernels::{try_expand_level, Direction};
 use crate::persist::{
-    encode, read_checkpoint, read_layout, truncate_queues, CheckpointSnapshot, CheckpointWriter,
-    DeviceCheckpoint, DriverKind, Extents, FleetRecord, GraphFingerprint, Header, LayoutSnapshot,
-    PersistError, PersistPolicy, SnapshotStore, CHECKPOINT_FILE, LAYOUT_FILE,
+    encode, read_checkpoint, read_layout, CheckpointSnapshot, CheckpointWriter, DriverKind,
+    Extents, FleetRecord, GraphFingerprint, Header, LayoutSnapshot, PersistError, PersistPolicy,
+    SnapshotStore, CHECKPOINT_FILE, LAYOUT_FILE,
 };
 use crate::rebalance::{self, DeviceTiming, ImbalanceDetector, RebalancePolicy};
 use crate::repartition::{self, PartitionArrays};
-use crate::state::BfsState;
+use crate::state::{BfsState, DeviceImage, HUB_EMPTY};
 use crate::status::{levels_from_raw, NO_PARENT, UNVISITED};
 use crate::validate::{audit, check_level, repair_vertices, ValidationError, VerifyPolicy};
 use crate::watchdog::{StallDetector, WatchdogPolicy};
@@ -533,18 +540,10 @@ fn slow_of(e: &DeviceError, multi: &MultiDevice) -> Option<(usize, f64)> {
     }
 }
 
-/// Per-device state snapshot used for level replay.
-struct DeviceSnapshot {
-    status: Vec<u32>,
-    parent: Vec<u32>,
-    queues: [Vec<u32>; 4],
-    queue_sizes: [usize; 4],
-}
-
-/// Cross-device checkpoint taken at the top of each level.
+/// The checkpoint taken at the top of each level: the record a durable
+/// checkpoint publishes, plus the trace length a replay truncates to.
 struct MultiCheckpoint {
-    devices: Vec<DeviceSnapshot>,
-    vars: LoopVars,
+    record: CheckpointSnapshot,
     trace_len: usize,
 }
 
@@ -1129,15 +1128,16 @@ impl Fleet {
         // Charge the simulated cost of moving the CSR views (plus one
         // status bitmap) to every survivor.
         walk.recovery.repartition_ms += self.charge(moved);
+        let images = &ckpt.record.devices;
         for (k, (d, ext)) in plan.into_iter().enumerate() {
             // Each recipient's checkpointed status already equals the
             // merged global view.
-            let status = ckpt.devices[d].status.clone();
-            let mut parent = ckpt.devices[d].parent.clone();
+            let status = images[d].status.clone();
+            let mut parent = images[d].parent.clone();
             if k == 0 {
-                repartition::merge_parents(&mut parent, &ckpt.devices[lost].parent);
+                repartition::merge_parents(&mut parent, &images[lost].parent);
             }
-            self.splice_device(d, ext, &status, &parent, walk.vars.dir, walk.level)?;
+            self.splice_device(d, ext, status, parent, walk.vars.dir, walk.level)?;
         }
         Ok(())
     }
@@ -1210,14 +1210,8 @@ impl Fleet {
             }
             let parent =
                 self.multi.device_ref(d).mem_ref().view(self.parts[d].state.parent).to_vec();
-            self.splice_device(
-                d,
-                Extent::strip(slice.clone()),
-                &status,
-                &parent,
-                dir,
-                rebuild_level,
-            )?;
+            let ext = Extent::strip(slice.clone());
+            self.splice_device(d, ext, status.clone(), parent, dir, rebuild_level)?;
         }
         if self.retired.len() > mark {
             self.fleet_epoch += 1;
@@ -1656,7 +1650,7 @@ impl Fleet {
         }
         let ckpt = self.checkpoint(walk);
         if !lane {
-            self.maybe_persist_checkpoint(&ckpt, walk);
+            self.maybe_persist_checkpoint(&ckpt, &mut walk.recovery);
         }
         let Some(done) = self.attempt_level(&ckpt, walk, lane)? else { return Ok(false) };
         if done {
@@ -1924,17 +1918,17 @@ impl Fleet {
         span_ms
     }
 
-    /// Re-uploads device `d`'s partition as `ext` and splices traversal
-    /// state onto it: status and parents as given, frontier queues
-    /// rebuilt host-side from the status array for `level`. The displaced
-    /// partition goes on the retired stack for restoration at the next
-    /// run's start.
+    /// Re-uploads device `d`'s partition as `ext` and installs the image
+    /// of a freshly placed state onto it: status and parents as given,
+    /// frontier queues rebuilt host-side from the status array for
+    /// `level`, and an empty hub table. The displaced partition goes on
+    /// the retired stack for restoration at the next run's start.
     fn splice_device(
         &mut self,
         d: usize,
         ext: Extent,
-        status: &[u32],
-        parent: &[u32],
+        status: Vec<u32>,
+        parent: Vec<u32>,
         dir: Direction,
         level: u32,
     ) -> Result<(), BfsError> {
@@ -1944,26 +1938,10 @@ impl Fleet {
         let mut part = try_place(device, graph, &ext, thresholds, entries, self.tau)?;
         // T_h is a global graph property, unchanged by repartitioning.
         part.state.total_hubs = self.parts[d].state.total_hubs;
-        let rebuilt = repartition::rebuild_queues(
-            status,
-            dir,
-            level,
-            &ext.td,
-            &ext.bu,
-            &view.out_offsets,
-            &view.in_offsets,
-            &thresholds,
-        );
-        let n = self.csr.vertex_count();
-        let mem = self.multi.device(d).mem();
-        mem.upload(part.state.status, status);
-        mem.upload(part.state.parent, parent);
-        for (buf, q) in part.state.queues.iter().zip(&rebuilt.queues) {
-            let mut padded = q.clone();
-            padded.resize(n, 0);
-            mem.upload(*buf, &padded);
-        }
-        part.state.queue_sizes = rebuilt.sizes;
+        let queues =
+            repartition::rebuild_queues(&status, dir, level, &ext.td, &ext.bu, &view, &thresholds);
+        let image = DeviceImage { status, parent, queues, hub_src: vec![HUB_EMPTY; entries] };
+        part.state.install(self.multi.device(d), &image);
         let old = std::mem::replace(&mut self.parts[d], part);
         self.retired.push((d, old));
         Ok(())
@@ -2042,7 +2020,6 @@ impl Fleet {
         if snap.source != walk.source {
             return Err(PersistError::SourceMismatch);
         }
-        let n = self.csr.vertex_count();
         if snap.extents.len() != self.parts.len() {
             return Err(PersistError::LayoutMismatch);
         }
@@ -2061,71 +2038,31 @@ impl Fleet {
             let lost = self.reshape(&snap.extents, &snap.evicted)?;
             walk.recovery.devices_lost.extend(lost);
         }
-        for (d, (dev, part)) in snap.devices.iter().zip(&mut self.parts).enumerate() {
-            if !self.multi.is_alive(d) {
-                continue;
-            }
-            let mem = self.multi.device(d).mem();
-            mem.upload(part.state.status, &dev.status);
-            mem.upload(part.state.parent, &dev.parent);
-            for (k, q) in dev.queues.iter().enumerate() {
-                let mut padded = q.clone();
-                padded.resize(n, 0);
-                mem.upload(part.state.queues[k], &padded);
-                part.state.queue_sizes[k] = q.len();
-            }
-            mem.upload(part.state.hub_src, &dev.hub_src);
-        }
+        self.install(&snap);
         walk.vars = snap.vars;
         walk.recovery.resumed_at_level = Some(snap.level);
         Ok(Some(snap.level))
     }
 
-    /// Publishes a durable mid-traversal checkpoint at the configured
+    /// Publishes the level checkpoint's record durably at the configured
     /// level cadence, as a sparse delta against the previous checkpoint
     /// (see [`CheckpointWriter`]) in steady state. A degraded fleet of any
     /// shape checkpoints too: evicted devices are listed in the eviction
     /// ledger with empty images, so a fresh process can rebuild the
     /// survivor splices and resume on the shrunken fleet. Failures are
     /// absorbed.
-    fn maybe_persist_checkpoint(&mut self, ckpt: &MultiCheckpoint, walk: &mut Walk) {
+    fn maybe_persist_checkpoint(&mut self, ckpt: &MultiCheckpoint, recovery: &mut RecoveryReport) {
         let Some(every) = self.config.persist.as_ref().and_then(|p| p.checkpoint_levels) else {
             return;
         };
-        let level = walk.level;
-        if level == 0 || level % every != 0 || self.store.is_none() {
+        let level = ckpt.record.level;
+        if level == 0 || level % every != 0 {
             return;
         }
-        let devices = self
-            .parts
-            .iter()
-            .enumerate()
-            .map(|(d, part)| {
-                if !self.multi.is_alive(d) {
-                    // Evicted: its extent lives on a survivor; persist an
-                    // empty image so resume never trusts stale state.
-                    return DeviceCheckpoint::default();
-                }
-                DeviceCheckpoint {
-                    status: ckpt.devices[d].status.clone(),
-                    parent: ckpt.devices[d].parent.clone(),
-                    queues: truncate_queues(&ckpt.devices[d].queues, &ckpt.devices[d].queue_sizes),
-                    hub_src: self.multi.device_ref(d).mem_ref().view(part.state.hub_src).to_vec(),
-                }
-            })
-            .collect();
-        let snap = CheckpointSnapshot {
-            source: walk.source,
-            level,
-            vars: ckpt.vars.clone(),
-            extents: self.extents(),
-            evicted: self.evicted(&walk.recovery),
-            devices,
-        };
-        let store = self.store.as_mut().expect("checked above");
-        match self.ckpt_writer.persist(store, snap) {
-            Ok(()) => walk.recovery.snapshots_persisted += 1,
-            Err(e) => walk.recovery.snapshot_errors.push(e),
+        let Some(store) = self.store.as_mut() else { return };
+        match self.ckpt_writer.persist(store, ckpt.record.clone()) {
+            Ok(()) => recovery.snapshots_persisted += 1,
+            Err(e) => recovery.snapshot_errors.push(e),
         }
     }
 
@@ -2234,9 +2171,9 @@ impl Fleet {
     /// End-of-level SDC verification on the merged global view (first
     /// alive device's post-merge status, first-wins parent gather). On a
     /// finding, localized repair restores from the merged checkpoint view
-    /// and, if the re-check is clean, uploads the healed arrays to
-    /// **every** alive device and rebuilds each device's queues host-side
-    /// against its own partition view.
+    /// and, if the re-check is clean, installs on **every** alive device
+    /// an image of the healed arrays, queues rebuilt host-side against the
+    /// device's own partition view, and the device's live hub table.
     fn verify_level(&mut self, ckpt: &MultiCheckpoint, walk: &mut Walk) -> Verdict {
         let (level, dir) = (walk.level, walk.vars.dir);
         let n = self.csr.vertex_count();
@@ -2257,10 +2194,11 @@ impl Fleet {
         if self.config.verify.repair {
             // Merged checkpoint view, trusted because verification ran
             // before the checkpoint was taken.
-            let ckpt_status = &ckpt.devices[d0].status;
+            let images = &ckpt.record.devices;
+            let ckpt_status = &images[d0].status;
             let mut ckpt_parent = vec![NO_PARENT; n];
             for &d in &alive {
-                repartition::merge_parents(&mut ckpt_parent, &ckpt.devices[d].parent);
+                repartition::merge_parents(&mut ckpt_parent, &images[d].parent);
             }
             repair_vertices(
                 &self.csr,
@@ -2280,26 +2218,22 @@ impl Fleet {
                 for &d in &alive {
                     let ext = self.parts[d].extent();
                     let view = ext.arrays(&self.csr);
-                    let rebuilt = repartition::rebuild_queues(
-                        &status,
-                        dir,
-                        level + 1,
-                        &ext.td,
-                        &ext.bu,
-                        &view.out_offsets,
-                        &view.in_offsets,
-                        &self.config.thresholds,
-                    );
-                    let state = &mut self.parts[d].state;
-                    let mem = self.multi.device(d).mem();
-                    mem.upload(state.status, &status);
-                    mem.upload(state.parent, &parent);
-                    for (buf, q) in state.queues.iter().zip(&rebuilt.queues) {
-                        let mut padded = q.clone();
-                        padded.resize(n, 0);
-                        mem.upload(*buf, &padded);
-                    }
-                    state.queue_sizes = rebuilt.sizes;
+                    let (state, device) = (&mut self.parts[d].state, self.multi.device(d));
+                    let image = DeviceImage {
+                        status: status.clone(),
+                        parent: parent.clone(),
+                        queues: repartition::rebuild_queues(
+                            &status,
+                            dir,
+                            level + 1,
+                            &ext.td,
+                            &ext.bu,
+                            &view,
+                            &self.config.thresholds,
+                        ),
+                        hub_src: device.mem_ref().view(state.hub_src).to_vec(),
+                    };
+                    state.install(device, &image);
                 }
                 // Termination recomputed from the healed status alone
                 // (grid queue totals may count a vertex once per block
@@ -2323,45 +2257,51 @@ impl Fleet {
         })
     }
 
-    /// Snapshots every device's traversal state plus `walk`'s loop
-    /// variables.
+    /// The level checkpoint: the record of every live device's image
+    /// (an empty one for each device already evicted), the placement and
+    /// `walk`'s loop variables, plus its trace length.
     fn checkpoint(&self, walk: &Walk) -> MultiCheckpoint {
         let devices = self
             .parts
             .iter()
             .enumerate()
             .map(|(d, part)| {
-                let mem = self.multi.device_ref(d).mem_ref();
-                DeviceSnapshot {
-                    status: mem.view(part.state.status).to_vec(),
-                    parent: mem.view(part.state.parent).to_vec(),
-                    queues: part.state.queues.map(|q| mem.view(q).to_vec()),
-                    queue_sizes: part.state.queue_sizes,
+                if self.multi.is_alive(d) {
+                    part.state.capture(self.multi.device_ref(d))
+                } else {
+                    DeviceImage::default()
                 }
             })
             .collect();
-        MultiCheckpoint { devices, vars: walk.vars.clone(), trace_len: walk.trace.len() }
+        let record = CheckpointSnapshot {
+            source: walk.source,
+            level: walk.level,
+            vars: walk.vars.clone(),
+            extents: self.extents(),
+            evicted: self.evicted(&walk.recovery),
+            devices,
+        };
+        MultiCheckpoint { record, trace_len: walk.trace.len() }
     }
 
-    /// Rolls every surviving device back to `ckpt` (a lost device's
-    /// buffers are never read again, so it is skipped). Simulated time is
-    /// not rolled back: faulted work costs wall-clock, as a real relaunch
-    /// would.
+    /// Rolls every surviving device and `walk` back to `ckpt`. Simulated
+    /// time is not rolled back: faulted work costs wall-clock, as a real
+    /// relaunch would.
     fn restore(&mut self, ckpt: &MultiCheckpoint, walk: &mut Walk) {
-        for ((d, part), snap) in self.parts.iter_mut().enumerate().zip(&ckpt.devices) {
-            if !self.multi.is_alive(d) {
-                continue;
-            }
-            let mem = self.multi.device(d).mem();
-            mem.upload(part.state.status, &snap.status);
-            mem.upload(part.state.parent, &snap.parent);
-            for (buf, data) in part.state.queues.iter().zip(&snap.queues) {
-                mem.upload(*buf, data);
-            }
-            part.state.queue_sizes = snap.queue_sizes;
-        }
-        walk.vars = ckpt.vars.clone();
+        self.install(&ckpt.record);
+        walk.vars = ckpt.record.vars.clone();
         walk.trace.truncate(ckpt.trace_len);
+    }
+
+    /// Installs `rec`'s images on every surviving device (a lost device's
+    /// buffers are never read again, so it is skipped): the one install
+    /// level replay and a resume share.
+    fn install(&mut self, rec: &CheckpointSnapshot) {
+        for ((d, part), image) in self.parts.iter_mut().enumerate().zip(&rec.devices) {
+            if self.multi.is_alive(d) {
+                part.state.install(self.multi.device(d), image);
+            }
+        }
     }
 
     /// Frontier total over surviving devices.

@@ -19,7 +19,10 @@
 //! - `layout.snap` is `[Header, Layout]`;
 //! - `checkpoint.snap` is `[Header, Keyframe, Delta…]`: each delta diffs
 //!   against the record before it, and a restore folds the intact deltas
-//!   over the keyframe in order;
+//!   over the keyframe in order. A keyframe is the driver's level
+//!   checkpoint itself — one device image (`state::DeviceImage`) per
+//!   device — so what a level replay restores and what a restart resumes
+//!   are the same record;
 //! - `batch.snap` is `[Header, (Outcome | Fleet)…]`.
 //!
 //! **Durability.** A whole log — a layout, a keyframe, a fresh ledger — is
@@ -41,6 +44,7 @@ use std::path::PathBuf;
 
 use crate::kernels::Direction;
 use crate::multi_gpu::LoopVars;
+use crate::state::DeviceImage;
 use enterprise_graph::Csr;
 use gpu_sim::{FaultPlan, FaultSpec, FaultStats};
 
@@ -876,20 +880,10 @@ pub(crate) fn read_ledger(
 // Checkpoint log: a keyframe, then deltas.
 // ---------------------------------------------------------------------------
 
-/// One live device's traversal image in a checkpoint (empty for an
-/// evicted device).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub(crate) struct DeviceCheckpoint {
-    pub status: Vec<u32>,
-    pub parent: Vec<u32>,
-    /// Queues truncated to their live sizes; sizes are the lengths.
-    pub queues: [Vec<u32>; 4],
-    pub hub_src: Vec<u32>,
-}
-
-/// A durable mid-traversal checkpoint: everything needed to resume a BFS at
-/// a level boundary in a fresh process — per-device status/parents/queues,
-/// hub-cache contents, and the direction-switch bookkeeping.
+/// A checkpoint at a level boundary: everything needed to replay the level
+/// or to resume the BFS there in a fresh process — one device image per
+/// device (status, parents, live queues, hub table) and the
+/// direction-switch bookkeeping.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct CheckpointSnapshot {
     pub source: u32,
@@ -899,11 +893,11 @@ pub(crate) struct CheckpointSnapshot {
     /// Per-device `(td, bu)` scan extents, device order.
     pub extents: Vec<Extents>,
     /// Devices already evicted when this checkpoint was taken, in eviction
-    /// order. Their positional [`DeviceCheckpoint`] entries carry empty
-    /// images (only survivors are restored); a resuming process re-evicts
-    /// them and rebuilds the survivors to the spliced `extents`.
+    /// order. Their positional images are empty (only survivors are
+    /// installed); a resuming process re-evicts them and rebuilds the
+    /// survivors to the spliced `extents`.
     pub evicted: Vec<u32>,
-    pub devices: Vec<DeviceCheckpoint>,
+    pub devices: Vec<DeviceImage>,
 }
 
 impl Body for CheckpointSnapshot {
@@ -930,7 +924,7 @@ impl Body for CheckpointSnapshot {
         let devices = extents
             .iter()
             .map(|_| {
-                Ok(DeviceCheckpoint {
+                Ok(DeviceImage {
                     status: dec.words()?,
                     parent: dec.words()?,
                     queues: [dec.words()?, dec.words()?, dec.words()?, dec.words()?],
@@ -1182,12 +1176,6 @@ pub(crate) fn read_checkpoint(
         }
     }
     Ok(Some(snap))
-}
-
-/// Truncate the full-capacity queue views to their live sizes for
-/// serialization (sizes are recovered as the lengths on restore).
-pub(crate) fn truncate_queues(queues: &[Vec<u32>; 4], sizes: &[usize; 4]) -> [Vec<u32>; 4] {
-    std::array::from_fn(|k| queues[k][..sizes[k].min(queues[k].len())].to_vec())
 }
 
 #[cfg(test)]

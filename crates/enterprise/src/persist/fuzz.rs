@@ -4,15 +4,16 @@
 //! all. For one device, a 1-D ×4 fleet and a 2×2 grid, a pristine state
 //! directory is built once: a layout, a checkpoint log holding a keyframe
 //! and a delta, and a batch ledger holding outcomes (and, on a fleet, a
-//! fleet record). Each case copies it, mutates one file at one of two
-//! depths — raw bytes (a bit flip, a truncation, or a splice of two files),
-//! or one decoded field set to an edge value with the log re-encoded under
-//! valid checksums — and points a fresh fleet at it. The oracle: setup is a
-//! typed error or a fleet; a traversal is a typed error or oracle-correct
-//! levels with audit-valid parents; a batch stays `accounted()` and every
-//! source it runs is oracle-correct (replayed outcomes are taken as
-//! recorded). A panic or a wrong result fails the test and names the seed,
-//! file and mutation.
+//! fleet record). Each case copies it, mutates one file — or, in the last
+//! cases, two different files, such as the layout and the checkpoint — at
+//! one of two depths — raw bytes (a bit flip, a truncation, or a splice of
+//! two files), or one decoded field set to an edge value with the log
+//! re-encoded under valid checksums — and points a fresh fleet at it. The
+//! oracle: setup is a typed error or a fleet; a traversal is a typed error
+//! or oracle-correct levels with audit-valid parents; a batch stays
+//! `accounted()` and every source it runs is oracle-correct (replayed
+//! outcomes are taken as recorded). A panic or a wrong result fails the
+//! test and names the seed and every file and mutation of the case.
 
 use super::*;
 use crate::multi_gpu::{Fleet, FleetConfig, Shape};
@@ -30,8 +31,10 @@ const SOURCE: VertexId = 1;
 /// The fuzzed batch: the pristine ledger holds the first two outcomes, so
 /// the batch replays them and runs the third.
 const BATCH: [VertexId; 3] = [1, 30, 77];
-/// Mutations per shape.
+/// One-file mutations per shape.
 const CASES: u64 = 64;
+/// Two-file mutations per shape, run after the one-file cases.
+const PAIR_CASES: u64 = 16;
 
 /// The fuzzed fleet's configuration. The sanitizer is pinned off, as in
 /// any environment: the target is the parser, and a device access out of
@@ -286,20 +289,29 @@ fn fuzz(shape: Shape, tag: &str) {
     let files = pristine(shape, &g, &root.join("pristine"));
     let case_dir = root.join("case");
     let mut failures = Vec::new();
-    for seed in 0..CASES {
+    for seed in 0..CASES + PAIR_CASES {
         let mut rng = DetRng::seed_from_u64(seed);
-        let target = rng.gen_index(FILES.len());
-        let (bytes, what) = mutate(&mut rng, &files, target, g.vertex_count());
+        let first = rng.gen_index(FILES.len());
+        let mut targets = vec![first];
+        if seed >= CASES {
+            targets.push((first + 1 + rng.gen_index(FILES.len() - 1)) % FILES.len());
+        }
+        let mut case = files.clone();
+        let mut whats = Vec::new();
+        for target in targets {
+            let (bytes, what) = mutate(&mut rng, &files, target, g.vertex_count());
+            case[target] = bytes;
+            whats.push(format!("{}: {what}", FILES[target]));
+        }
         let _ = fs::remove_dir_all(&case_dir);
         fs::create_dir_all(&case_dir).unwrap();
-        for (name, pristine) in FILES.iter().zip(&files) {
-            fs::write(case_dir.join(name), if *name == FILES[target] { &bytes } else { pristine })
-                .unwrap();
+        for (name, bytes) in FILES.iter().zip(&case) {
+            fs::write(case_dir.join(name), bytes).unwrap();
         }
         let verdict = catch_unwind(AssertUnwindSafe(|| check(shape, &g, &case_dir)))
             .unwrap_or_else(|_| Err("panicked".into()));
         if let Err(e) = verdict {
-            failures.push(format!("seed {seed}, {}: {what}: {e}", FILES[target]));
+            failures.push(format!("seed {seed}, {}: {e}", whats.join(" + ")));
         }
     }
     let _ = fs::remove_dir_all(&root);

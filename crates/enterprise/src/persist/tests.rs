@@ -76,7 +76,7 @@ fn sample_checkpoint(level: u32) -> CheckpointSnapshot {
         },
         extents: vec![(0..64, 0..64)],
         evicted: vec![],
-        devices: vec![DeviceCheckpoint {
+        devices: vec![DeviceImage {
             status: vec![u32::MAX; 64],
             parent: vec![u32::MAX; 64],
             queues: [vec![0], vec![], vec![], vec![]],
@@ -382,14 +382,6 @@ fn fingerprint_distinguishes_graphs() {
     let fb = GraphFingerprint::of(&b);
     assert_eq!(fa, GraphFingerprint::of(&a));
     assert_ne!(fa, fb);
-}
-
-#[test]
-fn truncate_queues_respects_sizes() {
-    let queues = [vec![1, 2, 3, 4], vec![5, 6], vec![7], vec![]];
-    let sizes = [2, 2, 0, 0];
-    let out = truncate_queues(&queues, &sizes);
-    assert_eq!(out, [vec![1, 2], vec![5, 6], vec![], vec![]]);
 }
 
 // ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@
 //!    knew about levels.
 //! 2. Parents are private to the discovering device, but the per-level
 //!    checkpoint holds a host-side copy of every device's parent array,
-//!    so the lost device's discoveries are recovered from its snapshot
+//!    so the lost device's discoveries are recovered from its image
 //!    and merged into the recipient ([`merge_parents`]).
 //!
 //! Frontier queues are rebuilt host-side from the checkpointed status
@@ -25,6 +25,8 @@
 //! unvisited vertices of the range — both in ascending order, classified
 //! by the *new* partition view's degrees, matching what the generation
 //! kernels would have produced had the merged device existed all along.
+//! The driver installs them as one device image with an empty hub table,
+//! as a freshly placed state holds.
 
 use crate::classify::ClassifyThresholds;
 use crate::kernels::Direction;
@@ -127,16 +129,9 @@ pub(crate) fn build_2d(csr: &Csr, rows: &Range<usize>, cols: &Range<usize>) -> P
     PartitionArrays { out_offsets, out_targets, in_offsets, in_sources }
 }
 
-/// The four class queues rebuilt host-side for a spliced partition.
-pub(crate) struct RebuiltQueues {
-    /// Entries per class, ascending vertex order.
-    pub(crate) queues: [Vec<u32>; 4],
-    /// Sizes mirroring `queues[k].len()`.
-    pub(crate) sizes: [usize; 4],
-}
-
-/// Rebuilds the frontier queues a merged device needs at the top of
-/// `level`, from the checkpointed (merged-global-view) status array.
+/// Rebuilds the four class queues a merged device needs at the top of
+/// `level`, from the checkpointed (merged-global-view) status array, each
+/// in ascending vertex order.
 ///
 /// * Top-down: the frontier is `{v in td_range : status[v] == level}`,
 ///   classified by the new view's *out*-degree (what expansion walks).
@@ -144,20 +139,18 @@ pub(crate) struct RebuiltQueues {
 ///   classified by the new view's *in*-degree (what inspection walks) —
 ///   the same rule the direction-switch scan applies, which the filter
 ///   workflow then preserves.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn rebuild_queues(
     status: &[u32],
     dir: Direction,
     level: u32,
     td_range: &Range<usize>,
     bu_range: &Range<usize>,
-    out_offsets: &[u32],
-    in_offsets: &[u32],
+    view: &PartitionArrays,
     thresholds: &ClassifyThresholds,
-) -> RebuiltQueues {
+) -> [Vec<u32>; 4] {
     let (range, match_status, class_offsets) = match dir {
-        Direction::TopDown => (td_range, level, out_offsets),
-        Direction::BottomUp => (bu_range, UNVISITED, in_offsets),
+        Direction::TopDown => (td_range, level, &view.out_offsets),
+        Direction::BottomUp => (bu_range, UNVISITED, &view.in_offsets),
     };
     let mut queues: [Vec<u32>; 4] = Default::default();
     for v in range.clone() {
@@ -166,8 +159,7 @@ pub(crate) fn rebuild_queues(
             queues[thresholds.classify(deg).index()].push(v as u32);
         }
     }
-    let sizes = [queues[0].len(), queues[1].len(), queues[2].len(), queues[3].len()];
-    RebuiltQueues { queues, sizes }
+    queues
 }
 
 /// Merges the lost device's checkpointed parents into the recipient's:
@@ -285,19 +277,9 @@ mod tests {
         // status: 0 at level 0, 1..=2 at level 1, rest unvisited.
         let status = [0, 1, 1, UNVISITED, UNVISITED, UNVISITED];
         let thresholds = ClassifyThresholds::default();
-        let r = rebuild_queues(
-            &status,
-            Direction::TopDown,
-            1,
-            &(0..6),
-            &(0..6),
-            &p.out_offsets,
-            &p.in_offsets,
-            &thresholds,
-        );
+        let r = rebuild_queues(&status, Direction::TopDown, 1, &(0..6), &(0..6), &p, &thresholds);
         // Line graph: out-degree 1 -> Small class, ascending order.
-        assert_eq!(r.queues[0], vec![1, 2]);
-        assert_eq!(r.sizes, [2, 0, 0, 0]);
+        assert_eq!(r, [vec![1, 2], vec![], vec![], vec![]]);
     }
 
     #[test]
@@ -306,17 +288,8 @@ mod tests {
         let p = build_1d(&g, &(0..6));
         let status = [0, 1, UNVISITED, UNVISITED, 2, UNVISITED];
         let thresholds = ClassifyThresholds::default();
-        let r = rebuild_queues(
-            &status,
-            Direction::BottomUp,
-            2,
-            &(0..6),
-            &(1..6),
-            &p.out_offsets,
-            &p.in_offsets,
-            &thresholds,
-        );
-        assert_eq!(r.queues[0], vec![2, 3, 5]);
+        let r = rebuild_queues(&status, Direction::BottomUp, 2, &(0..6), &(1..6), &p, &thresholds);
+        assert_eq!(r[0], vec![2, 3, 5]);
     }
 
     #[test]

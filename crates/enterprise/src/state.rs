@@ -1,5 +1,13 @@
 //! Device-resident BFS working state shared by the queue-generation and
-//! expansion kernels.
+//! expansion kernels, and its one host-side image.
+//!
+//! A `DeviceImage` is everything a traversal carries across a level
+//! boundary on one device: status, parents, the live queue entries and the
+//! hub table. The hub table belongs in it because a cached hub means
+//! "visited at this level": the bottom-up kernels adopt it as a parent
+//! without reading its status. `BfsState::capture` takes the one image and
+//! `BfsState::install` applies it, for level replay, durable checkpoints
+//! and resume, loss splices and SDC repair alike.
 
 use crate::classify::ClassifyThresholds;
 use crate::device_graph::DeviceGraph;
@@ -8,6 +16,19 @@ use gpu_sim::{BufferId, Device, DeviceError};
 
 /// Sentinel for an empty hub-cache slot.
 pub const HUB_EMPTY: u32 = u32::MAX;
+
+/// One device's traversal state at a level boundary, as the host holds
+/// it. A device already evicted carries an empty image.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct DeviceImage {
+    pub status: Vec<u32>,
+    pub parent: Vec<u32>,
+    /// The live entries of the four class queues; the sizes are the
+    /// lengths.
+    pub queues: [Vec<u32>; 4],
+    /// The hub table (`hub_cache_entries` slots).
+    pub hub_src: Vec<u32>,
+}
 
 /// Device buffers used by one BFS run.
 pub struct BfsState {
@@ -198,6 +219,36 @@ impl BfsState {
         vertex as usize % self.hub_cache_entries
     }
 
+    /// The device's image: every buffer whole, the queues cut to their
+    /// live sizes.
+    pub(crate) fn capture(&self, device: &Device) -> DeviceImage {
+        let mem = device.mem_ref();
+        DeviceImage {
+            status: mem.view(self.status).to_vec(),
+            parent: mem.view(self.parent).to_vec(),
+            queues: std::array::from_fn(|k| {
+                let q = mem.view(self.queues[k]);
+                q[..self.queue_sizes[k].min(q.len())].to_vec()
+            }),
+            hub_src: mem.view(self.hub_src).to_vec(),
+        }
+    }
+
+    /// Uploads `image` to the device: each queue padded to its buffer's
+    /// length, the queue sizes taken from the queue lengths.
+    pub(crate) fn install(&mut self, device: &mut Device, image: &DeviceImage) {
+        let mem = device.mem();
+        mem.upload(self.status, &image.status);
+        mem.upload(self.parent, &image.parent);
+        for ((&buf, size), q) in self.queues.iter().zip(&mut self.queue_sizes).zip(&image.queues) {
+            let mut padded = q.clone();
+            padded.resize(mem.len(buf), 0);
+            mem.upload(buf, &padded);
+            *size = q.len();
+        }
+        mem.upload(self.hub_src, &image.hub_src);
+    }
+
     /// Resets per-run device state (status, parent, queue sizes, hub
     /// staging) without reallocating.
     pub fn reset(&mut self, device: &mut Device) {
@@ -234,5 +285,36 @@ mod tests {
         st.reset(&mut d);
         assert_eq!(st.total_frontier(), 0);
         assert_eq!(st.hub_slot(1024 + 7), 7);
+    }
+
+    /// Capture cuts each queue to its live size and install pads it back
+    /// to the buffer, taking the sizes from the lengths; the round trip
+    /// carries every buffer, the hub table included.
+    #[test]
+    fn capture_cuts_queues_and_install_pads_them() {
+        let g = kronecker(8, 4, 1);
+        let n = g.vertex_count();
+        let mut d = Device::new(DeviceConfig::k40());
+        let dg = crate::device_graph::DeviceGraph::upload(&mut d, &g);
+        let mut st = BfsState::new(&mut d, &dg, ClassifyThresholds::default(), 16, 100);
+        let queues: [Vec<u32>; 4] = [vec![1, 2, 3, 4], vec![5, 6], vec![7], vec![]];
+        for (&buf, q) in st.queues.iter().zip(&queues) {
+            let mut full = q.clone();
+            full.resize(n, 9);
+            d.mem().upload(buf, &full);
+        }
+        st.queue_sizes = [2, 2, 0, 0];
+        d.mem().set(st.status, 3, 1);
+        d.mem().set(st.hub_src, 5, 21);
+        let image = st.capture(&d);
+        assert_eq!(image.queues, [vec![1, 2], vec![5, 6], vec![], vec![]]);
+        assert_eq!((image.status[3], image.hub_src[5]), (1, 21));
+
+        st.reset(&mut d);
+        st.install(&mut d, &image);
+        assert_eq!(st.queue_sizes, [2, 2, 0, 0]);
+        let small = d.mem_ref().view(st.queues[0]);
+        assert_eq!((small.len(), &small[..3]), (n, &[1, 2, 0][..]));
+        assert_eq!(st.capture(&d), image);
     }
 }

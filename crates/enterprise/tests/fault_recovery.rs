@@ -1,15 +1,20 @@
 //! Fault-injection recovery properties: random power-law graphs crossed
 //! with random fault seeds (rates up to 20%) must traverse correctly,
-//! report recovery activity, and be bit-reproducible; a zero-rate plan
-//! must be a strict no-op; device OOM must degrade to the CPU baseline
-//! (or, at fleet construction, surface as a typed error).
+//! report recovery activity, and be bit-reproducible; level replay must
+//! come back oracle-correct, one traversal or a batch on either plane at a
+//! time; a zero-rate plan must be a strict no-op; device OOM must degrade
+//! to the CPU baseline (or, at fleet construction, surface as a typed
+//! error).
 
 use enterprise::multi_gpu::{Fleet, MultiGpuConfig, MultiGpuEnterprise};
 use enterprise::multi_gpu_2d::{Grid2DConfig, MultiGpu2DEnterprise};
 use enterprise::validate::cpu_levels;
-use enterprise::{BfsError, Enterprise, EnterpriseConfig, FaultSpec, RecoveryPolicy, VerifyPolicy};
-use enterprise_graph::gen::{kronecker, social, SocialParams};
-use enterprise_graph::{Csr, GraphBuilder};
+use enterprise::{
+    audit, BatchPolicy, BatchSource, BfsError, Enterprise, EnterpriseConfig, FaultSpec,
+    RecoveryPolicy, VerifyPolicy,
+};
+use enterprise_graph::gen::{kronecker, rmat, social, SocialParams};
+use enterprise_graph::{Csr, GraphBuilder, VertexId};
 use gpu_sim::DeviceConfig;
 use sim_rng::DetRng;
 
@@ -58,23 +63,85 @@ fn single_gpu_recovers_on_random_graphs_and_seeds() {
     assert!(total_faults > 0, "the sweep never injected a fault — rates or plan are broken");
 }
 
+/// Panics naming `what` unless the traversal from `source` has the CPU
+/// oracle's levels and audit-valid parents.
+fn assert_oracle_correct(
+    g: &Csr,
+    what: &str,
+    source: VertexId,
+    levels: &[Option<u32>],
+    parents: &[Option<VertexId>],
+) {
+    assert!(levels == cpu_levels(g, source), "{what}: levels differ from the oracle");
+    if let Err(e) = audit(g, source, levels, parents) {
+        panic!("{what}: parents fail the audit: {e}");
+    }
+}
+
+/// The level-replay graphs: Kronecker and R-MAT at scale 11, both of
+/// which switch to bottom-up with the hub cache filled.
+fn replay_graphs() -> [(&'static str, Csr); 2] {
+    [("kron11", kronecker(11, 8, 5)), ("rmat11", rmat(11, 8, 7))]
+}
+
+/// With no in-driver relaunches every injected kernel fault escalates to
+/// a checkpoint replay of the whole level, and the replayed level must
+/// read the checkpoint's hub table, not the failed attempt's table of
+/// next-level hubs: a seeded sweep must come back oracle-correct with
+/// audit-valid parents.
 #[test]
 fn level_replay_recovers_when_in_driver_retry_is_disabled() {
-    let g = kronecker(10, 8, 21);
-    let cfg = EnterpriseConfig {
-        faults: Some(runtime_faults(7, 0.08)),
-        recovery: RecoveryPolicy { max_level_retries: 64, ..RecoveryPolicy::default() },
-        ..EnterpriseConfig::default()
-    };
-    let mut e = Enterprise::new(cfg, &g);
-    // No in-driver relaunches: every injected kernel fault must escalate
-    // to a checkpoint replay of the whole level.
-    e.set_launch_retries(0);
-    let r = e.try_bfs(3).expect("recovers via level replay");
-    assert_eq!(r.levels, cpu_levels(&g, 3));
-    assert!(r.recovery.levels_replayed > 0, "faults were injected but no level was replayed");
-    assert_eq!(r.recovery.faults.kernel_retries, 0);
-    assert!(r.recovery.faults.kernel_faults > 0);
+    for (name, g) in replay_graphs() {
+        for seed in 1..=12 {
+            let cfg = EnterpriseConfig {
+                faults: Some(runtime_faults(seed, 0.10)),
+                recovery: RecoveryPolicy { max_level_retries: 64, ..RecoveryPolicy::default() },
+                ..EnterpriseConfig::default()
+            };
+            let mut e = Enterprise::new(cfg, &g);
+            e.set_launch_retries(0);
+            let what = format!("{name} fault seed {seed}");
+            let r = e.try_bfs(1).unwrap_or_else(|err| panic!("{what}: {err}"));
+            assert_oracle_correct(&g, &what, 1, &r.levels, &r.parents);
+            assert!(r.recovery.faults.kernel_faults > 0, "{what}: no kernel fault fired");
+            assert!(r.recovery.levels_replayed > 0, "{what}: no level was replayed");
+            assert_eq!(r.recovery.faults.kernel_retries, 0, "{what}");
+        }
+    }
+}
+
+/// Level replay inside a batch: a 1-D x2 fleet with relaunches off serves
+/// eight sources under kernel faults, on the sequential and the pipelined
+/// plane, over four fault seeds, and every source it completes is
+/// oracle-correct.
+#[test]
+fn batch_level_replay_is_oracle_correct_on_both_planes() {
+    let planes = [("on", BatchPolicy::on()), ("pipelined4", BatchPolicy::pipelined(4))];
+    for (name, g) in replay_graphs() {
+        let n = g.vertex_count() as u32;
+        let sources: Vec<BatchSource> =
+            (0..8u32).map(|i| BatchSource::new((i * 263 + 1) % n)).collect();
+        for ((mode, policy), seed) in planes.iter().flat_map(|p| (1..=4).map(move |s| (p, s))) {
+            let cfg = MultiGpuConfig {
+                faults: Some(FaultSpec { kernel_fault_rate: 0.05, ..FaultSpec::none(seed) }),
+                ..MultiGpuConfig::k40s(2)
+            };
+            let mut sys = Fleet::new(cfg, &g);
+            sys.set_launch_retries(0);
+            let report = sys.batch(&sources, policy);
+            let (mut completed, mut replayed) = (0, 0);
+            for run in &report.runs {
+                if let Some(r) = &run.result {
+                    let what = format!("{name} {mode} fault seed {seed} source {}", run.source);
+                    assert_oracle_correct(&g, &what, run.source, &r.levels, &r.parents);
+                    completed += 1;
+                    replayed += r.recovery.levels_replayed;
+                }
+            }
+            let what = format!("{name} {mode} fault seed {seed}");
+            assert!(completed > 0 && replayed > 0, "{what}: {completed} completed, {replayed} replays");
+        }
+    }
 }
 
 #[test]

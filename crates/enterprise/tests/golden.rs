@@ -13,11 +13,17 @@
 //! Any change to the simulated behaviour of a shape shows up as a diff.
 //! On a mismatch the regenerated fixture is written next to the test
 //! binary's scratch directory and the first differing line is reported.
+//!
+//! A fixture pins only correct answers: the generator checks every `Ok`
+//! traversal, and every completed source of a batch, against the CPU
+//! oracle's levels and the parent audit before writing it, and panics
+//! naming the line's tag otherwise.
 
 use enterprise::multi_gpu::{MultiBfsResult, MultiGpuConfig, MultiGpuEnterprise};
 use enterprise::multi_gpu_2d::{Grid2DConfig, MultiGpu2DEnterprise};
+use enterprise::validate::cpu_levels;
 use enterprise::{
-    BatchPolicy, BatchReport, BatchSource, BfsError, BfsResult, DirectionPolicy, Enterprise,
+    audit, BatchPolicy, BatchReport, BatchSource, BfsError, BfsResult, DirectionPolicy, Enterprise,
     EnterpriseConfig, FaultSpec, PersistPolicy, RebalancePolicy, RoutePolicy, VerifyPolicy,
     CHAOS_LINK_FLAP_PERIOD_LEVELS, CHAOS_STRAGGLER_SLOWDOWN,
 };
@@ -120,7 +126,43 @@ fn digest(levels: &[Option<u32>], parents: &[Option<VertexId>]) -> u64 {
     h
 }
 
-fn run_line(out: &mut String, tag: &str, source: VertexId, r: Result<MultiBfsResult, BfsError>) {
+/// A driver result's levels and parents, as the oracle check reads them.
+trait Traversal {
+    fn tree(&self) -> (&[Option<u32>], &[Option<VertexId>]);
+}
+
+impl Traversal for MultiBfsResult {
+    fn tree(&self) -> (&[Option<u32>], &[Option<VertexId>]) {
+        (&self.levels, &self.parents)
+    }
+}
+
+impl Traversal for BfsResult {
+    fn tree(&self) -> (&[Option<u32>], &[Option<VertexId>]) {
+        (&self.levels, &self.parents)
+    }
+}
+
+/// Panics naming `tag` unless `r` is oracle-correct from `source`: the
+/// CPU oracle's levels, and parents that pass the audit.
+fn check(g: &Csr, tag: &str, source: VertexId, r: &impl Traversal) {
+    let (levels, parents) = r.tree();
+    assert!(levels == cpu_levels(g, source), "{tag} src={source}: levels differ from the oracle");
+    if let Err(e) = audit(g, source, levels, parents) {
+        panic!("{tag} src={source}: parents fail the audit: {e}");
+    }
+}
+
+fn run_line(
+    out: &mut String,
+    g: &Csr,
+    tag: &str,
+    source: VertexId,
+    r: Result<MultiBfsResult, BfsError>,
+) {
+    if let Ok(r) = &r {
+        check(g, tag, source, r);
+    }
     match r {
         Ok(r) => writeln!(
             out,
@@ -135,7 +177,12 @@ fn run_line(out: &mut String, tag: &str, source: VertexId, r: Result<MultiBfsRes
     .unwrap();
 }
 
-fn batch_line<R>(out: &mut String, tag: &str, report: &BatchReport<R>) {
+fn batch_line<R: Traversal>(out: &mut String, g: &Csr, tag: &str, report: &BatchReport<R>) {
+    for run in &report.runs {
+        if let Some(r) = &run.result {
+            check(g, tag, run.source, r);
+        }
+    }
     write!(
         out,
         "{tag} batch_ms={:016x} retries={} hedges={} runs=",
@@ -232,7 +279,7 @@ fn generate() -> String {
                 let tag = format!("{gname} {} {}", shape.tag(), plane.name);
                 with_driver!(shape, plane, g, |sys| {
                     for s in sources {
-                        run_line(&mut out, &tag, s, sys.try_bfs(s));
+                        run_line(&mut out, g, &tag, s, sys.try_bfs(s));
                     }
                 });
             }
@@ -240,7 +287,7 @@ fn generate() -> String {
                 for (mode, policy) in batch_policies() {
                     let tag = format!("{gname} {} {} {mode}", shape.tag(), plane.name);
                     with_driver!(shape, plane, g, |sys| {
-                        batch_line(&mut out, &tag, &sys.batch(&batch, &policy));
+                        batch_line(&mut out, g, &tag, &sys.batch(&batch, &policy));
                     });
                 }
             }
@@ -304,11 +351,18 @@ fn single_planes(state_dir: &std::path::Path) -> Vec<SinglePlane> {
     ]
 }
 
-fn single_line(out: &mut String, tag: &str, source: VertexId, r: Result<BfsResult, BfsError>) {
+fn single_line(
+    out: &mut String,
+    g: &Csr,
+    tag: &str,
+    source: VertexId,
+    r: Result<BfsResult, BfsError>,
+) {
     let r = match r {
         Ok(r) => r,
         Err(e) => return writeln!(out, "{tag} src={source} err={e:?}").unwrap(),
     };
+    check(g, tag, source, &r);
     write!(
         out,
         "{tag} src={source} digest={:016x} time={:016x} recovery={:?} report={:?} records={} levels=",
@@ -351,14 +405,14 @@ fn generate_single() -> String {
                 sys.set_launch_retries(retries);
             }
             for s in sources {
-                single_line(&mut out, &tag, s, sys.try_bfs(s));
+                single_line(&mut out, g, &tag, s, sys.try_bfs(s));
             }
         }
         for plane in [&planes[0], &planes[1]] {
             for (mode, policy) in batch_policies() {
                 let tag = format!("{gname} {} {mode}", plane.name);
                 let mut sys = Enterprise::new(plane.config.clone(), g);
-                batch_line(&mut out, &tag, &sys.batch(&batch, &policy));
+                batch_line(&mut out, g, &tag, &sys.batch(&batch, &policy));
             }
         }
     }
