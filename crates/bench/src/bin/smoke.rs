@@ -149,6 +149,42 @@ fn main() {
             "elastic: lost devices {lost:?}, {replayed} levels replayed, \
              {repart_ms:.3} ms repartitioning, finished on {alive} GPUs, result validated"
         );
+
+        // The grid shape on the same graph: a clean 2x2 traversal, then
+        // one whose serialized exchanges drop and corrupt messages under
+        // the armed router. Both must match the oracle with valid
+        // parents, and the faulty one must have retried its exchanges
+        // (the first of a few fault seeds that does; every run checked).
+        use enterprise::multi_gpu_2d::{Grid2DConfig, MultiGpu2DEnterprise};
+        let oracle = cpu_levels(&mg, 0);
+        let grid_checked = |r: &enterprise::multi_gpu::MultiBfsResult, tag: &str| {
+            assert_eq!(r.levels, oracle, "{tag} 2x2 grid diverged from the CPU oracle");
+            enterprise::audit(&mg, 0, &r.levels, &r.parents)
+                .unwrap_or_else(|e| panic!("{tag} 2x2 grid parents failed the audit: {e}"));
+        };
+        let grid = MultiGpu2DEnterprise::new(Grid2DConfig::k40s(2, 2), &mg).bfs(0);
+        grid_checked(&grid, "clean");
+        let wire = (0..8u64)
+            .map(|k| {
+                let cfg = Grid2DConfig {
+                    faults: Some(FaultSpec {
+                        exchange_drop_rate: 0.2,
+                        exchange_corrupt_rate: 0.2,
+                        ..FaultSpec::none(bench::run_seed().wrapping_add(k))
+                    }),
+                    route: enterprise::RoutePolicy::on(),
+                    ..Grid2DConfig::k40s(2, 2)
+                };
+                let r = MultiGpu2DEnterprise::new(cfg, &mg).bfs(0);
+                grid_checked(&r, "faulty-wire");
+                r
+            })
+            .find(|r| r.recovery.exchange_retries > 0 && !r.recovery.cpu_fallback)
+            .expect("no fault seed in 8 made the router retry and absorb a wire fault");
+        println!(
+            "grid: 2x2 clean and faulty-wire runs validated, {} exchange retries, {:.3} ms backoff",
+            wire.recovery.exchange_retries, wire.recovery.backoff_ms
+        );
     }
 
     // Sanitizer smoke: the strict no-op property, asserted once per run.

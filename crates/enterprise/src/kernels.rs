@@ -1,20 +1,25 @@
 //! Expansion/inspection kernels (§4.2, §4.3).
 //!
-//! Four granularities service the four class queues — Thread (SmallQueue),
-//! Warp (MiddleQueue), CTA (LargeQueue), Grid (ExtremeQueue) — launched
-//! concurrently under Hyper-Q. Each has a top-down and a bottom-up
-//! variant; the bottom-up variants optionally carry the shared-memory hub
-//! cache: CTAs cooperatively stage the global hub table into shared
-//! memory and probe it for every inspected neighbour *before* touching
-//! that neighbour's status word in global memory — the neighbour ids of
-//! the current chunk stay in registers, so a hit terminates the
-//! inspection with no global status traffic for the chunk at all
-//! (Figure 12's 10-95% transaction savings).
+//! Four granularities service the four class queues, launched
+//! concurrently under Hyper-Q: the Thread kernel gives each thread one
+//! SmallQueue frontier, and one striped kernel serves the three
+//! shared-frontier classes — Warp (MiddleQueue: one warp per frontier),
+//! CTA (LargeQueue: one CTA's 8 warps stripe a frontier) and Grid
+//! (ExtremeQueue: all 960 warps stripe each frontier in turn) — with one
+//! inspection that differs only in how a warp finds its frontier and how
+//! many warps share it. Each has a top-down and a bottom-up variant; the
+//! bottom-up variants optionally carry the shared-memory hub cache: CTAs
+//! cooperatively stage the global hub table into shared memory and probe
+//! it for every inspected neighbour *before* touching that neighbour's
+//! status word in global memory — the neighbour ids of the current chunk
+//! stay in registers, so a hit terminates the inspection with no global
+//! status traffic for the chunk at all (Figure 12's 10-95% transaction
+//! savings).
 
 use crate::device_graph::DeviceGraph;
 use crate::state::BfsState;
 use crate::status::UNVISITED;
-use gpu_sim::{BufferId, Device, DeviceError, LaunchConfig, WarpCtx, WARP_SIZE};
+use gpu_sim::{BufferId, Device, DeviceError, LaunchConfig, Lanes, WarpCtx, WARP_SIZE};
 
 const W: usize = WARP_SIZE as usize;
 
@@ -44,8 +49,15 @@ pub const GRID_KERNEL_CTAS: u32 = 120;
 /// CTA width shared by all expansion kernels.
 pub const CTA_THREADS: u32 = 256;
 
+/// Warps sharing one frontier in the CTA kernel.
+const CTA_WARPS: usize = (CTA_THREADS / WARP_SIZE) as usize;
+/// Warps sharing every frontier in the Grid kernel.
+const GRID_WARPS: usize = (GRID_KERNEL_CTAS * CTA_THREADS / WARP_SIZE) as usize;
+
 /// Launch parameters common to one expansion pass.
+#[derive(Clone, Copy)]
 struct Pass {
+    dir: Direction,
     queue: BufferId,
     size: usize,
     level: u32,
@@ -75,6 +87,7 @@ impl Pass {
             Direction::BottomUp => (g.in_offsets, g.in_sources),
         };
         Pass {
+            dir,
             queue: st.queues[class_idx],
             size: st.queue_sizes[class_idx],
             level,
@@ -153,7 +166,7 @@ pub fn try_expand_level(
     if !balanced {
         let pass = Pass::new(g, st, 0, level, dir, use_hc);
         if pass.size > 0 {
-            launch_warp_kernel(device, "Warp(unbalanced)", dir, pass)?;
+            launch_striped_kernel(device, "Warp(unbalanced)", pass, 1)?;
         }
         return Ok(());
     }
@@ -164,11 +177,10 @@ pub fn try_expand_level(
             continue;
         }
         let pass = Pass::new(g, st, class_idx, level, dir, use_hc);
+        let name = kernel_name(dir, class_idx);
         outcome = match class_idx {
-            0 => launch_thread_kernel(device, kernel_name(dir, "Thread"), dir, pass),
-            1 => launch_warp_kernel(device, kernel_name(dir, "Warp"), dir, pass),
-            2 => launch_cta_kernel(device, kernel_name(dir, "CTA"), dir, pass),
-            _ => launch_grid_kernel(device, kernel_name(dir, "Grid"), dir, pass),
+            0 => launch_thread_kernel(device, name, pass),
+            _ => launch_striped_kernel(device, name, pass, class_idx),
         };
         if outcome.is_err() {
             break;
@@ -182,34 +194,17 @@ pub fn try_expand_level(
     outcome.and(window)
 }
 
-fn kernel_name(dir: Direction, base: &'static str) -> &'static str {
-    match (dir, base) {
-        (Direction::TopDown, "Thread") => "Thread",
-        (Direction::TopDown, "Warp") => "Warp",
-        (Direction::TopDown, "CTA") => "CTA",
-        (Direction::TopDown, "Grid") => "Grid",
-        (Direction::BottomUp, "Thread") => "Thread(bu)",
-        (Direction::BottomUp, "Warp") => "Warp(bu)",
-        (Direction::BottomUp, "CTA") => "CTA(bu)",
-        _ => "Grid(bu)",
-    }
+fn kernel_name(dir: Direction, class_idx: usize) -> &'static str {
+    const NAMES: [[&str; 4]; 2] =
+        [["Thread", "Warp", "CTA", "Grid"], ["Thread(bu)", "Warp(bu)", "CTA(bu)", "Grid(bu)"]];
+    NAMES[usize::from(dir == Direction::BottomUp)][class_idx]
 }
 
 /// Thread kernel: one thread per frontier (SmallQueue, degree < 32).
-fn launch_thread_kernel(
-    device: &mut Device,
-    name: &str,
-    dir: Direction,
-    p: Pass,
-) -> Result<(), DeviceError> {
-    let cfg = p.launch_config(0);
-    let size = p.size;
-    let hub_entries = p.hub_entries;
-    let use_hc = p.use_hc;
-    let hub_src = p.hub_src;
+fn launch_thread_kernel(device: &mut Device, name: &str, p: Pass) -> Result<(), DeviceError> {
     let body = move |w: &mut WarpCtx| {
         let tid0 = w.global_thread_id(0) as usize;
-        let vids = w.load_span(p.queue, tid0, size.saturating_sub(tid0));
+        let vids = w.load_span(p.queue, tid0, p.size.saturating_sub(tid0));
         let (begin, deg) = load_degrees(w, &p, &lanes_usize(&vids));
         let max_deg = deg.iter().take(w.active_lanes as usize).copied().max().unwrap_or(0);
         w.compute(2, w.active_lanes);
@@ -231,10 +226,10 @@ fn launch_thread_kernel(
                 (!done[lane] && j < deg[lane]).then(|| (begin[lane] + j) as usize)
             });
             let mut cache_hit = [false; W];
-            if use_hc {
+            if p.use_hc {
                 let cached = w.load_shared(|l| {
                     let lane = l.lane as usize;
-                    (!done[lane]).then_some(()).and(nbr[lane]).map(|u| u as usize % hub_entries)
+                    (!done[lane]).then_some(()).and(nbr[lane]).map(|u| u as usize % p.hub_entries)
                 });
                 for lane in w.lanes() {
                     let lane = lane as usize;
@@ -272,26 +267,8 @@ fn launch_thread_kernel(
                     .and(nbr[lane])
                     .map(|u| u as usize)
             });
-            match dir {
-                Direction::TopDown => {
-                    // Mark unvisited neighbours (benign race: last wins).
-                    w.store_global(p.status, |l| {
-                        let lane = l.lane as usize;
-                        match (nbr[lane], stt[lane]) {
-                            (Some(u), Some(s)) if s == UNVISITED => Some((u as usize, p.level + 1)),
-                            _ => None,
-                        }
-                    });
-                    w.store_global(p.parent, |l| {
-                        let lane = l.lane as usize;
-                        match (vids[lane], nbr[lane], stt[lane]) {
-                            (Some(v), Some(u), Some(s)) if s == UNVISITED => {
-                                Some((u as usize, v))
-                            }
-                            _ => None,
-                        }
-                    });
-                }
+            match p.dir {
+                Direction::TopDown => mark_unvisited(w, &p, &nbr, &stt, |lane| vids[lane]),
                 Direction::BottomUp => {
                     // Adopt the first neighbour visited at `level`.
                     w.store_global(p.status, |l| {
@@ -323,239 +300,153 @@ fn launch_thread_kernel(
             w.compute(1, w.active_lanes);
         }
     };
-    launch_maybe_cached(device, name, cfg, use_hc, hub_src, hub_entries, body)
+    launch(device, name, &p, 0, body)
 }
 
-/// Warp kernel: one warp per frontier (MiddleQueue, degree 32..256).
-fn launch_warp_kernel(
+/// The striped kernel for the shared-frontier classes (`class_idx` 1-3).
+/// Each warp finds its frontiers and its stripe `(index, count)` of each
+/// frontier's adjacency list:
+/// - Warp (MiddleQueue, degree 32..256): frontier `global_warp_id`,
+///   stripe `(0, 1)`;
+/// - CTA (LargeQueue, degree 256..65,536): frontier `cta_id`, stripe
+///   `(warp_in_cta, 8)`;
+/// - Grid (ExtremeQueue, degree >= 65,536 — e.g. the 2.5M-edge vertex in
+///   KR2): every frontier in turn, stripe `(global_warp_id, 960)`.
+fn launch_striped_kernel(
     device: &mut Device,
     name: &str,
-    dir: Direction,
     p: Pass,
+    class_idx: usize,
 ) -> Result<(), DeviceError> {
-    let cfg = p.launch_config(1);
-    let size = p.size;
-    let hub_entries = p.hub_entries;
-    let use_hc = p.use_hc;
-    let hub_src = p.hub_src;
-    let body = move |w: &mut WarpCtx| {
-        let q_idx = w.global_warp_id() as usize;
-        if q_idx >= size {
-            return;
-        }
-        let (vid, begin, deg) = load_frontier(w, &p, q_idx);
-
-        let mut found = dir == Direction::TopDown; // BU: stop at first hit
-        let mut base = 0;
-        while base < deg && !(dir == Direction::BottomUp && found) {
-            let nbr = w.load_span(p.adjacency, (begin + base) as usize, (deg - base) as usize);
-            // Per-chunk cache probe: a hit adopts the hub and skips the
-            // chunk's global status loads entirely.
-            if use_hc {
-                let cached =
-                    w.load_shared(|l| nbr[l.lane as usize].map(|u| u as usize % hub_entries));
-                let hit = w.ballot(|l| {
-                    matches!(
-                        (nbr[l.lane as usize], cached[l.lane as usize]),
-                        (Some(u), Some(c)) if c == u
-                    )
-                });
-                if hit != 0 {
-                    let winner = hit.trailing_zeros() as usize;
-                    let u = nbr[winner].unwrap();
-                    adopt(w, &p, vid, u);
-                    return;
-                }
-            }
-            let stt = w.load_global(p.status, |l| nbr[l.lane as usize].map(|u| u as usize));
-            match dir {
-                Direction::TopDown => {
-                    w.store_global(p.status, |l| {
-                        let lane = l.lane as usize;
-                        match (nbr[lane], stt[lane]) {
-                            (Some(u), Some(s)) if s == UNVISITED => Some((u as usize, p.level + 1)),
-                            _ => None,
-                        }
-                    });
-                    w.store_global(p.parent, |l| {
-                        let lane = l.lane as usize;
-                        match (nbr[lane], stt[lane]) {
-                            (Some(u), Some(s)) if s == UNVISITED => Some((u as usize, vid)),
-                            _ => None,
-                        }
-                    });
-                }
-                Direction::BottomUp => {
-                    let hit = w.ballot(|l| stt[l.lane as usize] == Some(p.level));
-                    if hit != 0 {
-                        let winner = hit.trailing_zeros() as usize;
-                        let u = nbr[winner].unwrap();
-                        adopt(w, &p, vid, u);
-                        found = true;
-                    }
-                }
-            }
-            base += WARP_SIZE;
-        }
-    };
-    launch_maybe_cached(device, name, cfg, use_hc, hub_src, hub_entries, body)
-}
-
-/// CTA kernel: one CTA per frontier (LargeQueue, degree 256..65,536).
-/// Warps of the CTA stripe the adjacency list.
-fn launch_cta_kernel(
-    device: &mut Device,
-    name: &str,
-    dir: Direction,
-    p: Pass,
-) -> Result<(), DeviceError> {
-    let cfg = p.launch_config(2);
-    let warps_per_cta = (CTA_THREADS / WARP_SIZE) as usize;
-    let hub_entries = p.hub_entries;
-    let use_hc = p.use_hc;
-    let hub_src = p.hub_src;
-    let body = move |w: &mut WarpCtx| {
-        let (vid, begin, deg) = load_frontier(w, &p, w.cta_id as usize);
-        stripe_inspect(
-            w,
-            &p,
-            dir,
-            vid,
-            begin,
-            deg,
-            (w.warp_in_cta as usize, warps_per_cta),
-            use_hc,
-            hub_entries,
-        );
-    };
-    launch_maybe_cached(device, name, cfg, use_hc, hub_src, hub_entries, body)
-}
-
-/// Grid kernel: the whole grid cooperates on each frontier in turn
-/// (ExtremeQueue, degree >= 65,536 — e.g. the 2.5M-edge vertex in KR2).
-fn launch_grid_kernel(
-    device: &mut Device,
-    name: &str,
-    dir: Direction,
-    p: Pass,
-) -> Result<(), DeviceError> {
-    let cfg = p.launch_config(3);
-    let size = p.size;
-    let total_warps = (GRID_KERNEL_CTAS * CTA_THREADS / WARP_SIZE) as usize;
-    let hub_entries = p.hub_entries;
-    let use_hc = p.use_hc;
-    let hub_src = p.hub_src;
     let body = move |w: &mut WarpCtx| {
         let gw = w.global_warp_id() as usize;
-        for q_idx in 0..size {
-            let (vid, begin, deg) = load_frontier(w, &p, q_idx);
-            stripe_inspect(w, &p, dir, vid, begin, deg, (gw, total_warps), use_hc, hub_entries);
+        let (frontiers, stripe) = match class_idx {
+            1 => (gw..(gw + 1).min(p.size), (0, 1)),
+            2 => (w.cta_id as usize..w.cta_id as usize + 1, (w.warp_in_cta as usize, CTA_WARPS)),
+            _ => (0..p.size, (gw, GRID_WARPS)),
+        };
+        for q_idx in frontiers {
+            let frontier = load_frontier(w, &p, q_idx);
+            stripe_inspect(w, &p, frontier, stripe);
         }
     };
-    launch_maybe_cached(device, name, cfg, use_hc, hub_src, hub_entries, body)
+    launch(device, name, &p, class_idx, body)
 }
 
-/// Shared striped inspection: this warp covers adjacency positions
-/// `stripe.0 * 32 + lane + k * stripe.1 * 32`.
+/// Striped inspection of one frontier `(vid, begin, degree)`: this warp
+/// covers adjacency positions `stripe.0 * 32 + lane + k * stripe.1 * 32`.
 ///
 /// In the simulator warps execute sequentially, so a bottom-up hit by an
-/// earlier warp is visible to later warps through the status word — on
-/// hardware all stripes run and the benign write race resolves the same
-/// way.
-#[allow(clippy::too_many_arguments)]
+/// earlier warp sharing the frontier is visible to later warps through
+/// the status word — on hardware all stripes run and the benign write
+/// race resolves the same way.
 fn stripe_inspect(
     w: &mut WarpCtx,
     p: &Pass,
-    dir: Direction,
-    vid: u32,
-    begin: u32,
-    deg: u32,
-    stripe: (usize, usize),
-    use_hc: bool,
-    hub_entries: usize,
+    (vid, begin, deg): (u32, u32, u32),
+    (stripe_idx, stripe_count): (usize, usize),
 ) {
-    let (stripe_idx, stripe_count) = stripe;
-    let stride = (stripe_count * W) as u32;
-    let first = (stripe_idx * W) as u32;
-
-    // Bottom-up: if the vertex is already claimed this level, skip. A
-    // wild (suppressed) status read for a corrupted vid inspects anyway;
-    // its stores are equally wild and suppressed.
-    if dir == Direction::BottomUp {
+    let bottom_up = p.dir == Direction::BottomUp;
+    // Bottom-up on a shared frontier: if an earlier warp already claimed
+    // the vertex this level, skip. A lone warp has no one to wait for,
+    // so it never pays this load. A wild (suppressed) status read for a
+    // corrupted vid inspects anyway; its stores are equally wild and
+    // suppressed.
+    if bottom_up && stripe_count > 1 {
         let s = w.load_span(p.status, vid as usize, 1)[0].unwrap_or(UNVISITED);
         if s != UNVISITED {
             return;
         }
     }
 
-    let mut base = first;
+    let stride = (stripe_count * W) as u32;
+    let mut base = (stripe_idx * W) as u32;
     while base < deg {
         let nbr = w.load_span(p.adjacency, (begin + base) as usize, (deg - base) as usize);
-        // Per-chunk cache probe before any status traffic.
-        if use_hc {
+        // Per-chunk cache probe before any status traffic: a hit adopts
+        // the hub and skips the chunk's global status loads entirely.
+        if p.use_hc {
             let cached =
-                w.load_shared(|l| nbr[l.lane as usize].map(|u| u as usize % hub_entries));
+                w.load_shared(|l| nbr[l.lane as usize].map(|u| u as usize % p.hub_entries));
             let hit = w.ballot(|l| {
                 matches!(
                     (nbr[l.lane as usize], cached[l.lane as usize]),
                     (Some(u), Some(c)) if c == u
                 )
             });
-            if hit != 0 {
-                let winner = hit.trailing_zeros() as usize;
-                let u = nbr[winner].unwrap();
-                adopt(w, p, vid, u);
+            if adopt_first(w, p, vid, &nbr, hit) {
                 return;
             }
         }
         let stt = w.load_global(p.status, |l| nbr[l.lane as usize].map(|u| u as usize));
-        match dir {
-            Direction::TopDown => {
-                w.store_global(p.status, |l| {
-                    let lane = l.lane as usize;
-                    match (nbr[lane], stt[lane]) {
-                        (Some(u), Some(s)) if s == UNVISITED => Some((u as usize, p.level + 1)),
-                        _ => None,
-                    }
-                });
-                w.store_global(p.parent, |l| {
-                    let lane = l.lane as usize;
-                    match (nbr[lane], stt[lane]) {
-                        (Some(u), Some(s)) if s == UNVISITED => Some((u as usize, vid)),
-                        _ => None,
-                    }
-                });
+        if bottom_up {
+            let hit = w.ballot(|l| stt[l.lane as usize] == Some(p.level));
+            if adopt_first(w, p, vid, &nbr, hit) {
+                return;
             }
-            Direction::BottomUp => {
-                let hit = w.ballot(|l| stt[l.lane as usize] == Some(p.level));
-                if hit != 0 {
-                    let winner = hit.trailing_zeros() as usize;
-                    let u = nbr[winner].unwrap();
-                    adopt(w, p, vid, u);
-                    return;
-                }
-            }
+        } else {
+            mark_unvisited(w, p, &nbr, &stt, |_| Some(vid));
         }
         base += stride;
     }
 }
 
-/// Launches `body`, prefixing a cooperative hub-cache load when the pass
-/// uses the shared-memory cache. Launch faults surface as errors.
-fn launch_maybe_cached(
+/// Top-down: marks each lane's unvisited neighbour (`nbr` with status
+/// `stt`) visited at the next level, with parent `parent_of(lane)`
+/// (benign race: last wins).
+fn mark_unvisited(
+    w: &mut WarpCtx,
+    p: &Pass,
+    nbr: &Lanes<u32>,
+    stt: &Lanes<u32>,
+    parent_of: impl Fn(usize) -> Option<u32>,
+) {
+    w.store_global(p.status, |l| {
+        let lane = l.lane as usize;
+        match (nbr[lane], stt[lane]) {
+            (Some(u), Some(s)) if s == UNVISITED => Some((u as usize, p.level + 1)),
+            _ => None,
+        }
+    });
+    w.store_global(p.parent, |l| {
+        let lane = l.lane as usize;
+        match (parent_of(lane), nbr[lane], stt[lane]) {
+            (Some(v), Some(u), Some(s)) if s == UNVISITED => Some((u as usize, v)),
+            _ => None,
+        }
+    });
+}
+
+/// Bottom-up hit: lane 0 marks `vid` visited at the next level with the
+/// neighbour of `hit`'s lowest lane as its parent. Returns whether any
+/// lane hit.
+fn adopt_first(w: &mut WarpCtx, p: &Pass, vid: u32, nbr: &Lanes<u32>, hit: u32) -> bool {
+    if hit == 0 {
+        return false;
+    }
+    let u = nbr[hit.trailing_zeros() as usize].unwrap();
+    w.store_span(p.status, vid as usize, &[p.level + 1]);
+    w.store_span(p.parent, vid as usize, &[u]);
+    true
+}
+
+/// Launches `body` as class `class_idx`'s geometry, prefixing a
+/// cooperative hub-cache load when the pass uses the shared-memory cache.
+/// Launch faults surface as errors.
+fn launch(
     device: &mut Device,
     name: &str,
-    cfg: LaunchConfig,
-    use_hc: bool,
-    hub_src: BufferId,
-    hub_entries: usize,
+    p: &Pass,
+    class_idx: usize,
     body: impl FnMut(&mut WarpCtx),
 ) -> Result<(), DeviceError> {
-    if use_hc {
+    let cfg = p.launch_config(class_idx);
+    if p.use_hc {
+        let (hub_src, entries) = (p.hub_src, p.hub_entries);
         device.try_launch_with_init(
             name,
             cfg,
-            move |cta| cta.coop_load_global(hub_src, 0..hub_entries, 0),
+            move |cta| cta.coop_load_global(hub_src, 0..entries, 0),
             body,
         )?;
     } else {
@@ -565,11 +456,10 @@ fn launch_maybe_cached(
 }
 
 /// Lane 0 fetches queue entry `q_idx` and its two offset words (the
-/// one-frontier-per-warp/CTA/grid kernels broadcast them), returning
-/// `(vid, begin, degree)` clamped as in [`Pass::clamp_range`]. A corrupted
-/// queue entry makes the offset loads wild (suppressed, `None`): default
-/// to an empty range and let the verifier see whatever the traversal
-/// misses.
+/// striped kernel broadcasts them), returning `(vid, begin, degree)`
+/// clamped as in [`Pass::clamp_range`]. A corrupted queue entry makes the
+/// offset loads wild (suppressed, `None`): default to an empty range and
+/// let the verifier see whatever the traversal misses.
 fn load_frontier(w: &mut WarpCtx, p: &Pass, q_idx: usize) -> (u32, u32, u32) {
     let vid = w.load_span(p.queue, q_idx, 1)[0].unwrap_or(0);
     let begin = w.load_span(p.offsets, vid as usize, 1)[0].unwrap_or(0);
@@ -577,13 +467,6 @@ fn load_frontier(w: &mut WarpCtx, p: &Pass, q_idx: usize) -> (u32, u32, u32) {
     w.compute(2, w.active_lanes);
     let (begin, deg) = p.clamp_range(begin, end);
     (vid, begin, deg)
-}
-
-/// Lane 0 marks `vid` visited at the next level with parent `u` (a
-/// bottom-up hit).
-fn adopt(w: &mut WarpCtx, p: &Pass, vid: u32, u: u32) {
-    w.store_span(p.status, vid as usize, &[p.level + 1]);
-    w.store_span(p.parent, vid as usize, &[u]);
 }
 
 /// Loads `offsets[v]` and `offsets[v+1]` for each lane's vertex, returning
@@ -602,7 +485,7 @@ fn load_degrees(w: &mut WarpCtx, p: &Pass, vids: &[Option<usize>; W]) -> ([u32; 
     (b, d)
 }
 
-fn lanes_usize(vids: &gpu_sim::Lanes<u32>) -> [Option<usize>; W] {
+fn lanes_usize(vids: &Lanes<u32>) -> [Option<usize>; W] {
     let mut out = [None; W];
     for (o, v) in out.iter_mut().zip(vids.iter()) {
         *o = v.map(|x| x as usize);
@@ -801,6 +684,71 @@ mod tests {
             (gld_with as f64) < 0.7 * gld_without as f64,
             "HC should cut global transactions: {gld_with} vs {gld_without}"
         );
+    }
+
+    /// Inspects the centre of a 40-leaf star bottom-up at level 1 with
+    /// the centre forced into `class_idx` by thresholds. `at` sets leaves'
+    /// status words and `hubs` stages leaves in the hub table (which arms
+    /// the cache). Leaf `i + 1` sits at in-adjacency position `i`, so
+    /// positions 0-31 are the first warp's stripe on every geometry and
+    /// position 35 (leaf 36) is the Warp kernel's second chunk and the
+    /// CTA and Grid kernels' second warp. Returns the centre's status and
+    /// parent.
+    fn inspect_centre(class_idx: usize, at: &[(u32, u32)], hubs: &[u32]) -> (u32, u32) {
+        let g = star(41);
+        let mut f = fixture(&g);
+        let (middle_below, large_below) = [(64, 128), (4, 64), (4, 8)][class_idx - 1];
+        f.st.thresholds = ClassifyThresholds { small_below: 2, middle_below, large_below };
+        assert_eq!(f.st.thresholds.classify(40).index(), class_idx);
+        for &(v, s) in at {
+            f.device.mem().set(f.st.status, v as usize, s);
+        }
+        for &h in hubs {
+            f.device.mem().set(f.st.hub_src, h as usize % f.st.hub_cache_entries, h);
+        }
+        f.device.mem().set(f.st.queues[class_idx], 0, 0);
+        f.st.queue_sizes[class_idx] = 1;
+        let use_hc = !hubs.is_empty();
+        expand_level(&mut f.device, &f.dg, &f.st, 1, Direction::BottomUp, true, use_hc);
+        let name = kernel_name(Direction::BottomUp, class_idx);
+        assert!(f.device.records().iter().any(|k| k.name == name), "{name} must run");
+        (status_of(&f)[0], f.device.mem_ref().view(f.st.parent)[0])
+    }
+
+    #[test]
+    fn striped_bottom_up_adopts_a_frontier_level_neighbour() {
+        for class_idx in 1..4 {
+            assert_eq!(inspect_centre(class_idx, &[(36, 1)], &[]), (2, 36), "class {class_idx}");
+        }
+    }
+
+    #[test]
+    fn striped_bottom_up_ignores_an_older_level_neighbour() {
+        for class_idx in 1..4 {
+            let (status, parent) = inspect_centre(class_idx, &[(36, 0)], &[]);
+            assert_eq!(status, crate::status::UNVISITED, "class {class_idx}");
+            assert_eq!(parent, crate::status::NO_PARENT, "class {class_idx}");
+        }
+    }
+
+    #[test]
+    fn striped_bottom_up_adopts_the_cached_hub() {
+        // Leaves 3 and 5 share the first chunk at the frontier level.
+        // Status order alone adopts 3; with 5 staged, the probe runs
+        // before any status load and adopts the hub.
+        for class_idx in 1..4 {
+            let at = [(3, 1), (5, 1)];
+            assert_eq!(inspect_centre(class_idx, &at, &[]), (2, 3), "class {class_idx}");
+            assert_eq!(inspect_centre(class_idx, &at, &[5]), (2, 5), "class {class_idx}");
+        }
+    }
+
+    #[test]
+    fn cta_warps_skip_a_vertex_an_earlier_warp_claimed() {
+        // Leaf 6 is in warp 0's stripe and leaf 36 in warp 1's, both at
+        // the frontier level: warp 1 must see warp 0's claim and keep its
+        // parent.
+        assert_eq!(inspect_centre(2, &[(6, 1), (36, 1)], &[]), (2, 6));
     }
 
     #[test]

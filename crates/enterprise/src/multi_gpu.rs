@@ -31,9 +31,12 @@
 //! out-degree view covers only its column block, so hubs are not local.
 //!
 //! One [`Fleet`] runs every shape: the seed, level loop, replay, verify,
-//! persistence, merge, collect and pipelined lanes are shared, and each
+//! persistence, collect and pipelined lanes are shared, and each
 //! shape-specific decision lives in one function that matches on the
-//! shape (layout, exchange, loss, rebalance, persistence).
+//! shape (layout, exchange, loss, rebalance, persistence). The level's
+//! exchange is one step on every shape, a lone survivor included: it
+//! unions the survivors' discoveries into one bitmap, sends it through
+//! the routing ladder ([`crate::route`]) and ORs it into every survivor.
 //! The rules that only a single device needs — a terminal loss, no
 //! brownout pin, the device's own fault stream armed from construction,
 //! the whole CSR uploaded as is — are likewise each one function keyed on
@@ -74,7 +77,7 @@ use crate::watchdog::{StallDetector, WatchdogPolicy};
 use enterprise_graph::{stats::hub_threshold_for_capacity, Csr, VertexId};
 use gpu_sim::{
     ballot_compressed_bytes, Device, DeviceConfig, DeviceError, EccMode, FaultPlan, FaultSpec,
-    FleetFaultBundle, InterconnectConfig, MultiDevice,
+    FleetFaultBundle, InterconnectConfig, MultiDevice, Wire,
 };
 use std::collections::{BTreeSet, VecDeque};
 use std::ops::Range;
@@ -968,62 +971,63 @@ impl Fleet {
         }
     }
 
-    /// Exchange: charges the level's discovery broadcast on the wire
-    /// (nothing on a lone survivor). Slices all-to-all broadcast a
-    /// `ballot(n)` bitmap per device; a grid row-merges and column-shares
-    /// `(c-1 + r-1) * ballot(n/r)` bits per device, serialized — a charge
-    /// that keeps the configured grid shape even after an eviction shrinks
-    /// it (a conservative over-charge of the degraded pattern).
+    /// Exchange: the level's one exchange step. It builds the union
+    /// bitmap of the survivors' discoveries at `level + 1` (the wire
+    /// payload), sends it through the routing ladder
+    /// ([`crate::route::exchange_routed`]), ORs it into every survivor's
+    /// status array, and returns how many vertices it holds. Slices
+    /// all-to-all broadcast a `ballot(n)` bitmap per device; a grid
+    /// row-merges and column-shares `(c-1 + r-1) * ballot(n/r)` bits per
+    /// device, serialized — a charge that keeps the configured grid shape
+    /// even after an eviction shrinks it (a conservative over-charge of
+    /// the degraded pattern). A lone survivor exchanges nothing.
     ///
-    /// Under fault injection the broadcast carries a checksum: a dropped
-    /// exchange (detected by timeout) or a corrupted one (detected by
-    /// checksum mismatch on the received copy) is retried with
-    /// exponential backoff, a bounded number of times. With the routing
-    /// ladder armed ([`FleetConfig::route`]), dead links additionally
-    /// climb probe → relay → host bounce (see [`crate::route`]).
-    fn exchange(&mut self, level: u32, recovery: &mut RecoveryReport) -> Result<(), BfsError> {
+    /// A dropped exchange (detected by timeout) or a corrupted one
+    /// (detected by checksum mismatch on the received copy) is retried
+    /// with exponential backoff, a bounded number of times; with the
+    /// routing ladder armed ([`FleetConfig::route`]), dead links
+    /// additionally climb probe → relay → host bounce. The bitmap merges
+    /// only after the wire succeeds: a failed exchange replays the level
+    /// from its checkpoint.
+    fn exchange(&mut self, level: u32, recovery: &mut RecoveryReport) -> Result<usize, BfsError> {
         let n = self.csr.vertex_count();
-        let (bytes, serialized) = match self.config.shape.grid() {
-            _ if self.multi.alive_count() <= 1 => return Ok(()),
-            None => (ballot_compressed_bytes(n), false),
-            Some((r, c)) => ((c - 1 + r - 1) as u64 * ballot_compressed_bytes(n.div_ceil(r)), true),
-        };
-        if self.config.faults.is_none() {
-            // Fault-free substrate: the plain exchange, bit-identical in
-            // time and counters to the pre-fault-plane driver.
-            if serialized {
-                self.multi.exchange_serialized(bytes);
-            } else {
-                self.multi.exchange(bytes);
-            }
-            return Ok(());
-        }
-        // Model the wire payload: the union bitmap of newly visited
-        // vertices, with a Fletcher checksum appended.
+        let newly_level = level + 1;
+        let alive = self.multi.alive_ids();
         let mut bitmap = vec![0u8; ballot_compressed_bytes(n) as usize];
-        for d in self.multi.alive_ids() {
+        for &d in &alive {
             let status = self.multi.device_ref(d).mem_ref().view(self.parts[d].state.status);
             for (v, &s) in status.iter().enumerate() {
-                if s == level + 1 {
+                if s == newly_level {
                     bitmap[v / 8] |= 1 << (v % 8);
                 }
             }
         }
+        let wire = match self.config.shape.grid() {
+            None => Wire::AllToAll(ballot_compressed_bytes(n)),
+            Some((r, c)) => {
+                Wire::Serialized((c - 1 + r - 1) as u64 * ballot_compressed_bytes(n.div_ceil(r)))
+            }
+        };
         crate::route::exchange_routed(
             &mut self.multi,
             &bitmap,
+            wire,
             &self.config.route,
             level,
             recovery,
             &mut self.link_verdicts,
-            |m| {
-                if serialized {
-                    m.exchange_serialized_with_faults(bytes)
-                } else {
-                    m.exchange_with_faults(bytes)
+        )?;
+        let newly: Vec<usize> = (0..n).filter(|&v| bitmap[v / 8] & (1 << (v % 8)) != 0).collect();
+        for &d in &alive {
+            let buf = self.parts[d].state.status;
+            let device = self.multi.device(d);
+            for &v in &newly {
+                if device.mem_ref().get(buf, v) == UNVISITED {
+                    device.mem().set(buf, v, newly_level);
                 }
-            },
-        )
+            }
+        }
+        Ok(newly.len())
     }
 
     /// Exchange: the level's newly visited count. Slices read it off the
@@ -2121,10 +2125,16 @@ impl Fleet {
         self.parts.iter().map(|p| (p.state.td_range.clone(), p.state.bu_range.clone())).collect()
     }
 
-    /// The devices this run has lost so far, after those a restored
-    /// degraded layout pins, in eviction order.
+    /// Every dead device once: those a restored degraded layout pins
+    /// first, then those earlier sources of a pinned batch evicted (in id
+    /// order), then this run's losses in eviction order.
     fn evicted(&self, recovery: &RecoveryReport) -> Vec<u32> {
-        self.layout_evicted.iter().chain(&recovery.devices_lost).map(|&d| d as u32).collect()
+        let lost = &recovery.devices_lost;
+        let earlier = (0..self.parts.len()).filter(|d| {
+            !self.multi.is_alive(*d) && !self.layout_evicted.contains(d) && !lost.contains(d)
+        });
+        let pinned = self.layout_evicted.iter().copied();
+        pinned.chain(earlier).chain(lost.iter().copied()).map(|d| d as u32).collect()
     }
 
     /// This level's telemetry for the imbalance detector: each alive
@@ -2349,10 +2359,8 @@ impl Fleet {
                 hc && walk.vars.cache_filled,
             )?;
         }
-        // (2) Discovery exchange + host-side union merge of the newly
-        // visited level.
-        self.exchange(level, &mut walk.recovery)?;
-        let merged = self.merge_level(level + 1);
+        // (2) Discovery exchange: union, route, merge.
+        let merged = self.exchange(level, &mut walk.recovery)?;
         let expand_ms = self.multi.elapsed_ms() - t0;
 
         // (3) Private queue generation over each device's scan ranges.
@@ -2502,38 +2510,6 @@ impl Fleet {
         Ok((sizes, hub_frontiers, fills))
     }
 
-    /// Host-side union of the level's discoveries (models each device
-    /// OR-ing the exchanged bitmaps into its status array); returns how
-    /// many vertices were newly visited.
-    fn merge_level(&mut self, newly_level: u32) -> usize {
-        let n = self.csr.vertex_count();
-        let alive = self.multi.alive_ids();
-        if let [d] = alive[..] {
-            // A lone survivor has nothing to merge.
-            let status = self.multi.device_ref(d).mem_ref().view(self.parts[d].state.status);
-            return status.iter().filter(|&&s| s == newly_level).count();
-        }
-        let mut newly = vec![false; n];
-        for &d in &alive {
-            let status = self.multi.device_ref(d).mem_ref().view(self.parts[d].state.status);
-            for (v, &s) in status.iter().enumerate() {
-                if s == newly_level {
-                    newly[v] = true;
-                }
-            }
-        }
-        for &d in &alive {
-            let buf = self.parts[d].state.status;
-            let device = self.multi.device(d);
-            for (v, &is_new) in newly.iter().enumerate() {
-                if is_new && device.mem_ref().get(buf, v) == UNVISITED {
-                    device.mem().set(buf, v, newly_level);
-                }
-            }
-        }
-        newly.iter().filter(|&&b| b).count()
-    }
-
     /// Gathers the finished traversal: levels from any survivor's merged
     /// status (a lost device's buffers are stale — they missed the
     /// post-loss rollback), parents from the first survivor that recorded
@@ -2653,6 +2629,52 @@ mod tests {
     use crate::multi_gpu_2d::{Grid2DConfig, MultiGpu2DEnterprise};
     use crate::validate::cpu_levels;
     use enterprise_graph::gen::{kronecker, rmat, road_grid};
+
+    /// A pinned fleet's level checkpoints list every dead device. Source 3
+    /// loses devices, then source 17 runs on the survivors and is killed
+    /// after level 2 (a level cap). A restart must resume that checkpoint
+    /// on the survivors (DESIGN.md §5g): an eviction list missing source
+    /// 3's losses, beside their empty images, was a layout mismatch and a
+    /// cold start.
+    #[test]
+    fn pinned_fleet_checkpoint_lists_earlier_evictions_and_resumes() {
+        let g = kronecker(9, 8, 5);
+        for seed in [0, 1, 3] {
+            let mut dir = std::env::temp_dir();
+            dir.push(format!("enterprise-pinned-ckpt-{seed}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let cfg = |faults| MultiGpuConfig {
+                faults,
+                persist: Some(PersistPolicy::with_checkpoints(&dir, 1)),
+                ..MultiGpuConfig::k40s(4)
+            };
+            let spec = FaultSpec { device_loss_rate: 0.01, ..FaultSpec::none(seed) };
+            let mut sys = Fleet::new(cfg(Some(spec)), &g);
+            sys.set_pinned(true);
+            let first = sys.try_bfs(3).expect("source 3 finishes on its survivors");
+            assert!(!first.recovery.devices_lost.is_empty(), "seed {seed}: no brownout");
+            let dead: Vec<u32> =
+                (0..4).filter(|&d| !sys.multi.is_alive(d)).map(|d| d as u32).collect();
+            sys.config.watchdog.max_levels = Some(2);
+            assert!(sys.try_bfs(17).is_err(), "seed {seed}: the level cap must kill source 17");
+
+            let mut store = sys.store.take().expect("persistence is armed");
+            let snap = read_checkpoint(&mut store).unwrap().expect("a level-2 checkpoint");
+            assert_eq!(snap.level, 2, "seed {seed}");
+            for d in &dead {
+                let listed = &snap.evicted;
+                assert!(listed.contains(d), "seed {seed}: {d} missing from {listed:?}");
+            }
+
+            let r = Fleet::new(cfg(None), &g).try_bfs(17).expect("restart");
+            let errors = &r.recovery.snapshot_errors;
+            assert!(errors.is_empty(), "seed {seed}: {errors:?}");
+            assert_eq!(r.recovery.resumed_at_level, Some(2), "seed {seed}");
+            assert_eq!(r.levels, cpu_levels(&g, 17), "seed {seed}");
+            audit(&g, 17, &r.levels, &r.parents).expect("audit-valid parents");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 
     #[test]
     fn multi_gpu_matches_oracle_levels() {

@@ -11,11 +11,12 @@
 //!
 //! The ladder, cheapest rung first (DESIGN.md §5h):
 //!
-//! 1. **Direct.** The plain exchange. Transient faults (drop /
-//!    corruption) are retried on the shared backoff schedule exactly
-//!    like the router-off path, up to `MAX_EXCHANGE_RETRIES` re-sends,
-//!    but also bounded by `EXCHANGE_TIMEOUT_MS` of backoff per exchange
-//!    on the simulated clock.
+//! 1. **Direct.** The plain exchange, [`MultiDevice::exchange`].
+//!    Transient faults (drop / corruption) are retried on the shared
+//!    backoff schedule exactly like the router-off path, up to
+//!    `MAX_EXCHANGE_RETRIES` re-sends, but also bounded by
+//!    `EXCHANGE_TIMEOUT_MS` of backoff per exchange on the simulated
+//!    clock.
 //! 2. **Probe.** A [`LinkDown`](gpu_sim::ExchangeFault::LinkDown) fault
 //!    names the dead pair. Up to `MAX_LINK_PROBES` probes re-test that
 //!    link on the same backoff schedule; each probe walks a flapping
@@ -38,11 +39,12 @@
 //! Every rung is recorded in
 //! [`RecoveryReport`]`::{link_retries, link_reroutes, host_bounces}`.
 //! With the policy disabled (the default) only the direct rung runs,
-//! with no timeout, and a down link is one more transient fault, so
-//! zero-rate and router-off runs are bit-identical to the seed.
+//! with no timeout, and a down link is one more transient fault. Every
+//! exchange takes this path, faults or not: with no fault plan (or zero
+//! rates) the first attempt draws no fault and returns.
 
 use crate::error::{Backoff, BfsError, RecoveryReport};
-use gpu_sim::{payload_checksum, ExchangeFault, ExchangeOutcome, MultiDevice};
+use gpu_sim::{payload_checksum, ExchangeFault, MultiDevice, Wire};
 
 /// Re-sends allowed per exchange after a transient fault: a drop, a
 /// corruption, or with the router off a down link.
@@ -157,36 +159,28 @@ pub(crate) fn find_isolated(multi: &MultiDevice) -> Option<usize> {
     multi.alive_ids().into_iter().find(|&d| !multi.peer_reachable(d))
 }
 
-/// Runs one fault-aware exchange through the routing ladder. `payload`
-/// is the host-serialized wire image (checksummed for corruption
-/// detection); `do_exchange` performs one direct attempt and reports the
-/// injected fault, if any. With the router off (`route.enabled ==
-/// false`) only the direct rung runs: every fault, a down link included,
-/// is retried on the backoff schedule with no timeout.
-pub(crate) fn exchange_routed<F>(
+/// Runs one exchange of `payload` as `wire` through the routing ladder.
+/// `payload` is the host-serialized wire image, checksummed when a
+/// corruption is drawn to confirm the receiver would detect it. With the
+/// router off (`route.enabled == false`) only the direct rung runs: every
+/// fault, a down link included, is retried on the backoff schedule with
+/// no timeout.
+pub(crate) fn exchange_routed(
     multi: &mut MultiDevice,
     payload: &[u8],
+    wire: Wire,
     route: &RoutePolicy,
     level: u32,
     recovery: &mut RecoveryReport,
     verdicts: &mut LinkVerdicts,
-    mut do_exchange: F,
-) -> Result<(), BfsError>
-where
-    F: FnMut(&mut MultiDevice) -> ExchangeOutcome,
-{
+) -> Result<(), BfsError> {
     let bytes = payload.len() as u64;
-    let expected = payload_checksum(payload);
     let timeout_ms = if route.enabled { EXCHANGE_TIMEOUT_MS } else { f64::INFINITY };
     let mut transient_attempts: u32 = 0;
     let mut backoff = Backoff::new();
     let mut spent_ms = 0.0f64;
     loop {
-        let outcome = do_exchange(multi);
-        let fault = match outcome.fault {
-            None => return Ok(()),
-            Some(f) => f,
-        };
+        let Some(fault) = multi.exchange(wire).fault else { return Ok(()) };
         match fault {
             ExchangeFault::LinkDown { from, to } if route.enabled => {
                 // Rung 2: probe the named link. Each probe walks a
@@ -250,7 +244,7 @@ where
                     received[bit / 8] ^= 1 << (bit % 8);
                     assert_ne!(
                         payload_checksum(&received),
-                        expected,
+                        payload_checksum(payload),
                         "checksum failed to detect a single-bit corruption"
                     );
                 }

@@ -577,6 +577,41 @@ fn degraded_batch_resumes_on_survivor_fleet_two_d() {
     degraded_batch_resumes(Grid2DConfig::k40s(2, 2), "2d", 2..=3);
 }
 
+/// A browned-out batch publishes a layout that lists every dead device.
+/// Source 3 loses devices and source 17 runs on the survivors, so the
+/// layout written after source 17 must name source 3's losses: a fresh
+/// process warm-restarts on the survivors (DESIGN.md §5g), where a list
+/// missing them was a layout mismatch and a cold start.
+#[test]
+fn browned_out_batch_layout_warm_restarts_on_survivors() {
+    let g = kronecker(9, 8, 5);
+    let sources: Vec<BatchSource> = [3, 17].into_iter().map(BatchSource::new).collect();
+    for seed in [2, 6, 9] {
+        let dir = state_dir(&format!("brownout-layout-{seed}"));
+        let cfg = |faults| MultiGpuConfig {
+            faults,
+            persist: Some(PersistPolicy::layout_only(&dir)),
+            ..MultiGpuConfig::k40s(4)
+        };
+        let spec = FaultSpec { device_loss_rate: 0.01, ..FaultSpec::none(seed) };
+        let mut sys = Fleet::new(cfg(Some(spec)), &g);
+        let report = sys.batch(&sources, &BatchPolicy::on());
+        assert!(report.accounted(), "seed {seed}: accounting broken");
+        let first = report.runs[0].result.as_ref().expect("source 3 completes");
+        assert!(!first.recovery.devices_lost.is_empty(), "seed {seed}: no brownout");
+        assert!(report.runs[1].result.is_some(), "seed {seed}: source 17 completes");
+        let survivors = sys.alive_devices();
+
+        let mut fresh = Fleet::new(cfg(None), &g);
+        let r = fresh.try_bfs(17).expect("warm restart");
+        assert!(r.recovery.warm_restart, "seed {seed}: cold start");
+        let errors = &r.recovery.snapshot_errors;
+        assert!(errors.is_empty(), "seed {seed}: {errors:?}");
+        assert_eq!(fresh.alive_devices(), survivors, "seed {seed}: not on the survivors");
+        assert_eq!(r.levels, cpu_levels(&g, 17), "seed {seed}");
+    }
+}
+
 /// Runs the degraded-resume contract on the first seed whose first two
 /// sources leave a number of survivors in `survivors`.
 fn degraded_batch_resumes<S: Into<Shape> + Clone>(

@@ -6,12 +6,12 @@
 //! to the CPU baseline (or, at fleet construction, surface as a typed
 //! error).
 
-use enterprise::multi_gpu::{Fleet, MultiGpuConfig, MultiGpuEnterprise};
+use enterprise::multi_gpu::{Fleet, FleetConfig, MultiGpuConfig, MultiGpuEnterprise, Shape};
 use enterprise::multi_gpu_2d::{Grid2DConfig, MultiGpu2DEnterprise};
 use enterprise::validate::cpu_levels;
 use enterprise::{
     audit, BatchPolicy, BatchSource, BfsError, Enterprise, EnterpriseConfig, FaultSpec,
-    RecoveryPolicy, VerifyPolicy,
+    RecoveryPolicy, RoutePolicy, VerifyPolicy,
 };
 use enterprise_graph::gen::{kronecker, rmat, social, SocialParams};
 use enterprise_graph::{Csr, GraphBuilder, VertexId};
@@ -207,18 +207,30 @@ fn zero_rate_plan_is_a_strict_noop_single_gpu() {
     }
 }
 
+/// A zero-rate plan draws nothing on any multi-device shape, router off
+/// or on: every exchange runs through the router either way, so this is
+/// what shows a grid's serialized wire draws no fault at zero rates.
 #[test]
 fn zero_rate_plan_is_a_strict_noop_multi_gpu() {
     let g = kronecker(10, 8, 5);
-    let mut base = MultiGpuEnterprise::new(MultiGpuConfig::k40s(2), &g);
-    let rb = base.bfs(3);
-    let cfg = MultiGpuConfig { faults: Some(FaultSpec::none(1)), ..MultiGpuConfig::k40s(2) };
-    let mut sys = MultiGpuEnterprise::new(cfg, &g);
-    let r = sys.bfs(3);
-    assert_eq!(rb.levels, r.levels);
-    assert_eq!(rb.time_ms, r.time_ms, "zero-rate plan changed simulated time");
-    assert_eq!(rb.communication_bytes, r.communication_bytes);
-    assert_eq!(r.recovery, Default::default());
+    for route in [RoutePolicy::disabled(), RoutePolicy::on()] {
+        zero_rate_noop(MultiGpuConfig { route, ..MultiGpuConfig::k40s(2) }, &g, "1-D x2");
+        zero_rate_noop(MultiGpuConfig { route, ..MultiGpuConfig::k40s(4) }, &g, "1-D x4");
+        zero_rate_noop(Grid2DConfig { route, ..Grid2DConfig::k40s(2, 2) }, &g, "2x2 grid");
+    }
+}
+
+fn zero_rate_noop<S: Into<Shape> + Clone>(shape: FleetConfig<S>, g: &Csr, tag: &str) {
+    let tag = format!("{tag}, router {}", if shape.route.enabled { "on" } else { "off" });
+    let rb = Fleet::new(shape.clone(), g).bfs(3);
+    let cfg = FleetConfig { faults: Some(FaultSpec::none(1)), ..shape };
+    let r = Fleet::new(cfg, g).bfs(3);
+    assert_eq!(rb.levels, r.levels, "{tag}");
+    assert_eq!(rb.parents, r.parents, "{tag}");
+    assert_eq!(rb.time_ms.to_bits(), r.time_ms.to_bits(), "{tag}: zero-rate plan changed time");
+    assert_eq!(rb.communication_bytes, r.communication_bytes, "{tag}");
+    assert_eq!(rb.recovery, r.recovery, "{tag}");
+    assert_eq!(r.recovery, Default::default(), "{tag}");
 }
 
 #[test]

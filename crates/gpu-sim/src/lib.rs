@@ -55,7 +55,7 @@ pub use kernel::{CtaCtx, Lane, Lanes, LaunchConfig, WarpCtx, WARP_SIZE};
 pub use memory::{BufferId, DeviceMem, ELEMS_PER_TRANSACTION, TRANSACTION_BYTES};
 pub use multi::{
     ballot_compressed_bytes, ExchangeOutcome, FleetFaultBundle, InterconnectConfig, LinkState,
-    LinkTopology, MultiDevice,
+    LinkTopology, MultiDevice, Wire,
 };
 pub use sanitizer::{
     Access, AccessKind, RacePolicy, Sanitizer, SanitizerError, ThreadCoord,

@@ -5,9 +5,13 @@
 //! as `__ballot()`-compressed bitmaps ("This compression reduces the size
 //! of communication data by 90%" — 1 bit/vertex instead of 1 byte).
 //!
-//! The paper's devices sit on a PCIe tree; we model the exchange as an
-//! all-to-all broadcast whose cost is `bytes / bandwidth + latency`, paid
-//! on every device's timeline (the exchange is a synchronization point).
+//! The paper's devices sit on a PCIe tree. One [`MultiDevice::exchange`]
+//! models a level's exchange for every partition shape: a [`Wire`]
+//! pattern (the 1-D all-to-all broadcast, or a 2-D grid's serialized
+//! row/column traffic) whose cost is `bytes / bandwidth + latency`, paid
+//! on every device's timeline (the exchange is a synchronization point),
+//! with the installed link fault plan deciding whether a message was
+//! dropped or corrupted in flight.
 
 use crate::device::{Device, DeviceConfig};
 use crate::fault::{ExchangeFault, FaultPlan, FaultSpec, FaultStats, LinkHealth};
@@ -456,56 +460,40 @@ impl MultiDevice {
         max
     }
 
-    /// Models an all-to-all exchange where every surviving device
-    /// broadcasts `bytes_per_device` to the other survivors; advances
-    /// every live timeline by the transfer span and returns it in
-    /// milliseconds.
-    ///
-    /// On a shared PCIe root, the N broadcasts serialize on each link
-    /// direction: span = latency + (N-1) * bytes / bandwidth.
-    pub fn exchange(&mut self, bytes_per_device: u64) -> f64 {
+    /// One exchange over the surviving devices: pays the `wire` pattern's
+    /// span on every live timeline (after a barrier — the exchange is a
+    /// synchronization point) and lets the installed link fault plan
+    /// decide whether one message was lost or corrupted in flight. The
+    /// wire time is paid either way: a dropped or corrupted message still
+    /// occupied the link. A lone survivor, or a serialized pattern with
+    /// nothing on the wire, exchanges nothing and is free. With no plan
+    /// (or zero rates) no fault is ever drawn.
+    pub fn exchange(&mut self, wire: Wire) -> ExchangeOutcome {
         let n = self.alive_count() as u64;
-        if n == 1 {
-            return 0.0;
+        if n == 1 || matches!(wire, Wire::Serialized(0)) {
+            return ExchangeOutcome { span_ms: 0.0, fault: None };
         }
-        self.transferred_bytes += bytes_per_device * n * (n - 1);
+        // On a shared PCIe root the all-to-all's N broadcasts serialize
+        // on each link direction.
+        let (bytes, per_link, moved) = match wire {
+            Wire::AllToAll(b) => (b, (n - 1) * b, b * n * (n - 1)),
+            Wire::Serialized(b) => (b, b, b * n),
+        };
+        self.transferred_bytes += moved;
         let bw_bytes_per_ms = self.interconnect.bandwidth_gbs * 1e9 / 1e3;
         let span_ms = self.degraded_span(
-            self.interconnect.latency_us / 1e3
-                + ((n - 1) * bytes_per_device) as f64 / bw_bytes_per_ms,
+            self.interconnect.latency_us / 1e3 + per_link as f64 / bw_bytes_per_ms,
         );
         self.barrier();
         self.advance_all(span_ms);
-        span_ms
-    }
-
-    /// Models a structured exchange where every surviving device
-    /// serializes `bytes_on_wire` on its link (e.g. a 2-D row/column
-    /// pattern whose per-device traffic is far below the 1-D all-to-all).
-    /// Advances all live timelines by the span and returns it in
-    /// milliseconds.
-    pub fn exchange_serialized(&mut self, bytes_on_wire: u64) -> f64 {
-        let n = self.alive_count() as u64;
-        if n == 1 || bytes_on_wire == 0 {
-            return 0.0;
-        }
-        self.transferred_bytes += bytes_on_wire * n;
-        let bw_bytes_per_ms = self.interconnect.bandwidth_gbs * 1e9 / 1e3;
-        let span_ms = self.degraded_span(
-            self.interconnect.latency_us / 1e3 + bytes_on_wire as f64 / bw_bytes_per_ms,
-        );
-        self.barrier();
-        self.advance_all(span_ms);
-        span_ms
+        let fault = if span_ms > 0.0 { self.draw_wire_fault(n as usize, bytes) } else { None };
+        ExchangeOutcome { span_ms, fault }
     }
 
     /// Applies link degradation to a clean exchange span, charging the
-    /// extra wire time to the link plan's counters. (Branch, not an
-    /// unconditional multiply: a healthy link must stay bit-identical.)
+    /// extra wire time to the link plan's counters (none on a healthy
+    /// link, whose factor is exactly 1.0).
     fn degraded_span(&mut self, span_ms: f64) -> f64 {
-        if self.link_degrade <= 1.0 {
-            return span_ms;
-        }
         let slowed = span_ms * self.link_degrade;
         if let Some(plan) = &mut self.link_fault {
             plan.charge_link_slow_us(((slowed - span_ms) * 1e3).round() as u64);
@@ -544,28 +532,6 @@ impl MultiDevice {
             .as_mut()
             .and_then(|p| p.draw_exchange_fault(peers, payload_bytes))
             .map(|f| self.remap_fault(f))
-    }
-
-    /// [`MultiDevice::exchange`] through the fault plane: the wire time
-    /// is always paid (a dropped or corrupted message still occupied the
-    /// link), and the installed link fault plan decides whether one
-    /// message was lost or corrupted in flight. With no plan (or zero
-    /// rates) this is bit-identical to `exchange`.
-    pub fn exchange_with_faults(&mut self, bytes_per_device: u64) -> ExchangeOutcome {
-        let peers = self.alive_count();
-        let span_ms = self.exchange(bytes_per_device);
-        let fault =
-            if span_ms > 0.0 { self.draw_wire_fault(peers, bytes_per_device) } else { None };
-        ExchangeOutcome { span_ms, fault }
-    }
-
-    /// [`MultiDevice::exchange_serialized`] through the fault plane; see
-    /// [`MultiDevice::exchange_with_faults`].
-    pub fn exchange_serialized_with_faults(&mut self, bytes_on_wire: u64) -> ExchangeOutcome {
-        let peers = self.alive_count();
-        let span_ms = self.exchange_serialized(bytes_on_wire);
-        let fault = if span_ms > 0.0 { self.draw_wire_fault(peers, bytes_on_wire) } else { None };
-        ExchangeOutcome { span_ms, fault }
     }
 
     /// Advances every surviving device's timeline by `ms` (a host-imposed
@@ -696,8 +662,20 @@ impl FleetFaultBundle {
     }
 }
 
-/// Result of one exchange through the fault plane: the time the wire was
-/// occupied plus the injected fault, if any.
+/// The traffic pattern of one [`MultiDevice::exchange`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Wire {
+    /// Every surviving device broadcasts this many bytes to every other
+    /// survivor: span = latency + (N-1) * bytes / bandwidth.
+    AllToAll(u64),
+    /// Every surviving device serializes this many bytes on its link
+    /// (e.g. a 2-D row/column pattern whose per-device traffic is far
+    /// below the 1-D all-to-all): span = latency + bytes / bandwidth.
+    Serialized(u64),
+}
+
+/// Result of one exchange: the time the wire was occupied plus the
+/// injected fault, if any.
 #[derive(Clone, Copy, Debug)]
 pub struct ExchangeOutcome {
     /// Transfer span in milliseconds (already applied to every device's
@@ -738,8 +716,8 @@ mod tests {
     fn exchange_scales_with_device_count_and_bytes() {
         let mut two = multi(2);
         let mut four = multi(4);
-        let t2 = two.exchange(1 << 20);
-        let t4 = four.exchange(1 << 20);
+        let t2 = two.exchange(Wire::AllToAll(1 << 20)).span_ms;
+        let t4 = four.exchange(Wire::AllToAll(1 << 20)).span_ms;
         assert!(t4 > t2, "more devices, more serialized transfers");
         assert_eq!(two.transferred_bytes(), 2 * (1 << 20));
         assert_eq!(four.transferred_bytes(), 12 * (1 << 20));
@@ -748,7 +726,7 @@ mod tests {
     #[test]
     fn single_device_exchange_is_free() {
         let mut one = multi(1);
-        assert_eq!(one.exchange(1 << 20), 0.0);
+        assert_eq!(one.exchange(Wire::AllToAll(1 << 20)).span_ms, 0.0);
         assert_eq!(one.elapsed_ms(), 0.0);
     }
 
@@ -763,7 +741,7 @@ mod tests {
     #[test]
     fn reset_clears_everything() {
         let mut m = multi(2);
-        m.exchange(1024);
+        m.exchange(Wire::AllToAll(1024));
         m.reset_stats();
         assert_eq!(m.elapsed_ms(), 0.0);
         assert_eq!(m.transferred_bytes(), 0);
@@ -786,8 +764,8 @@ mod tests {
             ..FaultSpec::default()
         });
         let mut clean = multi(4);
-        let out = m.exchange_with_faults(1 << 16);
-        let clean_span = clean.exchange(1 << 16);
+        let out = m.exchange(Wire::AllToAll(1 << 16));
+        let clean_span = clean.exchange(Wire::AllToAll(1 << 16)).span_ms;
         assert_eq!(out.span_ms, clean_span, "a dropped message still occupied the wire");
         match out.fault {
             Some(ExchangeFault::Dropped { from, to }) => assert!(from < 4 && to < 4),
@@ -802,13 +780,17 @@ mod tests {
         faulty.install_faults(FaultSpec::none(7));
         let mut clean = multi(3);
         for bytes in [1024u64, 1 << 18, 0] {
-            let a = faulty.exchange_with_faults(bytes);
-            let b = clean.exchange(bytes);
-            assert_eq!(a.span_ms, b);
-            assert!(a.fault.is_none());
+            for wire in [Wire::AllToAll(bytes), Wire::Serialized(bytes)] {
+                let a = faulty.exchange(wire);
+                let b = clean.exchange(wire);
+                assert_eq!(a.span_ms, b.span_ms);
+                assert!(a.fault.is_none() && b.fault.is_none());
+            }
         }
         assert_eq!(faulty.fault_stats().total_faults(), 0);
+        assert_eq!(faulty.fault_stats().link_slow_us, 0);
         assert_eq!(faulty.elapsed_ms(), clean.elapsed_ms());
+        assert_eq!(faulty.transferred_bytes(), clean.transferred_bytes());
     }
 
     #[test]
@@ -816,7 +798,9 @@ mod tests {
         let run = || {
             let mut m = multi(4);
             m.install_faults(FaultSpec::uniform(21, 0.2));
-            (0..50).map(|_| format!("{:?}", m.exchange_with_faults(4096).fault)).collect::<Vec<_>>()
+            (0..50)
+                .map(|_| format!("{:?}", m.exchange(Wire::AllToAll(4096)).fault))
+                .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
     }
@@ -824,13 +808,13 @@ mod tests {
     #[test]
     fn eviction_shrinks_every_collective_to_survivors() {
         let mut m = multi(4);
-        let full_span = m.exchange(1 << 16);
+        let full_span = m.exchange(Wire::AllToAll(1 << 16)).span_ms;
         m.evict(1);
         assert!(!m.is_alive(1) && m.alive_count() == 3);
         assert_eq!(m.alive_ids(), vec![0, 2, 3]);
         assert!(m.device_ref(1).is_lost());
         // 3 peers serialize fewer transfers than 4.
-        let degraded_span = m.exchange(1 << 16);
+        let degraded_span = m.exchange(Wire::AllToAll(1 << 16)).span_ms;
         assert!(degraded_span < full_span, "{degraded_span} vs {full_span}");
         // Barrier and advance leave the evicted clock frozen.
         let dead_clock = m.device_ref(1).elapsed_ms();
@@ -844,8 +828,8 @@ mod tests {
     fn eviction_down_to_one_makes_exchange_free() {
         let mut m = multi(2);
         m.evict(0);
-        assert_eq!(m.exchange(1 << 20), 0.0);
-        assert_eq!(m.exchange_serialized(1 << 20), 0.0);
+        assert_eq!(m.exchange(Wire::AllToAll(1 << 20)).span_ms, 0.0);
+        assert_eq!(m.exchange(Wire::Serialized(1 << 20)).span_ms, 0.0);
     }
 
     #[test]
@@ -857,7 +841,8 @@ mod tests {
         assert!(!m.device_ref(2).is_lost());
         // Post-revive collectives match a never-evicted system's span.
         let mut clean = multi(3);
-        assert_eq!(m.exchange(4096), clean.exchange(4096));
+        let span = m.exchange(Wire::AllToAll(4096)).span_ms;
+        assert_eq!(span, clean.exchange(Wire::AllToAll(4096)).span_ms);
     }
 
     #[test]
@@ -870,7 +855,7 @@ mod tests {
         });
         m.evict(0);
         for _ in 0..20 {
-            match m.exchange_with_faults(4096).fault {
+            match m.exchange(Wire::AllToAll(4096)).fault {
                 Some(ExchangeFault::Dropped { from, to }) => {
                     assert!(from != 0 && to != 0, "evicted device on a live link");
                     assert!(from < 4 && to < 4 && from != to);
@@ -948,11 +933,11 @@ mod tests {
         assert!(degraded.link_degraded());
         assert_eq!(degraded.link_degrade_factor(), 4.0);
         let mut clean = multi(4);
-        let slow = degraded.exchange(1 << 16);
-        let fast = clean.exchange(1 << 16);
+        let slow = degraded.exchange(Wire::AllToAll(1 << 16)).span_ms;
+        let fast = clean.exchange(Wire::AllToAll(1 << 16)).span_ms;
         assert!((slow - 4.0 * fast).abs() < 1e-12, "{slow} vs 4x {fast}");
-        let slow_ser = degraded.exchange_serialized(1 << 14);
-        let fast_ser = clean.exchange_serialized(1 << 14);
+        let slow_ser = degraded.exchange(Wire::Serialized(1 << 14)).span_ms;
+        let fast_ser = clean.exchange(Wire::Serialized(1 << 14)).span_ms;
         assert!((slow_ser - 4.0 * fast_ser).abs() < 1e-12);
         let stats = degraded.fault_stats();
         assert_eq!(stats.links_degraded, 1);
@@ -1061,7 +1046,7 @@ mod tests {
             assert!(!m.peer_reachable(d), "device {d} has no usable link at rate 1.0");
         }
         // A down alive pair beats the transient draws.
-        match m.exchange_with_faults(4096).fault {
+        match m.exchange(Wire::AllToAll(4096)).fault {
             Some(ExchangeFault::LinkDown { from, to }) => assert!(from < to && to < 4),
             other => panic!("all links down must report LinkDown, got {other:?}"),
         }
@@ -1133,7 +1118,7 @@ mod tests {
     fn single_device_never_sees_exchange_faults() {
         let mut m = multi(1);
         m.install_faults(FaultSpec::uniform(5, 1.0));
-        let out = m.exchange_with_faults(4096);
+        let out = m.exchange(Wire::AllToAll(4096));
         assert_eq!(out.span_ms, 0.0);
         assert!(out.fault.is_none());
     }
