@@ -155,6 +155,9 @@ fn main() {
         // the armed router. Both must match the oracle with valid
         // parents, and the faulty one must have retried its exchanges
         // (the first of a few fault seeds that does; every run checked).
+        // The clean grid steps its devices on two host threads; under an
+        // idle plan every device is armed and they step on one, which
+        // must not change results, simulated time or wire traffic.
         use enterprise::multi_gpu_2d::{Grid2DConfig, MultiGpu2DEnterprise};
         let oracle = cpu_levels(&mg, 0);
         let grid_checked = |r: &enterprise::multi_gpu::MultiBfsResult, tag: &str| {
@@ -164,6 +167,18 @@ fn main() {
         };
         let grid = MultiGpu2DEnterprise::new(Grid2DConfig::k40s(2, 2), &mg).bfs(0);
         grid_checked(&grid, "clean");
+        let idle_cfg = Grid2DConfig {
+            faults: Some(FaultSpec::uniform(bench::run_seed(), 0.0)),
+            ..Grid2DConfig::k40s(2, 2)
+        };
+        let idle = MultiGpu2DEnterprise::new(idle_cfg, &mg).bfs(0);
+        assert_eq!(idle.levels, grid.levels, "idle plan must not change 2x2 results");
+        assert_eq!(idle.parents, grid.parents, "idle plan must not change 2x2 parents");
+        assert_eq!(idle.time_ms, grid.time_ms, "idle plan must not perturb 2x2 time");
+        assert_eq!(
+            idle.communication_bytes, grid.communication_bytes,
+            "idle plan must not perturb 2x2 wire traffic"
+        );
         let wire = (0..8u64)
             .map(|k| {
                 let cfg = Grid2DConfig {
@@ -182,7 +197,8 @@ fn main() {
             .find(|r| r.recovery.exchange_retries > 0 && !r.recovery.cpu_fallback)
             .expect("no fault seed in 8 made the router retry and absorb a wire fault");
         println!(
-            "grid: 2x2 clean and faulty-wire runs validated, {} exchange retries, {:.3} ms backoff",
+            "grid: 2x2 clean, idle-plan and faulty-wire runs validated, {} exchange retries, \
+             {:.3} ms backoff",
             wire.recovery.exchange_retries, wire.recovery.backoff_ms
         );
     }

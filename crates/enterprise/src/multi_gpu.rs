@@ -54,6 +54,17 @@
 //! Parents are private to the discovering device; the final parent tree
 //! is gathered host-side (any device's recorded parent is valid because
 //! every discovery wrote a parent at the correct preceding level).
+//!
+//! A level's two device phases, expansion and queue generation, run on
+//! two host threads, as the paper's GPUs run them concurrently between
+//! exchanges: the calling thread steps half of the survivors and the
+//! fleet's persistent worker the other half, spawned on first use and
+//! joined when the fleet drops. The results merge in device order before
+//! the exchange and the direction decision. A fleet with an armed device
+//! (a fault plan, the sanitizer or a kernel deadline) steps its devices
+//! in order on the calling thread, so a failing device still stops the
+//! devices after it. The `step` module holds the worker, the split and
+//! that rule.
 
 use crate::batch::{BatchPolicy, BatchReport, BatchSource};
 use crate::bfs::LevelRecord;
@@ -81,6 +92,8 @@ use gpu_sim::{
 };
 use std::collections::{BTreeSet, VecDeque};
 use std::ops::Range;
+
+mod step;
 
 /// The whole graph on a single device: the one-slice case of 1-D
 /// partitioning.
@@ -681,6 +694,9 @@ pub struct Fleet {
     /// record preserves across a batch kill/resume. Cleared when the
     /// batch pin is released.
     batch_isolated: BTreeSet<usize>,
+    /// The second host thread that steps half the devices of an unarmed
+    /// level phase (`Fleet::step_devices`); spawned on first use.
+    worker: Option<step::Worker>,
 }
 
 /// Per-source lane state for pipelined (MS-BFS) batch execution: one
@@ -1421,6 +1437,7 @@ impl Fleet {
             fleet_epoch: 0,
             lane_pool: Vec::new(),
             batch_isolated: BTreeSet::new(),
+            worker: None,
         })
     }
 
@@ -2347,18 +2364,10 @@ impl Fleet {
         // so it is deliberately *not* part of the straggler telemetry —
         // the range-proportional queue-generation phase below is.
         let t0 = self.multi.elapsed_ms();
-        for d in self.multi.alive_ids() {
-            let part = &self.parts[d];
-            try_expand_level(
-                self.multi.device(d),
-                &part.graph,
-                &part.state,
-                level,
-                dir,
-                self.config.workload_balancing,
-                hc && walk.vars.cache_filled,
-            )?;
-        }
+        let (balanced, use_hc) = (self.config.workload_balancing, hc && walk.vars.cache_filled);
+        self.step_devices(move |device, part| {
+            try_expand_level(device, &part.graph, &part.state, level, dir, balanced, use_hc)
+        })?;
         // (2) Discovery exchange: union, route, merge.
         let merged = self.exchange(level, &mut walk.recovery)?;
         let expand_ms = self.multi.elapsed_ms() - t0;
@@ -2490,15 +2499,10 @@ impl Fleet {
         let mark = self.device_clocks();
         let mut sizes = [0usize; 4];
         let (mut hub_frontiers, mut fills) = (0u64, 0usize);
-        for d in self.multi.alive_ids() {
-            let part = &mut self.parts[d];
-            let r = try_generate_queues(
-                self.multi.device(d),
-                &part.graph,
-                &mut part.state,
-                wf,
-                hub_cache,
-            )?;
+        let results = self.step_devices(move |device, part| {
+            try_generate_queues(device, &part.graph, &mut part.state, wf, hub_cache)
+        })?;
+        for r in results {
             hub_frontiers += r.hub_frontiers;
             fills += r.hub_fills;
             for (size, part_size) in sizes.iter_mut().zip(r.sizes) {

@@ -9,11 +9,16 @@
 //! one of two depths — raw bytes (a bit flip, a truncation, or a splice of
 //! two files), or one decoded field set to an edge value with the log
 //! re-encoded under valid checksums — and points a fresh fleet at it. The
+//! header's version and driver-kind words decode only into a check, so
+//! the decoded depth patches them into the header's re-encoded body. The
 //! oracle: setup is a typed error or a fleet; a traversal is a typed error
 //! or oracle-correct levels with audit-valid parents; a batch stays
 //! `accounted()` and every source it runs is oracle-correct (replayed
 //! outcomes are taken as recorded). A panic or a wrong result fails the
-//! test and names the seed and every file and mutation of the case.
+//! test and names the seed and every file and mutation of the case. The
+//! fuzzed fleets are unarmed, so the 1-D ×4 and 2×2 cases step half their
+//! devices on the fleet's worker thread, and a panic there reaches the
+//! case's `catch_unwind` like one on the calling thread.
 
 use super::*;
 use crate::multi_gpu::{Fleet, FleetConfig, Shape};
@@ -102,15 +107,22 @@ enum Slot<'a> {
     U32(&'a mut u32),
     U64(&'a mut u64),
     Index(&'a mut usize),
+    /// A `u32` word of the encoded body at this byte offset of the
+    /// payload: a header word that decodes only into a check.
+    Encoded(usize),
 }
 
 impl Slot<'_> {
-    fn set(self, v: u64) {
+    /// Sets the slot to `v`, or returns the payload offset of an
+    /// [`Slot::Encoded`] word, to be patched after re-encoding.
+    fn set(self, v: u64) -> Option<usize> {
         match self {
             Slot::U32(x) => *x = v as u32,
             Slot::U64(x) => *x = v,
             Slot::Index(x) => *x = v as usize,
+            Slot::Encoded(at) => return Some(at),
         }
+        None
     }
 }
 
@@ -150,6 +162,9 @@ fn slots(rec: &mut Record) -> Slots<'_> {
     let mut out = Vec::new();
     match rec {
         Record::Header(h) => {
+            // The payload is the tag, then the version and kind words.
+            out.push(("version", Slot::Encoded(4)));
+            out.push(("kind", Slot::Encoded(8)));
             let fp = &mut h.fingerprint;
             out.push(("fingerprint", Slot::U64(&mut fp.vertices)));
             out.push(("fingerprint", Slot::U64(&mut fp.edges)));
@@ -249,10 +264,14 @@ fn mutate(rng: &mut DetRng, files: &[Vec<u8>], target: usize, n: usize) -> (Vec<
             let value = [0, n as u64 - 1, n as u64, u32::MAX as u64, u64::MAX][rng.gen_index(5)];
             let mut fields = slots(&mut records[r]);
             let (name, slot) = fields.swap_remove(rng.gen_index(fields.len()));
-            slot.set(value);
+            let patch = slot.set(value);
             let mut bytes = Vec::new();
-            for rec in &records {
-                frame(&mut bytes, &encode_record(rec));
+            for (i, rec) in records.iter().enumerate() {
+                let mut payload = encode_record(rec);
+                if let Some(at) = patch.filter(|_| i == r) {
+                    payload[at..at + 4].copy_from_slice(&(value as u32).to_le_bytes());
+                }
+                frame(&mut bytes, &payload);
             }
             (bytes, format!("record {r} field {name} = {value}"))
         }

@@ -209,7 +209,12 @@ fn zero_rate_plan_is_a_strict_noop_single_gpu() {
 
 /// A zero-rate plan draws nothing on any multi-device shape, router off
 /// or on: every exchange runs through the router either way, so this is
-/// what shows a grid's serialized wire draws no fault at zero rates.
+/// what shows a grid's serialized wire draws no fault at zero rates. A
+/// plan, even a zero-rate one, arms every device, so the armed fleet steps
+/// its devices on one host thread and the clean fleet on two: this is
+/// also the check that both thread counts give the same results, down to
+/// every device's kernel records and, on the serving path, a pipelined
+/// batch's lane and batch times.
 #[test]
 fn zero_rate_plan_is_a_strict_noop_multi_gpu() {
     let g = kronecker(10, 8, 5);
@@ -218,19 +223,42 @@ fn zero_rate_plan_is_a_strict_noop_multi_gpu() {
         zero_rate_noop(MultiGpuConfig { route, ..MultiGpuConfig::k40s(4) }, &g, "1-D x4");
         zero_rate_noop(Grid2DConfig { route, ..Grid2DConfig::k40s(2, 2) }, &g, "2x2 grid");
     }
+
+    let sources: Vec<BatchSource> =
+        [3, 17, 100, 255, 511, 600, 800, 1000].map(BatchSource::new).to_vec();
+    let clean = MultiGpuConfig::k40s(4);
+    let armed = MultiGpuConfig { faults: Some(FaultSpec::none(1)), ..clean.clone() };
+    let batch = |cfg| Fleet::new(cfg, &g).batch(&sources, &BatchPolicy::pipelined(4));
+    let (rb, r) = (batch(clean), batch(armed));
+    assert_eq!((rb.completed, r.completed), (8, 8), "pipelined batch");
+    assert_eq!(rb.batch_ms.to_bits(), r.batch_ms.to_bits(), "pipelined batch_ms");
+    for (a, b) in rb.runs.iter().zip(&r.runs) {
+        let tag = format!("pipelined source {}", a.source);
+        assert_eq!(a.time_ms.to_bits(), b.time_ms.to_bits(), "{tag}: lane time");
+        let (a, b) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
+        assert_eq!(a.levels, b.levels, "{tag}");
+        assert_eq!(a.parents, b.parents, "{tag}");
+    }
 }
 
 fn zero_rate_noop<S: Into<Shape> + Clone>(shape: FleetConfig<S>, g: &Csr, tag: &str) {
     let tag = format!("{tag}, router {}", if shape.route.enabled { "on" } else { "off" });
-    let rb = Fleet::new(shape.clone(), g).bfs(3);
-    let cfg = FleetConfig { faults: Some(FaultSpec::none(1)), ..shape };
-    let r = Fleet::new(cfg, g).bfs(3);
+    let cfg = FleetConfig { faults: Some(FaultSpec::none(1)), ..shape.clone() };
+    let (mut clean, mut armed) = (Fleet::new(shape, g), Fleet::new(cfg, g));
+    let (rb, r) = (clean.bfs(3), armed.bfs(3));
     assert_eq!(rb.levels, r.levels, "{tag}");
     assert_eq!(rb.parents, r.parents, "{tag}");
     assert_eq!(rb.time_ms.to_bits(), r.time_ms.to_bits(), "{tag}: zero-rate plan changed time");
     assert_eq!(rb.communication_bytes, r.communication_bytes, "{tag}");
     assert_eq!(rb.recovery, r.recovery, "{tag}");
     assert_eq!(r.recovery, Default::default(), "{tag}");
+    assert_eq!(clean.alive_devices(), armed.alive_devices(), "{tag}");
+    let records = |fleet: &Fleet, d: usize| -> Vec<(String, u64)> {
+        fleet.device(d).records().iter().map(|k| (k.name.clone(), k.time_ms.to_bits())).collect()
+    };
+    for d in 0..clean.alive_devices() {
+        assert_eq!(records(&clean, d), records(&armed, d), "{tag}: device {d} kernel records");
+    }
 }
 
 #[test]

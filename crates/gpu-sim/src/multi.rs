@@ -439,6 +439,19 @@ impl MultiDevice {
         self.devices.iter_mut()
     }
 
+    /// Lends devices `at..` out by value, so another host thread can step
+    /// them; until [`MultiDevice::rejoin`] takes them back, only the
+    /// devices below `at` are present.
+    pub fn lend_from(&mut self, at: usize) -> Vec<Device> {
+        self.devices.split_off(at)
+    }
+
+    /// Takes back the devices lent by [`MultiDevice::lend_from`].
+    pub fn rejoin(&mut self, lent: Vec<Device>) {
+        self.devices.extend(lent);
+        assert_eq!(self.devices.len(), self.alive.len(), "rejoined a partial lend");
+    }
+
     /// Synchronization barrier over the surviving devices: every live
     /// clock advances to the slowest live device's position
     /// (level-synchronous BFS semantics). Evicted devices keep their
