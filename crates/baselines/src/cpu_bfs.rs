@@ -2,52 +2,16 @@
 //! level-synchronous implementation.
 //!
 //! The sequential version is the correctness oracle for everything in the
-//! workspace; the parallel version exists both as a sanity benchmark and
-//! as the kind of multicore baseline the direction-optimizing literature
-//! \[10\] starts from.
+//! workspace, `enterprise::validate::cpu_levels` under this crate's name;
+//! the parallel version exists both as a sanity benchmark and as the kind
+//! of multicore baseline the direction-optimizing literature \[10\]
+//! starts from.
 
 use enterprise_graph::{Csr, VertexId};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Level per vertex (`None` = unreachable) from a sequential BFS.
-pub fn sequential_levels(g: &Csr, source: VertexId) -> Vec<Option<u32>> {
-    let mut levels = vec![None; g.vertex_count()];
-    let mut q = VecDeque::new();
-    levels[source as usize] = Some(0);
-    q.push_back(source);
-    while let Some(v) = q.pop_front() {
-        let next = levels[v as usize].unwrap() + 1;
-        for &w in g.out_neighbors(v) {
-            if levels[w as usize].is_none() {
-                levels[w as usize] = Some(next);
-                q.push_back(w);
-            }
-        }
-    }
-    levels
-}
-
-/// Sequential BFS returning `(levels, parents)`.
-pub fn sequential_tree(g: &Csr, source: VertexId) -> (Vec<Option<u32>>, Vec<Option<VertexId>>) {
-    let mut levels = vec![None; g.vertex_count()];
-    let mut parents = vec![None; g.vertex_count()];
-    let mut q = VecDeque::new();
-    levels[source as usize] = Some(0);
-    parents[source as usize] = Some(source);
-    q.push_back(source);
-    while let Some(v) = q.pop_front() {
-        let next = levels[v as usize].unwrap() + 1;
-        for &w in g.out_neighbors(v) {
-            if levels[w as usize].is_none() {
-                levels[w as usize] = Some(next);
-                parents[w as usize] = Some(v);
-                q.push_back(w);
-            }
-        }
-    }
-    (levels, parents)
-}
+pub use enterprise::validate::cpu_levels as sequential_levels;
 
 /// Level-synchronous parallel BFS over a shared atomic level array.
 ///
@@ -137,20 +101,6 @@ mod tests {
     fn parallel_matches_sequential_on_directed() {
         let g = rmat(9, 8, 6);
         assert_eq!(parallel_levels(&g, 17), sequential_levels(&g, 17));
-    }
-
-    #[test]
-    fn tree_parents_are_consistent() {
-        let g = kronecker(8, 6, 8);
-        let (levels, parents) = sequential_tree(&g, 0);
-        for v in g.vertices() {
-            if let Some(l) = levels[v as usize] {
-                if v != 0 {
-                    let p = parents[v as usize].expect("visited vertex has a parent");
-                    assert_eq!(levels[p as usize], Some(l - 1));
-                }
-            }
-        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub use b40c_like::B40cLikeBfs;
 pub use beamer::{hybrid_bfs, BeamerResult};
 pub use bl::StatusArrayBfs;
 pub use common::BaselineResult;
-pub use cpu_bfs::{parallel_levels, sequential_levels, sequential_tree, traversed_edges};
+pub use cpu_bfs::{parallel_levels, sequential_levels, traversed_edges};
 pub use graphbig_like::GraphBigLikeBfs;
 pub use gunrock_like::GunrockLikeBfs;
 pub use mapgraph_like::MapGraphLikeBfs;

@@ -70,13 +70,13 @@ fn summary<R>(r: &BatchReport<R>) -> String {
         "sources={} completed={} hedge_wins={} poisoned={} shed={} retries={} hedges={} \
          resumed={} accounted={}",
         r.sources,
-        r.completed,
-        r.hedge_wins,
-        r.poisoned,
-        r.shed,
+        r.completed(),
+        r.hedge_wins(),
+        r.poisoned(),
+        r.shed(),
         r.retries,
         r.hedges,
-        r.resumed,
+        r.resumed(),
         r.accounted(),
     )
 }
@@ -102,7 +102,7 @@ fn warm_vs_cold(g: &Csr, gpus: usize, sources: &[BatchSource]) -> (f64, f64, f64
     let warm_setup = warm_sys.sim_elapsed_ms() + staging_ms(g);
     let report = warm_sys.batch(sources, &BatchPolicy::on());
     assert!(report.accounted(), "warm batch accounting broken: {}", summary(&report));
-    assert_eq!(report.completed, sources.len(), "fault-free warm batch must complete all");
+    assert_eq!(report.completed(), sources.len(), "fault-free warm batch must complete all");
     let edges: u64 =
         report.runs.iter().filter_map(|r| r.result.as_ref()).map(|r| r.traversed_edges).sum();
     let warm_ms = warm_setup + report.batch_ms;
@@ -113,7 +113,7 @@ fn warm_vs_cold(g: &Csr, gpus: usize, sources: &[BatchSource]) -> (f64, f64, f64
     let piped_setup = piped_sys.sim_elapsed_ms() + staging_ms(g);
     let piped = piped_sys.batch(sources, &BatchPolicy::pipelined(4));
     assert!(piped.accounted(), "pipelined batch accounting broken: {}", summary(&piped));
-    assert_eq!(piped.completed, sources.len(), "fault-free pipelined batch must complete all");
+    assert_eq!(piped.completed(), sources.len(), "fault-free pipelined batch must complete all");
     for (w, p) in report.runs.iter().zip(&piped.runs) {
         assert_eq!(p.digest, w.digest, "warm and pipelined disagree on source {}", w.source);
     }

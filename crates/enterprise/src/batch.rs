@@ -51,9 +51,12 @@
 //!   de-pipelined attempt ladder (its pipelined run counts as attempt
 //!   #1), so poisoning, hedging, and shedding accounting are unchanged.
 //!
-//! With [`BatchPolicy::disabled`] the plane is a strict no-op: the
-//! batch call is bit-identical to the caller looping over
-//! `try_bfs` itself — no scoping, no pinning, no ledger, no shedding.
+//! The report's outcome counts are read off its per-source runs, so
+//! every submitted source has exactly one outcome by construction. On a
+//! fault-free fleet without persistence the plane is bit-identical to
+//! the caller looping over `try_bfs` itself: a scoped zero-rate spec
+//! draws nothing, the brownout pin has nothing to keep, and there is no
+//! ledger. A caller that wants no serving plane calls `try_bfs`.
 
 use crate::error::{Backoff, BfsError};
 use crate::multi_gpu::{Fleet, FleetLane, MultiBfsResult};
@@ -68,6 +71,21 @@ use std::collections::{BTreeMap, VecDeque};
 /// scopes are small indices (bounded by `max_retries`), so the hedge
 /// can never alias one.
 const HEDGE_SCOPE: u64 = u64::MAX;
+
+/// The fault universe of one run of `source` under the fleet's `base`
+/// spec: `scope` 0 is the source's own universe, for its first attempt,
+/// sequential or in a pipelined lane; a retry passes its attempt index
+/// and the hedge [`HEDGE_SCOPE`].
+fn universe(base: Option<FaultSpec>, source: VertexId, scope: u64) -> Option<FaultSpec> {
+    base.map(|spec| {
+        let spec = spec.scoped(source as u64);
+        if scope == 0 {
+            spec
+        } else {
+            spec.scoped(scope)
+        }
+    })
+}
 
 /// Which pending sources a batch deadline sheds first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -95,13 +113,9 @@ pub enum PipelineMode {
     Overlap(usize),
 }
 
-/// Knobs for the batch serving plane. The default
-/// ([`BatchPolicy::disabled`]) is a strict no-op.
+/// Knobs for the batch serving plane, built by [`BatchPolicy::on`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BatchPolicy {
-    /// Whether the serving plane is armed at all. Disabled, a batch
-    /// call is bit-identical to sequential per-source `try_bfs` runs.
-    pub enabled: bool,
     /// Batch-level budget on accumulated simulated time (run time plus
     /// retry backoff), in milliseconds. Once crossed, every pending
     /// source is shed. `None` = no deadline.
@@ -120,10 +134,12 @@ pub struct BatchPolicy {
 }
 
 impl BatchPolicy {
-    /// The strict no-op policy: serving plane off.
-    pub fn disabled() -> Self {
+    /// The serving plane with its defaults: 2 retries per source with
+    /// 0.05 ms backoff doubling per retry, hedging for overruns up to
+    /// 16x, no batch deadline, lowest-priority-first shedding, pipelining
+    /// off.
+    pub fn on() -> Self {
         BatchPolicy {
-            enabled: false,
             deadline_ms: None,
             max_retries: 2,
             hedge_threshold: 16.0,
@@ -132,23 +148,9 @@ impl BatchPolicy {
         }
     }
 
-    /// The serving plane armed with its defaults: 2 retries per source
-    /// with 0.05 ms backoff doubling per retry, hedging for overruns up
-    /// to 16x, no batch deadline, lowest-priority-first shedding,
-    /// pipelining off.
-    pub fn on() -> Self {
-        BatchPolicy { enabled: true, ..Self::disabled() }
-    }
-
-    /// The serving plane armed with `width`-wide frontier pipelining.
+    /// The serving plane with `width`-wide frontier pipelining.
     pub fn pipelined(width: usize) -> Self {
         BatchPolicy { pipeline: PipelineMode::Overlap(width), ..Self::on() }
-    }
-}
-
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        Self::disabled()
     }
 }
 
@@ -272,27 +274,16 @@ pub struct SourceRun<R> {
     pub result: Option<R>,
 }
 
-/// Accounting for one batch call. Every submitted source appears in
-/// exactly one of the four outcome counters:
-/// `completed + hedge_wins + poisoned + shed == sources`.
+/// Accounting for one batch call. The outcome counts are read off
+/// [`BatchReport::runs`], which holds one run per submitted source.
 #[derive(Clone, Debug)]
 pub struct BatchReport<R> {
     /// Submitted sources.
     pub sources: usize,
-    /// Sources that completed on a regular attempt.
-    pub completed: usize,
-    /// Sources that completed via the hedged re-execution.
-    pub hedge_wins: usize,
-    /// Sources quarantined with a typed error.
-    pub poisoned: usize,
-    /// Sources shed by the batch deadline.
-    pub shed: usize,
     /// Retry runs executed across the batch.
     pub retries: u32,
     /// Hedged re-executions launched across the batch.
     pub hedges: u32,
-    /// Sources whose outcome was replayed from the durable ledger.
-    pub resumed: usize,
     /// Accumulated simulated time. Sequential: run time of every
     /// attempt plus retry backoff. Pipelined: the overlapped wall time
     /// of the fused sweeps plus de-pipelined recovery time — the number
@@ -309,28 +300,39 @@ pub struct BatchReport<R> {
 }
 
 impl<R> BatchReport<R> {
-    fn empty(sources: usize) -> Self {
-        BatchReport {
-            sources,
-            completed: 0,
-            hedge_wins: 0,
-            poisoned: 0,
-            shed: 0,
-            retries: 0,
-            hedges: 0,
-            resumed: 0,
-            batch_ms: 0.0,
-            backoff_ms: 0.0,
-            runs: Vec::with_capacity(sources),
-            manifest_errors: Vec::new(),
-        }
+    /// The serving plane's accounting invariant: every submitted source
+    /// has exactly one run, and so exactly one terminal outcome.
+    pub fn accounted(&self) -> bool {
+        self.runs.len() == self.sources
     }
 
-    /// The serving plane's accounting invariant: every submitted source
-    /// has exactly one terminal outcome.
-    pub fn accounted(&self) -> bool {
-        self.completed + self.hedge_wins + self.poisoned + self.shed == self.sources
-            && self.runs.len() == self.sources
+    fn count(&self, pick: impl Fn(&SourceRun<R>) -> bool) -> usize {
+        self.runs.iter().filter(|r| pick(r)).count()
+    }
+
+    /// Sources that completed on a regular attempt.
+    pub fn completed(&self) -> usize {
+        self.count(|r| matches!(r.outcome, SourceOutcome::Completed))
+    }
+
+    /// Sources that completed via the hedged re-execution.
+    pub fn hedge_wins(&self) -> usize {
+        self.count(|r| matches!(r.outcome, SourceOutcome::HedgeWin))
+    }
+
+    /// Sources quarantined with a typed error.
+    pub fn poisoned(&self) -> usize {
+        self.count(|r| matches!(r.outcome, SourceOutcome::Poisoned(_)))
+    }
+
+    /// Sources shed by the batch deadline.
+    pub fn shed(&self) -> usize {
+        self.count(|r| matches!(r.outcome, SourceOutcome::Shed))
+    }
+
+    /// Sources whose outcome was replayed from the durable ledger.
+    pub fn resumed(&self) -> usize {
+        self.count(|r| r.resumed)
     }
 
     /// Total TEPS over the batch's ok outcomes executed in this
@@ -346,47 +348,6 @@ impl<R> BatchReport<R> {
             edges as f64 / (ms / 1e3)
         } else {
             0.0
-        }
-    }
-
-    /// The same report with every run's result mapped through `f`.
-    pub(crate) fn map<T>(self, mut f: impl FnMut(R) -> T) -> BatchReport<T> {
-        let runs = self
-            .runs
-            .into_iter()
-            .map(|r| SourceRun {
-                source: r.source,
-                priority: r.priority,
-                outcome: r.outcome,
-                attempts: r.attempts,
-                time_ms: r.time_ms,
-                digest: r.digest,
-                resumed: r.resumed,
-                result: r.result.map(&mut f),
-            })
-            .collect();
-        BatchReport {
-            sources: self.sources,
-            completed: self.completed,
-            hedge_wins: self.hedge_wins,
-            poisoned: self.poisoned,
-            shed: self.shed,
-            retries: self.retries,
-            hedges: self.hedges,
-            resumed: self.resumed,
-            batch_ms: self.batch_ms,
-            backoff_ms: self.backoff_ms,
-            runs,
-            manifest_errors: self.manifest_errors,
-        }
-    }
-
-    fn tally(&mut self, outcome: &SourceOutcome) {
-        match outcome {
-            SourceOutcome::Completed => self.completed += 1,
-            SourceOutcome::HedgeWin => self.hedge_wins += 1,
-            SourceOutcome::Poisoned(_) => self.poisoned += 1,
-            SourceOutcome::Shed => self.shed += 1,
         }
     }
 }
@@ -544,7 +505,15 @@ impl<'a> BatchRun<'a> {
         sources: &'a [BatchSource],
         policy: &'a BatchPolicy,
     ) -> (Self, Vec<usize>) {
-        let mut report = BatchReport::empty(sources.len());
+        let mut report = BatchReport {
+            sources: sources.len(),
+            retries: 0,
+            hedges: 0,
+            batch_ms: 0.0,
+            backoff_ms: 0.0,
+            runs: Vec::new(),
+            manifest_errors: Vec::new(),
+        };
         let (prior, last_fleet) = ledger_open(host, &mut report);
         let mut order: Vec<usize> = (0..sources.len()).collect();
         if policy.shed_order == ShedOrder::LowestPriorityFirst {
@@ -558,13 +527,10 @@ impl<'a> BatchRun<'a> {
             let bs = &sources[i];
             match prior.get(&(i as u32)) {
                 Some(entry) if entry.source == bs.source && entry.priority == bs.priority => {
-                    let outcome = SourceOutcome::from_tag(entry.outcome, &entry.error);
-                    report.tally(&outcome);
-                    report.resumed += 1;
                     slots[i] = Some(SourceRun {
                         source: bs.source,
                         priority: bs.priority,
-                        outcome,
+                        outcome: SourceOutcome::from_tag(entry.outcome, &entry.error),
                         attempts: 0,
                         time_ms: 0.0,
                         digest: entry.digest,
@@ -586,8 +552,7 @@ impl<'a> BatchRun<'a> {
 
     /// The de-pipelined attempt ladder for source `i`: first attempt,
     /// then either one hedged re-execution (slow-but-alive) or backoff
-    /// retries, each in a fresh fault universe scoped to
-    /// `(source, attempt)`.
+    /// retries, each in a fresh fault [`universe`].
     ///
     /// `prior_attempts`/`prior_spent_ms`/`first_error` let a failed
     /// pipelined lane enter the ladder mid-flight: its lane run counts as
@@ -603,7 +568,6 @@ impl<'a> BatchRun<'a> {
         first_error: Option<BfsError>,
     ) -> Terminal {
         let source = self.sources[i].source;
-        let src_scope = source as u64;
         let mut attempts = prior_attempts;
         let mut retries_left = self.policy.max_retries;
         let mut backoff = Backoff::new();
@@ -617,16 +581,8 @@ impl<'a> BatchRun<'a> {
                 // charged) by the pipelined sweep, never a hedge.
                 Some(e) => (Err(e), false, false),
                 None => {
-                    if let Some(spec) = self.base {
-                        let scoped = if next_is_hedge {
-                            spec.scoped(src_scope).scoped(HEDGE_SCOPE)
-                        } else if attempts == 0 {
-                            spec.scoped(src_scope)
-                        } else {
-                            spec.scoped(src_scope).scoped(attempts as u64)
-                        };
-                        host.set_faults(Some(scoped));
-                    }
+                    let scope = if next_is_hedge { HEDGE_SCOPE } else { attempts as u64 };
+                    host.set_faults(universe(self.base, source, scope));
                     let saved = next_is_hedge.then(|| host.relax_deadlines());
                     let run = host.try_bfs(source);
                     if let Some(saved) = saved {
@@ -682,11 +638,10 @@ impl<'a> BatchRun<'a> {
         Terminal { outcome, result, attempts, spent_ms }
     }
 
-    /// Records source `i`'s terminal outcome: tallies it, appends it (and
-    /// any fleet-shape change) to the durable log, and fills its slot.
+    /// Records source `i`'s terminal outcome: appends it (and any
+    /// fleet-shape change) to the durable log, and fills its slot.
     fn finish(&mut self, host: &mut Fleet, i: usize, t: Terminal) {
         let bs = &self.sources[i];
-        self.report.tally(&t.outcome);
         let digest = t.result.as_ref().map_or(0, |r| result_digest(&r.levels, &r.parents));
         ledger_outcome(
             host,
@@ -734,62 +689,17 @@ impl<'a> BatchRun<'a> {
         host.set_faults(self.base);
         let mut report = self.report;
         report.runs = self.slots.into_iter().map(|s| s.expect("every slot filled")).collect();
-        debug_assert!(report.accounted(), "batch accounting invariant violated");
         report
     }
 }
 
 /// Runs `sources` through the serving plane on `host`. See the module
-/// docs for the semantics; with `policy.enabled == false` this is a
-/// strict sequential passthrough.
+/// docs for the semantics.
 pub(crate) fn run_batch(
     host: &mut Fleet,
     sources: &[BatchSource],
     policy: &BatchPolicy,
 ) -> BatchReport<MultiBfsResult> {
-    if !policy.enabled {
-        // Strict no-op: exactly the caller's sequential try_bfs loop.
-        let mut report = BatchReport::empty(sources.len());
-        for bs in sources {
-            let run = match host.try_bfs(bs.source) {
-                Ok(run) => {
-                    let time_ms = run.time_ms;
-                    report.batch_ms += time_ms;
-                    SourceRun {
-                        source: bs.source,
-                        priority: bs.priority,
-                        outcome: SourceOutcome::Completed,
-                        attempts: 1,
-                        time_ms,
-                        digest: result_digest(&run.levels, &run.parents),
-                        resumed: false,
-                        result: Some(run),
-                    }
-                }
-                Err(e) => {
-                    // A rejected source never started a run.
-                    let time_ms = match e {
-                        BfsError::SourceOutOfRange { .. } => 0.0,
-                        _ => host.sim_elapsed_ms(),
-                    };
-                    report.batch_ms += time_ms;
-                    SourceRun {
-                        source: bs.source,
-                        priority: bs.priority,
-                        outcome: SourceOutcome::Poisoned(PoisonReason::Error(e)),
-                        attempts: 1,
-                        time_ms,
-                        digest: 0,
-                        resumed: false,
-                        result: None,
-                    }
-                }
-            };
-            report.tally(&run.outcome);
-            report.runs.push(run);
-        }
-        return report;
-    }
     let (mut run, pending) = BatchRun::open(host, sources, policy);
     if let PipelineMode::Overlap(width) = policy.pipeline {
         run_pipelined(host, &mut run, pending.into(), width.max(1));
@@ -893,7 +803,7 @@ fn run_pipelined(
                     if eligible {
                         let i = pending.pop_front().expect("front just checked");
                         admitted[i] = true;
-                        let spec = run.base.map(|sp| sp.scoped(sources[i].source as u64));
+                        let spec = universe(run.base, sources[i].source, 0);
                         match host.lane_open(sources[i].source, s, spec) {
                             Ok(lane) => {
                                 *occupant =
@@ -971,20 +881,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_policy_is_disabled_and_bounded() {
-        let p = BatchPolicy::default();
-        assert!(!p.enabled);
+    fn default_policy_is_bounded() {
+        let p = BatchPolicy::on();
         assert!(p.max_retries > 0);
         assert!(p.hedge_threshold > 0.0);
         assert!(p.deadline_ms.is_none());
         assert_eq!(p.pipeline, PipelineMode::Off);
-        let on = BatchPolicy::on();
-        assert!(on.enabled);
-        assert_eq!(on.max_retries, p.max_retries);
-        assert_eq!(on.pipeline, PipelineMode::Off);
         let piped = BatchPolicy::pipelined(4);
-        assert!(piped.enabled);
-        assert_eq!(piped.pipeline, PipelineMode::Overlap(4));
+        assert_eq!(piped, BatchPolicy { pipeline: PipelineMode::Overlap(4), ..p });
     }
 
     #[test]

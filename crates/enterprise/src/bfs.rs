@@ -226,16 +226,14 @@ impl Enterprise {
     /// Runs a queue of sources as one supervised batch on this warm
     /// instance (DESIGN.md §5i): per-source fault isolation, retries,
     /// hedging, deadline shedding, and — with persistence armed — a
-    /// durable outcome ledger. With `policy` disabled this is
-    /// bit-identical to calling [`Enterprise::try_bfs`] per source. The
-    /// results carry no kernel timeline and an empty counter report.
+    /// durable outcome ledger. The results are the one-device fleet's,
+    /// without a kernel timeline or counter report.
     pub fn batch(
         &mut self,
         sources: &[BatchSource],
         policy: &BatchPolicy,
-    ) -> BatchReport<BfsResult> {
-        let empty = DeviceReport::from_records(&[], self.device().config(), 0.0);
-        self.fleet.batch(sources, policy).map(|r| BfsResult::new(r, Vec::new(), empty.clone()))
+    ) -> BatchReport<MultiBfsResult> {
+        self.fleet.batch(sources, policy)
     }
 
     /// Simulated milliseconds on the device clock since the last run

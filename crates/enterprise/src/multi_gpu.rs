@@ -689,11 +689,6 @@ pub struct Fleet {
     /// pooled instead of dropped; a pooled state is reused only while
     /// its scan ranges still match the device's current partition.
     lane_pool: Vec<Vec<Option<BfsState>>>,
-    /// Devices evicted because routing proved them link-isolated, as
-    /// opposed to fault-plane losses — the split the durable fleet
-    /// record preserves across a batch kill/resume. Cleared when the
-    /// batch pin is released.
-    batch_isolated: BTreeSet<usize>,
     /// The second host thread that steps half the devices of an unarmed
     /// level phase (`Fleet::step_devices`); spawned on first use.
     worker: Option<step::Worker>,
@@ -737,11 +732,6 @@ impl Fleet {
     /// source and is revived for the next one.
     pub(crate) fn set_pinned(&mut self, pinned: bool) {
         self.pinned = pinned && self.parts.len() > 1;
-        if !pinned {
-            // The fault/isolation eviction split is batch bookkeeping;
-            // it must not leak into the next batch's fleet records.
-            self.batch_isolated.clear();
-        }
     }
 
     /// Lifts kernel and level deadlines for a hedged re-execution,
@@ -878,30 +868,20 @@ impl Fleet {
         self.park_lane_states(lane.slot, &mut lane.states);
     }
 
-    /// The fleet's serializable degradation — evicted device ids, spliced
-    /// partition extents, learned link verdicts — or `None` while the
-    /// fleet is healthy.
+    /// The fleet's serializable degradation — the dead device ids in
+    /// ascending order, spliced partition extents, learned link verdicts
+    /// — or `None` while the fleet is healthy.
     pub(crate) fn capture_fleet(&self) -> Option<FleetRecord> {
         let p = self.parts.len();
-        let dead: Vec<usize> = (0..p).filter(|&d| !self.multi.is_alive(d)).collect();
+        let evicted: Vec<u32> =
+            (0..p).filter(|&d| !self.multi.is_alive(d)).map(|d| d as u32).collect();
         let verdicts = self.link_verdicts.pairs();
-        if dead.is_empty() && verdicts.is_empty() {
+        if evicted.is_empty() && verdicts.is_empty() {
             // Pure boundary drift (rebalance without loss) persists via
             // the layout-snapshot channel; no fleet record needed.
             return None;
         }
-        // Fault-plane losses first, link-isolated evictions last: the
-        // isolated count splits the id list exactly on restore.
-        let (isolated, fault): (Vec<u32>, Vec<u32>) = dead
-            .iter()
-            .map(|&d| d as u32)
-            .partition(|&d| self.batch_isolated.contains(&(d as usize)));
-        Some(FleetRecord {
-            link_isolated: isolated.len() as u32,
-            evicted: fault.into_iter().chain(isolated).collect(),
-            boundaries: self.extents(),
-            verdicts,
-        })
+        Some(FleetRecord { evicted, boundaries: self.extents(), verdicts })
     }
 
     /// Re-applies a captured fleet shape before a resumed batch runs:
@@ -909,15 +889,10 @@ impl Fleet {
     /// restores the learned link verdicts. `false` = a defective or
     /// mismatched record; the batch proceeds on the cold fleet.
     pub(crate) fn restore_fleet(&mut self, rec: &FleetRecord) -> bool {
-        if rec.link_isolated as usize > rec.evicted.len()
-            || self.reshape(&rec.boundaries, &rec.evicted).is_err()
-        {
+        if self.reshape(&rec.boundaries, &rec.evicted).is_err() {
             return false;
         }
         self.link_verdicts.restore(&rec.verdicts);
-        self.batch_isolated.clear();
-        let iso_start = rec.evicted.len() - rec.link_isolated as usize;
-        self.batch_isolated.extend(rec.evicted[iso_start..].iter().map(|&d| d as usize));
         true
     }
 }
@@ -1436,7 +1411,6 @@ impl Fleet {
             link_verdicts: crate::route::LinkVerdicts::default(),
             fleet_epoch: 0,
             lane_pool: Vec::new(),
-            batch_isolated: BTreeSet::new(),
             worker: None,
         })
     }
@@ -1473,8 +1447,8 @@ impl Fleet {
     /// fleet (DESIGN.md §5i): per-source fault isolation, retries,
     /// hedging, deadline shedding, graceful brownout on the shrinking
     /// fleet, and — with persistence armed — a durable outcome ledger.
-    /// With `policy` disabled this is bit-identical to calling
-    /// [`Fleet::try_bfs`] per source.
+    /// On a fault-free fleet without persistence this is bit-identical
+    /// to calling [`Fleet::try_bfs`] per source.
     pub fn batch(
         &mut self,
         sources: &[BatchSource],
@@ -1517,10 +1491,14 @@ impl Fleet {
     /// [`BfsError::SourceOutOfRange`], before any state changes.
     pub fn try_bfs(&mut self, source: VertexId) -> Result<MultiBfsResult, BfsError> {
         self.check_source(source)?;
-        // Reinstall the fault plan from its seed so repeated runs of this
-        // instance draw the same fault sequence (bit-reproducibility).
+        // Reinstall the device, link and storage fault plans from their
+        // seed so repeated runs of this instance draw the same fault
+        // sequence (bit-reproducibility).
         if let Some(spec) = self.config.faults {
             Self::arm_faults(&mut self.multi, spec);
+            if let Some(store) = self.store.as_mut() {
+                store.rearm(&spec);
+            }
         }
         let result = self.try_bfs_once(source, true)?;
         if !self.config.verify.end_of_run {
@@ -1923,7 +1901,6 @@ impl Fleet {
     ) -> Result<(), BfsError> {
         self.handle_loss(device, ckpt, walk)?;
         walk.recovery.link_isolated.push(device);
-        self.batch_isolated.insert(device);
         Ok(())
     }
 

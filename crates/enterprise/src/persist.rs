@@ -55,8 +55,10 @@ use gpu_sim::{FaultPlan, FaultSpec, FaultStats};
 /// made the batch ledger an append-only record log; version 4 dropped
 /// fields the extents' tiling and the eviction list imply. Version 5 makes
 /// every file a record log under one header, and a checkpoint chain one
-/// log of a keyframe and the deltas appended after it.
-pub const FORMAT_VERSION: u32 = 5;
+/// log of a keyframe and the deltas appended after it. Version 6 drops the
+/// link-isolated count from the batch log's fleet record, which lists the
+/// dead devices in ascending order.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Magic prefix of every record frame.
 pub const REC_MAGIC: [u8; 4] = *b"ENTL";
@@ -267,6 +269,9 @@ impl DriverKind {
 pub(crate) struct SnapshotStore {
     dir: PathBuf,
     plan: Option<FaultPlan>,
+    /// Faults drawn by plans [`SnapshotStore::rearm`] replaced, not yet
+    /// drained by [`SnapshotStore::take_stats`].
+    drawn: FaultStats,
     header: Header,
 }
 
@@ -295,7 +300,15 @@ impl SnapshotStore {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         let plan = faults.map(|spec| FaultPlan::for_stream(*spec, STORAGE_STREAM));
-        Ok(SnapshotStore { dir, plan, header })
+        Ok(SnapshotStore { dir, plan, drawn: FaultStats::default(), header })
+    }
+
+    /// Re-arms storage faults from `spec`'s seed, so every run of a driver
+    /// draws its own sequence whatever the runs before it wrote. The faults
+    /// the old plan drew stay counted until the next drain.
+    pub(crate) fn rearm(&mut self, spec: &FaultSpec) {
+        self.drawn = self.take_stats();
+        self.plan = Some(FaultPlan::for_stream(*spec, STORAGE_STREAM));
     }
 
     fn path_of(&self, name: &str) -> PathBuf {
@@ -387,14 +400,12 @@ impl SnapshotStore {
     /// Drain accumulated storage fault statistics (torn writes, corrupted
     /// snapshots) without disturbing the RNG position.
     pub(crate) fn take_stats(&mut self) -> FaultStats {
-        match self.plan.as_mut() {
-            Some(plan) => {
-                let stats = plan.stats().clone();
-                plan.reset_stats();
-                stats
-            }
-            None => FaultStats::default(),
+        let mut stats = std::mem::take(&mut self.drawn);
+        if let Some(plan) = self.plan.as_mut() {
+            stats.merge(plan.stats());
+            plan.reset_stats();
         }
+        stats
     }
 }
 
@@ -815,19 +826,14 @@ impl Body for BatchLedgerEntry {
 }
 
 /// The browned-out fleet shape at a point in a batch: which devices are
-/// gone (and how many of them were link-isolated rather than lost to
-/// faults), the spliced partition extents the survivors run on, and the
+/// gone, the spliced partition extents the survivors run on, and the
 /// learned hard-down link verdicts. Appended to the batch record log whenever
 /// the shape changes, so a resumed batch re-evicts the same devices and
 /// resumes on the survivors instead of a full fleet.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub(crate) struct FleetRecord {
-    /// Evicted device ids: fault-plane losses first, link-isolated ones
-    /// last.
+    /// Evicted device ids, in ascending order.
     pub evicted: Vec<u32>,
-    /// How many of `evicted` (its tail) were link-isolated (unreachable,
-    /// migrated); the rest were lost to device faults.
-    pub link_isolated: u32,
     /// Per-device `(td, bu)` scan extents after splicing, positional over
     /// the full original fleet (evicted entries keep their last extents).
     pub boundaries: Vec<Extents>,
@@ -840,13 +846,12 @@ impl Body for FleetRecord {
 
     fn put(&self, enc: &mut Enc) {
         enc.placement(&self.boundaries, &self.evicted);
-        enc.u32(self.link_isolated);
         enc.pairs(&self.verdicts);
     }
 
     fn get(dec: &mut Dec<'_>) -> Result<Self, PersistError> {
         let (boundaries, evicted) = dec.placement()?;
-        Ok(FleetRecord { evicted, link_isolated: dec.u32()?, boundaries, verdicts: dec.pairs()? })
+        Ok(FleetRecord { evicted, boundaries, verdicts: dec.pairs()? })
     }
 }
 

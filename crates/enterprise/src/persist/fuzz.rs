@@ -79,7 +79,7 @@ fn degraded(shape: Shape, n: usize) -> FleetRecord {
         }
         other => unreachable!("no degraded placement for {other:?}"),
     };
-    FleetRecord { evicted, link_isolated: 0, boundaries, verdicts: vec![] }
+    FleetRecord { evicted, boundaries, verdicts: vec![] }
 }
 
 /// Builds the pristine state directory of `shape`: a batch of two leaves
@@ -89,7 +89,7 @@ fn pristine(shape: Shape, g: &Csr, dir: &Path) -> Vec<Vec<u8>> {
     let _ = fs::remove_dir_all(dir);
     let report =
         Fleet::new(config(shape, dir, None), g).batch(&sources(&BATCH[..2]), &BatchPolicy::on());
-    assert_eq!(report.completed, 2, "{shape:?}: pristine batch");
+    assert_eq!(report.completed(), 2, "{shape:?}: pristine batch");
     if shape != Shape::Slices(1) {
         let header = Header { kind: Fleet::kind_of(shape), fingerprint: GraphFingerprint::of(g) };
         let mut store = SnapshotStore::open(dir, None, header).unwrap();
@@ -215,7 +215,6 @@ fn slots(rec: &mut Record) -> Slots<'_> {
         }
         Record::Fleet(f) => {
             placement(&mut out, &mut f.boundaries, &mut f.evicted);
-            out.push(("link_isolated", Slot::U32(&mut f.link_isolated)));
             pairs(&mut out, "verdicts", &mut f.verdicts);
         }
     }

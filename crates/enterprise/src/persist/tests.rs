@@ -92,10 +92,9 @@ fn batch_record_log_round_trips_and_rejects_damage() {
     let mut st = store(&dir, head);
     let entries = sample_entries();
     // A degraded 2x2 grid: blocks keep distinct top-down and bottom-up
-    // extents; device 3 was link-isolated after device 1 was lost.
+    // extents; devices 1 and 3 are dead.
     let fleet = FleetRecord {
         evicted: vec![1, 3],
-        link_isolated: 1,
         boundaries: vec![(0..64, 0..32), (32..64, 0..32), (0..64, 32..64), (32..64, 32..64)],
         verdicts: vec![(0, 3)],
     };
@@ -147,26 +146,18 @@ fn batch_record_log_torn_tail_degrades_to_last_intact_record() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A version-3 ledger, whose header carries no version, fails on its
-/// header with a typed version mismatch instead of decoding on into
-/// records laid out for another format, and a batch over it starts cold:
-/// nothing replays and a current header replaces the log.
-#[test]
-fn v3_ledger_header_degrades_to_a_cold_batch() {
-    let g = kronecker(6, 4, 1);
-    let head = Header { kind: DriverKind::OneD, fingerprint: GraphFingerprint::of(&g) };
-    let dir = tmp_dir("batch-log-v3");
-    let mut v3_header = Enc::new();
-    v3_header.u32(Header::TAG);
-    v3_header.u32(head.kind.to_u32());
-    v3_header.u64(head.fingerprint.vertices);
-    v3_header.u64(head.fingerprint.edges);
-    v3_header.u64(head.fingerprint.structure);
-    let log = log_of(&[v3_header.finish(), encode(&sample_entries()[0])]);
+/// Writes `log` as the batch ledger of a 1-D x4 fleet over `g` and checks
+/// that it fails on its header with a typed version mismatch naming
+/// `found`, instead of decoding on into records laid out for another
+/// format, and that a batch over it starts cold: nothing replays and a
+/// current header replaces the log.
+fn assert_cold_batch_over(tag: &str, g: &Csr, log: &[u8], found: u32) {
+    let head = Header { kind: DriverKind::OneD, fingerprint: GraphFingerprint::of(g) };
+    let dir = tmp_dir(tag);
     fs::create_dir_all(&dir).unwrap();
-    fs::write(dir.join(BATCH_FILE), &log).unwrap();
+    fs::write(dir.join(BATCH_FILE), log).unwrap();
     let mut st = store(&dir, head);
-    let mismatch = PersistError::VersionMismatch { found: head.kind.to_u32() };
+    let mismatch = PersistError::VersionMismatch { found };
     assert_eq!(read_ledger(&mut st).unwrap_err(), mismatch);
 
     let cfg = MultiGpuConfig {
@@ -174,12 +165,55 @@ fn v3_ledger_header_degrades_to_a_cold_batch() {
         ..MultiGpuConfig::k40s(4)
     };
     let sources: Vec<BatchSource> = [9, 17, 33].into_iter().map(BatchSource::new).collect();
-    let report = Fleet::new(cfg, &g).batch(&sources, &BatchPolicy::on());
+    let report = Fleet::new(cfg, g).batch(&sources, &BatchPolicy::on());
     assert_eq!(report.manifest_errors, vec![mismatch]);
-    assert_eq!((report.resumed, report.completed), (0, sources.len()));
+    assert_eq!((report.resumed(), report.completed()), (0, sources.len()));
     let replay = read_ledger(&mut st).unwrap().expect("a fresh log");
     assert_eq!(replay.entries.len(), sources.len());
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// The header fields after the version word, for a 1-D fleet over `g`.
+fn put_header_fields(enc: &mut Enc, g: &Csr) {
+    let fingerprint = GraphFingerprint::of(g);
+    enc.u32(DriverKind::OneD.to_u32());
+    enc.u64(fingerprint.vertices);
+    enc.u64(fingerprint.edges);
+    enc.u64(fingerprint.structure);
+}
+
+/// A version-3 ledger, whose header carries no version, fails on its
+/// header (its driver kind read as the version) and starts cold.
+#[test]
+fn v3_ledger_header_degrades_to_a_cold_batch() {
+    let g = kronecker(6, 4, 1);
+    let mut v3_header = Enc::new();
+    v3_header.u32(Header::TAG);
+    put_header_fields(&mut v3_header, &g);
+    let log = log_of(&[v3_header.finish(), encode(&sample_entries()[0])]);
+    assert_cold_batch_over("batch-log-v3", &g, &log, DriverKind::OneD.to_u32());
+}
+
+/// A version-5 ledger, whose fleet record still carries the count of
+/// link-isolated devices after its placement, fails on its header and
+/// starts cold.
+#[test]
+fn v5_ledger_with_isolated_count_degrades_to_a_cold_batch() {
+    let g = kronecker(6, 4, 1);
+    let mut v5_header = Enc::new();
+    v5_header.u32(Header::TAG);
+    v5_header.u32(5);
+    put_header_fields(&mut v5_header, &g);
+    let n = g.vertex_count();
+    let strips: Vec<Extents> =
+        (0..4).map(|d| (d * n / 4..(d + 1) * n / 4, d * n / 4..(d + 1) * n / 4)).collect();
+    let mut v5_fleet = Enc::new();
+    v5_fleet.u32(FleetRecord::TAG);
+    v5_fleet.placement(&strips, &[1, 3]);
+    v5_fleet.u32(1);
+    v5_fleet.pairs(&[]);
+    let log = log_of(&[v5_header.finish(), encode(&sample_entries()[0]), v5_fleet.finish()]);
+    assert_cold_batch_over("batch-log-v5", &g, &log, 5);
 }
 
 #[test]

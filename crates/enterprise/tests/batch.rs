@@ -1,14 +1,14 @@
 //! Batch serving-plane contracts (DESIGN.md §5i).
 //!
-//! The load-bearing guarantees: a disabled policy is a strict no-op
-//! against sequential per-source runs on every shape; a poisoned
+//! The load-bearing guarantees: on a fault-free fleet the plane is
+//! bit-identical to sequential per-source runs on every shape; a poisoned
 //! source is quarantined without touching its siblings' results; the
 //! hedged re-execution is bit-deterministic across fresh instances;
 //! and a killed batch resumes from its durable outcome ledger without
 //! re-running completed sources. Plus the deadline shedding order
 //! contract, and the pipelined-lane contracts (DESIGN.md §5j):
 //! `Overlap` changes scheduling but never answers, `Off` is
-//! bit-identical to the sequential plane, hedging stays deterministic
+//! bit-deterministic under chaos, hedging stays deterministic
 //! under lanes, a pipelined kill resumes from the append-only ledger,
 //! and a browned-out batch resumes on its survivor fleet, 1-D or grid.
 
@@ -36,60 +36,49 @@ fn queue() -> Vec<BatchSource> {
     SOURCES.iter().map(|&s| BatchSource::new(s)).collect()
 }
 
-/// Zero fault rates + disabled policy: the batch entry point must be
-/// bit-identical — results, timings, recovery counters — to the caller
-/// looping over `try_bfs` on a twin instance, on every shape.
+/// Zero fault rates or no fault plan at all: a batch on
+/// `BatchPolicy::on()` must be bit-identical — results, timings, recovery
+/// counters — to the caller looping over `try_bfs` on a twin instance, on
+/// every shape. A scoped zero-rate spec draws nothing, the brownout pin
+/// has nothing to keep, and without persistence there is no ledger.
 #[test]
-fn disabled_policy_is_bit_identical_to_sequential_on_all_drivers() {
+fn fault_free_batch_is_bit_identical_to_sequential_on_all_drivers() {
     let g = kronecker(9, 8, 5);
-    let zero = Some(FaultSpec::uniform(7, 0.0));
-
-    // Single GPU.
-    let cfg = EnterpriseConfig { faults: zero, ..EnterpriseConfig::default() };
-    let mut seq = Enterprise::new(cfg.clone(), &g);
-    let mut bat = Enterprise::new(cfg, &g);
-    let report = bat.batch(&queue(), &BatchPolicy::disabled());
-    assert!(report.accounted());
-    assert_eq!(report.completed, SOURCES.len());
-    for (bs, run) in SOURCES.iter().zip(&report.runs) {
-        let want = seq.try_bfs(*bs).expect("sequential twin failed");
-        let got = run.result.as_ref().expect("batch result missing");
-        assert_eq!(got.levels, want.levels);
-        assert_eq!(got.parents, want.parents);
-        assert_eq!(got.time_ms, want.time_ms, "single-GPU timing diverged");
-        assert_eq!(got.recovery, want.recovery);
+    // Builds a twin and a batched instance with `$mk`, then compares
+    // every run, plus the `$extra` result fields both types carry.
+    macro_rules! check {
+        ($mk:expr, $tag:expr $(, $extra:ident)*) => {{
+            let mut seq = $mk;
+            let report = $mk.batch(&queue(), &BatchPolicy::on());
+            assert!(report.accounted(), "{}", $tag);
+            assert_eq!(report.completed(), SOURCES.len(), "{}", $tag);
+            for (bs, run) in SOURCES.iter().zip(&report.runs) {
+                let want = seq.try_bfs(*bs).expect("sequential twin failed");
+                let got = run.result.as_ref().expect("batch result missing");
+                let tag = format!("{} source {bs}", $tag);
+                assert_eq!(got.levels, want.levels, "{tag}");
+                assert_eq!(got.parents, want.parents, "{tag}");
+                assert_eq!(got.time_ms.to_bits(), want.time_ms.to_bits(), "{tag}: timing");
+                assert_eq!(got.recovery, want.recovery, "{tag}");
+                $(assert_eq!(got.$extra, want.$extra, "{tag}");)*
+            }
+        }};
     }
-
-    // 1-D fleet.
-    let cfg = MultiGpuConfig { faults: zero, ..MultiGpuConfig::k40s(4) };
-    let mut seq = MultiGpuEnterprise::new(cfg.clone(), &g);
-    let mut bat = MultiGpuEnterprise::new(cfg, &g);
-    let report = bat.batch(&queue(), &BatchPolicy::disabled());
-    assert_eq!(report.completed, SOURCES.len());
-    for (bs, run) in SOURCES.iter().zip(&report.runs) {
-        let want = seq.try_bfs(*bs).expect("sequential twin failed");
-        let got = run.result.as_ref().expect("batch result missing");
-        assert_eq!(got.levels, want.levels);
-        assert_eq!(got.parents, want.parents);
-        assert_eq!(got.time_ms, want.time_ms, "1-D timing diverged");
-        assert_eq!(got.communication_bytes, want.communication_bytes);
-        assert_eq!(got.recovery, want.recovery);
-    }
-
-    // 2-D grid.
-    let cfg = Grid2DConfig { faults: zero, ..Grid2DConfig::k40s(2, 2) };
-    let mut seq = MultiGpu2DEnterprise::new(cfg.clone(), &g);
-    let mut bat = MultiGpu2DEnterprise::new(cfg, &g);
-    let report = bat.batch(&queue(), &BatchPolicy::disabled());
-    assert_eq!(report.completed, SOURCES.len());
-    for (bs, run) in SOURCES.iter().zip(&report.runs) {
-        let want = seq.try_bfs(*bs).expect("sequential twin failed");
-        let got = run.result.as_ref().expect("batch result missing");
-        assert_eq!(got.levels, want.levels);
-        assert_eq!(got.parents, want.parents);
-        assert_eq!(got.time_ms, want.time_ms, "2-D timing diverged");
-        assert_eq!(got.communication_bytes, want.communication_bytes);
-        assert_eq!(got.recovery, want.recovery);
+    for faults in [None, Some(FaultSpec::uniform(7, 0.0))] {
+        let single = EnterpriseConfig { faults, ..EnterpriseConfig::default() };
+        check!(Enterprise::new(single.clone(), &g), format!("single {faults:?}"));
+        let slices = MultiGpuConfig { faults, ..MultiGpuConfig::k40s(4) };
+        check!(
+            MultiGpuEnterprise::new(slices.clone(), &g),
+            format!("1-D {faults:?}"),
+            communication_bytes
+        );
+        let grid = Grid2DConfig { faults, ..Grid2DConfig::k40s(2, 2) };
+        check!(
+            MultiGpu2DEnterprise::new(grid.clone(), &g),
+            format!("2-D {faults:?}"),
+            communication_bytes
+        );
     }
 }
 
@@ -113,7 +102,7 @@ fn poisoned_source_quarantine_leaves_siblings_oracle_correct() {
         let mut sys = MultiGpuEnterprise::new(cfg, &g);
         let report = sys.batch(&queue(), &policy);
         assert!(report.accounted(), "seed {seed}: accounting broken");
-        if report.poisoned == 0 || report.completed == 0 {
+        if report.poisoned() == 0 || report.completed() == 0 {
             continue; // need at least one of each to show isolation
         }
         for run in &report.runs {
@@ -179,11 +168,11 @@ fn hedged_reexecution_is_bit_deterministic_across_instances() {
     for seed in 0..20u64 {
         let a = run_batch(seed);
         assert!(a.accounted(), "seed {seed}: accounting broken");
-        if a.hedge_wins == 0 {
+        if a.hedge_wins() == 0 {
             continue;
         }
         let b = run_batch(seed);
-        assert_eq!(a.hedge_wins, b.hedge_wins);
+        assert_eq!(a.hedge_wins(), b.hedge_wins());
         assert_eq!(a.hedges, b.hedges);
         assert_eq!(a.retries, b.retries);
         assert_eq!(a.batch_ms, b.batch_ms, "seed {seed}: hedged batch timing diverged");
@@ -228,14 +217,14 @@ fn killed_batch_resumes_from_manifest_without_rerunning() {
     // "Killed" process: the batch only got through its first two
     // sources before dying — the ledger records exactly those.
     let partial = MultiGpuEnterprise::new(cfg(), &g).batch(&sources[..2], &BatchPolicy::on());
-    assert_eq!(partial.completed, 2);
-    assert_eq!(partial.resumed, 0);
+    assert_eq!(partial.completed(), 2);
+    assert_eq!(partial.resumed(), 0);
 
     // Restarted process: same store, full queue.
     let resumed = MultiGpuEnterprise::new(cfg(), &g).batch(&sources, &BatchPolicy::on());
     assert!(resumed.accounted());
-    assert_eq!(resumed.resumed, 2, "ledger entries not replayed");
-    assert_eq!(resumed.completed, sources.len());
+    assert_eq!(resumed.resumed(), 2, "ledger entries not replayed");
+    assert_eq!(resumed.completed(), sources.len());
     for (i, run) in resumed.runs.iter().enumerate() {
         assert_eq!(run.resumed, i < 2, "wrong sources replayed");
         if run.resumed {
@@ -264,8 +253,8 @@ fn deadline_sheds_by_priority_then_by_submission_order() {
     let policy = BatchPolicy { deadline_ms: Some(1e-6), ..BatchPolicy::on() };
     let report = MultiGpuEnterprise::new(MultiGpuConfig::k40s(4), &g).batch(&prioritized, &policy);
     assert!(report.accounted());
-    assert_eq!(report.completed, 1);
-    assert_eq!(report.shed, SOURCES.len() - 1);
+    assert_eq!(report.completed(), 1);
+    assert_eq!(report.shed(), SOURCES.len() - 1);
     // Highest priority (submitted last) ran; the rest — all lower
     // priority — were shed and reported.
     let last = prioritized.last().unwrap();
@@ -283,7 +272,7 @@ fn deadline_sheds_by_priority_then_by_submission_order() {
     let report =
         MultiGpuEnterprise::new(MultiGpuConfig::k40s(4), &g).batch(&prioritized, &tail_policy);
     assert!(report.accounted());
-    assert_eq!(report.completed, 1);
+    assert_eq!(report.completed(), 1);
     assert!(matches!(report.runs[0].outcome, SourceOutcome::Completed), "head must run");
     for run in &report.runs[1..] {
         assert!(matches!(run.outcome, SourceOutcome::Shed), "tail must shed");
@@ -303,7 +292,7 @@ fn pipelined_batch_matches_sequential_digests_on_all_drivers() {
     let seq = Enterprise::new(cfg.clone(), &g).batch(&queue(), &BatchPolicy::on());
     let par = Enterprise::new(cfg, &g).batch(&queue(), &piped);
     assert!(par.accounted());
-    assert_eq!(par.completed, SOURCES.len());
+    assert_eq!(par.completed(), SOURCES.len());
     for (s, p) in seq.runs.iter().zip(&par.runs) {
         assert_eq!(p.digest, s.digest, "single-GPU pipelined digest diverged");
         let (sr, pr) = (s.result.as_ref().unwrap(), p.result.as_ref().unwrap());
@@ -316,7 +305,7 @@ fn pipelined_batch_matches_sequential_digests_on_all_drivers() {
     let seq = MultiGpuEnterprise::new(cfg.clone(), &g).batch(&queue(), &BatchPolicy::on());
     let par = MultiGpuEnterprise::new(cfg, &g).batch(&queue(), &piped);
     assert!(par.accounted());
-    assert_eq!(par.completed, SOURCES.len());
+    assert_eq!(par.completed(), SOURCES.len());
     for (s, p) in seq.runs.iter().zip(&par.runs) {
         assert_eq!(p.digest, s.digest, "1-D pipelined digest diverged");
         let (sr, pr) = (s.result.as_ref().unwrap(), p.result.as_ref().unwrap());
@@ -329,7 +318,7 @@ fn pipelined_batch_matches_sequential_digests_on_all_drivers() {
     let seq = MultiGpu2DEnterprise::new(cfg.clone(), &g).batch(&queue(), &BatchPolicy::on());
     let par = MultiGpu2DEnterprise::new(cfg, &g).batch(&queue(), &piped);
     assert!(par.accounted());
-    assert_eq!(par.completed, SOURCES.len());
+    assert_eq!(par.completed(), SOURCES.len());
     for (s, p) in seq.runs.iter().zip(&par.runs) {
         assert_eq!(p.digest, s.digest, "2-D pipelined digest diverged");
         let (sr, pr) = (s.result.as_ref().unwrap(), p.result.as_ref().unwrap());
@@ -339,14 +328,14 @@ fn pipelined_batch_matches_sequential_digests_on_all_drivers() {
 }
 
 /// Checks one shape against source `n`, one past the last vertex:
-/// `try_bfs` returns the typed error, and in a passthrough, a sequential
-/// and a pipelined batch the bad source alone is poisoned with it after
-/// one attempt that cost no simulated time, while its siblings keep the
-/// digests they get in a batch without it.
-fn assert_rejects_out_of_range<R>(
+/// `try_bfs` returns the typed error, and in a sequential and a pipelined
+/// batch the bad source alone is poisoned with it after one attempt that
+/// cost no simulated time, while its siblings keep the digests they get
+/// in a batch without it.
+fn assert_rejects_out_of_range<T, R>(
     shape: &str,
     n: u32,
-    try_bfs: impl FnOnce(u32) -> Result<R, BfsError>,
+    try_bfs: impl FnOnce(u32) -> Result<T, BfsError>,
     mut batch: impl FnMut(&[BatchSource], &BatchPolicy) -> BatchReport<R>,
 ) {
     let is_rejection = |e: &BfsError| {
@@ -357,11 +346,11 @@ fn assert_rejects_out_of_range<R>(
     assert!(is_rejection(&e), "{shape}: {e:?}");
     let mut with_bad = queue();
     with_bad.insert(2, BatchSource::new(n));
-    for policy in [BatchPolicy::disabled(), BatchPolicy::on(), BatchPolicy::pipelined(4)] {
+    for policy in [BatchPolicy::on(), BatchPolicy::pipelined(4)] {
         let want: Vec<u64> = batch(&queue(), &policy).runs.iter().map(|r| r.digest).collect();
         let report = batch(&with_bad, &policy);
         assert!(report.accounted(), "{shape} {policy:?}: accounting broken");
-        assert_eq!(report.poisoned, 1, "{shape} {policy:?}");
+        assert_eq!(report.poisoned(), 1, "{shape} {policy:?}");
         let bad = &report.runs[2];
         match &bad.outcome {
             SourceOutcome::Poisoned(PoisonReason::Error(e)) => {
@@ -405,34 +394,13 @@ fn out_of_range_source_is_a_typed_error_on_every_shape() {
     );
 }
 
-/// `PipelineMode::Off` is a strict no-op: an enabled-but-unpipelined
-/// batch is bit-identical — timings, counters, recovery — to the
-/// disabled plane fault-free on every shape, and bit-deterministic
-/// across fresh instances with every fault plane armed.
+/// `PipelineMode::Off` is the default, and with every fault plane armed
+/// an unpipelined batch is bit-deterministic across fresh instances.
 #[test]
-fn pipeline_off_is_strict_noop_bit_identity() {
+fn pipeline_off_is_bit_deterministic() {
     let g = kronecker(9, 8, 5);
     let off = BatchPolicy { pipeline: PipelineMode::Off, ..BatchPolicy::on() };
     assert_eq!(off, BatchPolicy::on(), "on() must default to PipelineMode::Off");
-
-    // Fault-free: the armed-but-Off plane adds nothing over disabled.
-    macro_rules! check {
-        ($mk:expr, $tag:literal) => {{
-            let a = $mk.batch(&queue(), &BatchPolicy::disabled());
-            let b = $mk.batch(&queue(), &off);
-            assert_eq!(a.batch_ms, b.batch_ms, concat!($tag, ": batch clock diverged"));
-            for (x, y) in a.runs.iter().zip(&b.runs) {
-                assert_eq!(x.digest, y.digest, concat!($tag, ": digest diverged"));
-                assert_eq!(x.time_ms, y.time_ms, concat!($tag, ": timing diverged"));
-                assert_eq!(x.attempts, y.attempts);
-                let (xr, yr) = (x.result.as_ref().unwrap(), y.result.as_ref().unwrap());
-                assert_eq!(xr.recovery, yr.recovery, concat!($tag, ": recovery diverged"));
-            }
-        }};
-    }
-    check!(Enterprise::new(EnterpriseConfig::default(), &g), "single");
-    check!(MultiGpuEnterprise::new(MultiGpuConfig::k40s(4), &g), "1-D");
-    check!(MultiGpu2DEnterprise::new(Grid2DConfig::k40s(2, 2), &g), "2-D");
 
     // Chaos: two fresh instances under Off produce bitwise-equal reports.
     let spec = FaultSpec {
@@ -491,11 +459,11 @@ fn pipelined_hedging_is_bit_deterministic_across_instances() {
     for seed in 0..20u64 {
         let a = run_batch(seed);
         assert!(a.accounted(), "seed {seed}: accounting broken");
-        if a.hedge_wins == 0 {
+        if a.hedge_wins() == 0 {
             continue;
         }
         let b = run_batch(seed);
-        assert_eq!(a.hedge_wins, b.hedge_wins);
+        assert_eq!(a.hedge_wins(), b.hedge_wins());
         assert_eq!(a.hedges, b.hedges);
         assert_eq!(a.retries, b.retries);
         assert_eq!(a.batch_ms, b.batch_ms, "seed {seed}: pipelined batch timing diverged");
@@ -535,19 +503,19 @@ fn killed_pipelined_batch_resumes_from_append_only_ledger() {
         ..MultiGpuConfig::k40s(4)
     };
     let twin = MultiGpuEnterprise::new(twin_cfg, &g).batch(&sources, &piped);
-    assert_eq!(twin.completed, sources.len());
+    assert_eq!(twin.completed(), sources.len());
 
     // "Killed" process: both submitted sources were co-scheduled in the
     // pipeline; the ledger appended their outcomes as they drained.
     let partial = MultiGpuEnterprise::new(cfg(), &g).batch(&sources[..2], &piped);
-    assert_eq!(partial.completed, 2);
-    assert_eq!(partial.resumed, 0);
+    assert_eq!(partial.completed(), 2);
+    assert_eq!(partial.resumed(), 0);
 
     // Restarted process: same store, full queue, still pipelined.
     let resumed = MultiGpuEnterprise::new(cfg(), &g).batch(&sources, &piped);
     assert!(resumed.accounted());
-    assert_eq!(resumed.resumed, 2, "append-only ledger entries not replayed");
-    assert_eq!(resumed.completed, sources.len());
+    assert_eq!(resumed.resumed(), 2, "append-only ledger entries not replayed");
+    assert_eq!(resumed.completed(), sources.len());
     for (i, run) in resumed.runs.iter().enumerate() {
         assert_eq!(run.resumed, i < 2, "wrong sources replayed");
         if run.resumed {
@@ -562,8 +530,9 @@ fn killed_pipelined_batch_resumes_from_append_only_ledger() {
 /// *survivor* fleet: the durable fleet record re-evicts the lost
 /// devices, the eviction-accounting invariant
 /// `devices_lost == faults.devices_lost + link_isolated` holds for every
-/// run on both sides of the kill, and the post-kill digests match an
-/// uninterrupted twin that browned out the same way.
+/// run on both sides of the kill (each run's `RecoveryReport` carries it;
+/// the fleet record lists only the dead ids), and the post-kill digests
+/// match an uninterrupted twin that browned out the same way.
 #[test]
 fn degraded_batch_resumes_on_survivor_fleet() {
     degraded_batch_resumes(MultiGpuConfig::k40s(4), "1d", 1..=3);
@@ -646,7 +615,7 @@ fn degraded_batch_resumes<S: Into<Shape> + Clone>(
         let partial = sys.batch(&sources[..2], &BatchPolicy::on());
         assert!(partial.accounted(), "{tag} seed {seed}: accounting broken");
         let alive = sys.alive_devices();
-        if !survivors.contains(&alive) || partial.completed < 2 {
+        if !survivors.contains(&alive) || partial.completed() < 2 {
             continue;
         }
         partial.runs.iter().for_each(&invariant);
@@ -661,7 +630,7 @@ fn degraded_batch_resumes<S: Into<Shape> + Clone>(
         let mut resumed_sys = Fleet::new(cfg(&dir), &g);
         let resumed = resumed_sys.batch(&sources, &BatchPolicy::on());
         assert!(resumed.accounted());
-        assert_eq!(resumed.resumed, 2, "{tag}: ledger entries not replayed");
+        assert_eq!(resumed.resumed(), 2, "{tag}: ledger entries not replayed");
         assert!(resumed.manifest_errors.is_empty(), "{tag}: {:?}", resumed.manifest_errors);
         assert!(
             resumed_sys.alive_devices() <= alive,

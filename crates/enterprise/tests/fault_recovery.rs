@@ -230,7 +230,7 @@ fn zero_rate_plan_is_a_strict_noop_multi_gpu() {
     let armed = MultiGpuConfig { faults: Some(FaultSpec::none(1)), ..clean.clone() };
     let batch = |cfg| Fleet::new(cfg, &g).batch(&sources, &BatchPolicy::pipelined(4));
     let (rb, r) = (batch(clean), batch(armed));
-    assert_eq!((rb.completed, r.completed), (8, 8), "pipelined batch");
+    assert_eq!((rb.completed(), r.completed()), (8, 8), "pipelined batch");
     assert_eq!(rb.batch_ms.to_bits(), r.batch_ms.to_bits(), "pipelined batch_ms");
     for (a, b) in rb.runs.iter().zip(&r.runs) {
         let tag = format!("pipelined source {}", a.source);

@@ -14,7 +14,9 @@
 //!   a typed [`PersistError`] in the recovery report — never a panic,
 //!   never a wrong result;
 //! - storage-fault rates with persistence disabled, and persistence
-//!   with a cold cache, are both strict no-ops on results and timing.
+//!   with a cold cache, are both strict no-ops on results and timing;
+//! - repeated runs of one instance draw the same storage faults, as they
+//!   draw the same device faults.
 
 use enterprise::multi_gpu::{Fleet, FleetConfig, MultiGpuConfig, MultiGpuEnterprise, Shape};
 use enterprise::multi_gpu_2d::{Grid2DConfig, MultiGpu2DEnterprise};
@@ -249,6 +251,33 @@ fn corrupt_snapshots_degrade_to_cold_start() {
     assert!(!second.recovery.snapshot_errors.is_empty());
     assert!(second.recovery.faults.snapshots_corrupted >= 1, "{:?}", second.recovery.faults);
     assert_eq!(second.levels, oracle);
+}
+
+/// Storage faults are re-armed from the seed at every run, as the device
+/// and link plans are: four runs of one instance draw the same torn
+/// checkpoint writes, so a run's tears never depend on the runs before it.
+#[test]
+fn repeated_runs_draw_the_same_storage_faults() {
+    storage_faults_per_run(EnterpriseConfig::default(), "single");
+    storage_faults_per_run(MultiGpuConfig::k40s(4), "1d");
+}
+
+fn storage_faults_per_run<S: Into<Shape> + Clone>(base: FleetConfig<S>, tag: &str) {
+    let g = kronecker(9, 8, 5);
+    let cfg = FleetConfig {
+        faults: Some(FaultSpec { torn_write_rate: 0.3, ..FaultSpec::none(16) }),
+        persist: Some(PersistPolicy::with_checkpoints(state_dir(&format!("rearm-{tag}")), 1)),
+        ..base
+    };
+    let mut sys = Fleet::new(cfg, &g);
+    let runs: Vec<_> = (0..4).map(|_| sys.try_bfs(3).expect("run")).collect();
+    let first = &runs[0];
+    assert!(first.recovery.faults.torn_writes > 0, "{tag}: no write was torn");
+    for (i, r) in runs.iter().enumerate().skip(1) {
+        assert_eq!(r.recovery, first.recovery, "{tag}: run {i} drew other faults");
+        assert_eq!(r.levels, first.levels, "{tag}: run {i}");
+        assert_eq!(r.time_ms.to_bits(), first.time_ms.to_bits(), "{tag}: run {i}");
+    }
 }
 
 #[test]
@@ -600,6 +629,6 @@ fn v4_snapshot_files_degrade_to_a_cold_start() {
         let sources = [BatchSource::new(source), BatchSource::new(2)];
         let report = fleet.batch(&sources, &BatchPolicy::on());
         assert_eq!(report.manifest_errors, [expect]);
-        assert_eq!((report.resumed, report.completed), (0, 2));
+        assert_eq!((report.resumed(), report.completed()), (0, 2));
     }
 }
