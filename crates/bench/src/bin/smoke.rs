@@ -8,7 +8,7 @@ use baselines::{
     AtomicQueueBfs, B40cLikeBfs, GraphBigLikeBfs, GunrockLikeBfs, MapGraphLikeBfs, StatusArrayBfs,
 };
 use bench::{aggregate_teps, fmt_teps, pick_sources, Table};
-use enterprise::validate::{cpu_levels, validate};
+use enterprise::validate::{audit, cpu_levels, validate};
 use enterprise::{EccMode, Enterprise, EnterpriseConfig, FaultSpec, VerifyPolicy};
 use enterprise_graph::gen::kronecker;
 use gpu_sim::DeviceConfig;
@@ -480,6 +480,44 @@ fn main() {
             armed.sources,
             armed.retries,
             armed.hedges
+        );
+
+        // A pinned batch under device loss and allocation faults with the
+        // verifier off: a loss splice whose rebuild fails must change
+        // nothing (DESIGN.md §5d), so every source that completes on the
+        // browned-out fleet is oracle-correct with no verifier to repair
+        // it.
+        let lossy_cfg = MultiGpuConfig {
+            faults: Some(FaultSpec {
+                device_loss_rate: 0.01,
+                alloc_fail_rate: 0.05,
+                ..FaultSpec::none(bench::run_seed())
+            }),
+            sanitize: false,
+            ..MultiGpuConfig::k40s(4)
+        };
+        let lossy = MultiGpuEnterprise::new(lossy_cfg, &sg).batch(&queue, &BatchPolicy::on());
+        assert!(lossy.accounted(), "lossy batch lost a source");
+        let mut lost = 0;
+        for run in &lossy.runs {
+            if let Some(r) = run.result.as_ref() {
+                assert_eq!(
+                    r.levels,
+                    cpu_levels(&sg, run.source),
+                    "lossy batch source {} completed with wrong depths",
+                    run.source
+                );
+                audit(&sg, run.source, &r.levels, &r.parents).unwrap_or_else(|e| {
+                    panic!("lossy batch source {} failed its audit: {e}", run.source)
+                });
+                lost += r.recovery.devices_lost.len();
+            }
+        }
+        println!(
+            "batch: pinned loss+alloc batch, verifier off: {} of {} sources completed \
+             oracle-correct, {lost} devices lost",
+            lossy.completed(),
+            lossy.sources
         );
     }
 }

@@ -334,22 +334,6 @@ impl<R> BatchReport<R> {
     pub fn resumed(&self) -> usize {
         self.count(|r| r.resumed)
     }
-
-    /// Total TEPS over the batch's ok outcomes executed in this
-    /// process: total traversed edges over total simulated time.
-    pub fn aggregate_teps(&self, edges_ms: impl Fn(&R) -> (u64, f64)) -> f64 {
-        let (mut edges, mut ms) = (0u64, 0.0f64);
-        for run in self.runs.iter().filter_map(|r| r.result.as_ref()) {
-            let (e, m) = edges_ms(run);
-            edges += e;
-            ms += m;
-        }
-        if ms > 0.0 {
-            edges as f64 / (ms / 1e3)
-        } else {
-            0.0
-        }
-    }
 }
 
 /// FNV-1a digest over a result's levels and parents, with

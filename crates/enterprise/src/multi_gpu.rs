@@ -48,8 +48,17 @@
 //! of [`crate::state`] (status, parents, live queues, hub table). The
 //! checkpoint taken at the top of every level is the durable checkpoint
 //! record itself; level replay and a resume install it through one
-//! fleet-level install, and a loss splice or an SDC repair installs an
-//! image rebuilt from the merged status.
+//! fleet-level install, and a loss splice, a rebalance or an SDC repair
+//! installs an image rebuilt from the merged status.
+//!
+//! The partition layout changes one way, all or nothing: one commit
+//! builds every changed partition first, each build fallible, and only
+//! when all have succeeded evicts the dead, swaps the new partitions in,
+//! retires the displaced ones and bumps the fleet epoch. A failed build
+//! changes nothing, so every vertex keeps an owner. Loss splices,
+//! link-isolation migrations, straggler rebalances, degraded resumes and
+//! batch fleet restores all commit through it; the shape's loss and
+//! rebalance rules only compute target extents.
 //!
 //! Parents are private to the discovering device; the final parent tree
 //! is gathered host-side (any device's recorded parent is valid because
@@ -476,15 +485,9 @@ fn try_place(
     hub_cache_entries: usize,
     tau: u32,
 ) -> Result<PerDevice, DeviceError> {
-    let state = BfsState::try_new_partitioned2(
-        device,
-        &graph,
-        thresholds,
-        hub_cache_entries,
-        tau,
-        ext.td.clone(),
-        ext.bu.clone(),
-    )?;
+    let (td, bu) = (ext.td.clone(), ext.bu.clone());
+    let state =
+        BfsState::try_new_labeled(device, &graph, thresholds, hub_cache_entries, tau, td, bu, "")?;
     Ok(PerDevice { graph, state, view: ext.view })
 }
 
@@ -640,14 +643,15 @@ pub struct Fleet {
     /// Indexed by device id (row-major on a grid).
     parts: Vec<PerDevice>,
     out_degrees: Vec<u32>,
-    /// Host copy of the graph, needed to rebuild a partition view when a
-    /// lost device's extent is spliced onto a survivor, by the verifier,
-    /// and by the CPU fallback baseline.
+    /// Host copy of the graph, needed to rebuild a partition view when the
+    /// layout changes, by the verifier, and by the CPU fallback baseline.
     csr: Csr,
     /// Hub threshold τ, reused by repartition-time state allocation.
     tau: u32,
-    /// Partitions displaced by in-run evictions, restored at the start of
-    /// the next run so device loss stays per-run (bit-reproducibility).
+    /// Partitions a commit displaced, restored at the start of the next
+    /// unpinned run so device loss stays per-run (bit-reproducibility);
+    /// a rebalance on a layout with nothing retired drops what it
+    /// displaced, so its layout persists.
     retired: Vec<(usize, PerDevice)>,
     /// Per-device busy time accumulated by the current level pass
     /// (queue generation, barriers excluded) — the telemetry the
@@ -679,10 +683,11 @@ pub struct Fleet {
     /// Hard-down link verdicts carried across exchanges (and, pinned,
     /// across batch sources); cleared at run start otherwise.
     link_verdicts: crate::route::LinkVerdicts,
-    /// Fleet-shape generation counter: bumped whenever the partition
-    /// layout or alive set changes (eviction splice, rebalance, degraded
-    /// resume, batch fleet restore). Pipeline lanes opened against an
-    /// older epoch hold stale per-device state and must be re-admitted.
+    /// Fleet-shape generation counter: bumped by every commit that changes
+    /// the partition layout or alive set (loss splice, isolation
+    /// migration, rebalance, degraded resume, batch fleet restore).
+    /// Pipeline lanes opened against an older epoch hold stale per-device
+    /// state and must be re-admitted.
     fleet_epoch: u64,
     /// Parked per-slot, per-device lane states (pipelined batch mode).
     /// The simulator never frees device memory, so lane states are
@@ -1051,108 +1056,88 @@ impl Fleet {
         }
     }
 
-    /// Loss: splices the survivors that absorb `lost`'s extent (the
-    /// caller has evicted it and rolled back to `ckpt`). Slices hand the
-    /// lost slice to the survivor with the adjacent range. A grid, in
-    /// priority order:
+    /// Loss: the partitions that take over the `dead` devices' extents,
+    /// and the CSR words that moving them ships. It only plans; the
+    /// caller commits ([`Fleet::commit`]). A lone dead device merges into
+    /// one neighbour: on slices the survivor whose range is adjacent; on
+    /// a grid, in priority order,
     ///
     /// 1. a survivor covering the *same row block* with a
     ///    *column-adjacent* block absorbs the lost columns (its expansion
     ///    slice widens);
     /// 2. a survivor covering the *same column block* with a
     ///    *row-adjacent* block absorbs the lost rows (its inspection
-    ///    slice widens);
-    /// 3. otherwise the whole grid collapses to a 1-D layout over the
-    ///    survivors (each gets a contiguous vertex slice), and the whole
-    ///    graph moves once across the interconnect.
+    ///    slice widens).
     ///
-    /// The first spliced survivor also inherits the lost device's
-    /// checkpointed parents (collect() takes the first recorded parent).
-    fn absorb_loss(
-        &mut self,
-        lost: usize,
-        ckpt: &MultiCheckpoint,
-        walk: &mut Walk,
-    ) -> Result<(), BfsError> {
+    /// When no such neighbour exists, or several devices are dead at
+    /// once, every shape re-lays its survivors as equal 1-D strips, and
+    /// the whole graph moves once across the interconnect.
+    fn loss_plan(&self, dead: &[usize]) -> (Vec<(usize, Extent)>, u64) {
         let n = self.csr.vertex_count();
-        let gone = self.parts[lost].extent();
-        let alive = self.multi.alive_ids();
-        let (plan, moved): (Vec<(usize, Extent)>, u64) = match self.config.shape.grid() {
-            None => {
-                let owned: Vec<(usize, Range<usize>)> =
-                    alive.iter().map(|&d| (d, self.parts[d].state.td_range.clone())).collect();
-                let rcv = repartition::choose_recipient_1d(&owned, &gone.td)
-                    .expect("1-D owned ranges tile the vertex range, so a neighbor survives");
-                let merged = repartition::union_range(&self.parts[rcv].state.td_range, &gone.td);
-                (vec![(rcv, Extent::strip(merged))], gone.arrays(&self.csr).moved_words())
-            }
-            Some(_) => {
-                let same_row = alive.iter().copied().find(|&d| {
-                    let e = self.parts[d].extent();
-                    e.bu == gone.bu && repartition::adjacent(&e.td, &gone.td)
-                });
-                let same_col = alive.iter().copied().find(|&d| {
-                    let e = self.parts[d].extent();
-                    e.td == gone.td && repartition::adjacent(&e.bu, &gone.bu)
-                });
-                let block_moved = gone.arrays(&self.csr).moved_words();
-                if let Some(rcv) = same_row {
-                    let td = repartition::union_range(&self.parts[rcv].state.td_range, &gone.td);
-                    (
-                        vec![(rcv, Extent { view: View::Block, td, bu: gone.bu.clone() })],
-                        block_moved,
-                    )
-                } else if let Some(rcv) = same_col {
-                    let bu = repartition::union_range(&self.parts[rcv].state.bu_range, &gone.bu);
-                    (
-                        vec![(rcv, Extent { view: View::Block, td: gone.td.clone(), bu })],
-                        block_moved,
-                    )
-                } else {
-                    let p = alive.len();
-                    let plan: Vec<(usize, Extent)> = alive
+        let survivors: Vec<usize> =
+            self.multi.alive_ids().into_iter().filter(|d| !dead.contains(d)).collect();
+        if let [lost] = *dead {
+            let gone = self.parts[lost].extent();
+            let merge = match self.config.shape.grid() {
+                None => {
+                    let owned: Vec<(usize, Range<usize>)> = survivors
                         .iter()
-                        .enumerate()
-                        .map(|(k, &d)| (d, Extent::strip((k * n / p)..((k + 1) * n / p))))
+                        .map(|&d| (d, self.parts[d].state.td_range.clone()))
                         .collect();
-                    let moved = plan.iter().map(|(_, e)| e.arrays(&self.csr).moved_words()).sum();
-                    (plan, moved)
+                    repartition::choose_recipient_1d(&owned, &gone.td).map(|rcv| {
+                        let td = &self.parts[rcv].state.td_range;
+                        (rcv, Extent::strip(repartition::union_range(td, &gone.td)))
+                    })
                 }
+                Some(_) => {
+                    let extents = || survivors.iter().map(|&d| (d, self.parts[d].extent()));
+                    let same_row = extents()
+                        .find(|(_, e)| e.bu == gone.bu && repartition::adjacent(&e.td, &gone.td));
+                    let same_col = extents()
+                        .find(|(_, e)| e.td == gone.td && repartition::adjacent(&e.bu, &gone.bu));
+                    match (same_row, same_col) {
+                        (Some((d, e)), _) => {
+                            let td = repartition::union_range(&e.td, &gone.td);
+                            Some((d, Extent { td, ..e }))
+                        }
+                        (None, Some((d, e))) => {
+                            let bu = repartition::union_range(&e.bu, &gone.bu);
+                            Some((d, Extent { bu, ..e }))
+                        }
+                        (None, None) => None,
+                    }
+                }
+            };
+            if let Some(merge) = merge {
+                return (vec![merge], gone.arrays(&self.csr).moved_words());
             }
-        };
-        // Charge the simulated cost of moving the CSR views (plus one
-        // status bitmap) to every survivor.
-        walk.recovery.repartition_ms += self.charge(moved);
-        let images = &ckpt.record.devices;
-        for (k, (d, ext)) in plan.into_iter().enumerate() {
-            // Each recipient's checkpointed status already equals the
-            // merged global view.
-            let status = images[d].status.clone();
-            let mut parent = images[d].parent.clone();
-            if k == 0 {
-                repartition::merge_parents(&mut parent, &images[lost].parent);
-            }
-            self.splice_device(d, ext, status, parent, walk.vars.dir, walk.level)?;
         }
-        Ok(())
+        let p = survivors.len();
+        let plan: Vec<(usize, Extent)> = survivors
+            .iter()
+            .enumerate()
+            .map(|(k, &d)| (d, Extent::strip((k * n / p)..((k + 1) * n / p))))
+            .collect();
+        let moved = plan.iter().map(|(_, e)| e.arrays(&self.csr).moved_words()).sum();
+        (plan, moved)
     }
 
     /// Rebalance: re-lays the alive devices out as contiguous 1-D slices
     /// with lengths proportional to `weights` (one entry per alive
-    /// device), splicing the current traversal state onto the new layout:
-    /// the merged status is re-uploaded as-is, each device keeps its
-    /// *own* parent array (it stays alive, so its discoveries remain
+    /// device), and moves the current traversal state onto the new
+    /// layout: the merged status is re-uploaded as-is, each device keeps
+    /// its *own* parent array (it stays alive, so its discoveries remain
     /// gatherable), and queues are rebuilt for `rebuild_level`.
     ///
     /// Slices shift boundaries: only devices whose slice moved are
-    /// re-spliced, and only the vertices that change owners are charged
+    /// rebuilt, and only the vertices that change owners are charged
     /// (compacted CSR deltas). A grid collapses: every device becomes a
     /// strip, the whole layout is charged as moved, and the grid stays
-    /// collapsed. Either way the new layout *persists* across runs of
-    /// this instance (unlike an eviction splice): a straggler is a
-    /// property of the device, so one move amortizes over every following
-    /// search of a multi-source workload. Charged to
-    /// [`RecoveryReport::rebalance_ms`].
+    /// collapsed. Either way the new layout commits like a loss
+    /// ([`Fleet::commit`]) but *persists* across runs of this instance:
+    /// a straggler is a property of the device, so one move amortizes
+    /// over every following search of a multi-source workload. Charged
+    /// to [`RecoveryReport::rebalance_ms`].
     fn rebalance(
         &mut self,
         weights: &[(usize, f64)],
@@ -1188,32 +1173,37 @@ impl Fleet {
             }
             moved
         };
-        if collapse {
-            recovery.rebalance_ms += self.charge(moved);
-        }
-
+        let plan: Vec<(usize, Extent)> = order
+            .iter()
+            .zip(slices)
+            .filter(|((d, _), slice)| collapse || self.parts[*d].state.td_range != *slice)
+            .map(|(&(d, _), slice)| (d, Extent::strip(slice)))
+            .collect();
         // Any alive device's status is the merged global view.
         let d0 = self.multi.alive_ids()[0];
         let status = self.multi.device_ref(d0).mem_ref().view(self.parts[d0].state.status).to_vec();
-        // splice_device retires the old parts so *eviction* splices can
-        // be undone at the next run start; rebalanced layouts outlive the
-        // run, so what this loop retired is dropped.
-        let mark = self.retired.len();
-        for (&(d, _), slice) in order.iter().zip(&slices) {
-            if !collapse && self.parts[d].state.td_range == *slice {
-                continue;
-            }
-            let parent =
-                self.multi.device_ref(d).mem_ref().view(self.parts[d].state.parent).to_vec();
-            let ext = Extent::strip(slice.clone());
-            self.splice_device(d, ext, status.clone(), parent, dir, rebuild_level)?;
+        let parents: Vec<Vec<u32>> = plan
+            .iter()
+            .map(|&(d, _)| {
+                self.multi.device_ref(d).mem_ref().view(self.parts[d].state.parent).to_vec()
+            })
+            .collect();
+        // The commit retires what it displaces, for the next unpinned run
+        // to restore. A rebalanced layout outlives the run, so what it
+        // displaced is dropped, unless an earlier commit (a loss, a
+        // degraded resume) waits to be restored: the next run revives the
+        // dead and must unwind this layout with that one.
+        let keep_retired = !self.retired.is_empty();
+        let rebuilt = self.commit(plan, &[])?;
+        if !keep_retired {
+            self.retired.clear();
         }
-        if self.retired.len() > mark {
-            self.fleet_epoch += 1;
-        }
-        self.retired.truncate(mark);
-        if !collapse {
-            recovery.rebalance_ms += self.charge(moved);
+        recovery.rebalance_ms += self.charge(moved);
+        let hub_src = vec![HUB_EMPTY; self.config.hub_cache_entries];
+        for ((d, view), parent) in rebuilt.into_iter().zip(parents) {
+            let (status, hub_src) = (status.clone(), hub_src.clone());
+            let image = DeviceImage { status, parent, hub_src, ..DeviceImage::default() };
+            self.install_rebuilt(d, &view, image, dir, rebuild_level);
         }
         Ok(())
     }
@@ -1864,30 +1854,60 @@ impl Fleet {
         Ok(())
     }
 
-    /// Evicts `lost`, rolls the survivors back to `ckpt`, and lets the
-    /// shape's loss rule splice the survivors that absorb its extent; the
-    /// caller replays the level on `N - 1` GPUs. Fails with
+    /// Rolls the survivors back to `ckpt` and moves `lost`'s extent onto
+    /// them through the shape's loss rule ([`Fleet::loss_plan`]) and one
+    /// commit ([`Fleet::commit`]); the caller replays the level on the
+    /// shrunken fleet. Every survivor the fault plane has already marked
+    /// lost goes with `lost` (only a pipelined sweep leaves such a
+    /// device behind), so no dead device is planned as a recipient. The
+    /// first rebuilt survivor inherits the dead devices' checkpointed
+    /// parents (`collect` takes the first recorded parent). Fails with
     /// [`BfsError::AllDevicesLost`] when the eviction budget
-    /// ([`RecoveryPolicy::min_surviving_devices`]) is exhausted.
+    /// ([`RecoveryPolicy::min_surviving_devices`]) is exhausted, and with
+    /// the commit's device error, the layout untouched, when a rebuilt
+    /// partition cannot be built.
     fn handle_loss(
         &mut self,
         lost: usize,
         ckpt: &MultiCheckpoint,
         walk: &mut Walk,
     ) -> Result<(), BfsError> {
+        let dead: Vec<usize> = self
+            .multi
+            .alive_ids()
+            .into_iter()
+            .filter(|&d| d == lost || self.multi.device_ref(d).is_lost())
+            .collect();
         let min_survivors = self.config.recovery.min_surviving_devices.max(1);
-        if self.multi.alive_count() <= min_survivors {
+        if self.multi.alive_count() < min_survivors + dead.len() {
             return Err(BfsError::AllDevicesLost {
                 level: walk.level,
-                lost: walk.recovery.devices_lost.len() as u32 + 1,
+                lost: (walk.recovery.devices_lost.len() + dead.len()) as u32,
             });
         }
-        self.multi.evict(lost);
+        let (plan, moved) = self.loss_plan(&dead);
         self.restore(ckpt, walk);
-        self.absorb_loss(lost, ckpt, walk)?;
-        walk.recovery.devices_lost.push(lost);
+        let rebuilt = self.commit(plan, &dead)?;
+        // Charge the simulated cost of moving the CSR views (plus one
+        // status bitmap) to every survivor.
+        walk.recovery.repartition_ms += self.charge(moved);
+        let images = &ckpt.record.devices;
+        let hub_src = vec![HUB_EMPTY; self.config.hub_cache_entries];
+        for (k, (d, view)) in rebuilt.into_iter().enumerate() {
+            // Each recipient's checkpointed status already equals the
+            // merged global view.
+            let mut parent = images[d].parent.clone();
+            if k == 0 {
+                for &x in &dead {
+                    repartition::merge_parents(&mut parent, &images[x].parent);
+                }
+            }
+            let (status, hub_src) = (images[d].status.clone(), hub_src.clone());
+            let image = DeviceImage { status, parent, hub_src, ..DeviceImage::default() };
+            self.install_rebuilt(d, &view, image, walk.vars.dir, walk.level);
+        }
+        walk.recovery.devices_lost.extend(&dead);
         walk.recovery.levels_replayed += 1;
-        self.fleet_epoch += 1;
         Ok(())
     }
 
@@ -1916,45 +1936,73 @@ impl Fleet {
         span_ms
     }
 
-    /// Re-uploads device `d`'s partition as `ext` and installs the image
-    /// of a freshly placed state onto it: status and parents as given,
-    /// frontier queues rebuilt host-side from the status array for
-    /// `level`, and an empty hub table. The displaced partition goes on
-    /// the retired stack for restoration at the next run's start.
-    fn splice_device(
+    /// The one layout change, all or nothing. It builds every partition
+    /// of `plan` first (its CSR view upload, then its state placement,
+    /// each fallible) and only when every build has succeeded evicts
+    /// `dead`, swaps the new partitions in, retires the displaced ones so
+    /// the next *unpinned* run restores the layout, and bumps the fleet
+    /// epoch if anything changed. Returns each rebuilt device with the
+    /// view it was cut from. On an error nothing is committed: the
+    /// layout, alive set, retired stack and epoch are untouched.
+    fn commit(
+        &mut self,
+        plan: Vec<(usize, Extent)>,
+        dead: &[usize],
+    ) -> Result<Vec<(usize, PartitionArrays)>, DeviceError> {
+        let (thresholds, entries) = (self.config.thresholds, self.config.hub_cache_entries);
+        let mut built = Vec::with_capacity(plan.len());
+        for (d, ext) in plan {
+            let device = self.multi.device(d);
+            let (graph, view) = ext.try_upload(device, &self.csr)?;
+            let mut part = try_place(device, graph, &ext, thresholds, entries, self.tau)?;
+            // T_h is a global graph property, unchanged by repartitioning.
+            part.state.total_hubs = self.parts[d].state.total_hubs;
+            built.push((d, part, view));
+        }
+        for &d in dead {
+            self.multi.evict(d);
+        }
+        if !dead.is_empty() || !built.is_empty() {
+            self.fleet_epoch += 1;
+        }
+        let mut views = Vec::with_capacity(built.len());
+        for (d, part, view) in built {
+            let old = std::mem::replace(&mut self.parts[d], part);
+            self.retired.push((d, old));
+            views.push((d, view));
+        }
+        Ok(views)
+    }
+
+    /// Installs `image` on device `d`, which holds partition `view`, with
+    /// its queues rebuilt host-side from the image's status for `level`
+    /// in `dir`. A committed partition takes an empty hub table, as a
+    /// freshly placed state holds; an SDC repair keeps the live one.
+    fn install_rebuilt(
         &mut self,
         d: usize,
-        ext: Extent,
-        status: Vec<u32>,
-        parent: Vec<u32>,
+        view: &PartitionArrays,
+        mut image: DeviceImage,
         dir: Direction,
         level: u32,
-    ) -> Result<(), BfsError> {
-        let (thresholds, entries) = (self.config.thresholds, self.config.hub_cache_entries);
-        let device = self.multi.device(d);
-        let (graph, view) = ext.try_upload(device, &self.csr)?;
-        let mut part = try_place(device, graph, &ext, thresholds, entries, self.tau)?;
-        // T_h is a global graph property, unchanged by repartitioning.
-        part.state.total_hubs = self.parts[d].state.total_hubs;
-        let queues =
-            repartition::rebuild_queues(&status, dir, level, &ext.td, &ext.bu, &view, &thresholds);
-        let image = DeviceImage { status, parent, queues, hub_src: vec![HUB_EMPTY; entries] };
-        part.state.install(self.multi.device(d), &image);
-        let old = std::mem::replace(&mut self.parts[d], part);
-        self.retired.push((d, old));
-        Ok(())
+    ) {
+        let state = &mut self.parts[d].state;
+        let (td, bu) = (&state.td_range, &state.bu_range);
+        let thresholds = &self.config.thresholds;
+        image.queues =
+            repartition::rebuild_queues(&image.status, dir, level, td, bu, view, thresholds);
+        state.install(self.multi.device(d), &image);
     }
 
     /// Moves the fleet onto persisted per-device `extents` with `evicted`
     /// dead — the one reshape a degraded checkpoint resume
-    /// ([`Fleet::try_resume`]) and a batch fleet restore share. It checks
+    /// ([`Fleet::try_resume`]) and a batch fleet restore share: the
+    /// checks on persisted input, then one [`Fleet::commit`]. It checks
     /// that the evictions name distinct, known devices and leave a
     /// survivor, and that the survivors tile the shape
-    /// ([`Fleet::live_view`]); rebuilds every survivor whose extent
-    /// changed, fallibly, before committing anything; then evicts the
-    /// dead, retires the displaced partitions so the next *unpinned* run
-    /// restores the original layout, and bumps the fleet epoch. Returns
-    /// the devices it evicted; on an error the fleet is untouched.
+    /// ([`Fleet::live_view`]); then commits every survivor whose extent
+    /// changed and the evictions. Returns the devices it evicted; on an
+    /// error the fleet is untouched.
     fn reshape(
         &mut self,
         extents: &[(Range<usize>, Range<usize>)],
@@ -1966,34 +2014,16 @@ impl Fleet {
             .ok_or(PersistError::LayoutMismatch)?;
         let view = Self::live_view(self.config.shape, n, extents, |d| !dead[d])
             .ok_or(PersistError::LayoutMismatch)?;
-        let (thresholds, entries) = (self.config.thresholds, self.config.hub_cache_entries);
-        let mut rebuilt = Vec::new();
-        for (d, (td, bu)) in extents.iter().enumerate().filter(|(d, _)| !dead[*d]) {
-            let ext = Extent { view, td: td.clone(), bu: bu.clone() };
-            if ext == self.parts[d].extent() {
-                continue;
-            }
-            let device = self.multi.device(d);
-            let mut part = ext
-                .try_upload(device, &self.csr)
-                .and_then(|(graph, _)| {
-                    try_place(device, graph, &ext, thresholds, entries, self.tau)
-                })
-                .map_err(|e| PersistError::Io(e.to_string()))?;
-            // T_h is a global graph property, unchanged by repartitioning.
-            part.state.total_hubs = self.parts[d].state.total_hubs;
-            rebuilt.push((d, part));
-        }
+        let plan: Vec<(usize, Extent)> = extents
+            .iter()
+            .enumerate()
+            .filter(|(d, _)| !dead[*d])
+            .map(|(d, (td, bu))| (d, Extent { view, td: td.clone(), bu: bu.clone() }))
+            .filter(|(d, ext)| *ext != self.parts[*d].extent())
+            .collect();
         let newly: Vec<usize> =
             evicted.iter().map(|&d| d as usize).filter(|&d| self.multi.is_alive(d)).collect();
-        for &d in &newly {
-            self.multi.evict(d);
-        }
-        for (d, part) in rebuilt {
-            let old = std::mem::replace(&mut self.parts[d], part);
-            self.retired.push((d, old));
-        }
-        self.fleet_epoch += 1;
+        self.commit(plan, &newly).map_err(|e| PersistError::Io(e.to_string()))?;
         Ok(newly)
     }
 
@@ -2220,24 +2250,16 @@ impl Fleet {
                 // expansion only writes parents of *newly* discovered
                 // vertices.
                 for &d in &alive {
-                    let ext = self.parts[d].extent();
-                    let view = ext.arrays(&self.csr);
-                    let (state, device) = (&mut self.parts[d].state, self.multi.device(d));
-                    let image = DeviceImage {
-                        status: status.clone(),
-                        parent: parent.clone(),
-                        queues: repartition::rebuild_queues(
-                            &status,
-                            dir,
-                            level + 1,
-                            &ext.td,
-                            &ext.bu,
-                            &view,
-                            &self.config.thresholds,
-                        ),
-                        hub_src: device.mem_ref().view(state.hub_src).to_vec(),
-                    };
-                    state.install(device, &image);
+                    let view = self.parts[d].extent().arrays(&self.csr);
+                    let hub_src = self
+                        .multi
+                        .device_ref(d)
+                        .mem_ref()
+                        .view(self.parts[d].state.hub_src)
+                        .to_vec();
+                    let (status, parent) = (status.clone(), parent.clone());
+                    let image = DeviceImage { status, parent, hub_src, ..DeviceImage::default() };
+                    self.install_rebuilt(d, &view, image, dir, level + 1);
                 }
                 // Termination recomputed from the healed status alone
                 // (grid queue totals may count a vertex once per block
@@ -2654,6 +2676,36 @@ mod tests {
             assert_eq!(r.levels, cpu_levels(&g, 17), "seed {seed}");
             audit(&g, 17, &r.levels, &r.parents).expect("audit-valid parents");
             let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A commit whose build fails changes nothing. Device 1 is marked lost
+    /// but not yet evicted, as a pipelined sweep can leave it, so a plan
+    /// naming it fails at its upload after device 0's build succeeded:
+    /// the commit returns the loss, and the extents, alive set, retired
+    /// stack and epoch are as before, device 3's eviction included. With
+    /// device 1 revived the same commit lands whole.
+    #[test]
+    fn failed_commit_changes_nothing() {
+        let g = kronecker(9, 8, 5);
+        let n = g.vertex_count();
+        for shape in [Shape::Slices(4), Shape::Grid(2, 2)] {
+            let mut sys = Fleet::new(FleetConfig::k40s_over(shape), &g);
+            let plan = || vec![(0, Extent::strip(0..n / 2)), (1, Extent::strip(n / 2..n))];
+            let layout = |s: &Fleet| (s.extents(), s.multi.alive_ids(), s.retired.len());
+            let before = layout(&sys);
+            sys.multi.device(1).mark_lost();
+            let err = sys.commit(plan(), &[2, 3]).err();
+            assert_eq!(err, Some(DeviceError::DeviceLost { device: 1 }), "{shape:?}");
+            assert_eq!(layout(&sys), before, "{shape:?}");
+            assert_eq!(sys.fleet_epoch(), 0, "{shape:?}");
+
+            sys.multi.revive_all();
+            sys.commit(plan(), &[2, 3]).expect("a revived device builds");
+            let strips = vec![(0..n / 2, 0..n / 2), (n / 2..n, n / 2..n)];
+            assert_eq!(sys.extents()[..2], strips, "{shape:?}");
+            assert_eq!((sys.multi.alive_ids(), sys.retired.len()), (vec![0, 1], 2), "{shape:?}");
+            assert_eq!(sys.fleet_epoch(), 1, "{shape:?}");
         }
     }
 

@@ -16,8 +16,8 @@
 //! 2. once the imbalance persists for a hysteresis streak, the detector
 //!    emits throughput-proportional weights and the driver shifts the
 //!    1-D partition boundaries (or collapses the 2-D grid to weighted
-//!    1-D slices) using the same splice machinery that absorbs a device
-//!    loss;
+//!    1-D slices) through the same all-or-nothing commit that absorbs a
+//!    device loss;
 //! 3. a kernel-deadline overrun on a device the fault plane marked as a
 //!    straggler (slow-but-alive, *not* lost) forces an immediate
 //!    rebalance instead of burning the level-replay budget.

@@ -3,9 +3,15 @@
 //! The last rung of the recovery ladder before the CPU fallback: when a
 //! device is permanently lost mid-traversal (injected via
 //! [`gpu_sim::FaultSpec::device_loss_rate`] or a watchdog-classified
-//! kernel deadline on a dead device), the multi-GPU drivers evict it and
-//! splice its partition onto a survivor, then resume from the current
-//! level's checkpoint on `N - 1` GPUs.
+//! kernel deadline on a dead device), the fleet driver splices its
+//! partition onto the survivors and resumes from the current level's
+//! checkpoint on them. The driver's loss rule only plans the survivors'
+//! new extents: one neighbour's merged range, or equal strips when no
+//! single merge applies or several devices are dead at once. It then
+//! builds every new partition view with the builders below, and commits
+//! only when all of them have been uploaded and placed: a failed build
+//! evicts nothing and changes no partition, so every vertex keeps an
+//! owner. Straggler rebalances commit their new strips the same way.
 //!
 //! The splice is exact because of two invariants the drivers maintain:
 //!

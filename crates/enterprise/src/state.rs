@@ -104,39 +104,17 @@ impl BfsState {
         hub_tau: u32,
     ) -> Self {
         let n = g.vertex_count;
-        Self::try_new_partitioned2(device, g, thresholds, hub_cache_entries, hub_tau, 0..n, 0..n)
+        Self::try_new_labeled(device, g, thresholds, hub_cache_entries, hub_tau, 0..n, 0..n, "")
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Allocates working state whose scans cover separate top-down
-    /// (sources) and bottom-up (targets) ranges, as 1-D and 2-D
-    /// partitioning need (§4.4). Allocation failures (real OOM or
-    /// injected) surface as [`DeviceError`].
-    pub fn try_new_partitioned2(
-        device: &mut Device,
-        g: &DeviceGraph,
-        thresholds: ClassifyThresholds,
-        hub_cache_entries: usize,
-        hub_tau: u32,
-        td_range: std::ops::Range<usize>,
-        bu_range: std::ops::Range<usize>,
-    ) -> Result<Self, DeviceError> {
-        Self::try_new_labeled(
-            device,
-            g,
-            thresholds,
-            hub_cache_entries,
-            hub_tau,
-            td_range,
-            bu_range,
-            "",
-        )
-    }
-
-    /// Like [`BfsState::try_new_partitioned2`] but prefixing every
-    /// buffer name with `label`, so the states of co-scheduled pipeline
-    /// lanes stay distinguishable in counter dumps and sanitizer
-    /// reports (e.g. `lane2.status`).
+    /// The one fallible constructor: working state whose scans cover
+    /// separate top-down (sources) and bottom-up (targets) ranges, as 1-D
+    /// and 2-D partitioning need (§4.4). Every buffer name is prefixed
+    /// with `label`, so the states of co-scheduled pipeline lanes stay
+    /// distinguishable in counter dumps and sanitizer reports (e.g.
+    /// `lane2.status`); a fleet's own states take `""`. Allocation
+    /// failures (real OOM or injected) surface as [`DeviceError`].
     #[allow(clippy::too_many_arguments)]
     pub fn try_new_labeled(
         device: &mut Device,

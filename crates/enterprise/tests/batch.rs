@@ -11,16 +11,21 @@
 //! bit-deterministic under chaos, hedging stays deterministic
 //! under lanes, a pipelined kill resumes from the append-only ledger,
 //! and a browned-out batch resumes on its survivor fleet, 1-D or grid.
+//! A loss splice or rebalance that cannot build changes nothing, so with
+//! the verifier off every completed source is still oracle-correct.
 
-use enterprise::multi_gpu::{Fleet, FleetConfig, MultiGpuConfig, MultiGpuEnterprise, Shape};
+use enterprise::multi_gpu::{
+    Fleet, FleetConfig, MultiBfsResult, MultiGpuConfig, MultiGpuEnterprise, Shape,
+};
 use enterprise::multi_gpu_2d::{Grid2DConfig, MultiGpu2DEnterprise};
 use enterprise::validate::cpu_levels;
 use enterprise::{
-    BatchPolicy, BatchReport, BatchSource, BfsError, Enterprise, EnterpriseConfig, FaultSpec,
-    PersistPolicy, PipelineMode, PoisonReason, RebalancePolicy, ShedOrder, SourceOutcome,
-    VerifyPolicy, WatchdogPolicy,
+    audit, BatchPolicy, BatchReport, BatchSource, BfsError, Enterprise, EnterpriseConfig,
+    FaultSpec, PersistPolicy, PipelineMode, PoisonReason, RebalancePolicy, ShedOrder,
+    SourceOutcome, VerifyPolicy, WatchdogPolicy, CHAOS_STRAGGLER_SLOWDOWN,
 };
 use enterprise_graph::gen::kronecker;
+use enterprise_graph::Csr;
 use std::ops::RangeInclusive;
 use std::path::PathBuf;
 
@@ -648,4 +653,76 @@ fn degraded_batch_resumes<S: Into<Shape> + Clone>(
         return;
     }
     panic!("{tag}: no seed in 0..40 browned out the fleet inside the first two sources");
+}
+
+/// A layout change that cannot build a partition changes nothing
+/// (DESIGN.md §5d). A loss splice or rebalance whose upload or state
+/// placement fails (an injected allocation fault, or a recipient that a
+/// sibling pipelined lane already killed) must not leave a pinned batch
+/// on survivors that no longer cover the graph, where later sources come
+/// back completed with wrong levels or a 1-D loss beside the gap panics.
+/// The verifier and sanitizer are off, so nothing repairs or poisons a
+/// wrong answer before this test sees it. Three planes, 1-D ×4 and 2×2,
+/// 24 seeds each: a sequential batch under loss and allocation faults, a
+/// `pipelined(4)` batch under loss, and a rebalancing batch under
+/// stragglers and allocation faults.
+#[test]
+fn failed_layout_change_leaves_batches_oracle_correct() {
+    let g = kronecker(9, 8, 5);
+    let sources: Vec<BatchSource> =
+        [3, 17, 101, 255, 77, 400, 12, 9].into_iter().map(BatchSource::new).collect();
+    // Plane `k` at `seed`: its name, batch policy, rebalance policy and
+    // fault spec.
+    let plane = |k: usize, seed: u64| match k {
+        0 => (
+            "loss+alloc",
+            BatchPolicy::on(),
+            RebalancePolicy::disabled(),
+            FaultSpec { device_loss_rate: 0.01, alloc_fail_rate: 0.05, ..FaultSpec::none(seed) },
+        ),
+        1 => (
+            "pipelined loss",
+            BatchPolicy::pipelined(4),
+            RebalancePolicy::disabled(),
+            FaultSpec { device_loss_rate: 0.02, ..FaultSpec::none(seed) },
+        ),
+        _ => (
+            "rebalance+alloc",
+            BatchPolicy::on(),
+            RebalancePolicy::on(),
+            FaultSpec {
+                straggler_rate: 0.5,
+                straggler_slowdown: CHAOS_STRAGGLER_SLOWDOWN,
+                alloc_fail_rate: 0.01,
+                ..FaultSpec::none(seed)
+            },
+        ),
+    };
+    for seed in 0..24u64 {
+        for k in 0..3 {
+            let (name, policy, rebalance, spec) = plane(k, seed);
+            let (faults, tag) = (Some(spec), format!("{name} seed {seed}"));
+            let slices =
+                MultiGpuConfig { faults, rebalance, sanitize: false, ..MultiGpuConfig::k40s(4) };
+            let report = Fleet::new(slices, &g).batch(&sources, &policy);
+            assert_batch_correct(&g, &report, &format!("1-D {tag}"));
+            let grid =
+                Grid2DConfig { faults, rebalance, sanitize: false, ..Grid2DConfig::k40s(2, 2) };
+            let report = Fleet::new(grid, &g).batch(&sources, &policy);
+            assert_batch_correct(&g, &report, &format!("2x2 {tag}"));
+        }
+    }
+}
+
+/// One run per submitted source, and every completed source has the CPU
+/// oracle's levels and an audit-valid parent tree.
+fn assert_batch_correct(g: &Csr, report: &BatchReport<MultiBfsResult>, tag: &str) {
+    assert!(report.accounted(), "{tag}: accounting broken");
+    for run in &report.runs {
+        let Some(r) = &run.result else { continue };
+        assert_eq!(r.levels, cpu_levels(g, run.source), "{tag} source {}", run.source);
+        if let Err(e) = audit(g, run.source, &r.levels, &r.parents) {
+            panic!("{tag} source {}: {e}", run.source);
+        }
+    }
 }

@@ -17,7 +17,8 @@
 //! - rebalanced boundaries *persist* across runs of one instance — the
 //!   interconnect cost of moving a slice is paid once and amortized over
 //!   every following source, while eviction splices keep being restored
-//!   at each run start (device loss stays per-run).
+//!   at each run start (device loss stays per-run), and a rebalance
+//!   committed after a loss in the same run is restored with it.
 
 use enterprise::multi_gpu::{MultiBfsResult, MultiGpuConfig, MultiGpuEnterprise};
 use enterprise::multi_gpu_2d::{Grid2DConfig, MultiGpu2DEnterprise};
@@ -426,4 +427,37 @@ fn degraded_link_triggers_the_rebalance_ladder() {
     assert!(r.recovery.link_slow_detections >= 1, "{:?}", r.recovery);
     assert_eq!(r.levels, oracle);
     assert_parents_valid(&g, &r);
+}
+
+/// A rebalance committed after a loss in the same run unwinds with the
+/// loss. The next run revives the lost device and restores the
+/// partitions the loss displaced; the rebalanced strips of the survivors
+/// must go back too, or the revived fleet runs on ranges that overlap or
+/// leave gaps, returning wrong levels or panicking at the next 1-D loss.
+#[test]
+fn rebalance_after_a_loss_unwinds_with_it_at_the_next_run() {
+    let g = kronecker(10, 8, 5);
+    let mut both = 0;
+    for seed in 0..24u64 {
+        let faults = Some(FaultSpec {
+            device_loss_rate: 0.01,
+            ..straggler_only(seed, 0.5, CHAOS_STRAGGLER_SLOWDOWN)
+        });
+        let rebalance = RebalancePolicy::on();
+        let slices =
+            MultiGpuConfig { faults, rebalance, sanitize: false, ..MultiGpuConfig::k40s(4) };
+        let grid = Grid2DConfig { faults, rebalance, sanitize: false, ..Grid2DConfig::k40s(2, 2) };
+        let mut fleets = [MultiGpuEnterprise::new(slices, &g), MultiGpu2DEnterprise::new(grid, &g)];
+        for (shape, sys) in ["1-D", "2x2"].into_iter().zip(&mut fleets) {
+            for src in [3, 17, 101, 255, 77, 400] {
+                let Ok(r) = sys.try_bfs(src) else { continue };
+                let tag = format!("{shape} seed {seed} source {src}");
+                assert_eq!(r.levels, cpu_levels(&g, src), "{tag}");
+                assert_parents_valid(&g, &r);
+                both +=
+                    usize::from(!r.recovery.devices_lost.is_empty() && r.recovery.rebalances > 0);
+            }
+        }
+    }
+    assert!(both > 0, "no run both lost a device and rebalanced");
 }
