@@ -155,9 +155,8 @@ fn main() {
         // the armed router. Both must match the oracle with valid
         // parents, and the faulty one must have retried its exchanges
         // (the first of a few fault seeds that does; every run checked).
-        // The clean grid steps its devices on two host threads; under an
-        // idle plan every device is armed and they step on one, which
-        // must not change results, simulated time or wire traffic.
+        // An idle (zero-rate) plan must not change results, simulated
+        // time or wire traffic.
         use enterprise::multi_gpu_2d::{Grid2DConfig, MultiGpu2DEnterprise};
         let oracle = cpu_levels(&mg, 0);
         let grid_checked = |r: &enterprise::multi_gpu::MultiBfsResult, tag: &str| {

@@ -66,14 +66,15 @@
 //!
 //! A level's two device phases, expansion and queue generation, run on
 //! two host threads, as the paper's GPUs run them concurrently between
-//! exchanges: the calling thread steps half of the survivors and the
-//! fleet's persistent worker the other half, spawned on first use and
-//! joined when the fleet drops. The results merge in device order before
-//! the exchange and the direction decision. A fleet with an armed device
-//! (a fault plan, the sanitizer or a kernel deadline) steps its devices
-//! in order on the calling thread, so a failing device still stops the
-//! devices after it. The `step` module holds the worker, the split and
-//! that rule.
+//! exchanges: the calling thread steps the lower half of the survivors
+//! and the fleet's persistent worker the upper half, spawned on first use
+//! and joined when the fleet drops, whatever fault plan, sanitizer or
+//! kernel deadline the devices carry. Every survivor runs the whole
+//! phase, whatever another device returns; the results merge in device
+//! order before the exchange and the direction decision, and a failed
+//! phase reports its first device error in device order. No device's
+//! phase depends on another's, so results do not depend on the thread
+//! count. The `step` module holds the worker, the split and that rule.
 
 use crate::batch::{BatchPolicy, BatchReport, BatchSource};
 use crate::bfs::LevelRecord;
@@ -694,9 +695,13 @@ pub struct Fleet {
     /// pooled instead of dropped; a pooled state is reused only while
     /// its scan ranges still match the device's current partition.
     lane_pool: Vec<Vec<Option<BfsState>>>,
-    /// The second host thread that steps half the devices of an unarmed
-    /// level phase (`Fleet::step_devices`); spawned on first use.
+    /// The second host thread that steps the upper half of the survivors
+    /// in every level phase (`Fleet::step_devices`); spawned on first use.
     worker: Option<step::Worker>,
+    /// Steps every survivor on the calling thread, in device order, under
+    /// the split's error rule: the reference the split is compared with.
+    #[cfg(test)]
+    serial: bool,
 }
 
 /// Per-source lane state for pipelined (MS-BFS) batch execution: one
@@ -1402,6 +1407,8 @@ impl Fleet {
             fleet_epoch: 0,
             lane_pool: Vec::new(),
             worker: None,
+            #[cfg(test)]
+            serial: false,
         })
     }
 
@@ -1858,10 +1865,11 @@ impl Fleet {
     /// them through the shape's loss rule ([`Fleet::loss_plan`]) and one
     /// commit ([`Fleet::commit`]); the caller replays the level on the
     /// shrunken fleet. Every survivor the fault plane has already marked
-    /// lost goes with `lost` (only a pipelined sweep leaves such a
-    /// device behind), so no dead device is planned as a recipient. The
-    /// first rebuilt survivor inherits the dead devices' checkpointed
-    /// parents (`collect` takes the first recorded parent). Fails with
+    /// lost goes with `lost`, so no dead device is planned as a recipient:
+    /// every survivor runs a failed phase to its end, so one phase, like
+    /// one pipelined sweep, can lose several devices. The first rebuilt
+    /// survivor inherits the dead devices' checkpointed parents
+    /// (`collect` takes the first recorded parent). Fails with
     /// [`BfsError::AllDevicesLost`] when the eviction budget
     /// ([`RecoveryPolicy::min_surviving_devices`]) is exhausted, and with
     /// the commit's device error, the layout untouched, when a rebuilt
@@ -2707,6 +2715,84 @@ mod tests {
             assert_eq!((sys.multi.alive_ids(), sys.retired.len()), (vec![0, 1], 2), "{shape:?}");
             assert_eq!(sys.fleet_epoch(), 1, "{shape:?}");
         }
+    }
+
+    /// The thread count cannot change a result, under faults too. Each
+    /// case runs on two fleets, one stepping every survivor serially on
+    /// the calling thread and one splitting them over two threads, and
+    /// the two agree bit for bit: levels, parents, time, bytes, recovery
+    /// report and every device's kernel records. Shapes 1-D x4, 2x2 and
+    /// 3x3 (a 4/5 split) run with no plan, a zero-rate plan, and the
+    /// golden fixture's `loss` and `link+loss` (router on) plans; a
+    /// pipelined batch with no plan and under `loss` compares its batch
+    /// time and each run's time and digest. At least one compared run
+    /// loses a device, so a failed phase is among the cases.
+    #[test]
+    fn serial_and_split_stepping_agree_bit_for_bit() {
+        use crate::route::RoutePolicy;
+        let g = kronecker(10, 8, 5);
+        let loss = FaultSpec { device_loss_rate: 0.004, ..FaultSpec::none(11) };
+        let link_loss = FaultSpec {
+            link_down_rate: 0.15,
+            link_flap_rate: 0.15,
+            link_flap_period_levels: gpu_sim::CHAOS_LINK_FLAP_PERIOD_LEVELS,
+            link_degrade_rate: 0.2,
+            device_loss_rate: 0.004,
+            ..FaultSpec::none(12)
+        };
+        let plans = [
+            ("none", None, RoutePolicy::disabled()),
+            ("zero-rate", Some(FaultSpec::none(1)), RoutePolicy::disabled()),
+            ("loss", Some(loss), RoutePolicy::disabled()),
+            ("link+loss", Some(link_loss), RoutePolicy::on()),
+        ];
+        let fleets = |cfg: FleetConfig<Shape>| {
+            let mut serial = Fleet::new(cfg.clone(), &g);
+            serial.serial = true;
+            (serial, Fleet::new(cfg, &g))
+        };
+        let records = |fleet: &Fleet| -> Vec<String> {
+            (0..fleet.parts.len()).map(|d| format!("{:?}", fleet.device(d).records())).collect()
+        };
+        let mut losses = 0;
+        for shape in [Shape::Slices(4), Shape::Grid(2, 2), Shape::Grid(3, 3)] {
+            for (plan, faults, route) in plans {
+                let cfg = FleetConfig { faults, route, ..FleetConfig::k40s_over(shape) };
+                let (mut serial, mut split) = fleets(cfg);
+                for source in [3, 517] {
+                    let tag = format!("{shape:?} {plan} src={source}");
+                    match (serial.try_bfs(source), split.try_bfs(source)) {
+                        (Ok(a), Ok(b)) => {
+                            assert_eq!(a.levels, b.levels, "{tag}");
+                            assert_eq!(a.parents, b.parents, "{tag}");
+                            assert_eq!(a.time_ms.to_bits(), b.time_ms.to_bits(), "{tag}: time");
+                            assert_eq!(a.communication_bytes, b.communication_bytes, "{tag}");
+                            assert_eq!(a.recovery, b.recovery, "{tag}");
+                            losses += usize::from(!a.recovery.devices_lost.is_empty());
+                        }
+                        (a, b) => assert_eq!(format!("{a:?}"), format!("{b:?}"), "{tag}"),
+                    }
+                    assert_eq!(records(&serial), records(&split), "{tag}: kernel records");
+                }
+            }
+            for (plan, faults) in [("none", None), ("loss", Some(loss))] {
+                let cfg = FleetConfig { faults, ..FleetConfig::k40s_over(shape) };
+                let (mut serial, mut split) = fleets(cfg);
+                let sources: Vec<BatchSource> =
+                    [3, 17, 100, 255, 511, 600, 800, 1000].map(BatchSource::new).to_vec();
+                let policy = BatchPolicy::pipelined(4);
+                let (a, b) = (serial.batch(&sources, &policy), split.batch(&sources, &policy));
+                let tag = format!("{shape:?} {plan} pipelined batch");
+                assert_eq!(a.batch_ms.to_bits(), b.batch_ms.to_bits(), "{tag}: batch_ms");
+                assert_eq!(a.runs.len(), b.runs.len(), "{tag}");
+                for (a, b) in a.runs.iter().zip(&b.runs) {
+                    let tag = format!("{tag}, source {}", a.source);
+                    assert_eq!(a.time_ms.to_bits(), b.time_ms.to_bits(), "{tag}: time");
+                    assert_eq!(a.digest, b.digest, "{tag}: digest");
+                }
+            }
+        }
+        assert!(losses > 0, "no compared run lost a device");
     }
 
     #[test]

@@ -1,30 +1,28 @@
 //! Stepping a fleet's devices on two host threads between exchanges.
 //!
 //! In the paper's multi-GPU design (§4.4) every GPU expands its frontier
-//! and generates its queues at the same time; the GPUs meet only at the
-//! level's bitmap exchange. [`Fleet::step_devices`] steps a level phase
-//! the same way on the host: the calling thread steps the lower half of
-//! the surviving devices while one persistent [`Worker`] steps the upper
-//! half, and the per-device results come back in device order. Both
-//! halves call the same phase function.
+//! and generates its queues on its own; the GPUs meet only at the level's
+//! bitmap exchange. [`Fleet::step_devices`] steps a level phase the same
+//! way on the host, with one rule for every fleet of two or more
+//! survivors, whatever fault plan, sanitizer or kernel deadline they
+//! carry: the calling thread steps the lower half of the survivors while
+//! one persistent [`Worker`] steps the upper half, and every survivor runs
+//! the whole phase whatever another device returns. The phase then fails
+//! with the first device error in device order.
 //!
-//! The split is taken only when no surviving device is [`armed`]. An
-//! unarmed phase cannot fail, and it touches only its own device's
-//! memory, L2, clock and kernel records, so both thread counts give
-//! bit-identical results. An armed fleet steps its devices in order on
-//! the calling thread, because a device that fails must stop the devices
-//! after it from running that phase: level replay, loss splices and the
-//! golden fixtures rely on that order.
+//! A device's phase touches only its own memory, L2, clock, kernel
+//! records and fault stream, so no device's phase depends on another's: a
+//! run's results depend on its fault streams alone, not on the thread
+//! count or the split point.
 //!
 //! The worker's half travels to it by value over a channel and comes back
 //! the same way. A panic in either half is caught, every device is put
 //! back, and then the first panic in device order resumes on the calling
-//! thread with its original payload.
+//! thread with its original payload, before any device error is reported.
 
 use super::{Fleet, PerDevice};
 use crate::error::BfsError;
 use gpu_sim::{Device, DeviceError};
-use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::thread::{self, JoinHandle};
@@ -37,6 +35,10 @@ use std::time::{Duration, Instant};
 const SPIN: Duration = Duration::from_micros(100);
 
 type Job = Box<dyn FnOnce() + Send>;
+
+/// One thread's half of a phase: its results in device order and its
+/// first device error, or the payload of a panic.
+type Half<R> = thread::Result<(Vec<R>, Option<DeviceError>)>;
 
 /// A fleet's second host thread: spawned on the fleet's first split phase
 /// and joined when the fleet drops.
@@ -84,77 +86,69 @@ fn receive<T>(rx: &Receiver<T>) -> Option<T> {
     }
 }
 
-/// Whether `device` can fail a launch: a fault plan is installed (a
-/// zero-rate plan included), the sanitizer is on, or a kernel deadline is
-/// set.
-fn armed(device: &Device) -> bool {
-    device.fault_plan().is_some()
-        || device.sanitizer().is_some()
-        || device.kernel_deadline_ms().is_some()
-}
-
-/// What stopped one thread's half of a phase.
-enum Stop {
-    Failed(DeviceError),
-    Panicked(Box<dyn Any + Send>),
-}
-
-/// Steps `ids` in order, stopping at the first error or panic.
-fn in_order<R>(
-    ids: &[usize],
-    mut step: impl FnMut(usize) -> Result<R, DeviceError>,
-) -> Result<Vec<R>, Stop> {
-    ids.iter()
-        .map(|&d| match panic::catch_unwind(AssertUnwindSafe(|| step(d))) {
-            Ok(r) => r.map_err(Stop::Failed),
-            Err(payload) => Err(Stop::Panicked(payload)),
-        })
-        .collect()
+/// Steps every device of `ids` in order, each whatever another returned,
+/// and catches a panic.
+fn step_half<R>(ids: &[usize], mut step: impl FnMut(usize) -> Result<R, DeviceError>) -> Half<R> {
+    panic::catch_unwind(AssertUnwindSafe(|| {
+        let (mut results, mut first) = (Vec::with_capacity(ids.len()), None);
+        for &d in ids {
+            match step(d) {
+                Ok(r) => results.push(r),
+                Err(e) => first = first.or(Some(e)),
+            }
+        }
+        (results, first)
+    }))
 }
 
 impl Fleet {
-    /// Runs one level phase on every survivor, returning the per-device
-    /// results in device order, or the first error in device order. With
-    /// two or more survivors and none armed, the calling thread steps the
-    /// lower half and the fleet's worker, spawned on first use, the upper
-    /// half.
+    /// Runs one level phase on every survivor, each to its end whatever
+    /// another returns, and returns the per-device results in device
+    /// order, or the first device error in device order. With two or more
+    /// survivors the calling thread steps the lower half and the fleet's
+    /// worker, spawned on first use, the upper half.
     pub(super) fn step_devices<R, F>(&mut self, phase: F) -> Result<Vec<R>, BfsError>
     where
         R: Send + 'static,
         F: Fn(&mut Device, &mut PerDevice) -> Result<R, DeviceError> + Copy + Send + 'static,
     {
+        let alive = self.multi.alive_ids();
+        let split = if alive.len() < 2 { alive.len() } else { alive.len() / 2 };
+        #[cfg(test)]
+        let split = if self.serial { alive.len() } else { split };
+        let (mine, theirs) = alive.split_at(split);
         let (multi, parts) = (&mut self.multi, &mut self.parts);
-        let alive = multi.alive_ids();
-        if alive.len() < 2 || alive.iter().any(|&d| armed(multi.device_ref(d))) {
-            return alive
-                .into_iter()
-                .map(|d| phase(multi.device(d), &mut parts[d]).map_err(BfsError::Device))
-                .collect();
-        }
-        let (mine, theirs) = alive.split_at(alive.len() / 2);
-        let at = theirs[0];
-        let theirs: Vec<usize> = theirs.iter().map(|d| d - at).collect();
-        let (mut devices, mut lent) = (multi.lend_from(at), parts.split_off(at));
-        let (reply, replied) = mpsc::sync_channel(1);
-        let job: Job = Box::new(move || {
-            let out = in_order(&theirs, |i| phase(&mut devices[i], &mut lent[i]));
-            let _ = reply.send((devices, lent, out));
+        let replied = theirs.first().map(|&at| {
+            let theirs: Vec<usize> = theirs.iter().map(|d| d - at).collect();
+            let (mut devices, mut lent) = (multi.lend_from(at), parts.split_off(at));
+            let (reply, replied) = mpsc::sync_channel(1);
+            let job: Job = Box::new(move || {
+                let out = step_half(&theirs, |i| phase(&mut devices[i], &mut lent[i]));
+                let _ = reply.send((devices, lent, out));
+            });
+            let jobs = self.worker.get_or_insert_with(Worker::spawn).jobs.as_ref();
+            jobs.expect("the step worker's queue is open").send(job).expect("the step worker runs");
+            replied
         });
-        let jobs = self.worker.get_or_insert_with(Worker::spawn).jobs.as_ref();
-        jobs.expect("the step worker's queue is open").send(job).expect("the step worker runs");
-        let own = in_order(mine, |d| phase(multi.device(d), &mut parts[d]));
-        let (devices, lent, out) = receive(&replied).expect("the step worker returns every lend");
-        multi.rejoin(devices);
-        parts.extend(lent);
-        let mut results = Vec::with_capacity(alive.len());
-        for half in [own, out] {
-            match half {
-                Ok(r) => results.extend(r),
-                Err(Stop::Failed(e)) => return Err(BfsError::Device(e)),
-                Err(Stop::Panicked(payload)) => panic::resume_unwind(payload),
+        let own = step_half(mine, |d| phase(multi.device(d), &mut parts[d]));
+        let out = replied.map_or(Ok((Vec::new(), None)), |replied| {
+            let (devices, lent, out) =
+                receive(&replied).expect("the step worker returns every lend");
+            multi.rejoin(devices);
+            parts.extend(lent);
+            out
+        });
+        let ((mut results, own_error), (theirs, their_error)) = match (own, out) {
+            (Ok(own), Ok(out)) => (own, out),
+            (Err(payload), _) | (_, Err(payload)) => panic::resume_unwind(payload),
+        };
+        match own_error.or(their_error) {
+            Some(e) => Err(BfsError::Device(e)),
+            None => {
+                results.extend(theirs);
+                Ok(results)
             }
         }
-        Ok(results)
     }
 }
 
@@ -163,28 +157,32 @@ mod tests {
     use crate::multi_gpu::{Fleet, MultiGpuConfig};
     use crate::validate::cpu_levels;
     use enterprise_graph::gen::kronecker;
+    use gpu_sim::DeviceError;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// A panic in a worker-side device's phase reaches the caller with its
-    /// original message, after every device is back in the fleet.
+    /// original message, after every device is back in the fleet, also
+    /// when a caller-side device's phase returned an error.
     #[test]
     fn worker_panic_reaches_the_caller_with_every_device_back() {
         let g = kronecker(9, 8, 3);
         let cfg = MultiGpuConfig { sanitize: false, ..MultiGpuConfig::k40s(4) };
         let mut fleet = Fleet::new(cfg, &g);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            fleet.step_devices(|device, _| {
-                if device.id() == 3 {
-                    panic!("device 3 failed on {:?}", std::thread::current().name());
-                }
-                Ok(())
-            })
-        }))
-        .expect_err("the phase panicked on device 3");
-        let message = caught.downcast_ref::<String>().map(String::as_str);
-        assert_eq!(message, Some("device 3 failed on Some(\"fleet-step\")"));
-        for d in 0..4 {
-            assert_eq!(fleet.device(d).id(), d);
+        for caller_fails in [false, true] {
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                fleet.step_devices(move |device, _| match device.id() {
+                    0 if caller_fails => Err(DeviceError::DeviceLost { device: 0 }),
+                    3 => panic!("device 3 failed on {:?}", std::thread::current().name()),
+                    _ => Ok(()),
+                })
+            }))
+            .expect_err("the phase panicked on device 3");
+            let message = caught.downcast_ref::<String>().map(String::as_str);
+            let tag = format!("caller fails: {caller_fails}");
+            assert_eq!(message, Some("device 3 failed on Some(\"fleet-step\")"), "{tag}");
+            for d in 0..4 {
+                assert_eq!(fleet.device(d).id(), d, "{tag}");
+            }
         }
         let r = fleet.bfs(5);
         assert_eq!(r.levels, cpu_levels(&g, 5), "the fleet still traverses after the panic");

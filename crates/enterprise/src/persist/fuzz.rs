@@ -16,9 +16,9 @@
 //! `accounted()` and every source it runs is oracle-correct (replayed
 //! outcomes are taken as recorded). A panic or a wrong result fails the
 //! test and names the seed and every file and mutation of the case. The
-//! fuzzed fleets are unarmed, so the 1-D ×4 and 2×2 cases step half their
-//! devices on the fleet's worker thread, and a panic there reaches the
-//! case's `catch_unwind` like one on the calling thread.
+//! 1-D ×4 and 2×2 cases step half their devices on the fleet's worker
+//! thread, and a panic there reaches the case's `catch_unwind` like one
+//! on the calling thread.
 
 use super::*;
 use crate::multi_gpu::{Fleet, FleetConfig, Shape};

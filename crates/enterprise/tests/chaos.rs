@@ -12,7 +12,7 @@ use enterprise::multi_gpu::{MultiBfsResult, MultiGpuConfig, MultiGpuEnterprise};
 use enterprise::multi_gpu_2d::{Grid2DConfig, MultiGpu2DEnterprise};
 use enterprise::validate::cpu_levels;
 use enterprise::{
-    BfsError, Enterprise, EnterpriseConfig, FaultSpec, PersistPolicy, RebalancePolicy,
+    audit, BfsError, Enterprise, EnterpriseConfig, FaultSpec, PersistPolicy, RebalancePolicy,
     RecoveryPolicy, RoutePolicy, VerifyPolicy, CHAOS_LINK_FLAP_PERIOD_LEVELS,
     CHAOS_STRAGGLER_SLOWDOWN,
 };
@@ -159,6 +159,42 @@ fn two_d_survives_double_loss() {
     assert!(found, "no seed in 0..400 produced exactly two absorbed losses on the 2x2 grid");
 }
 
+/// Every survivor runs each level phase, so one sequential phase can lose
+/// two devices: one splice evicts both (one replay) and the traversal
+/// finishes on the other two, oracle-correct with audit-valid parents.
+/// The verifier is off, so no repair can hide a wrong answer.
+#[test]
+fn one_phase_losing_two_devices_is_spliced_at_once() {
+    let g = kronecker(10, 8, 5);
+    let source = 3u32;
+    let oracle = cpu_levels(&g, source);
+    let run = |seed, grid: bool| {
+        let (faults, verify) = (Some(loss_only(seed, 0.01)), VerifyPolicy::disabled());
+        let mut sys = if grid {
+            let cfg = Grid2DConfig { faults, verify, sanitize: false, ..Grid2DConfig::k40s(2, 2) };
+            MultiGpu2DEnterprise::new(cfg, &g)
+        } else {
+            let cfg = MultiGpuConfig { faults, verify, sanitize: false, ..MultiGpuConfig::k40s(4) };
+            MultiGpuEnterprise::new(cfg, &g)
+        };
+        let r = sys.try_bfs(source).ok()?;
+        let one_splice = r.recovery.devices_lost.len() == 2 && r.recovery.levels_replayed == 1;
+        one_splice.then(|| (seed, r, sys.alive_devices()))
+    };
+    for (tag, grid) in [("1-D x4", false), ("2x2 grid", true)] {
+        let Some((seed, r, alive)) = (0..400).find_map(|seed| run(seed, grid)) else {
+            panic!("{tag}: no seed in 0..400 evicts two devices in one splice");
+        };
+        let lost = &r.recovery.devices_lost;
+        assert!(lost[0] < lost[1], "{tag} seed {seed}: lost ids {lost:?} not ascending");
+        assert_eq!(alive, 2, "{tag} seed {seed}");
+        assert_eq!(r.levels, oracle, "{tag} seed {seed} diverged from the oracle");
+        if let Err(e) = audit(&g, source, &r.levels, &r.parents) {
+            panic!("{tag} seed {seed}: parents fail the audit: {e}");
+        }
+    }
+}
+
 /// Exhausting the eviction budget surfaces the typed error from
 /// `try_bfs`, and `bfs` degrades to the CPU baseline (still correct).
 #[test]
@@ -174,9 +210,16 @@ fn budget_exhaustion_is_typed_then_falls_back() {
     };
     let mut sys = MultiGpuEnterprise::new(cfg, &g);
     match sys.try_bfs(source) {
-        Err(BfsError::AllDevicesLost { lost, .. }) => assert_eq!(lost, 1),
+        // Every survivor runs the failed phase, so it may lose several
+        // devices at once; the error counts each of them.
+        Err(BfsError::AllDevicesLost { lost, .. }) => {
+            let marked = (0..4).filter(|&d| sys.device(d).is_lost()).count();
+            assert!(lost >= 1, "no device counted lost");
+            assert_eq!(lost as usize, marked, "lost must count every device marked lost");
+        }
         other => panic!("expected AllDevicesLost, got {other:?}"),
     }
+    assert_eq!(sys.alive_devices(), 4, "an over-budget loss evicts nothing");
     let r = sys.bfs(source);
     assert!(r.recovery.cpu_fallback, "bfs() must degrade to the CPU baseline");
     assert_eq!(r.levels, cpu_levels(&g, source));

@@ -209,12 +209,10 @@ fn zero_rate_plan_is_a_strict_noop_single_gpu() {
 
 /// A zero-rate plan draws nothing on any multi-device shape, router off
 /// or on: every exchange runs through the router either way, so this is
-/// what shows a grid's serialized wire draws no fault at zero rates. A
-/// plan, even a zero-rate one, arms every device, so the armed fleet steps
-/// its devices on one host thread and the clean fleet on two: this is
-/// also the check that both thread counts give the same results, down to
-/// every device's kernel records and, on the serving path, a pipelined
-/// batch's lane and batch times.
+/// what shows a grid's serialized wire draws no fault at zero rates. The
+/// results match a fleet with no plan down to every device's kernel
+/// records and, on the serving path, a pipelined batch's lane and batch
+/// times.
 #[test]
 fn zero_rate_plan_is_a_strict_noop_multi_gpu() {
     let g = kronecker(10, 8, 5);

@@ -409,11 +409,6 @@ impl Device {
         });
     }
 
-    /// The per-kernel deadline set by [`Device::set_kernel_deadline_ms`].
-    pub fn kernel_deadline_ms(&self) -> Option<f64> {
-        self.kernel_deadline_us.map(|us| us as f64 / 1000.0)
-    }
-
     /// Draws the livelock-injection decision for one completed BFS level
     /// from this device's fault plan (false — with no RNG draw — when no
     /// plan or a zero rate is installed).
