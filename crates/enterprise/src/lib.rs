@@ -4,8 +4,8 @@
 //! GPUs* (Liu & Huang, SC '15). The three techniques:
 //!
 //! 1. **Streamlined GPU thread scheduling** ([`frontier`]) — atomic-free
-//!    frontier-queue generation via status-array scan, thread bins, and a
-//!    prefix sum, with direction-specialized scan workflows.
+//!    frontier-queue generation via status-array scan, warp-owned bins,
+//!    and a prefix sum, with direction-specialized scan workflows.
 //! 2. **GPU workload balancing** ([`classify`], [`kernels`]) — frontiers
 //!    classified by out-degree into Small/Middle/Large/Extreme queues
 //!    serviced by Thread/Warp/CTA/Grid kernels running concurrently.

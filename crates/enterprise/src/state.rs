@@ -41,21 +41,26 @@ pub struct BfsState {
     pub queues: [BufferId; 4],
     /// Host copy of the queue sizes after the last generation pass.
     pub queue_sizes: [usize; 4],
-    /// Per-thread bins: class `k`'s region is `bins[k*n ..]`, thread `t`
-    /// owns `chunk` slots inside each region.
+    /// Warp-owned bins: class `k`'s region is `bins[k*T*chunk ..]`, and
+    /// warp `w` of the `T`-thread scan grid owns the `32*chunk` slots from
+    /// `w*32*chunk` inside each region, which its matches fill in queue
+    /// order.
     pub bins: BufferId,
-    /// Per-thread counters laid out as `counts[k*T + t]` for the four
-    /// classes, then `counts[4T + t]` for hub-frontier counts; length
-    /// `5T + 1` so an exclusive scan leaves the grand total at `[5T]`.
+    /// Per-warp counters laid out as `counts[k*T/32 + w]` for the four
+    /// classes, then `counts[4T/32 + w]` for hub-frontier counts; length
+    /// `5T/32 + 1` so an exclusive scan leaves the grand total at
+    /// `[5T/32]`.
     pub counts: BufferId,
     /// Global staging table for the shared-memory hub cache
     /// (`hub_cache_entries` slots of vertex id or `HUB_EMPTY`).
     pub hub_src: BufferId,
     /// Scratch for the device prefix-sum primitive.
     pub scan_scratch: gpu_sim::ScanScratch,
-    /// Scan thread count `T` used for queue generation.
+    /// Scan thread count `T` used for queue generation (a multiple of
+    /// 256, so every scan warp is whole).
     pub scan_threads: usize,
-    /// Vertices (or queue entries) each scan thread owns.
+    /// Vertices (or queue entries) per scan thread: a scan warp owns
+    /// `32 * chunk` of them.
     pub chunk: usize,
     /// Vertex range scanned by *top-down* queue generation (and hub
     /// counting): the sources this device expands. Full range on a
@@ -78,8 +83,9 @@ pub struct BfsState {
 
 /// Picks the queue-generation thread count for a graph of `n` vertices:
 /// enough threads to keep every SMX busy during the scan (latency hiding
-/// dominates the scan's cost), few enough that per-thread bins stay
-/// meaningfully sized. Always a multiple of 256 (the CTA width).
+/// dominates the scan's cost), few enough that each thread's share of
+/// its warp's bin tile stays meaningfully sized. Always a multiple of 256
+/// (the CTA width).
 ///
 /// The clamp bounds come from the simulator:
 /// [`gpu_sim::SCAN_GRID_FLOOR_THREADS`] fixes the small-slice cost
@@ -144,10 +150,10 @@ impl BfsState {
             device.try_alloc(&named("large_queue"), n)?,
             device.try_alloc(&named("extreme_queue"), n)?,
         ];
-        // Bin capacity: a thread can discover at most `chunk` frontiers,
-        // each landing in exactly one class region.
-        let bins = device.try_alloc(&named("thread_bins"), 4 * t * chunk)?;
-        let counts = device.try_alloc(&named("thread_counts"), 5 * t + 1)?;
+        // Bin capacity: a warp can discover at most `32 * chunk`
+        // frontiers, each landing in exactly one class region.
+        let bins = device.try_alloc(&named("warp_bins"), 4 * t * chunk)?;
+        let counts = device.try_alloc(&named("warp_counts"), 5 * t / 32 + 1)?;
         let hub_src = device.try_alloc(&named("hub_src"), hub_cache_entries)?;
         // Benign races by design, declared Relaxed so the sanitizer still
         // checks bounds and initialization but not write exclusivity:
@@ -155,7 +161,7 @@ impl BfsState {
         // "last writer wins" (any competing write stores an equally valid
         // level/parent), and hub staging hashes many vertices onto one
         // slot (`HC[hash(ID)] = ID`, collisions intended). Every other
-        // buffer — queues, per-thread bins, counters — stays Strict: the
+        // buffer — queues, warp bins, counters — stays Strict: the
         // atomic-free generation scheme's disjoint write sets (§4.1) are
         // exactly what the sanitizer verifies.
         let mem = device.mem();
@@ -165,7 +171,7 @@ impl BfsState {
         mem.fill(status, UNVISITED);
         mem.fill(parent, UNVISITED);
         mem.fill(hub_src, HUB_EMPTY);
-        let scan_scratch = gpu_sim::ScanScratch::try_new(device, 5 * t + 1)?;
+        let scan_scratch = gpu_sim::ScanScratch::try_new(device, 5 * t / 32 + 1)?;
         Ok(Self {
             status,
             parent,

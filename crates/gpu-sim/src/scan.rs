@@ -25,22 +25,24 @@ use crate::memory::BufferId;
 ///
 /// BFS drivers size their per-level queue-generation grid as
 /// `slice_vertices / 16` threads, clamped below by this floor (see
-/// `enterprise`'s `scan_thread_count`). The per-thread counter layout is
-/// five words per thread plus one trailing total, so at the floor every
-/// level pays a fixed `5 * SCAN_GRID_FLOOR_THREADS + 1`-element scan —
-/// 2561 words — no matter how few vertices the slice actually holds.
+/// `enterprise`'s `scan_thread_count`). The counter layout is five words
+/// per warp (four class counts and a hub count) plus one trailing total,
+/// so at the floor every level pays a fixed
+/// `5 * SCAN_GRID_FLOOR_THREADS / 32 + 1`-element scan — 81 words — no
+/// matter how few vertices the slice actually holds.
 ///
-/// That fixed quantum is the calibration point for rebalance recovery
-/// on small graphs: once a straggler's slice drops below
-/// `16 * SCAN_GRID_FLOOR_THREADS` vertices (8192), shrinking it further
-/// cannot reduce its per-level scan cost, so the rebalancer's achievable
-/// speedup is bounded by the ratio of expansion work to this floor cost
-/// (DESIGN.md §5f; demonstrated by
-/// `scan_grid_floor_is_the_small_slice_cost_quantum` below).
+/// That fixed quantum bounds rebalance recovery on small graphs: once a
+/// straggler's slice drops below `16 * SCAN_GRID_FLOOR_THREADS` vertices
+/// (8192), shrinking it further cannot reduce its per-level counter
+/// scan, only the per-vertex scan and expansion work (DESIGN.md §5f;
+/// demonstrated by `scan_grid_floor_is_the_small_slice_cost_quantum`
+/// below). The scan's cost moves in launch steps, not words: on
+/// `DeviceConfig::k40()` scans of 81, 321 and 641 words each cost
+/// 0.01222 ms (three launches) and one of 1281 words 0.02033 ms (five).
 pub const SCAN_GRID_FLOOR_THREADS: usize = 512;
 
 /// Largest scan grid a driver should launch, in threads. The cap keeps
-/// per-thread chunking coarse enough that the counter scan stays a small
+/// each thread's chunk coarse enough that the counter scan stays a small
 /// fraction of expansion on large slices (the paper's ~11% budget for
 /// queue generation, §4.1).
 pub const SCAN_GRID_CEIL_THREADS: usize = 32_768;
@@ -304,16 +306,18 @@ mod tests {
     #[test]
     fn scan_grid_floor_is_the_small_slice_cost_quantum() {
         // A driver clamps its scan grid to the floor, so every slice at
-        // or below 16 * floor vertices scans the same 5T+1 counter
-        // words. Model that sizing here and show the simulated cost is
-        // flat below the floor — the bound on what rebalancing can
-        // recover for small slices (DESIGN.md §5f) — and grows again
-        // once the slice is large enough to escape the clamp.
+        // or below 16 * floor vertices scans the same 5T/32+1 counter
+        // words (five per warp). Model that sizing here and show the
+        // simulated cost is flat below the floor — the bound on what
+        // rebalancing can recover for small slices (DESIGN.md §5f) — and
+        // grows again once the slice is large enough to escape the clamp
+        // and the scan's one-tile-per-warp quantum: 321 and 641 words
+        // still cost what 81 do, 1281 words (256 * floor vertices) more.
         let grid = |slice_vertices: usize| {
             (slice_vertices / 16).clamp(SCAN_GRID_FLOOR_THREADS, SCAN_GRID_CEIL_THREADS)
         };
-        let counters = |slice_vertices: usize| 5 * grid(slice_vertices) + 1;
-        assert_eq!(counters(1), 5 * SCAN_GRID_FLOOR_THREADS + 1);
+        let counters = |slice_vertices: usize| 5 * grid(slice_vertices) / 32 + 1;
+        assert_eq!(counters(1), 5 * SCAN_GRID_FLOOR_THREADS / 32 + 1);
         assert_eq!(
             counters(1),
             counters(16 * SCAN_GRID_FLOOR_THREADS),
@@ -334,7 +338,7 @@ mod tests {
             "per-level scan cost is a fixed quantum below the floor"
         );
         assert!(
-            cost_ms(counters(64 * SCAN_GRID_FLOOR_THREADS)) > floor_cost,
+            cost_ms(counters(256 * SCAN_GRID_FLOOR_THREADS)) > floor_cost,
             "above the floor the scan cost scales with the slice again"
         );
     }
