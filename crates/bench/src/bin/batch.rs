@@ -128,7 +128,7 @@ fn warm_vs_cold(g: &Csr, gpus: usize, sources: &[BatchSource]) -> (f64, f64, f64
         let setup = sys.sim_elapsed_ms();
         let r = sys.try_bfs(bs.source).expect("fault-free cold run failed");
         cold_ms += stage + setup + r.time_ms;
-        let digest = bench::result_digest(&r.levels, &r.parents);
+        let digest = enterprise::batch::result_digest(&r.levels, &r.parents);
         assert_eq!(
             digest, report.runs[i].digest,
             "warm and cold disagree on source {}",

@@ -25,7 +25,8 @@
 //! durable checkpoint behind) and the process exits with status 3.
 //! Timing goes to stderr only; stdout is deterministic by construction.
 
-use bench::{arg_value, pick_sources, result_digest};
+use bench::{arg_value, pick_sources};
+use enterprise::batch::result_digest;
 use enterprise::multi_gpu::{MultiGpuConfig, MultiGpuEnterprise};
 use enterprise::{PersistPolicy, WatchdogPolicy};
 use enterprise_graph::gen::kronecker;

@@ -67,27 +67,6 @@ pub fn arg_value(name: &str) -> Option<String> {
     std::env::args().find_map(|a| a.strip_prefix(&prefix).map(str::to_owned))
 }
 
-/// FNV-1a digest over a traversal's levels and parents, used by the
-/// crash-recovery drill to compare results across a kill/restart
-/// boundary without shipping the full vectors through stdout.
-pub fn result_digest(levels: &[Option<u32>], parents: &[Option<VertexId>]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |word: u32| {
-        for b in word.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    // `u32::MAX` marks "unreached" — vertex ids are bounded well below it.
-    for v in levels {
-        eat(v.unwrap_or(u32::MAX));
-    }
-    for v in parents {
-        eat(v.unwrap_or(u32::MAX));
-    }
-    h
-}
-
 /// Graph 500-style aggregate: total edges over total time, from per-run
 /// `(traversed_edges, time_ms)` pairs.
 pub fn aggregate_teps(runs: &[(u64, f64)]) -> f64 {
@@ -287,8 +266,11 @@ mod tests {
         assert!(s.lines().count() == 3);
     }
 
+    /// The digest the bench binaries print (the library's batch digest)
+    /// moves on a level change and on a parent change alike.
     #[test]
     fn digest_separates_levels_from_parents() {
+        use enterprise::batch::result_digest;
         let a = result_digest(&[Some(0), None], &[Some(0), None]);
         let b = result_digest(&[Some(0), Some(1)], &[Some(0), None]);
         let c = result_digest(&[Some(0), None], &[Some(0), Some(0)]);

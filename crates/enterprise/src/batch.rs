@@ -336,10 +336,11 @@ impl<R> BatchReport<R> {
     }
 }
 
-/// FNV-1a digest over a result's levels and parents, with
-/// `u32::MAX` standing in for unreachable. Matches the bench harness's
-/// digest so ledger lines diff cleanly across harness and library.
-pub(crate) fn result_digest(levels: &[Option<u32>], parents: &[Option<VertexId>]) -> u64 {
+/// FNV-1a digest over a result's levels, then its parents, with
+/// `u32::MAX` standing in for unreachable (vertex ids stay below it).
+/// The batch ledger, the bench binaries and the golden fixtures all
+/// print this one digest, so their lines diff cleanly against each other.
+pub fn result_digest(levels: &[Option<u32>], parents: &[Option<VertexId>]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut feed = |v: u32| {
         for b in v.to_le_bytes() {
@@ -922,6 +923,9 @@ mod tests {
         // `None` must not collide with an adjacent in-band value.
         let c = result_digest(&[None, Some(1)], &[Some(0), Some(0)]);
         assert_ne!(a, c);
+        // A parent change alone moves the digest.
+        let d = result_digest(&[Some(0), Some(1)], &[Some(0), Some(1)]);
+        assert_ne!(a, d);
         assert_eq!(a, result_digest(&[Some(0), Some(1)], &[Some(0), Some(0)]));
     }
 }

@@ -49,7 +49,9 @@ pub struct LevelRecord {
     pub sizes: [usize; 4],
     /// γ of the generated queue, in percent.
     pub gamma_pct: f64,
-    /// Beamer's α for the generated queue (instrumentation).
+    /// Beamer's α = m_u / m_f after this level's exchange: the unvisited
+    /// vertices' out-degree sum over the sum of those it discovered, the
+    /// same on every shape; infinite after a bottom-up level.
     pub alpha: f64,
     /// Vertices discovered at this level's expansion.
     pub newly_visited: usize,

@@ -26,9 +26,11 @@
 //! and `v` in row block `i`, so a column of devices cooperatively expands
 //! one frontier slice. Discoveries merge along rows and are shared along
 //! columns: `(c-1 + r-1) * n/r` bits per device instead of 1-D's
-//! `(P-1) * n`. γ-based switching works (hub counts duplicate uniformly in
-//! numerator and denominator), but the hub cache is off — a block's
-//! out-degree view covers only its column block, so hubs are not local.
+//! `(P-1) * n`. A block's out-degree view covers only its column block,
+//! so a block identifies hubs by its local degrees: γ-based switching
+//! works (every device counts F_h and T_h with the same degrees over the
+//! same range, and both sum over every device, so γ ≤ 100%), but it is not
+//! the one device's γ, and the hub cache is off.
 //!
 //! One [`Fleet`] runs every shape: the seed, level loop, replay, verify,
 //! persistence, collect and pipelined lanes are shared, and each
@@ -100,7 +102,7 @@ use gpu_sim::{
     ballot_compressed_bytes, Device, DeviceConfig, DeviceError, EccMode, FaultPlan, FaultSpec,
     FleetFaultBundle, InterconnectConfig, MultiDevice, Wire,
 };
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
 
 mod step;
@@ -186,8 +188,9 @@ pub struct FleetConfig<S> {
     /// Whether bottom-up expansion uses the shared-memory hub cache.
     /// Grids always run without it (block views cannot find hubs).
     pub hub_cache: bool,
-    /// Direction policy. Beamer's `Alpha` needs a single device; fleets
-    /// run `Gamma` and `TopDownOnly` (as in the paper).
+    /// Direction policy, on every shape. `Alpha` reads its edge sums off
+    /// the level's exchange, so every shape takes the single device's
+    /// decisions.
     pub policy: DirectionPolicy,
     /// Deterministic fault injection across devices and the interconnect;
     /// `None` (the default) is a strict no-op on timing and results.
@@ -514,18 +517,12 @@ fn seed(device: &mut Device, graph: &DeviceGraph, st: &mut BfsState, source: Ver
 }
 
 /// The hub census T_h — `restored` when a layout snapshot carried it,
-/// else the per-device counts summed once per distinct top-down range:
-/// every slice, and on a cold grid its first row (a grid column repeats
-/// its range on every row).
+/// else the per-device counts summed over every device, as F_h is: each
+/// device counts both with its own view's degrees over its top-down
+/// range, so F_h ≤ T_h on every device and γ ≤ 100% on every shape. A
+/// grid that later falls back to strips keeps its block census.
 fn census(parts: &[PerDevice], restored: Option<u64>) -> u64 {
-    let mut counted = BTreeSet::new();
-    restored.unwrap_or_else(|| {
-        parts
-            .iter()
-            .filter(|p| counted.insert((p.state.td_range.start, p.state.td_range.end)))
-            .map(|p| p.state.total_hubs)
-            .sum()
-    })
+    restored.unwrap_or_else(|| parts.iter().map(|p| p.state.total_hubs).sum())
 }
 
 /// Classifies a device error as a permanent device loss, given the
@@ -576,10 +573,9 @@ pub(crate) struct LoopVars {
     /// Whether the last generation staged a hub: probing an empty cache
     /// is pure overhead.
     pub cache_filled: bool,
-    /// Running out-degree sum of visited vertices (α instrumentation).
+    /// Running out-degree sum of visited vertices: Beamer's unexplored
+    /// edges are the edge count minus this.
     pub visited_edge_sum: u64,
-    /// Out-degree sum of the current bottom-up queue.
-    pub bu_queue_edge_sum: u64,
     /// Out-degree sum of the previous top-down frontier.
     pub prev_frontier_edges: u64,
 }
@@ -976,8 +972,10 @@ impl Fleet {
     /// bitmap of the survivors' discoveries at `level + 1` (the wire
     /// payload), sends it through the routing ladder
     /// ([`crate::route::exchange_routed`]), ORs it into every survivor's
-    /// status array, and returns how many vertices it holds. Slices
-    /// all-to-all broadcast a `ballot(n)` bitmap per device; a grid
+    /// status array, and returns how many vertices it holds and their
+    /// out-degree sum: the level's newly visited count and the edge sum
+    /// behind Beamer's α, exact on every shape, a lone survivor included.
+    /// Slices all-to-all broadcast a `ballot(n)` bitmap per device; a grid
     /// row-merges and column-shares `(c-1 + r-1) * ballot(n/r)` bits per
     /// device, serialized — a charge that keeps the configured grid shape
     /// even after an eviction shrinks it (a conservative over-charge of
@@ -990,7 +988,11 @@ impl Fleet {
     /// additionally climb probe → relay → host bounce. The bitmap merges
     /// only after the wire succeeds: a failed exchange replays the level
     /// from its checkpoint.
-    fn exchange(&mut self, level: u32, recovery: &mut RecoveryReport) -> Result<usize, BfsError> {
+    fn exchange(
+        &mut self,
+        level: u32,
+        recovery: &mut RecoveryReport,
+    ) -> Result<(usize, u64), BfsError> {
         let n = self.csr.vertex_count();
         let newly_level = level + 1;
         let alive = self.multi.alive_ids();
@@ -1028,37 +1030,8 @@ impl Fleet {
                 }
             }
         }
-        Ok(newly.len())
-    }
-
-    /// Exchange: the level's newly visited count. Slices read it off the
-    /// queue totals (top-down: the new frontier; bottom-up: the drop in
-    /// unvisited queue entries); a grid's queues count a vertex once per
-    /// block row, so it uses the merge count.
-    fn newly_visited(
-        &self,
-        dir: Direction,
-        prev_total: usize,
-        total: usize,
-        merged: usize,
-    ) -> usize {
-        match (self.config.shape.grid(), dir) {
-            (None, Direction::TopDown) => total,
-            // Saturating: a bit-flip campaign can corrupt the device
-            // counts behind these totals; accounting must not panic.
-            (None, Direction::BottomUp) => prev_total.saturating_sub(total),
-            (Some(_), _) => merged,
-        }
-    }
-
-    /// Exchange: Beamer's α as the level trace records it. Slices hold
-    /// disjoint queues, so their degree sums are exact; a grid's queues
-    /// repeat a vertex once per block row, so it records 0.
-    fn level_alpha(&self, signals: &SwitchSignals) -> f64 {
-        match self.config.shape.grid() {
-            None => signals.alpha(),
-            Some(_) => 0.0,
-        }
+        let edges = newly.iter().map(|&v| self.out_degrees[v] as u64).sum();
+        Ok((newly.len(), edges))
     }
 
     /// Loss: the partitions that take over the `dead` devices' extents,
@@ -1281,10 +1254,6 @@ impl Fleet {
         let shape = config.shape;
         let p = shape.devices();
         assert!(p >= 1);
-        assert!(
-            p == 1 || !matches!(config.policy, DirectionPolicy::Alpha { .. }),
-            "a multi-device fleet supports the Gamma and TopDownOnly policies"
-        );
         let n = csr.vertex_count();
         if n < p {
             return Err(BfsError::TooFewVertices { vertices: n, devices: p });
@@ -1379,8 +1348,8 @@ impl Fleet {
             }
             parts.push(part);
         }
-        // T_h is a graph property: measured once at setup and shared (a
-        // scalar all-reduce). A warm restart reuses the persisted census.
+        // T_h is measured once at setup and shared (a scalar all-reduce).
+        // A warm restart reuses the persisted census.
         let total_hubs = census(&parts, restored.map(|(snap, _)| snap.total_hubs));
         for part in &mut parts {
             part.state.total_hubs = total_hubs;
@@ -1603,7 +1572,6 @@ impl Fleet {
                 switched_at: None,
                 cache_filled: false,
                 visited_edge_sum: self.out_degrees[source as usize] as u64,
-                bu_queue_edge_sum: 0,
                 prev_frontier_edges: 0,
             },
             trace: Vec::new(),
@@ -2376,7 +2344,7 @@ impl Fleet {
             try_expand_level(device, &part.graph, &part.state, level, dir, balanced, use_hc)
         })?;
         // (2) Discovery exchange: union, route, merge.
-        let merged = self.exchange(level, &mut walk.recovery)?;
+        let (newly, newly_edges) = self.exchange(level, &mut walk.recovery)?;
         let expand_ms = self.multi.elapsed_ms() - t0;
 
         // (3) Private queue generation over each device's scan ranges.
@@ -2386,50 +2354,31 @@ impl Fleet {
         // read of relative device speed.
         let t1 = self.multi.elapsed_ms();
         self.level_busy.iter_mut().for_each(|b| *b = 0.0);
-        let prev_total = self.alive_frontier();
         let wf = match dir {
             Direction::TopDown => GenWorkflow::TopDown { frontier_level: level + 1 },
             Direction::BottomUp => GenWorkflow::Filter { newly_level: level + 1 },
         };
         let (mut sizes, hub_frontiers, mut fills) =
             self.generate(wf, hc && dir == Direction::BottomUp)?;
-        let total: usize = sizes.iter().sum();
-        let newly = self.newly_visited(dir, prev_total, total, merged);
-        let gamma_pct = crate::direction::gamma_pct(hub_frontiers, total_hubs);
 
-        // Beamer's α inputs: out-degree sums over the generated queues.
-        let edges = self.queue_edge_sum();
+        // The direction signals, one rule on every shape: F_h from the
+        // generated queues over T_h, Beamer's edge sums from the exchange.
+        // Saturating: a flipped status word can merge a vertex twice, and
+        // the instrumentation math must not panic.
         let vars = &mut walk.vars;
-        let signals = match dir {
-            Direction::TopDown => {
-                vars.visited_edge_sum = vars.visited_edge_sum.saturating_add(edges);
-                let signals = SwitchSignals {
-                    gamma_pct,
-                    frontier_edges: edges,
-                    unexplored_edges: self.csr.edge_count().saturating_sub(vars.visited_edge_sum),
-                    frontier_vertices: newly,
-                    total_vertices: n,
-                    frontier_growing: edges > vars.prev_frontier_edges,
-                };
-                vars.prev_frontier_edges = edges;
-                signals
-            }
-            Direction::BottomUp => {
-                // Saturating: corrupted device counters (bit-flip
-                // campaign) or a resumed checkpoint's sums must not panic
-                // the instrumentation math.
-                let explored = vars.bu_queue_edge_sum.saturating_sub(edges);
-                vars.visited_edge_sum = vars.visited_edge_sum.saturating_add(explored);
-                vars.bu_queue_edge_sum = edges;
-                SwitchSignals {
-                    gamma_pct,
-                    unexplored_edges: edges,
-                    frontier_vertices: total,
-                    total_vertices: n,
-                    ..Default::default()
-                }
-            }
+        vars.visited_edge_sum = vars.visited_edge_sum.saturating_add(newly_edges);
+        let mut signals = SwitchSignals {
+            gamma_pct: crate::direction::gamma_pct(hub_frontiers, total_hubs),
+            unexplored_edges: self.csr.edge_count().saturating_sub(vars.visited_edge_sum),
+            total_vertices: n,
+            ..Default::default()
         };
+        if dir == Direction::TopDown {
+            signals.frontier_edges = newly_edges;
+            signals.frontier_vertices = newly;
+            signals.frontier_growing = newly_edges > vars.prev_frontier_edges;
+            vars.prev_frontier_edges = newly_edges;
+        }
         let mut next_dir = dir;
         match dir {
             Direction::TopDown => {
@@ -2440,7 +2389,6 @@ impl Fleet {
                     next_dir = Direction::BottomUp;
                     (sizes, _, fills) =
                         self.generate(GenWorkflow::Switch { newly_level: level + 1 }, hc)?;
-                    vars.bu_queue_edge_sum = self.queue_edge_sum();
                 }
             }
             Direction::BottomUp => {
@@ -2460,8 +2408,8 @@ impl Fleet {
             level,
             direction: next_dir.label(),
             sizes,
-            gamma_pct,
-            alpha: self.level_alpha(&signals),
+            gamma_pct: signals.gamma_pct,
+            alpha: signals.alpha(),
             newly_visited: newly,
             expand_ms,
             queue_gen_ms,
@@ -2474,25 +2422,6 @@ impl Fleet {
         };
         walk.vars.dir = next_dir;
         Ok(done)
-    }
-
-    /// Host-side out-degree sum over every surviving queue entry (a free
-    /// instrumentation read of device memory).
-    fn queue_edge_sum(&self) -> u64 {
-        let mut sum = 0u64;
-        for d in self.multi.alive_ids() {
-            let st = &self.parts[d].state;
-            for (&buf, &size) in st.queues.iter().zip(&st.queue_sizes) {
-                let q = self.multi.device_ref(d).mem_ref().view(buf);
-                // A flipped queue entry may name a non-vertex; count it as
-                // degree 0 rather than indexing out of the host table.
-                sum += q[..size.min(q.len())]
-                    .iter()
-                    .map(|&v| self.out_degrees.get(v as usize).copied().unwrap_or(0) as u64)
-                    .sum::<u64>();
-            }
-        }
-        sum
     }
 
     /// Runs one queue-generation workflow on every survivor, adding the
@@ -2950,5 +2879,58 @@ mod tests {
         let res = sys.bfs(src);
         assert!(res.switched_at.is_some(), "trace: {:?}", res.level_trace);
         assert_eq!(res.levels, cpu_levels(&g, src));
+    }
+
+    /// The level's direction signals follow one rule on every shape. Under
+    /// Alpha every shape's trace (direction, α bits, newly visited) is the
+    /// one device's; under Gamma γ stays at most 100% at every level, and
+    /// the 1-D shapes' γ is the one device's bit for bit. Every run is
+    /// oracle-correct with audit-valid parents.
+    #[test]
+    fn signals_follow_one_rule_on_every_shape() {
+        let shapes = [
+            Shape::Slices(1),
+            Shape::Slices(2),
+            Shape::Slices(4),
+            Shape::Grid(2, 2),
+            Shape::Grid(3, 3),
+            Shape::Grid(4, 2),
+            Shape::Grid(1, 4),
+        ];
+        let alpha_trace = |t: &[LevelRecord]| -> Vec<(&str, u64, usize)> {
+            t.iter().map(|l| (l.direction, l.alpha.to_bits(), l.newly_visited)).collect()
+        };
+        let gamma_bits =
+            |t: &[LevelRecord]| -> Vec<u64> { t.iter().map(|l| l.gamma_pct.to_bits()).collect() };
+        for (name, g) in [
+            ("kron", kronecker(11, 16, 13)),
+            ("rmat", rmat(11, 8, 3)),
+            ("road", road_grid(24, 24, 0.02, 7)),
+        ] {
+            let n = g.vertex_count() as VertexId;
+            for source in [1, n / 3] {
+                let run = |shape: Shape, policy| {
+                    let cfg = FleetConfig { policy, ..FleetConfig::k40s_over(shape) };
+                    let r = Fleet::new(cfg, &g).bfs(source);
+                    let case = format!("{name} src={source} {shape:?} {policy:?}");
+                    assert_eq!(r.levels, cpu_levels(&g, source), "{case}: levels");
+                    audit(&g, source, &r.levels, &r.parents).expect("audit-valid parents");
+                    r.level_trace
+                };
+                let one_alpha = alpha_trace(&run(shapes[0], DirectionPolicy::alpha_default()));
+                let one_gamma = gamma_bits(&run(shapes[0], DirectionPolicy::gamma_default()));
+                for shape in shapes {
+                    let case = format!("{name} src={source} {shape:?}");
+                    let alpha = alpha_trace(&run(shape, DirectionPolicy::alpha_default()));
+                    assert_eq!(alpha, one_alpha, "{case}: Alpha trace");
+                    let gamma = run(shape, DirectionPolicy::gamma_default());
+                    let peak = gamma.iter().map(|l| l.gamma_pct).fold(0.0, f64::max);
+                    assert!(peak <= 100.0, "{case}: γ peaks at {peak}%");
+                    if shape.grid().is_none() {
+                        assert_eq!(gamma_bits(&gamma), one_gamma, "{case}: γ bits");
+                    }
+                }
+            }
+        }
     }
 }

@@ -57,8 +57,10 @@ use gpu_sim::{FaultPlan, FaultSpec, FaultStats};
 /// every file a record log under one header, and a checkpoint chain one
 /// log of a keyframe and the deltas appended after it. Version 6 drops the
 /// link-isolated count from the batch log's fleet record, which lists the
-/// dead devices in ascending order.
-pub const FORMAT_VERSION: u32 = 6;
+/// dead devices in ascending order. Version 7 drops the bottom-up queue's
+/// edge sum from the loop state: it is the edge count minus the visited
+/// edge sum.
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Magic prefix of every record frame.
 pub const REC_MAGIC: [u8; 4] = *b"ENTL";
@@ -515,7 +517,6 @@ impl Enc {
         self.u32(vars.switched_at.unwrap_or(0));
         self.boolean(vars.cache_filled);
         self.u64(vars.visited_edge_sum);
-        self.u64(vars.bu_queue_edge_sum);
         self.u64(vars.prev_frontier_edges);
     }
 
@@ -615,7 +616,6 @@ impl<'a> Dec<'a> {
             switched_at: switched.then_some(switch_level),
             cache_filled: self.boolean()?,
             visited_edge_sum: self.u64()?,
-            bu_queue_edge_sum: self.u64()?,
             prev_frontier_edges: self.u64()?,
         };
         Ok((level, vars))
@@ -948,8 +948,7 @@ impl CheckpointSnapshot {
     /// values are corruption:
     ///
     /// - the level is below the vertex count, and each edge sum is at most
-    ///   the edge count once per device (a grid counts a frontier once per
-    ///   block row);
+    ///   the edge count;
     /// - each status word is `UNVISITED` or at most the level;
     /// - each parent and hub entry names a vertex or is its sentinel;
     /// - each queue entry lies in the device's scan range for the
@@ -958,12 +957,9 @@ impl CheckpointSnapshot {
         use crate::state::HUB_EMPTY;
         use crate::status::{NO_PARENT, UNVISITED};
         let n = csr.vertex_count();
-        let max_sum = csr.edge_count().saturating_mul(self.extents.len() as u64);
         let vars = &self.vars;
         if self.level as usize >= n
-            || [vars.visited_edge_sum, vars.bu_queue_edge_sum, vars.prev_frontier_edges]
-                .iter()
-                .any(|&sum| sum > max_sum)
+            || vars.visited_edge_sum.max(vars.prev_frontier_edges) > csr.edge_count()
         {
             return Err(corrupt("loop state out of range"));
         }

@@ -153,7 +153,6 @@ fn vars<'a>(out: &mut Slots<'a>, level: &'a mut u32, vars: &'a mut LoopVars) {
         out.push(("switched_at", Slot::U32(s)));
     }
     out.push(("visited_edge_sum", Slot::U64(&mut vars.visited_edge_sum)));
-    out.push(("bu_queue_edge_sum", Slot::U64(&mut vars.bu_queue_edge_sum)));
     out.push(("prev_frontier_edges", Slot::U64(&mut vars.prev_frontier_edges)));
 }
 

@@ -71,7 +71,6 @@ fn sample_checkpoint(level: u32) -> CheckpointSnapshot {
             switched_at: None,
             cache_filled: false,
             visited_edge_sum: 0,
-            bu_queue_edge_sum: 0,
             prev_frontier_edges: 0,
         },
         extents: vec![(0..64, 0..64)],
@@ -216,6 +215,44 @@ fn v5_ledger_with_isolated_count_degrades_to_a_cold_batch() {
     assert_cold_batch_over("batch-log-v5", &g, &log, 5);
 }
 
+/// A version-6 checkpoint log, whose loop state still carries the
+/// bottom-up queue's edge sum after the visited edge sum, fails on its
+/// header, and the traversal starts cold and oracle-correct.
+#[test]
+fn v6_checkpoint_with_queue_edge_sum_degrades_to_a_cold_traversal() {
+    let g = road_grid(16, 16, 0.05, 7);
+    let source = 1;
+    let dir = tmp_dir("ckpt-log-v6");
+    let cfg = |max_levels| MultiGpuConfig {
+        persist: Some(PersistPolicy::with_checkpoints(&dir, 1)),
+        watchdog: WatchdogPolicy { max_levels, ..WatchdogPolicy::default() },
+        ..MultiGpuConfig::k40s(2)
+    };
+    assert!(Fleet::new(cfg(Some(1)), &g).try_bfs(source).is_err(), "the level cap must kill it");
+    let head = Header { kind: DriverKind::OneD, fingerprint: GraphFingerprint::of(&g) };
+    let mut st = store(&dir, head);
+    let snap = read_checkpoint(&mut st).unwrap().expect("a level-1 keyframe");
+
+    let mut v6_header = Enc::new();
+    v6_header.u32(Header::TAG);
+    v6_header.u32(6);
+    put_header_fields(&mut v6_header, &g);
+    // Tag, source, level, direction, switch flag and level, cache flag and
+    // visited edge sum lead the body; v6 put the queue's sum after them.
+    let mut v6_keyframe = encode(&snap);
+    let at = 4 + 4 + 4 + 1 + 1 + 4 + 1 + 8;
+    v6_keyframe.splice(at..at, 0u64.to_le_bytes());
+    fs::write(dir.join(CHECKPOINT_FILE), log_of(&[v6_header.finish(), v6_keyframe])).unwrap();
+    assert_eq!(read_checkpoint(&mut st).unwrap_err(), PersistError::VersionMismatch { found: 6 });
+
+    let r = Fleet::new(cfg(None), &g).try_bfs(source).expect("a cold restart");
+    assert_eq!(r.recovery.snapshot_errors, vec![PersistError::VersionMismatch { found: 6 }]);
+    assert_eq!(r.recovery.resumed_at_level, None);
+    assert_eq!(r.levels, cpu_levels(&g, source));
+    crate::audit(&g, source, &r.levels, &r.parents).expect("audit-valid parents");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn legacy_whole_frame_ledger_fails_magic_and_cold_starts() {
     let dir = tmp_dir("batch-log-legacy");
@@ -255,7 +292,6 @@ fn checkpoint_round_trips() {
         switched_at: Some(2),
         cache_filled: true,
         visited_edge_sum: 99,
-        bu_queue_edge_sum: 7,
         prev_frontier_edges: 5,
     };
     snap.devices[0].status[..4].copy_from_slice(&[0, 1, 1, 2]);

@@ -19,6 +19,7 @@
 //! oracle's levels and the parent audit before writing it, and panics
 //! naming the line's tag otherwise.
 
+use enterprise::batch::result_digest;
 use enterprise::multi_gpu::{MultiBfsResult, MultiGpuConfig, MultiGpuEnterprise};
 use enterprise::multi_gpu_2d::{Grid2DConfig, MultiGpu2DEnterprise};
 use enterprise::validate::cpu_levels;
@@ -113,19 +114,6 @@ fn batch_policies() -> [(&'static str, BatchPolicy); 2] {
     [("pipelined4", BatchPolicy::pipelined(4)), ("sequential", BatchPolicy::on())]
 }
 
-/// FNV-1a over levels then parents, `u32::MAX` for unreachable.
-fn digest(levels: &[Option<u32>], parents: &[Option<VertexId>]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let words = levels.iter().map(|l| l.unwrap_or(u32::MAX));
-    for w in words.chain(parents.iter().map(|p| p.unwrap_or(u32::MAX))) {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
 /// A driver result's levels and parents, as the oracle check reads them.
 trait Traversal {
     fn tree(&self) -> (&[Option<u32>], &[Option<VertexId>]);
@@ -167,7 +155,7 @@ fn run_line(
         Ok(r) => writeln!(
             out,
             "{tag} src={source} digest={:016x} time={:016x} bytes={} recovery={:?}",
-            digest(&r.levels, &r.parents),
+            result_digest(&r.levels, &r.parents),
             r.time_ms.to_bits(),
             r.communication_bytes,
             r.recovery
@@ -366,7 +354,7 @@ fn single_line(
     write!(
         out,
         "{tag} src={source} digest={:016x} time={:016x} recovery={:?} report={:?} records={} levels=",
-        digest(&r.levels, &r.parents),
+        result_digest(&r.levels, &r.parents),
         r.time_ms.to_bits(),
         r.recovery,
         r.report,
