@@ -17,14 +17,13 @@
 //! `cargo run -p bench --bin ablation --release`
 
 use bench::{aggregate_teps, fmt_teps, mean, pick_sources, run_seed, Table};
-use enterprise::frontier::{
-    enqueue_seed, generate_queues, measure_total_hubs, GenWorkflow, QueueGenResult,
-};
+use enterprise::direction::gamma_pct;
+use enterprise::frontier::{enqueue_seed, generate_queues, GenWorkflow, QueueGenResult};
 use enterprise::kernels::{expand_level, Direction};
 use enterprise::state::BfsState;
 use enterprise::{ClassifyThresholds, DeviceGraph, DirectionPolicy, Enterprise, EnterpriseConfig};
 use enterprise_graph::datasets::Dataset;
-use enterprise_graph::stats::hub_threshold_for_capacity;
+use enterprise_graph::stats::{count_hubs, hub_threshold_for_capacity};
 use enterprise_graph::Csr;
 use gpu_sim::{Device, DeviceConfig};
 use sim_rng::DetRng;
@@ -41,9 +40,11 @@ const HUB_ENTRIES: usize = 1024;
 
 /// One device at the direction switch of a γ-driven traversal: the
 /// top-down levels ran until γ crossed the paper's 30%, and the status
-/// array holds the vertices visited at `newly`. Replaying the same
-/// traversal gives the same state bit for bit, so each measurement below
-/// starts from its own copy with a cold L2.
+/// array holds the vertices visited at `newly`. γ is counted on the host,
+/// as the drivers count it: the hubs among the status words at the new
+/// level over the graph's hubs. Replaying the same traversal gives the
+/// same state bit for bit, so each measurement below starts from its own
+/// copy with a cold L2.
 struct Snapshot {
     dev: Device,
     dg: DeviceGraph,
@@ -56,16 +57,19 @@ fn switch_snapshot(g: &Csr, source: u32) -> Option<Snapshot> {
     let dg = DeviceGraph::upload(&mut dev, g);
     let tau = hub_threshold_for_capacity(g, HUB_ENTRIES);
     let mut st = BfsState::new(&mut dev, &dg, ClassifyThresholds::default(), HUB_ENTRIES, tau);
-    measure_total_hubs(&mut dev, &dg, &mut st);
+    let total_hubs = count_hubs(g, tau) as u64;
     enqueue_seed(&mut dev, &mut st, source, g.out_degree(source));
     for level in 0.. {
         expand_level(&mut dev, &dg, &st, level, Direction::TopDown, true, false);
         let wf = GenWorkflow::TopDown { frontier_level: level + 1 };
-        let r = generate_queues(&mut dev, &dg, &mut st, wf, false);
+        generate_queues(&mut dev, &dg, &mut st, wf, false);
         if st.total_frontier() == 0 {
             return None;
         }
-        if r.gamma_pct > 30.0 {
+        let status = dev.mem_ref().view(st.status);
+        let hubs =
+            g.vertices().filter(|&v| status[v as usize] == level + 1 && g.out_degree(v) > tau);
+        if gamma_pct(hubs.count() as u64, total_hubs) > 30.0 {
             dev.reset_stats();
             return Some(Snapshot { dev, dg, st, newly: level + 1 });
         }

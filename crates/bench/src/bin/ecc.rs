@@ -19,7 +19,7 @@
 //!
 //! With `--ecc=on` (or `off`) only that column is measured; the default
 //! runs both and prints the delta. `ENTERPRISE_BITFLIP_RATE` overrides
-//! the per-word upset probability (default 0.02), `ENTERPRISE_SOURCES`
+//! the per-launch flip probability (default 0.02), `ENTERPRISE_SOURCES`
 //! and `ENTERPRISE_SEED` as in every other regenerator.
 //!
 //! [`ECC_CORRECTION_US`]: gpu_sim::ecc::ECC_CORRECTION_US

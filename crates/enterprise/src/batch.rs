@@ -45,8 +45,8 @@
 //!   `width` sources are co-scheduled on the shared fleet: each sweep
 //!   opens one fused multi-stream window, every active lane advances
 //!   one level inside it, and a finishing source's tail levels overlap
-//!   the next admitted source's seed and hub census. Per-source digests
-//!   are bit-identical to the sequential plane; only the overlapped
+//!   the next admitted source's first levels. Per-source digests are
+//!   bit-identical to the sequential plane; only the overlapped
 //!   wall clock differs. A lane that faults is demoted to the
 //!   de-pipelined attempt ladder (its pipelined run counts as attempt
 //!   #1), so poisoning, hedging, and shedding accounting are unchanged.
@@ -729,7 +729,7 @@ enum LaneEvent {
 /// The pipelined (MS-BFS) serving plane: co-schedules up to `width`
 /// sources, one fused kernel sweep per level over the union of the
 /// active frontiers. Admission happens inside the sweep window, so a
-/// fresh source's seed and hub census overlap siblings' tail levels.
+/// fresh source's first levels overlap siblings' tail levels.
 fn run_pipelined(
     host: &mut Fleet,
     run: &mut BatchRun<'_>,

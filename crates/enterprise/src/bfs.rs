@@ -199,7 +199,8 @@ impl Enterprise {
         self.fleet.hub_tau()
     }
 
-    /// Total hub count `T_h` measured at setup.
+    /// Total hub count `T_h`: the graph's vertices of out-degree above τ,
+    /// counted on the host at setup.
     pub fn total_hubs(&self) -> u64 {
         self.fleet.total_hubs()
     }
@@ -239,8 +240,8 @@ impl Enterprise {
     }
 
     /// Simulated milliseconds on the device clock since the last run
-    /// started. Right after construction this is the setup cost the warm
-    /// instance amortizes across a batch (hub census measurement).
+    /// started. Right after construction this is zero: setup uploads the
+    /// graph from the host and counts hubs there, launching no kernel.
     pub fn sim_elapsed_ms(&self) -> f64 {
         self.fleet.sim_elapsed_ms()
     }

@@ -61,7 +61,7 @@ impl DirectionPolicy {
 /// and consumed by whichever policy is active.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SwitchSignals {
-    /// γ in percent for the just-generated queue.
+    /// γ in percent for the frontier the level just discovered.
     pub gamma_pct: f64,
     /// Edges incident to the frontier queue (`m_f`).
     pub frontier_edges: u64,

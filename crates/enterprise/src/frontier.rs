@@ -4,12 +4,12 @@
 //! finds the frontiers and bins them, then a prefix sum over the bin
 //! counts places every bin into its class queue. The bins are owned by
 //! warps: each warp of the `T`-thread scan grid owns one contiguous bin
-//! tile and one counter per class (plus its hub count), so the per-level
-//! prefix scan runs over `5·T/32 + 1` words. A warp reads 32 consecutive
-//! items per step as one coalesced span and ranks the step's matches with
-//! one `__ballot` plus popc per class, so each class's matches land as
-//! one contiguous run behind the tile's earlier ones. The copy pass then
-//! moves whole tiles with spans. Three scan workflows optimize the
+//! tile and one counter per class, so the per-level prefix scan runs over
+//! `4·T/32 + 1` words. A warp reads 32 consecutive items per step as one
+//! coalesced span and ranks the step's matches with one `__ballot` plus
+//! popc per class, so each class's matches land as one contiguous run
+//! behind the tile's earlier ones. The copy pass then moves whole tiles
+//! with spans. Three scan workflows optimize the
 //! memory-access pattern of the *next* level:
 //!
 //! * **Top-down** — *interleaved* scan (thread `t` checks `t, t+T, ...`):
@@ -34,13 +34,15 @@
 //!   this model the filter measures slower than a rescan (EXPERIMENTS.md,
 //!   §4.1 TS numbers); the drivers keep the paper's workflow.
 //!
-//! Queue generation is also where the hub machinery lives: the scan
-//! counts hub frontiers for the γ switch parameter, and the
-//! switch/filter workflows stage freshly-visited hubs into the global
-//! hub table that expansion kernels cache in shared memory (§4.3). A
-//! slot's last writer decides which hub a bottom-up inspection adopts,
-//! so each warp stages its hubs in the order per-thread chunks would
-//! write them: step by step, lanes in order.
+//! Queue generation is also where the hub cache is staged: the switch
+//! and filter workflows stage freshly-visited hubs into the global hub
+//! table that expansion kernels cache in shared memory (§4.3). A slot's
+//! last writer decides which hub a bottom-up inspection adopts, so each
+//! warp stages its hubs in the order per-thread chunks would write them:
+//! step by step, lanes in order. The scans count no hubs: γ's two counts
+//! come from the host, `T_h` from the CSR and `F_h` from the level's
+//! exchange, so the driver knows the next direction before it generates
+//! the one queue that direction needs.
 
 use crate::device_graph::DeviceGraph;
 use crate::state::{BfsState, HUB_EMPTY};
@@ -78,10 +80,6 @@ pub enum GenWorkflow {
 pub struct QueueGenResult {
     /// Entries per class queue.
     pub sizes: [usize; 4],
-    /// Hub vertices among the generated frontiers (`F_h`).
-    pub hub_frontiers: u64,
-    /// γ = F_h / T_h in percent (0 when the graph has no hubs).
-    pub gamma_pct: f64,
     /// Hub vertices staged into the cache table by this pass (expansion
     /// skips cache probing when nothing was staged).
     pub hub_fills: usize,
@@ -154,17 +152,17 @@ pub fn try_generate_queues(
         }
     };
     // Guard element so the exclusive scan leaves the grand total at
-    // counts[5 warps] (a one-word memset folded into the scan's first
+    // counts[4 warps] (a one-word memset folded into the scan's first
     // launch).
     let warps = t / W;
-    device.mem().set(st.counts, 5 * warps, 0);
-    gpu_sim::scan::try_exclusive_scan(device, st.counts, 5 * warps + 1, &st.scan_scratch)?;
+    device.mem().set(st.counts, 4 * warps, 0);
+    gpu_sim::scan::try_exclusive_scan(device, st.counts, 4 * warps + 1, &st.scan_scratch)?;
 
-    // Host reads the class boundaries (a tiny device-to-host copy of five
-    // words in a real system, folded into the next launch's overhead).
+    // Host reads the class boundaries and the grand total (a tiny
+    // device-to-host copy of five words in a real system, folded into the
+    // next launch's overhead).
     let counts = device.mem_ref().view(st.counts);
     let bases: [u32; 5] = std::array::from_fn(|k| counts[k * warps]);
-    let grand_total = counts[5 * warps];
     // Saturate and bound: a bit flip in the scanned counts buffer can
     // make the class boundaries non-monotonic or absurd; a queue can
     // never legitimately exceed its capacity, and keeping the sizes sane
@@ -172,12 +170,10 @@ pub fn try_generate_queues(
     let queue_cap = device.mem_ref().view(st.queues[0]).len();
     let sizes: [usize; 4] =
         std::array::from_fn(|k| (bases[k + 1].saturating_sub(bases[k]) as usize).min(queue_cap));
-    let hub_frontiers = grand_total.saturating_sub(bases[4]) as u64;
     let class_bases = [bases[0], bases[1], bases[2], bases[3]];
 
     copy_bins_to_queues(device, st, class_bases, t)?;
     st.queue_sizes = sizes;
-    let gamma_pct = crate::direction::gamma_pct(hub_frontiers, st.total_hubs);
     let hub_fills = if fill_hubs {
         // Instrumentation read standing in for the fill counter a real
         // implementation would fold into the per-warp counts.
@@ -185,47 +181,7 @@ pub fn try_generate_queues(
     } else {
         0
     };
-    Ok(QueueGenResult { sizes, hub_frontiers, gamma_pct, hub_fills })
-}
-
-/// Measures `T_h`, the total hub count, on device ("can be calculated
-/// very quickly at the first level", §4.3). Stores it in `st.total_hubs`.
-///
-/// # Panics
-/// Panics on an unrecovered launch fault; see [`try_measure_total_hubs`].
-pub fn measure_total_hubs(device: &mut Device, g: &DeviceGraph, st: &mut BfsState) {
-    try_measure_total_hubs(device, g, st).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible variant of [`measure_total_hubs`].
-pub fn try_measure_total_hubs(
-    device: &mut Device,
-    g: &DeviceGraph,
-    st: &mut BfsState,
-) -> Result<(), DeviceError> {
-    let t = st.scan_threads;
-    let base = st.td_range.start;
-    let domain = st.td_range.len();
-    let chunk = st.chunk;
-    let (out_offsets, counts) = (g.out_offsets, st.counts);
-    let tau = st.hub_tau;
-    device.try_launch("count_hubs", LaunchConfig::for_threads(t as u64, 256), |w| {
-        let tid0 = w.global_thread_id(0) as usize;
-        let mut hubs = 0;
-        for j in 0..chunk {
-            // Interleaved: thread `tid` reads vertex `j * t + tid`, so the
-            // warp's lanes read one coalesced span.
-            let first = j * t + tid0;
-            let n = lanes_below(domain, first);
-            let begin = w.load_span(out_offsets, base + first, n);
-            let end = w.load_span(out_offsets, base + first + 1, n);
-            hubs += w.ballot_count(|l| degree(&begin, &end, l.lane).is_some_and(|d| d > tau));
-        }
-        w.store_span(counts, tid0 / W, &[hubs]);
-    })?;
-    // Device-side tree reduction of the per-warp counts.
-    st.total_hubs = gpu_sim::try_reduce_sum(device, st.counts, t / W, &st.scan_scratch)? as u64;
-    Ok(())
+    Ok(QueueGenResult { sizes, hub_fills })
 }
 
 /// Clears the global hub staging table (a device memset kernel).
@@ -251,8 +207,7 @@ fn degree(begin: &Lanes<u32>, end: &Lanes<u32>, lane: u32) -> Option<u32> {
 /// `match_status`) and switch (blocked, match unvisited) workflows.
 ///
 /// `hub_fill_level`: when set, vertices whose status equals that level
-/// and whose out-degree exceeds τ are staged into the hub table;
-/// otherwise the scan counts hub frontiers by the classification degree.
+/// and whose out-degree exceeds τ are staged into the hub table.
 fn scan_status(
     device: &mut Device,
     g: &DeviceGraph,
@@ -306,15 +261,10 @@ fn scan_status(
             } else if items.iter().any(Option::is_some) {
                 held.push(items);
             }
-            // Hub accounting. Top-down counts hub frontiers for γ (the
-            // classification degree is already the out-degree there);
-            // switch stages freshly-visited hubs into the table.
+            // The switch stages freshly-visited hubs into the table.
             if let Some(fill) = hub_fill_level {
                 let newly = std::array::from_fn(|l| at(l, fill));
                 find_hubs(w, out_offsets, tau, &newly, j * W, &mut hubs);
-            } else {
-                let hub = |l: u32| degree(&begin, &end, l).is_some_and(|d| d > tau);
-                tile.hubs += w.ballot_count(|l| hub(l.lane));
             }
         }
         if !held.is_empty() {
@@ -392,7 +342,6 @@ fn filter_queues(
             }
         }
         stage_hubs(w, hub_src, entries, per_thread, &mut hubs);
-        // No hub-frontier counting during bottom-up (γ has already fired).
         tile.publish(w, counts, t / W);
     })?;
     Ok(t)
@@ -410,14 +359,12 @@ struct Tile {
     region: usize,
     /// Entries binned so far, per class.
     cnt: [u32; 4],
-    /// Hub frontiers counted so far.
-    hubs: u32,
 }
 
 impl Tile {
     fn new(w: &WarpCtx, chunk: usize, t: usize) -> Self {
         let first = w.global_warp_id() as usize * W * chunk;
-        Self { first, region: t * chunk, cnt: [0; 4], hubs: 0 }
+        Self { first, region: t * chunk, cnt: [0; 4] }
     }
 
     /// Bin slot of the `rank`-th entry after the tile's `cnt[k]` earlier
@@ -470,14 +417,12 @@ impl Tile {
         }
     }
 
-    /// Publishes the four class counts to `counts[k * warps + warp]` and
-    /// the hub count to `counts[4 * warps + warp]`: one store of five
-    /// lanes.
+    /// Publishes the four class counts to `counts[k * warps + warp]`: one
+    /// store of four lanes.
     fn publish(&self, w: &mut WarpCtx, counts: BufferId, warps: usize) {
         let warp = w.global_warp_id() as usize;
-        let vals = [self.cnt[0], self.cnt[1], self.cnt[2], self.cnt[3], self.hubs];
         w.store_global(counts, |l| {
-            vals.get(l.lane as usize).map(|&v| (l.lane as usize * warps + warp, v))
+            self.cnt.get(l.lane as usize).map(|&v| (l.lane as usize * warps + warp, v))
         });
     }
 }
@@ -650,26 +595,6 @@ mod tests {
     }
 
     #[test]
-    fn topdown_scan_counts_hub_frontiers_for_gamma() {
-        let g = graph_with_degrees(&[9, 9, 1, 1, 9, 0]);
-        let mut f = fixture(&g, 5); // hubs: out-degree > 5 -> vertices 0, 1, 4
-        measure_total_hubs(&mut f.device, &f.dg, &mut f.st);
-        assert_eq!(f.st.total_hubs, 3);
-        for v in [0usize, 1, 2] {
-            f.device.mem().set(f.st.status, v, 1);
-        }
-        let r = generate_queues(
-            &mut f.device,
-            &f.dg,
-            &mut f.st,
-            GenWorkflow::TopDown { frontier_level: 1 },
-            false,
-        );
-        assert_eq!(r.hub_frontiers, 2, "vertices 0 and 1 are hub frontiers");
-        assert!((r.gamma_pct - 2.0 / 3.0 * 100.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn switch_scan_produces_sorted_unvisited_queue_and_stages_hubs() {
         let g = graph_with_degrees(&[9, 1, 9, 1, 1, 1, 9, 1]);
         let mut f = fixture(&g, 5); // hubs: 0, 2, 6
@@ -762,7 +687,6 @@ mod tests {
             false,
         );
         assert_eq!(r.sizes, [0, 0, 0, 0]);
-        assert_eq!(r.hub_frontiers, 0);
         let _ = UNVISITED;
     }
 
@@ -797,9 +721,9 @@ mod tests {
     /// The warp tiles must reproduce the per-thread placement exactly on
     /// every warp, not just warp 0: a slice with a non-zero start whose
     /// domain leaves a partial last warp, random status words, each
-    /// workflow's class queues, sizes, hub frontiers and hub table against
-    /// the host model. The table has 61 slots, so hubs inside one warp
-    /// share slots and the staging order decides the table.
+    /// workflow's class queues, sizes and hub table against the host
+    /// model. The table has 61 slots, so hubs inside one warp share slots
+    /// and the staging order decides the table.
     #[test]
     fn warp_tiles_reproduce_the_per_thread_order_across_warps() {
         let graphs = [
@@ -843,13 +767,11 @@ mod tests {
 
             // Top-down: interleaved, thread-major over the items j·T + t.
             let mut want: [Vec<u32>; 4] = Default::default();
-            let mut hub_frontiers = 0;
             for tid in 0..t {
                 for i in (tid..domain).step_by(t) {
                     let v = (base + i) as u32;
                     if status[v as usize] == 2 {
                         want[class(out(v))].push(v);
-                        hub_frontiers += u64::from(is_hub(v));
                     }
                 }
             }
@@ -857,7 +779,6 @@ mod tests {
             let r = generate_queues(&mut device, &dg, &mut st, wf, false);
             assert_eq!(queues(&device, &st), want, "{name}: top-down queues");
             assert_eq!(r.sizes, want.each_ref().map(Vec::len), "{name}: top-down sizes");
-            assert_eq!(r.hub_frontiers, hub_frontiers, "{name}: top-down hub frontiers");
 
             // Switch: blocked, each class ascending, classified by
             // in-degree; hubs visited at level 3 staged.
@@ -882,10 +803,7 @@ mod tests {
             );
             assert_eq!(queues(&device, &st), want, "{name}: switch queues");
             assert_eq!(r.sizes, want.each_ref().map(Vec::len), "{name}: switch sizes");
-            assert_eq!(
-                (r.hub_frontiers, r.hub_fills),
-                (0, table.iter().filter(|&&v| v != HUB_EMPTY).count())
-            );
+            assert_eq!(r.hub_fills, table.iter().filter(|&&v| v != HUB_EMPTY).count());
             assert_eq!(device.mem_ref().view(st.hub_src), table, "{name}: switch hub table");
             let by_item = hub_table((0..domain).filter_map(|i| fresh(i, &status)), is_hub);
             assert_ne!(by_item, table, "{name}: the switch case must tell the two orders apart");
@@ -921,21 +839,9 @@ mod tests {
             );
             assert_eq!(queues(&device, &st), want, "{name}: filter queues");
             assert_eq!(r.sizes, want.each_ref().map(Vec::len), "{name}: filter sizes");
-            assert_eq!(r.hub_frontiers, 0);
             assert_eq!(device.mem_ref().view(st.hub_src), table, "{name}: filter hub table");
             let by_item = hub_table((0..total).filter_map(fresh), is_hub);
             assert_ne!(by_item, table, "{name}: two fresh hubs share a slot inside one warp");
         }
-    }
-
-    #[test]
-    fn measure_total_hubs_matches_host_count() {
-        let g = enterprise_graph::gen::kronecker(9, 8, 3);
-        let mut device = Device::new(DeviceConfig::k40_repro());
-        let dg = DeviceGraph::upload(&mut device, &g);
-        let tau = enterprise_graph::stats::hub_threshold_for_capacity(&g, 64);
-        let mut st = BfsState::new(&mut device, &dg, ClassifyThresholds::default(), 64, tau);
-        measure_total_hubs(&mut device, &dg, &mut st);
-        assert_eq!(st.total_hubs as usize, enterprise_graph::stats::count_hubs(&g, tau));
     }
 }

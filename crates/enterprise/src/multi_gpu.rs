@@ -26,11 +26,11 @@
 //! and `v` in row block `i`, so a column of devices cooperatively expands
 //! one frontier slice. Discoveries merge along rows and are shared along
 //! columns: `(c-1 + r-1) * n/r` bits per device instead of 1-D's
-//! `(P-1) * n`. A block's out-degree view covers only its column block,
-//! so a block identifies hubs by its local degrees: γ-based switching
-//! works (every device counts F_h and T_h with the same degrees over the
-//! same range, and both sum over every device, so γ ≤ 100%), but it is not
-//! the one device's γ, and the hub cache is off.
+//! `(P-1) * n`. Hubs are one set on every shape, fixed by τ and the
+//! graph's out-degrees: the fleet counts `T_h` once from the CSR and
+//! `F_h` among each level's merged discoveries, so a grid takes the one
+//! device's γ and its decisions. A block's out-degree view covers only
+//! its column block, so a grid still stages no hubs: the hub cache is off.
 //!
 //! One [`Fleet`] runs every shape: the seed, level loop, replay, verify,
 //! persistence, collect and pipelined lanes are shared, and each
@@ -84,7 +84,7 @@ use crate::classify::ClassifyThresholds;
 use crate::device_graph::DeviceGraph;
 use crate::direction::{DirectionPolicy, SwitchDecision, SwitchSignals};
 use crate::error::{BfsError, RecoveryPolicy, RecoveryReport};
-use crate::frontier::{enqueue_seed, try_generate_queues, try_measure_total_hubs, GenWorkflow};
+use crate::frontier::{enqueue_seed, try_generate_queues, GenWorkflow};
 use crate::kernels::{try_expand_level, Direction};
 use crate::persist::{
     encode, read_checkpoint, read_layout, CheckpointSnapshot, CheckpointWriter, DriverKind,
@@ -97,7 +97,8 @@ use crate::state::{BfsState, DeviceImage, HUB_EMPTY};
 use crate::status::{levels_from_raw, NO_PARENT, UNVISITED};
 use crate::validate::{audit, check_level, repair_vertices, ValidationError, VerifyPolicy};
 use crate::watchdog::{StallDetector, WatchdogPolicy};
-use enterprise_graph::{stats::hub_threshold_for_capacity, Csr, VertexId};
+use enterprise_graph::stats::{count_hubs, hub_threshold_for_capacity};
+use enterprise_graph::{Csr, VertexId};
 use gpu_sim::{
     ballot_compressed_bytes, Device, DeviceConfig, DeviceError, EccMode, FaultPlan, FaultSpec,
     FleetFaultBundle, InterconnectConfig, MultiDevice, Wire,
@@ -217,9 +218,9 @@ pub struct FleetConfig<S> {
     /// The default disabled policy is a strict no-op.
     pub rebalance: RebalancePolicy,
     /// Crash-consistent persistence: durable layout snapshots (learned
-    /// boundaries + hub census) after each successful run, and optional
-    /// mid-traversal checkpoints for warm restarts. `None` (the default)
-    /// is a strict no-op on timing, counters and results.
+    /// boundaries) after each successful run, and optional mid-traversal
+    /// checkpoints for warm restarts. `None` (the default) is a strict
+    /// no-op on timing, counters and results.
     pub persist: Option<PersistPolicy>,
     /// Topology-aware exchange routing over the per-link fault plane
     /// (DESIGN.md §5h): probe/backoff on flapping links, two-hop relay
@@ -516,15 +517,6 @@ fn seed(device: &mut Device, graph: &DeviceGraph, st: &mut BfsState, source: Ver
     enqueue_seed(device, st, source, degree);
 }
 
-/// The hub census T_h — `restored` when a layout snapshot carried it,
-/// else the per-device counts summed over every device, as F_h is: each
-/// device counts both with its own view's degrees over its top-down
-/// range, so F_h ≤ T_h on every device and γ ≤ 100% on every shape. A
-/// grid that later falls back to strips keeps its block census.
-fn census(parts: &[PerDevice], restored: Option<u64>) -> u64 {
-    restored.unwrap_or_else(|| parts.iter().map(|p| p.state.total_hubs).sum())
-}
-
 /// Classifies a device error as a permanent device loss, given the
 /// substrate's view of the named device. A kernel-deadline overrun on a
 /// device the fault plane marked lost is a loss, not a hang: the host
@@ -645,6 +637,8 @@ pub struct Fleet {
     csr: Csr,
     /// Hub threshold τ, reused by repartition-time state allocation.
     tau: u32,
+    /// `T_h`, γ's denominator: the graph's vertices of out-degree above τ.
+    total_hubs: u64,
     /// Partitions a commit displaced, restored at the start of the next
     /// unpinned run so device loss stays per-run (bit-reproducibility);
     /// a rebalance on a layout with nothing retired drops what it
@@ -972,9 +966,10 @@ impl Fleet {
     /// bitmap of the survivors' discoveries at `level + 1` (the wire
     /// payload), sends it through the routing ladder
     /// ([`crate::route::exchange_routed`]), ORs it into every survivor's
-    /// status array, and returns how many vertices it holds and their
-    /// out-degree sum: the level's newly visited count and the edge sum
-    /// behind Beamer's α, exact on every shape, a lone survivor included.
+    /// status array, and returns how many vertices it holds, their
+    /// out-degree sum and how many of them are hubs: the level's newly
+    /// visited count, the edge sum behind Beamer's α and γ's `F_h`, exact
+    /// on every shape, a lone survivor included.
     /// Slices all-to-all broadcast a `ballot(n)` bitmap per device; a grid
     /// row-merges and column-shares `(c-1 + r-1) * ballot(n/r)` bits per
     /// device, serialized — a charge that keeps the configured grid shape
@@ -992,7 +987,7 @@ impl Fleet {
         &mut self,
         level: u32,
         recovery: &mut RecoveryReport,
-    ) -> Result<(usize, u64), BfsError> {
+    ) -> Result<(usize, u64, u64), BfsError> {
         let n = self.csr.vertex_count();
         let newly_level = level + 1;
         let alive = self.multi.alive_ids();
@@ -1031,7 +1026,8 @@ impl Fleet {
             }
         }
         let edges = newly.iter().map(|&v| self.out_degrees[v] as u64).sum();
-        Ok((newly.len(), edges))
+        let hubs = newly.iter().filter(|&&v| self.out_degrees[v] > self.tau).count();
+        Ok((newly.len(), edges, hubs as u64))
     }
 
     /// Loss: the partitions that take over the `dead` devices' extents,
@@ -1245,10 +1241,10 @@ impl Fleet {
     }
 
     /// Fallible constructor: a graph with fewer vertices than devices,
-    /// device OOM (a partition not fitting), an injected allocation fault
-    /// and a census that exhausts its retries surface as a typed
-    /// [`BfsError`] on every shape, so the caller can degrade to the CPU
-    /// baseline.
+    /// device OOM (a partition not fitting) and an injected allocation
+    /// fault surface as a typed [`BfsError`] on every shape, so the caller
+    /// can degrade to the CPU baseline. τ and `T_h` are counted on the
+    /// host from the whole CSR, so every shape holds one hub set.
     pub fn try_new<S: Into<Shape>>(config: FleetConfig<S>, csr: &Csr) -> Result<Self, BfsError> {
         let mut config = config.erase();
         let shape = config.shape;
@@ -1258,8 +1254,8 @@ impl Fleet {
         if n < p {
             return Err(BfsError::TooFewVertices { vertices: n, devices: p });
         }
-        // Block views cover one column block's out-degrees, so hubs are
-        // not identifiable locally: grids run without the hub cache.
+        // Block views cover one column block's out-degrees, and the hub
+        // cache stages hubs by the view's degrees: grids run without it.
         if shape.grid().is_some() {
             config.hub_cache = false;
         }
@@ -1274,17 +1270,18 @@ impl Fleet {
         let mut multi = MultiDevice::new(p, config.device.clone(), InterconnectConfig::default());
         multi.set_ecc(config.ecc);
         // A single device arms its plan from birth, so allocation faults
-        // and census retries fire at setup; a fleet arms per run.
+        // fire at setup; a fleet arms per run.
         if let (1, Some(spec)) = (p, config.faults) {
             Self::arm_faults(&mut multi, spec);
         }
         let tau = hub_threshold_for_capacity(csr, config.hub_cache_entries);
+        let total_hubs = count_hubs(csr, tau) as u64;
 
         // Crash-consistent persistence: a valid layout snapshot for this
         // exact graph/configuration restores the layout a previous
         // process converged to (rebalanced slices, a collapsed grid, a
-        // degraded fleet of strips or blocks) and the hub census,
-        // skipping hub measurement. Defects degrade to a cold start.
+        // degraded fleet of strips or blocks). Defects degrade to a cold
+        // start.
         let mut store = None;
         let mut persist_errors: Vec<PersistError> = Vec::new();
         if let Some(policy) = &config.persist {
@@ -1334,25 +1331,9 @@ impl Fleet {
             }
             device.set_kernel_deadline_ms(config.watchdog.kernel_deadline_ms);
             let graph = Self::upload_cold(p, device, csr, &ext)?;
-            let mut part =
+            let part =
                 try_place(device, graph, &ext, config.thresholds, config.hub_cache_entries, tau)?;
-            // The census is idempotent, so transient launch faults are
-            // absorbed by simple re-runs.
-            let mut attempts = 0u32;
-            while restored.is_none() {
-                match try_measure_total_hubs(device, &part.graph, &mut part.state) {
-                    Ok(()) => break,
-                    Err(_) if attempts < config.recovery.max_level_retries => attempts += 1,
-                    Err(e) => return Err(e.into()),
-                }
-            }
             parts.push(part);
-        }
-        // T_h is measured once at setup and shared (a scalar all-reduce).
-        // A warm restart reuses the persisted census.
-        let total_hubs = census(&parts, restored.map(|(snap, _)| snap.total_hubs));
-        for part in &mut parts {
-            part.state.total_hubs = total_hubs;
         }
         let out_degrees = csr.vertices().map(|v| csr.out_degree(v)).collect();
         let detector = ImbalanceDetector::new(config.rebalance);
@@ -1363,6 +1344,7 @@ impl Fleet {
             out_degrees,
             csr: csr.clone(),
             tau,
+            total_hubs,
             retired: Vec::new(),
             level_busy: vec![0.0; p],
             store,
@@ -1396,9 +1378,11 @@ impl Fleet {
         self.tau
     }
 
-    /// Total hub count `T_h` (γ's denominator) measured at setup.
+    /// Total hub count `T_h` (γ's denominator): the graph's vertices of
+    /// out-degree above τ, counted on the host from the CSR at setup, the
+    /// same on every shape and layout.
     pub fn total_hubs(&self) -> u64 {
-        self.parts[0].state.total_hubs
+        self.total_hubs
     }
 
     /// Caps every device's in-driver relaunch budget for faulted kernels
@@ -1424,8 +1408,8 @@ impl Fleet {
     }
 
     /// Simulated milliseconds on the fleet clock since the last run
-    /// started. Right after construction this is the setup cost the warm
-    /// fleet amortizes across a batch (hub census measurement).
+    /// started. Right after construction this is zero: setup uploads the
+    /// graph from the host and counts hubs there, launching no kernel.
     pub fn sim_elapsed_ms(&self) -> f64 {
         self.multi.elapsed_ms()
     }
@@ -1930,9 +1914,7 @@ impl Fleet {
         for (d, ext) in plan {
             let device = self.multi.device(d);
             let (graph, view) = ext.try_upload(device, &self.csr)?;
-            let mut part = try_place(device, graph, &ext, thresholds, entries, self.tau)?;
-            // T_h is a global graph property, unchanged by repartitioning.
-            part.state.total_hubs = self.parts[d].state.total_hubs;
+            let part = try_place(device, graph, &ext, thresholds, entries, self.tau)?;
             built.push((d, part, view));
         }
         for &d in dead {
@@ -2071,8 +2053,8 @@ impl Fleet {
     }
 
     /// End-of-run persistence: durably publish the learned layout
-    /// (rebalanced or collapsed extents, plus the hub census) and retire
-    /// the checkpoint log. Eviction splices are per-run, so the published
+    /// (rebalanced or collapsed extents) and retire the checkpoint log.
+    /// Eviction splices are per-run, so the published
     /// extents substitute each retired partition's range back in — except
     /// on a degraded fleet: that publishes the spliced survivor extents
     /// plus the eviction ledger, so the next process resumes on the
@@ -2093,13 +2075,8 @@ impl Fleet {
             Vec::new()
         };
         let (r, c) = self.config.shape.grid().unwrap_or((1, p));
-        let layout = LayoutSnapshot {
-            hub_tau: self.tau,
-            total_hubs: self.parts[0].state.total_hubs,
-            grid: (r as u32, c as u32),
-            slices,
-            evicted,
-        };
+        let layout =
+            LayoutSnapshot { hub_tau: self.tau, grid: (r as u32, c as u32), slices, evicted };
         let n = self.csr.vertex_count();
         let fits =
             Self::layout_fits(self.config.shape, self.tau, n, &layout, |d| self.multi.is_alive(d))
@@ -2325,13 +2302,12 @@ impl Fleet {
     }
 
     /// One global level: private expansion, discovery exchange + merge,
-    /// private queue generation, direction decision, trace record.
+    /// direction decision, private queue generation, trace record.
     /// Returns `Ok(true)` when the search has terminated.
     fn level_pass(&mut self, walk: &mut Walk) -> Result<bool, BfsError> {
         let n = self.csr.vertex_count();
         let hc = self.config.hub_cache;
         let policy = self.config.policy;
-        let total_hubs = self.parts[0].state.total_hubs;
         let (level, dir) = (walk.level, walk.vars.dir);
 
         // (1) Private expansion (survivors only). Expansion time follows
@@ -2344,65 +2320,64 @@ impl Fleet {
             try_expand_level(device, &part.graph, &part.state, level, dir, balanced, use_hc)
         })?;
         // (2) Discovery exchange: union, route, merge.
-        let (newly, newly_edges) = self.exchange(level, &mut walk.recovery)?;
+        let (newly, newly_edges, newly_hubs) = self.exchange(level, &mut walk.recovery)?;
         let expand_ms = self.multi.elapsed_ms() - t0;
 
-        // (3) Private queue generation over each device's scan ranges.
-        // The execution-clock delta around this phase is the straggler
-        // telemetry: the scan is O(range) with identical per-vertex cost
-        // on every healthy device, so the per-item busy ratio is a direct
-        // read of relative device speed.
-        let t1 = self.multi.elapsed_ms();
-        self.level_busy.iter_mut().for_each(|b| *b = 0.0);
-        let wf = match dir {
-            Direction::TopDown => GenWorkflow::TopDown { frontier_level: level + 1 },
-            Direction::BottomUp => GenWorkflow::Filter { newly_level: level + 1 },
-        };
-        let (mut sizes, hub_frontiers, mut fills) =
-            self.generate(wf, hc && dir == Direction::BottomUp)?;
-
-        // The direction signals, one rule on every shape: F_h from the
-        // generated queues over T_h, Beamer's edge sums from the exchange.
-        // Saturating: a flipped status word can merge a vertex twice, and
-        // the instrumentation math must not panic.
+        // (3) The direction signals, one rule on every shape, all from the
+        // exchange: γ's F_h over the graph's T_h, and Beamer's edge sums.
+        // A bottom-up level records γ = 0. Saturating: a flipped status
+        // word can merge a vertex twice, and the instrumentation math must
+        // not panic.
         let vars = &mut walk.vars;
         vars.visited_edge_sum = vars.visited_edge_sum.saturating_add(newly_edges);
         let mut signals = SwitchSignals {
-            gamma_pct: crate::direction::gamma_pct(hub_frontiers, total_hubs),
             unexplored_edges: self.csr.edge_count().saturating_sub(vars.visited_edge_sum),
             total_vertices: n,
             ..Default::default()
         };
-        if dir == Direction::TopDown {
-            signals.frontier_edges = newly_edges;
-            signals.frontier_vertices = newly;
-            signals.frontier_growing = newly_edges > vars.prev_frontier_edges;
-            vars.prev_frontier_edges = newly_edges;
-        }
-        let mut next_dir = dir;
-        match dir {
+        let next_dir = match dir {
             Direction::TopDown => {
-                if policy.evaluate_topdown(&signals, vars.switched_at.is_some())
-                    == SwitchDecision::ToBottomUp
-                {
+                signals.gamma_pct = crate::direction::gamma_pct(newly_hubs, self.total_hubs);
+                signals.frontier_edges = newly_edges;
+                signals.frontier_vertices = newly;
+                signals.frontier_growing = newly_edges > vars.prev_frontier_edges;
+                vars.prev_frontier_edges = newly_edges;
+                let switched = vars.switched_at.is_some();
+                if policy.evaluate_topdown(&signals, switched) == SwitchDecision::ToBottomUp {
                     vars.switched_at = Some(level + 1);
-                    next_dir = Direction::BottomUp;
-                    (sizes, _, fills) =
-                        self.generate(GenWorkflow::Switch { newly_level: level + 1 }, hc)?;
+                    Direction::BottomUp
+                } else {
+                    Direction::TopDown
                 }
             }
             Direction::BottomUp => {
                 if newly > 0
                     && policy.evaluate_bottomup(&signals, newly) == SwitchDecision::ToTopDown
                 {
-                    next_dir = Direction::TopDown;
-                    (sizes, _, fills) =
-                        self.generate(GenWorkflow::TopDown { frontier_level: level + 1 }, false)?;
+                    Direction::TopDown
+                } else {
+                    Direction::BottomUp
                 }
             }
-        }
+        };
+
+        // (4) One private queue generation over each device's scan ranges,
+        // in the workflow the next level's direction needs; the bottom-up
+        // ones stage the hub cache. The execution-clock delta around this
+        // phase is the straggler telemetry: the scan is O(range) with
+        // identical per-vertex cost on every healthy device, so the
+        // per-item busy ratio is a direct read of relative device speed.
+        let t1 = self.multi.elapsed_ms();
+        self.level_busy.iter_mut().for_each(|b| *b = 0.0);
+        let newly_level = level + 1;
+        let wf = match (dir, next_dir) {
+            (_, Direction::TopDown) => GenWorkflow::TopDown { frontier_level: newly_level },
+            (Direction::TopDown, Direction::BottomUp) => GenWorkflow::Switch { newly_level },
+            (Direction::BottomUp, Direction::BottomUp) => GenWorkflow::Filter { newly_level },
+        };
+        let (sizes, fills) = self.generate(wf, hc && next_dir == Direction::BottomUp)?;
         let queue_gen_ms = self.multi.elapsed_ms() - t1;
-        vars.cache_filled = fills > 0;
+        walk.vars.cache_filled = fills > 0;
 
         walk.trace.push(LevelRecord {
             level,
@@ -2426,20 +2401,19 @@ impl Fleet {
 
     /// Runs one queue-generation workflow on every survivor, adding the
     /// phase to the straggler telemetry, then barriers. Returns the
-    /// summed class sizes, hub frontiers and hub-cache fills.
+    /// summed class sizes and hub-cache fills.
     fn generate(
         &mut self,
         wf: GenWorkflow,
         hub_cache: bool,
-    ) -> Result<([usize; 4], u64, usize), BfsError> {
+    ) -> Result<([usize; 4], usize), BfsError> {
         let mark = self.device_clocks();
         let mut sizes = [0usize; 4];
-        let (mut hub_frontiers, mut fills) = (0u64, 0usize);
+        let mut fills = 0;
         let results = self.step_devices(move |device, part| {
             try_generate_queues(device, &part.graph, &mut part.state, wf, hub_cache)
         })?;
         for r in results {
-            hub_frontiers += r.hub_frontiers;
             fills += r.hub_fills;
             for (size, part_size) in sizes.iter_mut().zip(r.sizes) {
                 *size += part_size;
@@ -2447,7 +2421,7 @@ impl Fleet {
         }
         self.add_level_busy(&mark);
         self.multi.barrier();
-        Ok((sizes, hub_frontiers, fills))
+        Ok((sizes, fills))
     }
 
     /// Gathers the finished traversal: levels from any survivor's merged
@@ -2550,7 +2524,6 @@ impl Fleet {
                 )
                 .map_err(BfsError::Device)?,
             };
-            st.total_hubs = self.parts[d].state.total_hubs;
             seed(self.multi.device(d), &self.parts[d].graph, &mut st, source);
             states.push(Some(st));
         }
@@ -2881,10 +2854,10 @@ mod tests {
         assert_eq!(res.levels, cpu_levels(&g, src));
     }
 
-    /// The level's direction signals follow one rule on every shape. Under
-    /// Alpha every shape's trace (direction, α bits, newly visited) is the
-    /// one device's; under Gamma γ stays at most 100% at every level, and
-    /// the 1-D shapes' γ is the one device's bit for bit. Every run is
+    /// The level's direction signals follow one rule on every shape, and
+    /// every shape holds one hub set. `T_h` is the CSR's hub count, and
+    /// under Alpha and under Gamma every shape's trace (direction, α and
+    /// γ bits, newly visited) is the one device's. Every run is
     /// oracle-correct with audit-valid parents.
     #[test]
     fn signals_follow_one_rule_on_every_shape() {
@@ -2897,11 +2870,6 @@ mod tests {
             Shape::Grid(4, 2),
             Shape::Grid(1, 4),
         ];
-        let alpha_trace = |t: &[LevelRecord]| -> Vec<(&str, u64, usize)> {
-            t.iter().map(|l| (l.direction, l.alpha.to_bits(), l.newly_visited)).collect()
-        };
-        let gamma_bits =
-            |t: &[LevelRecord]| -> Vec<u64> { t.iter().map(|l| l.gamma_pct.to_bits()).collect() };
         for (name, g) in [
             ("kron", kronecker(11, 16, 13)),
             ("rmat", rmat(11, 8, 3)),
@@ -2910,27 +2878,61 @@ mod tests {
             let n = g.vertex_count() as VertexId;
             for source in [1, n / 3] {
                 let run = |shape: Shape, policy| {
-                    let cfg = FleetConfig { policy, ..FleetConfig::k40s_over(shape) };
-                    let r = Fleet::new(cfg, &g).bfs(source);
                     let case = format!("{name} src={source} {shape:?} {policy:?}");
+                    let cfg = FleetConfig { policy, ..FleetConfig::k40s_over(shape) };
+                    let mut fleet = Fleet::new(cfg, &g);
+                    let hubs = count_hubs(&g, fleet.hub_tau()) as u64;
+                    assert_eq!(fleet.total_hubs(), hubs, "{case}: T_h");
+                    let r = fleet.bfs(source);
                     assert_eq!(r.levels, cpu_levels(&g, source), "{case}: levels");
                     audit(&g, source, &r.levels, &r.parents).expect("audit-valid parents");
-                    r.level_trace
+                    let trace: Vec<_> = r
+                        .level_trace
+                        .iter()
+                        .map(|l| {
+                            let bits = (l.alpha.to_bits(), l.gamma_pct.to_bits());
+                            (l.direction, bits, l.newly_visited)
+                        })
+                        .collect();
+                    (case, trace)
                 };
-                let one_alpha = alpha_trace(&run(shapes[0], DirectionPolicy::alpha_default()));
-                let one_gamma = gamma_bits(&run(shapes[0], DirectionPolicy::gamma_default()));
-                for shape in shapes {
-                    let case = format!("{name} src={source} {shape:?}");
-                    let alpha = alpha_trace(&run(shape, DirectionPolicy::alpha_default()));
-                    assert_eq!(alpha, one_alpha, "{case}: Alpha trace");
-                    let gamma = run(shape, DirectionPolicy::gamma_default());
-                    let peak = gamma.iter().map(|l| l.gamma_pct).fold(0.0, f64::max);
-                    assert!(peak <= 100.0, "{case}: γ peaks at {peak}%");
-                    if shape.grid().is_none() {
-                        assert_eq!(gamma_bits(&gamma), one_gamma, "{case}: γ bits");
+                for policy in [DirectionPolicy::alpha_default(), DirectionPolicy::gamma_default()] {
+                    let (_, one) = run(shapes[0], policy);
+                    for shape in shapes {
+                        let (case, trace) = run(shape, policy);
+                        assert_eq!(trace, one, "{case}: trace");
                     }
                 }
             }
         }
+    }
+
+    /// A grid that falls back to strips keeps the one hub set. A pinned
+    /// 4x2 fleet commits to two strips on devices 0 and 1 with the other
+    /// six dead, the layout a multi-device loss plans; from source 1 it
+    /// reads the γ trace of one device and of a fresh 1-D x2 fleet.
+    #[test]
+    fn collapsed_grid_reads_the_one_device_gamma() {
+        let g = rmat(12, 8, 3);
+        let n = g.vertex_count();
+        let gamma = |r: MultiBfsResult| -> Vec<u64> {
+            assert_eq!(r.levels, cpu_levels(&g, 1), "levels");
+            r.level_trace.iter().map(|l| l.gamma_pct.to_bits()).collect()
+        };
+        let mut grid = Fleet::new(FleetConfig::k40s_over(Shape::Grid(4, 2)), &g);
+        grid.set_pinned(true);
+        let dead: Vec<usize> = (2..8).collect();
+        let (plan, _) = grid.loss_plan(&dead);
+        let strips = [Extent::strip(0..n / 2), Extent::strip(n / 2..n)];
+        assert!(plan.iter().map(|(d, _)| *d).eq([0, 1]), "the survivors take the strips");
+        assert!(plan.iter().map(|(_, e)| e).eq(&strips), "a multi-device loss plans two strips");
+        grid.commit(plan, &dead).expect("the strips build");
+        let collapsed = gamma(grid.try_bfs(1).expect("the strips traverse"));
+
+        let one = gamma(Fleet::new(FleetConfig::k40s_over(Shape::Slices(1)), &g).bfs(1));
+        let fresh = gamma(Fleet::new(FleetConfig::k40s_over(Shape::Slices(2)), &g).bfs(1));
+        assert_eq!(collapsed, one, "collapsed grid against one device");
+        assert_eq!(fresh, one, "fresh 1-D x2 against one device");
+        assert_eq!(grid.total_hubs(), count_hubs(&g, grid.hub_tau()) as u64, "T_h");
     }
 }

@@ -59,8 +59,9 @@ use gpu_sim::{FaultPlan, FaultSpec, FaultStats};
 /// link-isolated count from the batch log's fleet record, which lists the
 /// dead devices in ascending order. Version 7 drops the bottom-up queue's
 /// edge sum from the loop state: it is the edge count minus the visited
-/// edge sum.
-pub const FORMAT_VERSION: u32 = 7;
+/// edge sum. Version 8 drops the hub census from the layout: the fleet
+/// counts `T_h` from the graph at setup.
+pub const FORMAT_VERSION: u32 = 8;
 
 /// Magic prefix of every record frame.
 pub const REC_MAGIC: [u8; 4] = *b"ENTL";
@@ -171,8 +172,8 @@ pub struct PersistPolicy {
 }
 
 impl PersistPolicy {
-    /// Persist only the learned layout (partition boundaries + hub census);
-    /// no mid-traversal checkpoints.
+    /// Persist only the learned layout (partition boundaries); no
+    /// mid-traversal checkpoints.
     pub fn layout_only(state_dir: impl Into<PathBuf>) -> Self {
         PersistPolicy { state_dir: state_dir.into(), checkpoint_levels: None }
     }
@@ -717,18 +718,17 @@ impl Body for Header {
 }
 
 // ---------------------------------------------------------------------------
-// Layout: learned partition boundaries + hub census.
+// Layout: learned partition boundaries.
 // ---------------------------------------------------------------------------
 
 /// The learned end-of-run layout: rebalanced partition boundaries (1-D
-/// slices or 2-D blocks), grid shape, and the hub census that sizes the hub
-/// cache. Restoring it lets a fresh process skip hub measurement and start
-/// from the boundaries the previous process converged to; the extents'
-/// tiling decides whether the devices hold strips or blocks.
+/// slices or 2-D blocks), grid shape, and the hub threshold τ it was
+/// learned under. Restoring it lets a fresh process start from the
+/// boundaries the previous process converged to; the extents' tiling
+/// decides whether the devices hold strips or blocks.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct LayoutSnapshot {
     pub hub_tau: u32,
-    pub total_hubs: u64,
     /// (rows, cols) for 2-D; (1, device_count) for 1-D; (1, 1) for single.
     pub grid: (u32, u32),
     /// Per-device (td_range, bu_range) partition extents, device order.
@@ -747,7 +747,6 @@ impl Body for LayoutSnapshot {
 
     fn put(&self, enc: &mut Enc) {
         enc.u32(self.hub_tau);
-        enc.u64(self.total_hubs);
         enc.u32(self.grid.0);
         enc.u32(self.grid.1);
         enc.placement(&self.slices, &self.evicted);
@@ -755,10 +754,9 @@ impl Body for LayoutSnapshot {
 
     fn get(dec: &mut Dec<'_>) -> Result<Self, PersistError> {
         let hub_tau = dec.u32()?;
-        let total_hubs = dec.u64()?;
         let grid = (dec.u32()?, dec.u32()?);
         let (slices, evicted) = dec.placement()?;
-        Ok(LayoutSnapshot { hub_tau, total_hubs, grid, slices, evicted })
+        Ok(LayoutSnapshot { hub_tau, grid, slices, evicted })
     }
 }
 

@@ -171,7 +171,6 @@ fn slots(rec: &mut Record) -> Slots<'_> {
         }
         Record::Layout(l) => {
             out.push(("hub_tau", Slot::U32(&mut l.hub_tau)));
-            out.push(("total_hubs", Slot::U64(&mut l.total_hubs)));
             out.push(("grid", Slot::U32(&mut l.grid.0)));
             out.push(("grid", Slot::U32(&mut l.grid.1)));
             placement(&mut out, &mut l.slices, &mut l.evicted);

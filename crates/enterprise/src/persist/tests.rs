@@ -32,7 +32,6 @@ fn log_of(payloads: &[Vec<u8>]) -> Vec<u8> {
 fn sample_layout() -> LayoutSnapshot {
     LayoutSnapshot {
         hub_tau: 7,
-        total_hubs: 12,
         grid: (1, 4),
         slices: vec![(0..10, 0..10), (10..31, 10..31), (31..40, 31..40), (40..64, 40..64)],
         evicted: vec![2],
@@ -248,6 +247,42 @@ fn v6_checkpoint_with_queue_edge_sum_degrades_to_a_cold_traversal() {
     let r = Fleet::new(cfg(None), &g).try_bfs(source).expect("a cold restart");
     assert_eq!(r.recovery.snapshot_errors, vec![PersistError::VersionMismatch { found: 6 }]);
     assert_eq!(r.recovery.resumed_at_level, None);
+    assert_eq!(r.levels, cpu_levels(&g, source));
+    crate::audit(&g, source, &r.levels, &r.parents).expect("audit-valid parents");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A version-7 layout log, whose layout still carries the hub census
+/// after τ, fails on its header, and the fleet starts cold and
+/// oracle-correct.
+#[test]
+fn v7_layout_with_hub_census_degrades_to_a_cold_start() {
+    let g = road_grid(16, 16, 0.05, 7);
+    let source = 1;
+    let dir = tmp_dir("layout-log-v7");
+    let cfg = || MultiGpuConfig {
+        persist: Some(PersistPolicy::layout_only(&dir)),
+        ..MultiGpuConfig::k40s(2)
+    };
+    Fleet::new(cfg(), &g).try_bfs(source).expect("a run that writes the layout");
+    let head = Header { kind: DriverKind::OneD, fingerprint: GraphFingerprint::of(&g) };
+    let mut st = store(&dir, head);
+    let layout = read_layout(&mut st).unwrap().expect("a layout");
+
+    let mut v7_header = Enc::new();
+    v7_header.u32(Header::TAG);
+    v7_header.u32(7);
+    put_header_fields(&mut v7_header, &g);
+    // Tag and τ lead the body; v7 put the hub census after them.
+    let mut v7_layout = encode(&layout);
+    let at = 4 + 4;
+    v7_layout.splice(at..at, 12u64.to_le_bytes());
+    fs::write(dir.join(LAYOUT_FILE), log_of(&[v7_header.finish(), v7_layout])).unwrap();
+    assert_eq!(read_layout(&mut st).unwrap_err(), PersistError::VersionMismatch { found: 7 });
+
+    let r = Fleet::new(cfg(), &g).try_bfs(source).expect("a cold start");
+    assert_eq!(r.recovery.snapshot_errors, vec![PersistError::VersionMismatch { found: 7 }]);
+    assert!(!r.recovery.warm_restart);
     assert_eq!(r.levels, cpu_levels(&g, source));
     crate::audit(&g, source, &r.levels, &r.parents).expect("audit-valid parents");
     let _ = fs::remove_dir_all(&dir);

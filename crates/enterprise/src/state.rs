@@ -47,9 +47,8 @@ pub struct BfsState {
     /// order.
     pub bins: BufferId,
     /// Per-warp counters laid out as `counts[k*T/32 + w]` for the four
-    /// classes, then `counts[4T/32 + w]` for hub-frontier counts; length
-    /// `5T/32 + 1` so an exclusive scan leaves the grand total at
-    /// `[5T/32]`.
+    /// classes; length `4T/32 + 1` so an exclusive scan leaves the grand
+    /// total at `[4T/32]`.
     pub counts: BufferId,
     /// Global staging table for the shared-memory hub cache
     /// (`hub_cache_entries` slots of vertex id or `HUB_EMPTY`).
@@ -62,10 +61,9 @@ pub struct BfsState {
     /// Vertices (or queue entries) per scan thread: a scan warp owns
     /// `32 * chunk` of them.
     pub chunk: usize,
-    /// Vertex range scanned by *top-down* queue generation (and hub
-    /// counting): the sources this device expands. Full range on a
-    /// single GPU; the owned range under 1-D partitioning; the column
-    /// block under 2-D partitioning.
+    /// Vertex range scanned by *top-down* queue generation: the sources
+    /// this device expands. Full range on a single GPU; the owned range
+    /// under 1-D partitioning; the column block under 2-D partitioning.
     pub td_range: std::ops::Range<usize>,
     /// Vertex range scanned by the *direction-switch* (bottom-up)
     /// generation: the targets this device inspects. Equals `td_range`
@@ -75,8 +73,6 @@ pub struct BfsState {
     pub hub_cache_entries: usize,
     /// Hub out-degree threshold τ for this graph.
     pub hub_tau: u32,
-    /// Total hub count `T_h` (γ's denominator), measured on device.
-    pub total_hubs: u64,
     /// Classification thresholds.
     pub thresholds: ClassifyThresholds,
 }
@@ -153,7 +149,7 @@ impl BfsState {
         // Bin capacity: a warp can discover at most `32 * chunk`
         // frontiers, each landing in exactly one class region.
         let bins = device.try_alloc(&named("warp_bins"), 4 * t * chunk)?;
-        let counts = device.try_alloc(&named("warp_counts"), 5 * t / 32 + 1)?;
+        let counts = device.try_alloc(&named("warp_counts"), 4 * t / 32 + 1)?;
         let hub_src = device.try_alloc(&named("hub_src"), hub_cache_entries)?;
         // Benign races by design, declared Relaxed so the sanitizer still
         // checks bounds and initialization but not write exclusivity:
@@ -171,7 +167,7 @@ impl BfsState {
         mem.fill(status, UNVISITED);
         mem.fill(parent, UNVISITED);
         mem.fill(hub_src, HUB_EMPTY);
-        let scan_scratch = gpu_sim::ScanScratch::try_new(device, 5 * t / 32 + 1)?;
+        let scan_scratch = gpu_sim::ScanScratch::try_new(device, 4 * t / 32 + 1)?;
         Ok(Self {
             status,
             parent,
@@ -187,7 +183,6 @@ impl BfsState {
             bu_range,
             hub_cache_entries,
             hub_tau,
-            total_hubs: 0,
             thresholds,
         })
     }

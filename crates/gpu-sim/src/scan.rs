@@ -25,11 +25,10 @@ use crate::memory::BufferId;
 ///
 /// BFS drivers size their per-level queue-generation grid as
 /// `slice_vertices / 16` threads, clamped below by this floor (see
-/// `enterprise`'s `scan_thread_count`). The counter layout is five words
-/// per warp (four class counts and a hub count) plus one trailing total,
-/// so at the floor every level pays a fixed
-/// `5 * SCAN_GRID_FLOOR_THREADS / 32 + 1`-element scan — 81 words — no
-/// matter how few vertices the slice actually holds.
+/// `enterprise`'s `scan_thread_count`). The counter layout is four words
+/// per warp (one per class) plus one trailing total, so at the floor every
+/// level pays a fixed `4 * SCAN_GRID_FLOOR_THREADS / 32 + 1`-element scan
+/// — 65 words — no matter how few vertices the slice actually holds.
 ///
 /// That fixed quantum bounds rebalance recovery on small graphs: once a
 /// straggler's slice drops below `16 * SCAN_GRID_FLOOR_THREADS` vertices
@@ -37,8 +36,8 @@ use crate::memory::BufferId;
 /// scan, only the per-vertex scan and expansion work (DESIGN.md §5f;
 /// demonstrated by `scan_grid_floor_is_the_small_slice_cost_quantum`
 /// below). The scan's cost moves in launch steps, not words: on
-/// `DeviceConfig::k40()` scans of 81, 321 and 641 words each cost
-/// 0.01222 ms (three launches) and one of 1281 words 0.02033 ms (five).
+/// `DeviceConfig::k40()` scans of 65, 257 and 513 words each cost
+/// 0.01222 ms (three launches) and one of 1025 words 0.02033 ms (five).
 pub const SCAN_GRID_FLOOR_THREADS: usize = 512;
 
 /// Largest scan grid a driver should launch, in threads. The cap keeps
@@ -306,18 +305,18 @@ mod tests {
     #[test]
     fn scan_grid_floor_is_the_small_slice_cost_quantum() {
         // A driver clamps its scan grid to the floor, so every slice at
-        // or below 16 * floor vertices scans the same 5T/32+1 counter
-        // words (five per warp). Model that sizing here and show the
+        // or below 16 * floor vertices scans the same 4T/32+1 counter
+        // words (four per warp). Model that sizing here and show the
         // simulated cost is flat below the floor — the bound on what
         // rebalancing can recover for small slices (DESIGN.md §5f) — and
         // grows again once the slice is large enough to escape the clamp
-        // and the scan's one-tile-per-warp quantum: 321 and 641 words
-        // still cost what 81 do, 1281 words (256 * floor vertices) more.
+        // and the scan's one-tile-per-warp quantum: 257 and 513 words
+        // still cost what 65 do, 1025 words (256 * floor vertices) more.
         let grid = |slice_vertices: usize| {
             (slice_vertices / 16).clamp(SCAN_GRID_FLOOR_THREADS, SCAN_GRID_CEIL_THREADS)
         };
-        let counters = |slice_vertices: usize| 5 * grid(slice_vertices) / 32 + 1;
-        assert_eq!(counters(1), 5 * SCAN_GRID_FLOOR_THREADS / 32 + 1);
+        let counters = |slice_vertices: usize| 4 * grid(slice_vertices) / 32 + 1;
+        assert_eq!(counters(1), 4 * SCAN_GRID_FLOOR_THREADS / 32 + 1);
         assert_eq!(
             counters(1),
             counters(16 * SCAN_GRID_FLOOR_THREADS),
